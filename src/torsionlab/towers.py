@@ -8,6 +8,13 @@ is exactly computable.  Running these up a divisibility-nested tower of
 levels approximates the true L2 log-determinant of the operator, which is
 independently available as a symbol integral over the unit circle (a Mahler
 measure in the scalar case) — the two routes cross-validate each other.
+
+Both routes evaluate the symbol through one kernel, ``_symbol_eigenvalues``.
+The level-m specialization is block-circulant, so its spectrum is the
+union of the symbol's eigenvalues at the m-th roots of unity: a level is
+the left-endpoint rule on the circle, the integral the midpoint rule.
+``specialize`` builds the dense nm x nm matrix and is kept as the
+reference route.
 """
 
 from __future__ import annotations
@@ -297,20 +304,28 @@ def _level_eigenvalues(op: LaurentMatrix, m: int,
                        specializer=None) -> tuple[np.ndarray, float]:
     """Eigenvalues of the level-m specialization, clamped at the noise floor.
 
+    The level-m specialization is block-circulant, so its spectrum is the
+    union of the symbol's eigenvalues at the m-th roots of unity: O(m n^3)
+    time and O(m n) memory.  A ``specializer`` instead builds the dense
+    finite-quotient matrix and diagonalizes it, the reference route.
+
     The spectrum provably sits in [0, norm_bound]; eigensolver roundoff a
     few ulps past the bound is clamped back so counting functions evaluated
     exactly at the bound see the whole spectrum.
     """
-    f = (specializer or specialize)(op, m)
-    mat = f.matrix
     scale = op.norm_bound()
-    if np.abs(mat - mat.conj().T).max() > SELFADJOINT_TOL * scale:
-        raise DataValidationError("operator is not selfadjoint")
-    herm = 0.5 * (mat + mat.conj().T)
-    if np.abs(herm.imag).max() == 0.0:
-        w = np.linalg.eigvalsh(herm.real)
+    if specializer is None:
+        w = np.sort(_symbol_eigenvalues(op, np.arange(m) / m), axis=None)
     else:
-        w = np.linalg.eigvalsh(herm)
+        mat = specializer(op, m).matrix
+        if (mat.shape[0] != mat.shape[1]
+                or np.abs(mat - mat.conj().T).max() > SELFADJOINT_TOL * scale):
+            raise DataValidationError("operator is not selfadjoint")
+        herm = 0.5 * (mat + mat.conj().T)
+        if np.abs(herm.imag).max() == 0.0:
+            w = np.linalg.eigvalsh(herm.real)
+        else:
+            w = np.linalg.eigvalsh(herm)
     if float(w[0]) < -1e-10 * scale:
         raise DataValidationError(
             f"operator is not nonnegative (eigenvalue {float(w[0]):.3e} at level {m})")
@@ -318,7 +333,7 @@ def _level_eigenvalues(op: LaurentMatrix, m: int,
         raise NumericalError(
             f"level {m} exceeds the uniform spectral bound {scale!r}")
     w = np.minimum(w, scale)
-    floor = scale * mat.shape[0] * np.finfo(float).eps * EIG_FLOOR_SLACK
+    floor = scale * w.size * np.finfo(float).eps * EIG_FLOOR_SLACK
     return np.where(w > floor, w, 0.0), scale
 
 
@@ -395,9 +410,11 @@ def approx_tower(op, levels: Iterable[int] = DEFAULT_LEVELS,
                  specializer=None) -> ApproxTower:
     """Build the tower, validating selfadjointness and level nesting.
 
-    ``specializer`` maps (operator, level) to the finite-quotient Morphism
-    and defaults to the integer-line reduction; supplying another quotient
-    scheme reuses all the spectral bookkeeping unchanged.
+    Each level's spectrum is read off the symbol at the m-th roots of
+    unity.  ``specializer`` is the dense reference hook: it maps (operator,
+    level) to the finite-quotient Morphism (``specialize`` for the
+    integer-line reduction), whose matrix is diagonalized densely and then
+    runs through the same checks, clamps and floor.
     """
     mat = _as_laurent_matrix(op)
     if mat.selfadjointness_defect() > SELFADJOINT_TOL * mat.norm_bound():
@@ -421,11 +438,28 @@ def approx_tower(op, levels: Iterable[int] = DEFAULT_LEVELS,
 
 
 def _symbol_eigenvalues(op: LaurentMatrix, theta: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the symbol at z = exp(2 pi i theta), shape (..., n).
+
+    The one evaluation path for tower levels and the circle oracles.  The
+    operator must be square and its symbol Hermitian at every sampled point
+    up to SELFADJOINT_TOL * norm_bound; a scalar symbol is its own
+    eigenvalue, so only matrix symbols reach the eigensolver.
+    """
+    n, k = op.shape
+    if n != k:
+        raise DataValidationError("operator is not selfadjoint")
     sym = op.symbol(theta)
-    if op.shape == (1, 1):
+    if n == 1:
+        # |s - conj(s)| = 2 |Im s|, without materializing the conjugate
+        defect = 2.0 * np.abs(sym.imag).max()
+    else:
+        star = np.conj(np.swapaxes(sym, -1, -2))
+        defect = np.abs(sym - star).max()
+    if defect > SELFADJOINT_TOL * op.norm_bound():
+        raise DataValidationError("operator is not selfadjoint")
+    if n == 1:
         return sym[..., 0].real
-    sym = 0.5 * (sym + np.conj(np.swapaxes(sym, -1, -2)))
-    return np.linalg.eigvalsh(sym)
+    return np.linalg.eigvalsh(0.5 * (sym + star))
 
 
 def fourier_log_det(op, tol: float = QUAD_TOL,

@@ -1,5 +1,7 @@
 """Finite-quotient towers over the integer line and their circle oracle."""
 
+import time
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -23,6 +25,8 @@ from torsionlab.towers import (
 )
 
 FLAGSHIP = parse_laurent("2 - t - t^-1")
+ONE_BY_TWO = LaurentMatrix.from_lists([[FLAGSHIP, FLAGSHIP]])
+TWO_BY_ONE = LaurentMatrix.from_lists([[FLAGSHIP], [FLAGSHIP]])
 
 
 def _seeded_operators(count=10, seed=17):
@@ -163,6 +167,11 @@ class TestLevelLogDet:
         with pytest.raises(DataValidationError, match="selfadjoint"):
             level_log_det(LaurentPoly.shift(1), 4)
 
+    @pytest.mark.parametrize("op", [ONE_BY_TWO, TWO_BY_ONE], ids=["1x2", "2x1"])
+    def test_rejects_non_square(self, op):
+        with pytest.raises(DataValidationError, match="not selfadjoint"):
+            level_log_det(op, 4)
+
 
 class TestApproxTower:
     def test_default_levels_are_nested_powers(self):
@@ -218,6 +227,77 @@ class TestApproxTower:
         assert calls == [2, 4]
         assert_allclose(tower.levels[1].log_det, np.log(2.0), atol=1e-12)
 
+    def test_deep_tower_matches_closed_form(self):
+        levels = [2 ** k for k in range(1, 17)]
+        start = time.perf_counter()
+        tower = approx_tower(FLAGSHIP, levels)
+        elapsed = time.perf_counter() - start
+        assert_allclose([level.log_det for level in tower.levels],
+                        [2.0 * np.log(m) / m for m in levels], atol=1e-9)
+        assert elapsed < 1.0
+
+
+def _complex_product():
+    p = LaurentPoly([(0, 1.0), (1, -1j)])
+    return p * p.adjoint()
+
+
+def _two_by_two_laplacian():
+    t = LaurentPoly.shift(1)
+    m = LaurentMatrix.from_lists([[LaurentPoly.constant(1.0) - t,
+                                   LaurentPoly.constant(2.0) - t]])
+    return m.adjoint() @ m
+
+
+def _eigenvalues(level):
+    """The level's eigenvalue multiset, read back from its distribution."""
+    lam, mass = level.distribution.masses()
+    return np.repeat(lam, np.rint(mass * level.m).astype(int))
+
+
+class TestSymbolRouteMatchesDense:
+    """Levels from the symbol at roots of unity against dense specialize."""
+
+    OPERATORS = {
+        "flagship": FLAGSHIP,
+        "shifted": parse_laurent("3 - t - t^-1"),
+        "squared": FLAGSHIP * FLAGSHIP,
+        "matrix": _two_by_two_laplacian(),
+        "complex": _complex_product(),
+    }
+    TOWERS = {
+        "dyadic": [2 ** k for k in range(9)],
+        "triadic": [3, 6, 12, 24, 48, 96, 192],
+    }
+
+    @pytest.mark.parametrize("levels", TOWERS.values(), ids=TOWERS.keys())
+    @pytest.mark.parametrize("op", OPERATORS.values(), ids=OPERATORS.keys())
+    def test_levels_agree(self, op, levels):
+        fast = approx_tower(op, levels)
+        dense = approx_tower(op, levels, specializer=specialize)
+        assert fast.norm_bound == dense.norm_bound
+        for a, b in zip(fast.levels, dense.levels):
+            assert a.m == b.m
+            assert_allclose(a.log_det, b.log_det, rtol=0, atol=1e-10)
+            assert_allclose(a.smallest_positive, b.smallest_positive,
+                            rtol=1e-7, atol=0)
+            assert_allclose(a.largest, b.largest, rtol=0, atol=1e-12)
+            assert a.distribution.total == b.distribution.total
+            assert a.distribution.values[-1] == b.distribution.values[-1]
+            assert a.distribution.value_at(0.0) == b.distribution.value_at(0.0)
+            assert_allclose(_eigenvalues(a), _eigenvalues(b),
+                            rtol=0, atol=1e-12)
+
+    def test_same_error_on_indefinite_operator(self):
+        op = parse_laurent("t + t^-1")
+        messages = []
+        for specializer in (None, specialize):
+            with pytest.raises(DataValidationError,
+                               match="not nonnegative") as info:
+                approx_tower(op, [1, 2, 4], specializer=specializer)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
 
 class TestFourierLogDet:
     def test_flagship_mahler_measure_vanishes(self):
@@ -263,6 +343,14 @@ class TestFourierCounting:
     def test_zero_set_has_measure_zero(self):
         assert fourier_counting(FLAGSHIP, 0.0) == 0.0
         assert fourier_counting(FLAGSHIP, -1.0) == 0.0
+
+    def test_rejects_non_selfadjoint(self):
+        with pytest.raises(DataValidationError, match="not selfadjoint"):
+            fourier_counting(LaurentPoly.shift(1), 0.5)
+
+    def test_rejects_non_square(self):
+        with pytest.raises(DataValidationError, match="not selfadjoint"):
+            fourier_counting(ONE_BY_TWO, 0.5)
 
 
 class TestLimitDistribution:
