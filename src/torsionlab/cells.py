@@ -35,7 +35,7 @@ from .vn import (
     Morphism,
     TraceContext,
     complex_field,
-    word_matrix,
+    group_ring_matrix,
 )
 
 UNITARITY_TOL = 1e-10
@@ -86,7 +86,7 @@ class RegularRepresentation:
 
     def word_matrix(self, word: Word) -> np.ndarray:
         resolved = [(self._element(e), complex(c)) for e, c in word]
-        return word_matrix(resolved, self.context, self.fiber_dim)
+        return group_ring_matrix(resolved, self.context, self.fiber_dim).matrix
 
 
 class UnitaryRepresentation:

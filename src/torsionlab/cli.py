@@ -16,17 +16,10 @@ thread pools; it is honored at package import time.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
-
-_THREAD_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-)
 
 
 def _validate_thread_cap() -> None:
@@ -42,8 +35,6 @@ def _validate_thread_cap() -> None:
         raise DataValidationError(
             f"TORSIONLAB_THREADS must be a positive integer, got {raw!r}",
             location="environment")
-    for var in _THREAD_VARS:
-        os.environ.setdefault(var, str(cap))
 
 
 @dataclass(frozen=True)
@@ -153,7 +144,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_flags(args: argparse.Namespace) -> None:
+    """--tol must be finite and > 0, --rank-tol finite and >= 0."""
+    from .errors import DataValidationError
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
+        raise DataValidationError(
+            f"--tol must be a finite number > 0, got {args.tol!r}", location="--tol")
+    if args.rank_tol is not None and not (math.isfinite(args.rank_tol)
+                                          and args.rank_tol >= 0):
+        raise DataValidationError(
+            f"--rank-tol must be a finite number >= 0, got {args.rank_tol!r}",
+            location="--rank-tol")
+
+
 def _job_from_args(args: argparse.Namespace) -> JobSpec:
+    _check_flags(args)
     if args.command == "product":
         inputs = tuple(args.inputs)
     elif getattr(args, "input", None) is not None:
@@ -189,9 +194,10 @@ def _load_complex(path: str):
 
 
 def _run_torsion(job: JobSpec) -> dict:
-    from .complexes import torsion, torsion_via_laplacians
+    from .complexes import hodge, torsion, torsion_via_laplacians
     c = _load_complex(job.inputs[0])
-    value = torsion(c, job.rank_tol)
+    data = hodge(c, job.rank_tol)
+    value = torsion(c, job.rank_tol, hodge_data=data)
     via = torsion_via_laplacians(c, job.rank_tol)
     tol = job.tol if job.tol is not None else 1e-8
     residual = abs(value - via)
@@ -204,6 +210,7 @@ def _run_torsion(job: JobSpec) -> dict:
         "degrees": [c.offset, c.top_degree],
         "vn_dims": [c.module(q).vn_dim for q in c.degrees()],
         "passed": bool(residual <= tol * (1.0 + abs(value))),
+        "warnings": list(data.warnings),
     }
 
 
@@ -377,23 +384,26 @@ def run(job: JobSpec) -> dict:
 
 
 def main(argv=None) -> int:
-    from .errors import DataValidationError, NumericalError, QuadratureError
+    import numpy as np
+
+    from . import formats
+    from .errors import DataValidationError, NumericalError
     try:
         _validate_thread_cap()
         args = build_parser().parse_args(argv)
         job = _job_from_args(args)
         report = run(job)
+        if job.json_output:
+            text = formats.canonical_json(report)
+        else:
+            text = formats.report_text(report)
     except DataValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
-    except (QuadratureError, NumericalError) as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
-    from . import formats
-    if job.json_output:
-        sys.stdout.write(formats.canonical_json(report))
-    else:
-        sys.stdout.write(formats.report_text(report))
+    sys.stdout.write(text)
     return 0
 
 

@@ -31,10 +31,10 @@ from .vn import (
     HilbertModule,
     Morphism,
     TraceContext,
-    default_rank_tol,
     direct_sum_modules,
+    gram_spectrum,
     log_vol,
-    singular_values,
+    spectrum,
 )
 
 #: Validation tolerance factor for d o d = 0 and chain-rule checks.
@@ -234,24 +234,13 @@ def _range_basis(matrix: np.ndarray, rank_tol: float | None,
     rows, cols = matrix.shape
     if rows == 0 or cols == 0:
         return (np.zeros((cols, 0), np.complex128), np.zeros((rows, 0), np.complex128))
-    gram = matrix.conj().T @ matrix
-    gram = 0.5 * (gram + gram.conj().T)
-    w, v = np.linalg.eigh(gram)
-    top = float(w[-1])
-    floor = top * max(matrix.shape) * np.finfo(float).eps * 8.0
-    sv = np.sqrt(np.where(w > floor, w, 0.0))
-    if rank_tol is None:
-        tol = float(sv[-1]) * max(matrix.shape) * 2.0 ** -40
-    else:
-        tol = rank_tol
-    ambiguous = (sv > tol / RANK_AMBIGUITY_FACTOR) & (sv <= tol * RANK_AMBIGUITY_FACTOR) & (sv > 0)
-    if np.any(ambiguous):
+    s = gram_spectrum(matrix, rank_tol, vectors=True)
+    if s.ambiguous:
         warnings.append(
             f"{label}: singular value within a factor {RANK_AMBIGUITY_FACTOR:g} "
-            f"of the rank tolerance {tol:.3e}")
-    keep = sv > tol
-    order = np.argsort(-sv[keep])
-    v_kept = _phase_normalize(v[:, keep][:, order])
+            f"of the rank tolerance {s.tol:.3e}")
+    order = np.argsort(-s.sigma[s.keep])
+    v_kept = _phase_normalize(s.vectors[:, s.keep][:, order])
     u = matrix @ v_kept
     u /= np.linalg.norm(u, axis=0, keepdims=True)
     u = _phase_normalize(u)
@@ -339,10 +328,12 @@ def laplacian(c: CochainComplex, q: int) -> Morphism:
 
 
 def log_det_prime(op: Morphism, rank_tol: float | None = None) -> float:
-    """kappa times the sum of log of eigenvalues above the rank tolerance.
+    """kappa times the sum of log of the eigenvalues lambda kept by ``spectrum``.
 
     The operator must be numerically self-adjoint and nonnegative; zero
-    modes are dropped (det' convention), the zero operator gives 0.0.
+    modes are dropped (det' convention): ``rank_tol`` cuts sqrt(lambda),
+    the same singular-value scale as ``log_vol``.  The zero operator gives
+    0.0.
     """
     if op.domain.ambient_dim != op.codomain.ambient_dim:
         raise DataValidationError("log det' needs an endomorphism")
@@ -352,17 +343,8 @@ def log_det_prime(op: Morphism, rank_tol: float | None = None) -> float:
     scale = max(1e-300, float(np.abs(m).max()))
     if float(np.linalg.norm(m - m.conj().T, 2)) > 1e-10 * scale:
         raise DataValidationError("operator is not self-adjoint")
-    w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-    if float(w[0]) < -1e-10 * scale:
-        raise DataValidationError("operator is not nonnegative")
-    top = max(float(w[-1]), 0.0)
-    floor = top * m.shape[0] * np.finfo(float).eps * 8.0
-    w = np.where(w > floor, w, 0.0)
-    tol = top * m.shape[0] * 2.0 ** -40 if rank_tol is None else rank_tol
-    kept = w[w > tol]
-    if len(kept) == 0:
-        return 0.0
-    return float(op.context.kappa * np.log(kept).sum())
+    s = spectrum(m, rank_tol)
+    return float(op.context.kappa * np.log(s.lam[s.keep]).sum())
 
 
 def torsion_via_laplacians(c: CochainComplex, rank_tol: float | None = None) -> float:

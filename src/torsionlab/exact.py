@@ -31,31 +31,9 @@ from .complexes import (
     torsion,
 )
 from .errors import DataValidationError
-from .vn import GRAM_FLOOR_SLACK, RANK_TOL_SCALE, Morphism, log_vol
+from .vn import Morphism, gram_spectrum, log_vol, rank_cutoff
 
 CONNECTING_STRATEGIES = ("pinv", "complement")
-
-
-def _gram_spectrum(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of mat* mat with numerical-noise eigenvalues clamped to 0."""
-    gram = mat.conj().T @ mat
-    gram = 0.5 * (gram + gram.conj().T)
-    w, v = np.linalg.eigh(gram)
-    if w.size:
-        floor = (max(float(w[-1]), 0.0) * max(mat.shape)
-                 * np.finfo(float).eps * GRAM_FLOOR_SLACK)
-        w = np.where(w > floor, w, 0.0)
-    return w, v
-
-
-def _rank(mat: np.ndarray, rank_tol: float | None) -> int:
-    if 0 in mat.shape:
-        return 0
-    w, _ = _gram_spectrum(mat)
-    sigma = np.sqrt(w)
-    tol = (float(sigma[-1]) * max(mat.shape) * RANK_TOL_SCALE
-           if rank_tol is None else rank_tol)
-    return int(np.count_nonzero(sigma > tol))
 
 
 def _least_squares(mat: np.ndarray, rhs: np.ndarray,
@@ -64,20 +42,12 @@ def _least_squares(mat: np.ndarray, rhs: np.ndarray,
     if 0 in mat.shape:
         return np.zeros((mat.shape[1], rhs.shape[1]), np.complex128)
     if mat.shape[0] >= mat.shape[1]:
-        w, v = _gram_spectrum(mat)
-        sigma = np.sqrt(w)
-        tol = (float(sigma[-1]) * max(mat.shape) * RANK_TOL_SCALE
-               if rank_tol is None else rank_tol)
-        keep = sigma > tol
-        coeff = v[:, keep].conj().T @ (mat.conj().T @ rhs)
-        return v[:, keep] @ (coeff / w[keep][:, None])
-    w, v = _gram_spectrum(mat.conj().T)
-    sigma = np.sqrt(w)
-    tol = (float(sigma[-1]) * max(mat.shape) * RANK_TOL_SCALE
-           if rank_tol is None else rank_tol)
-    keep = sigma > tol
-    coeff = v[:, keep].conj().T @ rhs
-    return mat.conj().T @ (v[:, keep] @ (coeff / w[keep][:, None]))
+        s = gram_spectrum(mat, rank_tol, vectors=True)
+        v = s.vectors[:, s.keep]
+        return v @ ((v.conj().T @ (mat.conj().T @ rhs)) / s.lam[s.keep][:, None])
+    s = gram_spectrum(mat.conj().T, rank_tol, vectors=True)
+    v = s.vectors[:, s.keep]
+    return mat.conj().T @ (v @ ((v.conj().T @ rhs) / s.lam[s.keep][:, None]))
 
 
 class ComplexSES:
@@ -116,8 +86,8 @@ class ComplexSES:
                     raise DataValidationError(
                         "composition g o f is not zero",
                         location=f"degree {i}")
-            rank_f = _rank(fm, rank_tol)
-            rank_g = _rank(gm, rank_tol)
+            rank_f = int(gram_spectrum(fm, rank_tol).keep.sum())
+            rank_g = int(gram_spectrum(gm, rank_tol).keep.sum())
             if rank_f != self.first.module(i).ambient_dim:
                 raise DataValidationError("first map is not injective",
                                           location=f"degree {i}")
@@ -178,11 +148,8 @@ def connecting_hom(ses: ComplexSES, i: int, strategy: str = "pinv",
     if strategy == "pinv":
         u = _least_squares(gm, hbasis, tol)
     else:
-        w, v = _gram_spectrum(gm)
-        sigma = np.sqrt(w)
-        cut = (float(sigma[-1]) * max(gm.shape) * RANK_TOL_SCALE
-               if tol is None else tol)
-        basis = v[:, sigma > cut]
+        s = gram_spectrum(gm, tol, vectors=True)
+        basis = s.vectors[:, s.keep]
         restricted = gm @ basis
         if restricted.shape[0] != restricted.shape[1]:
             raise DataValidationError("map is not surjective",
@@ -220,7 +187,7 @@ def long_sequence(ses: ComplexSES, rank_tol: float | None = None,
     # scale of the whole sequence to honest zeros.
     scale = max([d.norm() for d in diffs if min(d.shape)] + [1.0])
     dim = max(m.ambient_dim for m in modules) if modules else 1
-    snap = scale * max(dim, 2) * RANK_TOL_SCALE
+    snap = rank_cutoff(scale, max(dim, 2))
     diffs = [d if not min(d.shape) or d.norm() > snap
              else Morphism.zero(d.domain, d.codomain) for d in diffs]
     seq = CochainComplex(modules, diffs, 3 * ses.offset, validate=False)

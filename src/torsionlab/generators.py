@@ -26,6 +26,7 @@ from .vn import (
     Morphism,
     TraceContext,
     direct_sum_modules,
+    gram_spectrum,
     right_regular,
 )
 
@@ -70,10 +71,8 @@ def random_alinear_unitary(rng: np.random.Generator, ctx: TraceContext,
     if rank == 0:
         return np.zeros((0, 0), np.complex128)
     m = random_alinear_invertible(rng, ctx, rank, max_cond=1e6)
-    gram = m.conj().T @ m
-    gram = 0.5 * (gram + gram.conj().T)
-    w, v = np.linalg.eigh(gram)
-    return m @ ((v / np.sqrt(w)) @ v.conj().T)
+    s = gram_spectrum(m, vectors=True)
+    return m @ ((s.vectors / s.sigma) @ s.vectors.conj().T)
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -29,6 +29,7 @@ from .vn import (
     Morphism,
     SpectralDistribution,
     cyclic_group,
+    noise_floor,
     regular_module,
     right_regular,
 )
@@ -38,7 +39,6 @@ LEVEL_AGREEMENT_TOL = 1e-9
 QUAD_TOL = 1e-8
 MAX_REFINEMENT = 22
 SELFADJOINT_TOL = 1e-10
-EIG_FLOOR_SLACK = 8.0
 INTEGER_DET_CAP = 2.0 ** 26
 
 
@@ -311,11 +311,14 @@ def _level_eigenvalues(op: LaurentMatrix, m: int,
 
     The spectrum provably sits in [0, norm_bound]; eigensolver roundoff a
     few ulps past the bound is clamped back so counting functions evaluated
-    exactly at the bound see the whole spectrum.
+    exactly at the bound see the whole spectrum.  Values at or below the
+    ``noise_floor`` of the matrices actually diagonalized (n x n symbols,
+    or the dense nm x nm matrix) count as zero.
     """
     scale = op.norm_bound()
     if specializer is None:
         w = np.sort(_symbol_eigenvalues(op, np.arange(m) / m), axis=None)
+        dim = op.shape[0]
     else:
         mat = specializer(op, m).matrix
         if (mat.shape[0] != mat.shape[1]
@@ -326,6 +329,7 @@ def _level_eigenvalues(op: LaurentMatrix, m: int,
             w = np.linalg.eigvalsh(herm.real)
         else:
             w = np.linalg.eigvalsh(herm)
+        dim = mat.shape[0]
     if float(w[0]) < -1e-10 * scale:
         raise DataValidationError(
             f"operator is not nonnegative (eigenvalue {float(w[0]):.3e} at level {m})")
@@ -333,8 +337,7 @@ def _level_eigenvalues(op: LaurentMatrix, m: int,
         raise NumericalError(
             f"level {m} exceeds the uniform spectral bound {scale!r}")
     w = np.minimum(w, scale)
-    floor = scale * w.size * np.finfo(float).eps * EIG_FLOOR_SLACK
-    return np.where(w > floor, w, 0.0), scale
+    return np.where(w > noise_floor(scale, dim), w, 0.0), scale
 
 
 @dataclass(frozen=True)
@@ -414,7 +417,7 @@ def approx_tower(op, levels: Iterable[int] = DEFAULT_LEVELS,
     unity.  ``specializer`` is the dense reference hook: it maps (operator,
     level) to the finite-quotient Morphism (``specialize`` for the
     integer-line reduction), whose matrix is diagonalized densely and then
-    runs through the same checks, clamps and floor.
+    runs through the same checks and clamp, with the noise floor of its size.
     """
     mat = _as_laurent_matrix(op)
     if mat.selfadjointness_defect() > SELFADJOINT_TOL * mat.norm_bound():
@@ -478,7 +481,7 @@ def fourier_log_det(op, tol: float = QUAD_TOL,
     if mat.selfadjointness_defect() > SELFADJOINT_TOL * mat.norm_bound():
         raise DataValidationError("operator is not selfadjoint")
     n = mat.shape[0]
-    floor = mat.norm_bound() * n * np.finfo(float).eps * EIG_FLOOR_SLACK
+    floor = noise_floor(mat.norm_bound(), n)
 
     def estimate(k: int) -> float:
         points = 1 << k
@@ -576,10 +579,10 @@ def _det_error_bound(tower: ApproxTower, level: TowerLevel) -> float:
     keep = lam > 0.0
     if not np.any(keep):
         return 0.0
-    dim = level.m * tower.operator.shape[0]
-    floor = tower.norm_bound * dim * np.finfo(float).eps * EIG_FLOOR_SLACK
-    relative = float(np.sum(mass[keep] * level.m / lam[keep])) * floor
-    relative += dim * np.finfo(float).eps * 16.0
+    n = tower.operator.shape[0]
+    relative = float(np.sum(mass[keep] * level.m / lam[keep]))
+    relative *= noise_floor(tower.norm_bound, n)
+    relative += level.m * n * np.finfo(float).eps * 16.0
     return float(np.exp(level.log_det * level.m)) * relative
 
 

@@ -20,15 +20,21 @@ applied to f*f, never from a nonsymmetric solver.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DataValidationError
 
-#: Relative floor used by ``default_rank_tol``: spectral norm x max dimension x 2^-40.
-RANK_TOL_SCALE = 2.0 ** -40
+#: Default rank cutoff on singular values, relative to sigma_max x sqrt(dim).
+#: Its square 2^-44 sits 32 times above the eigenvalue noise floor 8 eps =
+#: 2^-49 (both scale with dim), so the floor never decides a rank by default.
+RANK_TOL_SCALE = 2.0 ** -22
+
+#: ``noise_floor`` in units of dimension x machine epsilon x the top eigenvalue.
+NOISE_FLOOR_SLACK = 8.0
 
 #: Factor-of-ten window around the rank tolerance that flags an ambiguous rank call.
 RANK_AMBIGUITY_FACTOR = 10.0
@@ -349,43 +355,94 @@ def vn_trace(f: Morphism) -> complex:
     return complex(f.context.kappa * np.trace(f.matrix))
 
 
-#: Gram-level noise floor: eigh resolves eigenvalues of f*f only down to about
-#: machine epsilon times the largest one (times dimension); anything below that
-#: is numerically indistinguishable from zero and must not survive the square
-#: root, where it would masquerade as a singular value ~ sqrt(eps) * norm.
-GRAM_FLOOR_SLACK = 8.0
+class Spectrum(NamedTuple):
+    """Eigenvalues of a nonnegative Hermitian matrix with its rank decision.
+
+    ``lam`` are the ascending eigenvalues with everything at or below the
+    noise floor set to 0, ``sigma`` their square roots (the singular values
+    when the matrix is a Gram matrix f*f), ``tol`` the cutoff on ``sigma``,
+    ``keep`` the mask sigma > tol of values that count as nonzero and
+    ``vectors`` the matching orthonormal eigenvectors (or None).
+    """
+
+    lam: np.ndarray
+    sigma: np.ndarray
+    tol: float
+    keep: np.ndarray
+    vectors: np.ndarray | None
+
+    @property
+    def ambiguous(self) -> bool:
+        """Whether a nonzero sigma lies within RANK_AMBIGUITY_FACTOR of tol."""
+        s = self.sigma
+        return bool(np.any((s > self.tol / RANK_AMBIGUITY_FACTOR)
+                           & (s <= self.tol * RANK_AMBIGUITY_FACTOR) & (s > 0)))
+
+
+def noise_floor(top: float, dim: int) -> float:
+    """Eigenvalues at or below this are roundoff: top x dim x eps x slack.
+
+    A Hermitian eigensolver resolves the eigenvalues of a dim x dim matrix
+    whose largest eigenvalue is ``top`` only to about dim x eps x top; a
+    value below that must not survive a square root, where it would pass
+    for a singular value of about sqrt(eps) x norm.
+    """
+    return top * dim * np.finfo(float).eps * NOISE_FLOOR_SLACK
+
+
+def rank_cutoff(top_sigma: float, dim: int, rank_tol: float | None = None) -> float:
+    """The cutoff on singular values: ``rank_tol``, or sigma_max x sqrt(dim) x 2^-22."""
+    if rank_tol is not None:
+        return float(rank_tol)
+    return top_sigma * math.sqrt(dim) * RANK_TOL_SCALE
+
+
+def spectrum(a: np.ndarray, rank_tol: float | None = None, vectors: bool = False,
+             dim: int | None = None) -> Spectrum:
+    """Spectrum and rank decision of a nonnegative Hermitian matrix.
+
+    The one place where eigenvalues are computed for a rank decision:
+    values at or below ``noise_floor`` are exactly zero, and a value counts
+    as nonzero when sigma = sqrt(lambda) exceeds ``rank_cutoff``, so
+    ``rank_tol`` cuts singular values for Gram matrices and Laplacians
+    alike.  ``dim`` (default: the size of ``a``) sizes floor and cutoff.
+    A clearly negative eigenvalue raises ``DataValidationError``.
+    """
+    dim = a.shape[0] if dim is None else dim
+    if a.shape[0] == 0:
+        empty = np.zeros(0)
+        return Spectrum(empty, empty, rank_cutoff(0.0, dim, rank_tol), empty > 0,
+                        np.zeros((0, 0), np.complex128) if vectors else None)
+    a = 0.5 * (a + a.conj().T)
+    w, v = np.linalg.eigh(a) if vectors else (np.linalg.eigvalsh(a), None)
+    top, bottom = max(float(w[-1]), 0.0), float(w[0])
+    if bottom < -1e-10 * max(top, -bottom):
+        raise DataValidationError("operator is not nonnegative")
+    w = np.where(w > noise_floor(top, dim), w, 0.0)
+    sigma = np.sqrt(w)
+    tol = rank_cutoff(math.sqrt(top), dim, rank_tol)
+    return Spectrum(w, sigma, tol, sigma > tol, v)
+
+
+def gram_spectrum(matrix: np.ndarray, rank_tol: float | None = None,
+                  vectors: bool = False) -> Spectrum:
+    """``spectrum`` of m* m sized by max(m.shape): the singular values of m."""
+    return spectrum(matrix.conj().T @ matrix, rank_tol, vectors,
+                    max(matrix.shape + (1,)))
 
 
 def singular_values(f: Morphism) -> np.ndarray:
     """Singular values in ascending order, from eigh applied to f*f.
 
-    Eigenvalues below the eigensolver's resolution (relative machine epsilon
-    at the scale of ||f*f||, dimension-weighted) are clamped to zero before
-    the square root; the domain dimension many values are returned (zeros
-    included).
+    Values below the eigensolver's noise floor are exactly zero; the domain
+    dimension many values are returned (zeros included).
     """
-    m = f.matrix
-    if m.shape[1] == 0:
-        return np.zeros(0)
-    gram = m.conj().T @ m
-    gram = 0.5 * (gram + gram.conj().T)
-    w = np.linalg.eigvalsh(gram)
-    top = float(w[-1]) if len(w) else 0.0
-    floor = top * max(m.shape) * np.finfo(float).eps * GRAM_FLOOR_SLACK
-    w = np.where(w > floor, w, 0.0)
-    return np.sqrt(w)
+    return gram_spectrum(f.matrix).sigma
 
 
-def default_rank_tol(f: Morphism, sv: np.ndarray | None = None) -> float:
-    """Spectral norm x max(matrix dims) x 2^-40 (0 for the zero morphism)."""
-    if sv is None:
-        sv = singular_values(f)
-    top = float(sv[-1]) if len(sv) else 0.0
-    return top * max(f.shape + (1,)) * RANK_TOL_SCALE
-
-
-def _resolved_tol(f: Morphism, sv: np.ndarray, rank_tol: float | None) -> float:
-    return default_rank_tol(f, sv) if rank_tol is None else float(rank_tol)
+def default_rank_tol(f: Morphism) -> float:
+    """sigma_max x sqrt(max(matrix dims)) x 2^-22 (0 for the zero morphism)."""
+    return gram_spectrum(f.matrix).tol
 
 
 def log_vol(f: Morphism, rank_tol: float | None = None) -> float:
@@ -394,12 +451,8 @@ def log_vol(f: Morphism, rank_tol: float | None = None) -> float:
     Zero morphisms (and empty matrices) give 0.0 by the empty-product
     convention; rank truncation keeps the value finite always.
     """
-    sv = singular_values(f)
-    tol = _resolved_tol(f, sv, rank_tol)
-    kept = sv[sv > tol]
-    if len(kept) == 0:
-        return 0.0
-    return float(f.context.kappa * np.log(kept).sum())
+    s = gram_spectrum(f.matrix, rank_tol)
+    return float(f.context.kappa * np.log(s.sigma[s.keep]).sum())
 
 
 def polar_decompose(f: Morphism, rank_tol: float | None = None) -> tuple[Morphism, Morphism]:
@@ -411,16 +464,11 @@ def polar_decompose(f: Morphism, rank_tol: float | None = None) -> tuple[Morphis
     come from one Hermitian eigendecomposition of f*f.
     """
     m = f.matrix
-    gram = m.conj().T @ m
-    gram = 0.5 * (gram + gram.conj().T)
-    w, v = np.linalg.eigh(gram)
-    top = float(w[-1]) if len(w) else 0.0
-    floor = top * max(m.shape + (1,)) * np.finfo(float).eps * GRAM_FLOOR_SLACK
-    sv = np.sqrt(np.where(w > floor, w, 0.0))
-    tol = _resolved_tol(f, sv, rank_tol)
+    s = gram_spectrum(m, rank_tol, vectors=True)
+    v, sv, keep = s.vectors, s.sigma, s.keep
     wiso = (v * sv) @ v.conj().T
     wiso = 0.5 * (wiso + wiso.conj().T)
-    inv = np.where(sv > tol, 1.0 / np.where(sv > tol, sv, 1.0), 0.0)
+    inv = np.where(keep, 1.0 / np.where(keep, sv, 1.0), 0.0)
     iso = m @ ((v * inv) @ v.conj().T)
     return (Morphism(f.domain, f.codomain, iso),
             Morphism(f.domain, f.domain, wiso))
@@ -470,9 +518,8 @@ def spectral_distribution(f: Morphism, rank_tol: float | None = None) -> Spectra
     Singular values at or below the rank tolerance are treated as exactly
     zero (same truncation rule as ``log_vol`` / ``log_det_prime``).
     """
-    sv = singular_values(f)
-    tol = _resolved_tol(f, sv, rank_tol)
-    lam = np.where(sv > tol, sv, 0.0) ** 2
+    s = gram_spectrum(f.matrix, rank_tol)
+    lam = np.where(s.keep, s.sigma, 0.0) ** 2
     lam = np.sort(lam)
     uniq, counts = np.unique(lam, return_counts=True)
     values = f.context.kappa * np.cumsum(counts)
@@ -517,12 +564,11 @@ def _require_invertible(f: Morphism, name: str, rank_tol: float | None) -> None:
         raise DataValidationError(f"{name} must be square to be invertible, got {f.shape}")
     if f.domain.ambient_dim == 0:
         return
-    sv = singular_values(f)
-    tol = _resolved_tol(f, sv, rank_tol)
-    if sv[0] <= tol:
+    s = gram_spectrum(f.matrix, rank_tol)
+    if s.sigma[0] <= s.tol:
         raise DataValidationError(
-            f"{name} is numerically singular (smallest singular value {sv[0]:.3e} "
-            f"<= tolerance {tol:.3e})")
+            f"{name} is numerically singular (smallest singular value "
+            f"{s.sigma[0]:.3e} <= tolerance {s.tol:.3e})")
 
 
 def log_vol_additivity_residual(f: Morphism, g: Morphism,
@@ -596,17 +642,6 @@ def group_ring_matrix(word: Iterable[tuple[object, complex]], context: TraceCont
         total += complex(coeff) * np.kron(right_regular(context, element), eye)
     module = regular_module(context, 1, fiber_dim)
     return Morphism(module, module, total)
-
-
-def word_matrix(word: Iterable[tuple[object, complex]], context: TraceContext,
-                fiber_dim: int = 1) -> np.ndarray:
-    """The bare matrix of ``group_ring_matrix`` (one regular block)."""
-    n = context.size
-    total = np.zeros((n * fiber_dim, n * fiber_dim), np.complex128)
-    eye = np.eye(fiber_dim)
-    for element, coeff in word:
-        total += complex(coeff) * np.kron(right_regular(context, element), eye)
-    return total
 
 
 def _algebra_action(module: HilbertModule, g: int) -> np.ndarray:

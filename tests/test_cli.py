@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from torsionlab import formats
+from torsionlab import cli, formats
 
 DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
 
@@ -99,6 +99,15 @@ class TestHappyPaths:
         proc = run_cli("torsion", str(DATA / "circle_lambda_-1.json"))
         assert proc.returncode == 0
         assert "0.693147180559945" in proc.stdout
+
+    def test_torsion_reports_near_cutoff_warning(self, tmp_path):
+        path = tmp_path / "near_cutoff.json"
+        path.write_text(json.dumps({
+            "kind": "complex", "modules": [2, 2],
+            "differentials": [[[1e-7, 0.0], [0.0, 1.0]]]}))
+        report, _ = run_json("torsion", str(path))
+        assert report["passed"] is True
+        assert report["warnings"]
 
     def test_thread_cap_accepted(self):
         proc = run_cli("torsion", str(DATA / "interval_tau1.json"),
@@ -200,3 +209,35 @@ class TestFailureModes:
         assert proc.returncode == 1
         assert "numerical failure" in proc.stderr
         assert "converge" in proc.stderr
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--rank-tol", "nan"),
+        ("--rank-tol", "-1"),
+        ("--tol", "-1"),
+    ])
+    def test_out_of_range_tolerance_flags(self, flag, value):
+        if flag == "--tol":
+            args = ("lueck", "--op", "2 - t - t^-1", "--levels", "2..8")
+        else:
+            args = ("torsion", str(DATA / "circle_lambda_-1.json"))
+        proc = run_cli(*args, flag, value)
+        assert proc.returncode == 2
+        assert flag in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_eigensolver_failure_is_numerical_failure(self, tmp_path):
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({
+            "kind": "complex", "modules": [1, 1], "differentials": [[[1e200]]]}))
+        proc = run_cli("torsion", str(path))
+        assert proc.returncode == 1
+        assert "numerical failure" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_emission_failure_is_numerical_failure(self, monkeypatch, capsys):
+        monkeypatch.setitem(cli._HANDLERS, "torsion",
+                            lambda job: {"torsion": float("nan")})
+        assert cli.main(["torsion", str(DATA / "circle_lambda_-1.json")]) == 1
+        captured = capsys.readouterr()
+        assert "numerical failure" in captured.err
+        assert captured.out == ""

@@ -143,6 +143,23 @@ def test_hodge_flags_ambiguous_rank():
     assert hodge(c).warnings == []
 
 
+@pytest.mark.parametrize("diagonal, rank_tol", [
+    ([1e-3, 2.0], 1e-4),
+    ([1e-7, 1.0], None),
+    ([1e-6, 1.0], None),
+])
+def test_near_cutoff_ranks_agree_across_routes(diagonal, rank_tol):
+    # rank_tol cuts singular values on the reduced-differential route and
+    # sqrt(eigenvalue) on the Laplacian route; one policy serves both.
+    c = _two_term(np.diag(diagonal))
+    assert torsion(c, rank_tol) == pytest.approx(
+        torsion_via_laplacians(c, rank_tol), abs=ROUTE_AGREEMENT_TOL)
+    if rank_tol is None:
+        # the small singular value sits within the ambiguity band of the
+        # default cutoff sqrt(2) * 2^-22 ~ 3.4e-7
+        assert hodge(c).warnings
+
+
 # ---------------------------------------------------------------------------
 # torsion, both routes
 

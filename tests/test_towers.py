@@ -228,13 +228,20 @@ class TestApproxTower:
         assert_allclose(tower.levels[1].log_det, np.log(2.0), atol=1e-12)
 
     def test_deep_tower_matches_closed_form(self):
-        levels = [2 ** k for k in range(1, 17)]
+        levels = [2 ** k for k in range(1, 21)]
         start = time.perf_counter()
         tower = approx_tower(FLAGSHIP, levels)
         elapsed = time.perf_counter() - start
         assert_allclose([level.log_det for level in tower.levels],
                         [2.0 * np.log(m) / m for m in levels], atol=1e-9)
         assert elapsed < 1.0
+
+    def test_squared_flagship_level_keeps_its_smallest_eigenvalues(self):
+        # (2 - 2cos(2 pi/m))^2 ~ 5.5e-12 at m = 4096 sits below the noise
+        # floor of a dense 4096 x 4096 solve but far above that of the symbol
+        m = 4096
+        assert_allclose(level_log_det(FLAGSHIP * FLAGSHIP, m),
+                        4.0 * np.log(m) / m, rtol=0, atol=1e-8)
 
 
 def _complex_product():

@@ -1,6 +1,8 @@
 """Tests for the trace-algebra linear algebra layer."""
 
+import ast
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,9 +186,40 @@ def test_log_vol_conventions():
     assert log_vol(_morphism([[-2.0]])) == pytest.approx(np.log(2.0))
 
 
+#: The only functions allowed to call a Hermitian eigensolver: the spectral
+#: kernel, the tower symbol kernel, the dense tower reference route and the
+#: harmonic projector (which makes no rank decision).
+EIGENSOLVER_CALLERS = {
+    ("vn", "spectrum"),
+    ("towers", "_symbol_eigenvalues"),
+    ("towers", "_level_eigenvalues"),
+    ("complexes", "hodge"),
+}
+
+
+def test_eigensolver_calls_stay_in_the_kernel():
+    package = Path(__file__).resolve().parents[1] / "src" / "torsionlab"
+    callers = set()
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        owner = {}  # node -> name of the outermost function containing it
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                for node in ast.walk(func):
+                    owner.setdefault(node, func.name)
+        for node in ast.walk(tree):
+            name = (node.attr if isinstance(node, ast.Attribute) else
+                    node.id if isinstance(node, ast.Name) else
+                    node.name if isinstance(node, ast.alias) else None)
+            if name in ("eigh", "eigvalsh"):
+                callers.add((path.stem, owner.get(node, "<module>")))
+    assert callers <= EIGENSOLVER_CALLERS
+    assert ("vn", "spectrum") in callers
+
+
 def test_default_rank_tol_formula():
     f = _morphism(np.diag([3.0, 1.0]))
-    assert default_rank_tol(f) == pytest.approx(3.0 * 2 * 2.0 ** -40)
+    assert default_rank_tol(f) == pytest.approx(3.0 * np.sqrt(2.0) * 2.0 ** -22)
     assert default_rank_tol(Morphism.zero(_module(2), _module(2))) == 0.0
 
 
