@@ -21,7 +21,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .complexes import (
-    COMPOSITION_TOL,
     CochainComplex,
     ComplexMorphism,
     tensor_product,
@@ -36,9 +35,8 @@ from .vn import (
     TraceContext,
     complex_field,
     group_ring_matrix,
+    vanishes,
 )
-
-UNITARITY_TOL = 1e-10
 
 Word = Sequence[tuple[object, complex]]
 
@@ -93,8 +91,8 @@ class UnitaryRepresentation:
     """Explicit unitary matrices over the complex field, one per generator.
 
     Useful for holonomy twists: circle(holonomy lambda) uses the 1x1
-    representation {"t": [[lambda]]}.  Each supplied matrix must be unitary
-    to 1e-10; inverses are adjoints, so words with negative powers are fine.
+    representation {"t": [[lambda]]}.  Each supplied matrix U must be unitary
+    (U* U - I ``vanishes``); inverses are adjoints, so negative powers are fine.
     """
 
     def __init__(self, generators: Mapping[str, object]):
@@ -109,10 +107,8 @@ class UnitaryRepresentation:
                 dim = mat.shape[0]
             elif mat.shape[0] != dim:
                 raise DataValidationError("generators act on different fibers")
-            defect = np.linalg.norm(mat.conj().T @ mat - np.eye(dim), 2)
-            if defect > UNITARITY_TOL:
-                raise DataValidationError(
-                    f"generator {label!r} is not unitary (defect {defect:.2e})")
+            if not vanishes(mat.conj().T @ mat - np.eye(dim), 1.0):
+                raise DataValidationError(f"generator {label!r} is not unitary")
             self.generators[label] = mat
         if dim is None:
             raise DataValidationError("a unitary representation needs generators")
@@ -222,8 +218,7 @@ class TwistedCellComplex:
         raise DataValidationError(f"unknown cell {label!r}")
 
 
-def build_complex(cw: TwistedCellComplex, validate: bool = True,
-                  tol: float | None = None) -> CochainComplex:
+def build_complex(cw: TwistedCellComplex, validate: bool = True) -> CochainComplex:
     """Assemble the cochain complex of a cell complex under its representation.
 
     Raises DataValidationError naming the offending ((q+2)-cell, q-cell)
@@ -249,33 +244,27 @@ def build_complex(cw: TwistedCellComplex, validate: bool = True,
                     ix * block:(ix + 1) * block] = rep.word_matrix(word)
         diffs.append(Morphism(modules[q], modules[q + 1], mat))
     c = CochainComplex(modules, diffs, 0, validate=False)
-    if validate:
-        _check_cell_composition(cw, c, layers, block, tol)
+    q = c.first_nonzero_square() if validate else None
+    if q is not None:
+        raise _worst_cell_pair(c, q, layers, block)
     return c
 
 
-def _check_cell_composition(cw, c, layers, block, tol):
-    factor = COMPOSITION_TOL if tol is None else tol
-    for q in range(len(c.differentials) - 1):
-        a, b = c.differentials[q + 1], c.differentials[q]
-        if 0 in a.shape or 0 in b.shape:
-            continue
-        product = a.matrix @ b.matrix
-        bound = factor * max(1e-300, a.norm() * b.norm())
-        if np.linalg.norm(product, 2) <= bound:
-            continue
-        worst, worst_pair = 0.0, None
-        for iz, z in enumerate(layers[q + 2]):
-            for ix, x in enumerate(layers[q]):
-                blk = product[iz * block:(iz + 1) * block,
-                              ix * block:(ix + 1) * block]
-                norm = float(np.linalg.norm(blk))
-                if norm > worst:
-                    worst, worst_pair = norm, (z, x)
-        raise DataValidationError(
-            "incidence words do not compose to zero "
-            f"(worst block norm {worst:.3e})",
-            location=f"cells {worst_pair}")
+def _worst_cell_pair(c: CochainComplex, q: int, layers, block: int) -> DataValidationError:
+    """The error naming the ((q+2)-cell, q-cell) pair with the largest block of d d."""
+    product = c.differentials[q + 1].matrix @ c.differentials[q].matrix
+    worst, worst_pair = 0.0, None
+    for iz, z in enumerate(layers[q + 2]):
+        for ix, x in enumerate(layers[q]):
+            blk = product[iz * block:(iz + 1) * block,
+                          ix * block:(ix + 1) * block]
+            norm = float(np.linalg.norm(blk))
+            if norm > worst:
+                worst, worst_pair = norm, (z, x)
+    return DataValidationError(
+        "incidence words do not compose to zero "
+        f"(worst block norm {worst:.3e})",
+        location=f"cells {worst_pair}")
 
 
 def t_comb(cw: TwistedCellComplex, rank_tol: float | None = None) -> float:
@@ -420,8 +409,8 @@ class GluingSpec:
     coupling: Mapping[tuple[str, str], Word]
 
 
-def glue(spec: GluingSpec) -> tuple[TwistedCellComplex, ComplexSES]:
-    """Assemble the glued complex and its inclusion/restriction sequence."""
+def glue(spec: GluingSpec, rank_tol: float | None = None) -> tuple[TwistedCellComplex, ComplexSES]:
+    """Assemble the glued complex and its inclusion/restriction sequence (cutoff ``rank_tol``)."""
     lower, upper = spec.lower, spec.upper
     if not _compatible_reps(lower.representation, upper.representation):
         raise DataValidationError("gluing factors use different representations")
@@ -467,7 +456,7 @@ def glue(spec: GluingSpec) -> tuple[TwistedCellComplex, ComplexSES]:
         include.append(Morphism(c_up.module(q), built.module(q), inc))
         restrict.append(Morphism(built.module(q), c_low.module(q), prj))
     ses = ComplexSES(ComplexMorphism(c_up, built, include),
-                     ComplexMorphism(built, c_low, restrict))
+                     ComplexMorphism(built, c_low, restrict), rank_tol=rank_tol)
     return glued, ses
 
 
@@ -486,11 +475,11 @@ def glue_check(spec: GluingSpec, representation=None,
             upper=TwistedCellComplex(representation, spec.upper.cells,
                                      spec.upper.incidences, spec.upper.top_degree),
             coupling=spec.coupling)
-    glued, ses = glue(spec)
+    glued, ses = glue(spec, rank_tol)
     total = t_comb(glued, rank_tol)
     upper = t_comb(spec.upper, rank_tol)
     lower = t_comb(spec.lower, rank_tol)
-    t_h = torsion(long_sequence(ses, rank_tol), rank_tol)
+    t_h = torsion(long_sequence(ses), rank_tol)
     return {
         "t_comb": total,
         "t_comb_upper": upper,

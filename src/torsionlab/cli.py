@@ -59,8 +59,6 @@ class JobSpec:
                 out[key] = value
         if self.levels is not None:
             out["levels"] = list(self.levels)
-        if self.seed is not None:
-            out["seed"] = self.seed
         return out
 
 
@@ -179,23 +177,32 @@ def _job_from_args(args: argparse.Namespace) -> JobSpec:
     )
 
 
-def _load_complex(path: str):
+def _load(job: JobSpec, *kinds: str, index: int = 0) -> dict:
+    """The input file ``job.inputs[index]``; its kind must be one of ``kinds``."""
+    from . import formats
+    from .errors import DataValidationError
+    path = job.inputs[index]
+    data = formats.load_input(path)
+    if data["kind"] not in kinds:
+        raise DataValidationError(
+            f"{job.command} expects kind {' or '.join(map(repr, kinds))}, "
+            f"got {data['kind']!r}", location=path)
+    return data
+
+
+def _load_complex(job: JobSpec, index: int = 0):
     from . import formats
     from .cells import build_complex
-    data = formats.load_input(path)
+    path = job.inputs[index]
+    data = _load(job, "complex", "cw", index=index)
     if data["kind"] == "complex":
         return formats.parse_complex(data, path)
-    if data["kind"] == "cw":
-        return build_complex(formats.parse_cw(data, path))
-    from .errors import DataValidationError
-    raise DataValidationError(
-        f"expected a complex or cw input, got kind {data['kind']!r}",
-        location=path)
+    return build_complex(formats.parse_cw(data, path))
 
 
 def _run_torsion(job: JobSpec) -> dict:
     from .complexes import hodge, torsion, torsion_via_laplacians
-    c = _load_complex(job.inputs[0])
+    c = _load_complex(job)
     data = hodge(c, job.rank_tol)
     value = torsion(c, job.rank_tol, hodge_data=data)
     via = torsion_via_laplacians(c, job.rank_tol)
@@ -217,7 +224,7 @@ def _run_torsion(job: JobSpec) -> dict:
 def _run_hodge(job: JobSpec) -> dict:
     from .complexes import hodge, laplacian, log_det_prime
     from .errors import DataValidationError
-    c = _load_complex(job.inputs[0])
+    c = _load_complex(job)
     data = hodge(c, job.rank_tol)
     degrees = list(c.degrees())
     if job.degree is not None:
@@ -247,13 +254,7 @@ def _run_hodge(job: JobSpec) -> dict:
 def _run_glue_check(job: JobSpec) -> dict:
     from . import formats
     from .cells import glue_check
-    data = formats.load_input(job.inputs[0])
-    if data["kind"] != "gluing":
-        from .errors import DataValidationError
-        raise DataValidationError(
-            f"glue-check expects kind 'gluing', got {data['kind']!r}",
-            location=job.inputs[0])
-    spec = formats.parse_gluing(data, job.inputs[0])
+    spec = formats.parse_gluing(_load(job, "gluing"), job.inputs[0])
     report = glue_check(spec, rank_tol=job.rank_tol)
     tol = job.tol if job.tol is not None else 1e-9
     report = dict(report)
@@ -265,14 +266,8 @@ def _run_glue_check(job: JobSpec) -> dict:
 def _run_ses_check(job: JobSpec) -> dict:
     from . import formats
     from .exact import milnor_check
-    data = formats.load_input(job.inputs[0])
-    if data["kind"] != "ses":
-        from .errors import DataValidationError
-        raise DataValidationError(
-            f"ses-check expects kind 'ses', got {data['kind']!r}",
-            location=job.inputs[0])
-    ses = formats.parse_ses(data, job.inputs[0])
-    report = milnor_check(ses, job.rank_tol)
+    ses = formats.parse_ses(_load(job, "ses"), job.inputs[0], job.rank_tol)
+    report = milnor_check(ses)
     tol = job.tol if job.tol is not None else 1e-7
     bound = tol * (1.0 + abs(report.t2))
     return {
@@ -300,12 +295,7 @@ def _run_lueck(job: JobSpec) -> dict:
     if job.op is not None:
         operator = parse_laurent(job.op)
     else:
-        data = formats.load_input(job.inputs[0])
-        if data["kind"] != "laurent":
-            raise DataValidationError(
-                f"lueck expects kind 'laurent', got {data['kind']!r}",
-                location=job.inputs[0])
-        operator = formats.parse_laurent_matrix(data, job.inputs[0])
+        operator = formats.parse_laurent_matrix(_load(job, "laurent"), job.inputs[0])
     from .towers import DEFAULT_LEVELS, QUAD_TOL
     levels = job.levels if job.levels is not None else DEFAULT_LEVELS
     tower = approx_tower(operator, levels)
@@ -323,13 +313,7 @@ def _run_lueck(job: JobSpec) -> dict:
 def _run_duality_check(job: JobSpec) -> dict:
     from . import formats
     from .cells import dual_complex, t_comb
-    data = formats.load_input(job.inputs[0])
-    if data["kind"] != "cw":
-        from .errors import DataValidationError
-        raise DataValidationError(
-            f"duality-check expects kind 'cw', got {data['kind']!r}",
-            location=job.inputs[0])
-    cw = formats.parse_cw(data, job.inputs[0])
+    cw = formats.parse_cw(_load(job, "cw"), job.inputs[0])
     value = t_comb(cw, job.rank_tol)
     dual_value = t_comb(dual_complex(cw), job.rank_tol)
     sign = (-1.0) ** (cw.top_degree + 1)
@@ -347,8 +331,8 @@ def _run_duality_check(job: JobSpec) -> dict:
 
 def _run_product(job: JobSpec) -> dict:
     from .complexes import tensor_product, torsion
-    a = _load_complex(job.inputs[0])
-    b = _load_complex(job.inputs[1])
+    a = _load_complex(job)
+    b = _load_complex(job, 1)
     product = tensor_product(a, b)
     t_a, t_b = torsion(a, job.rank_tol), torsion(b, job.rank_tol)
     t_ab = torsion(product, job.rank_tol)
@@ -392,7 +376,9 @@ def main(argv=None) -> int:
         _validate_thread_cap()
         args = build_parser().parse_args(argv)
         job = _job_from_args(args)
-        report = run(job)
+        # An overflow is reported once, as the kernels' NumericalError.
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = run(job)
         if job.json_output:
             text = formats.canonical_json(report)
         else:

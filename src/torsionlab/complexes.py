@@ -34,11 +34,10 @@ from .vn import (
     direct_sum_modules,
     gram_spectrum,
     log_vol,
+    norm_lower_bound,
     spectrum,
+    vanishes,
 )
-
-#: Validation tolerance factor for d o d = 0 and chain-rule checks.
-COMPOSITION_TOL = 1e-10
 
 
 def _phase_normalize(columns: np.ndarray) -> np.ndarray:
@@ -63,7 +62,7 @@ class CochainComplex:
     offset: int = 0
 
     def __init__(self, modules: Sequence[HilbertModule], differentials: Sequence[Morphism],
-                 offset: int = 0, validate: bool = True, tol: float | None = None):
+                 offset: int = 0, validate: bool = True):
         self.modules = list(modules)
         self.differentials = list(differentials)
         self.offset = int(offset)
@@ -84,21 +83,23 @@ class CochainComplex:
                     "differential does not connect consecutive modules",
                     location=f"degree {self.offset + i}")
         if validate:
-            self.validate(tol)
+            self.validate()
 
-    def validate(self, tol: float | None = None) -> None:
-        """Check d_{i+1} o d_i = 0 up to tol x ||d_{i+1}|| ||d_i||."""
-        factor = COMPOSITION_TOL if tol is None else tol
-        for i in range(len(self.differentials) - 1):
-            a, b = self.differentials[i + 1], self.differentials[i]
-            if 0 in a.shape or 0 in b.shape:
-                continue
-            bound = factor * max(1e-300, a.norm() * b.norm())
-            err = float(np.linalg.norm(a.matrix @ b.matrix, 2))
-            if err > bound:
-                raise DataValidationError(
-                    f"d o d != 0 (norm {err:.3e} > {bound:.3e})",
-                    location=f"degrees {self.offset + i} -> {self.offset + i + 2}")
+    def validate(self) -> None:
+        """Check that every d_{i+1} o d_i vanishes (see ``first_nonzero_square``)."""
+        i = self.first_nonzero_square()
+        if i is not None:
+            raise DataValidationError(
+                "d o d != 0",
+                location=f"degrees {self.offset + i} -> {self.offset + i + 2}")
+
+    def first_nonzero_square(self) -> int | None:
+        """Stored index i of the first d_{i+1} o d_i that does not vanish, or None."""
+        for i, (b, a) in enumerate(zip(self.differentials, self.differentials[1:])):
+            scale = norm_lower_bound(a.matrix) * norm_lower_bound(b.matrix)
+            if not vanishes(a.matrix @ b.matrix, scale):
+                return i
+        return None
 
     # -- structure ---------------------------------------------------------
 
@@ -340,8 +341,7 @@ def log_det_prime(op: Morphism, rank_tol: float | None = None) -> float:
     m = op.matrix
     if m.shape[0] == 0:
         return 0.0
-    scale = max(1e-300, float(np.abs(m).max()))
-    if float(np.linalg.norm(m - m.conj().T, 2)) > 1e-10 * scale:
+    if not vanishes(m - m.conj().T, float(np.abs(m).max())):
         raise DataValidationError("operator is not self-adjoint")
     s = spectrum(m, rank_tol)
     return float(op.context.kappa * np.log(s.lam[s.keep]).sum())
@@ -457,8 +457,7 @@ class ComplexMorphism:
     components: list[Morphism]
 
     def __init__(self, source: CochainComplex, target: CochainComplex,
-                 components: Sequence[Morphism], validate: bool = True,
-                 tol: float | None = None):
+                 components: Sequence[Morphism], validate: bool = True):
         if source.offset != target.offset or len(source.modules) != len(target.modules):
             raise DataValidationError(
                 "source and target must cover the same degree window "
@@ -474,21 +473,18 @@ class ComplexMorphism:
         self.target = target
         self.components = list(components)
         if validate:
-            self.validate(tol)
+            self.validate()
 
-    def validate(self, tol: float | None = None) -> None:
-        factor = COMPOSITION_TOL if tol is None else tol
+    def validate(self) -> None:
+        """Check that d_target f_i - f_{i+1} d_source vanishes at every degree."""
+        bounds = [norm_lower_bound(c.matrix) for c in self.components]
         for i in range(len(self.components) - 1):
-            d_s = self.source.differentials[i]
-            d_t = self.target.differentials[i]
-            lhs = d_t.matrix @ self.components[i].matrix
-            rhs = self.components[i + 1].matrix @ d_s.matrix
-            if lhs.size == 0:
-                continue
-            scale = max(1e-300,
-                        max(d_t.norm(), d_s.norm()) *
-                        max(self.components[i].norm(), self.components[i + 1].norm(), 1.0))
-            if float(np.linalg.norm(lhs - rhs, 2)) > factor * scale:
+            d_s = self.source.differentials[i].matrix
+            d_t = self.target.differentials[i].matrix
+            defect = d_t @ self.components[i].matrix - self.components[i + 1].matrix @ d_s
+            scale = (max(norm_lower_bound(d_t), norm_lower_bound(d_s))
+                     * max(bounds[i], bounds[i + 1], 1.0))
+            if not vanishes(defect, scale):
                 raise DataValidationError(
                     "components do not commute with the differentials",
                     location=f"degree {self.source.offset + i}")

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import (
-    COMPOSITION_TOL,
     CochainComplex,
     ComplexMorphism,
     HodgeData,
@@ -31,7 +30,7 @@ from .complexes import (
     torsion,
 )
 from .errors import DataValidationError
-from .vn import Morphism, gram_spectrum, log_vol, rank_cutoff
+from .vn import Morphism, gram_spectrum, log_vol, norm_lower_bound, rank_cutoff, vanishes
 
 CONNECTING_STRATEGIES = ("pinv", "complement")
 
@@ -56,6 +55,8 @@ class ComplexSES:
     Validation checks, at every degree, that g o f vanishes, f is injective,
     g is surjective and the ranks account for the middle dimension; any
     failure raises DataValidationError naming the offending degree.
+    ``rank_tol`` is the sequence's one rank cutoff: validation, the cached
+    Hodge data and every function of this module use it.
     """
 
     def __init__(self, f: ComplexMorphism, g: ComplexMorphism,
@@ -73,21 +74,17 @@ class ComplexSES:
         if not self.first.context.matches(self.last.context):
             raise DataValidationError("complexes live over different contexts")
         if validate:
-            self.validate(rank_tol)
+            self.validate()
 
-    def validate(self, rank_tol: float | None = None) -> None:
+    def validate(self) -> None:
         for i in self.degrees():
             fm = self.f.component(i).matrix
             gm = self.g.component(i).matrix
-            if fm.shape[0] and fm.shape[1] and gm.shape[0]:
-                comp = gm @ fm
-                scale = np.linalg.norm(fm, 2) * np.linalg.norm(gm, 2)
-                if np.linalg.norm(comp, 2) > COMPOSITION_TOL * max(scale, 1.0):
-                    raise DataValidationError(
-                        "composition g o f is not zero",
-                        location=f"degree {i}")
-            rank_f = int(gram_spectrum(fm, rank_tol).keep.sum())
-            rank_g = int(gram_spectrum(gm, rank_tol).keep.sum())
+            if not vanishes(gm @ fm, max(norm_lower_bound(fm) * norm_lower_bound(gm), 1.0)):
+                raise DataValidationError("composition g o f is not zero",
+                                          location=f"degree {i}")
+            rank_f = int(gram_spectrum(fm, self.rank_tol).keep.sum())
+            rank_g = int(gram_spectrum(gm, self.rank_tol).keep.sum())
             if rank_f != self.first.module(i).ambient_dim:
                 raise DataValidationError("first map is not injective",
                                           location=f"degree {i}")
@@ -124,8 +121,7 @@ def _same_complex(a: CochainComplex, b: CochainComplex) -> bool:
                for x, y in zip(a.differentials, b.differentials))
 
 
-def connecting_hom(ses: ComplexSES, i: int, strategy: str = "pinv",
-                   rank_tol: float | None = None) -> Morphism:
+def connecting_hom(ses: ComplexSES, i: int, strategy: str = "pinv") -> Morphism:
     """Connecting map on harmonic spaces, H^i(C3) -> H^(i+1)(C1).
 
     strategy "pinv" lifts along g with a minimal-norm solve; "complement"
@@ -136,7 +132,7 @@ def connecting_hom(ses: ComplexSES, i: int, strategy: str = "pinv",
     if strategy not in CONNECTING_STRATEGIES:
         raise DataValidationError(
             f"unknown strategy {strategy!r}; expected one of {CONNECTING_STRATEGIES}")
-    tol = rank_tol if rank_tol is not None else ses.rank_tol
+    tol = ses.rank_tol
     h1 = ses.hodge(1)
     h3 = ses.hodge(3)
     dom = h3.harmonic_module(i)
@@ -161,15 +157,14 @@ def connecting_hom(ses: ComplexSES, i: int, strategy: str = "pinv",
     return Morphism(dom, cod, mat)
 
 
-def long_sequence(ses: ComplexSES, rank_tol: float | None = None,
-                  strategy: str = "pinv", validate: bool = True) -> CochainComplex:
+def long_sequence(ses: ComplexSES, strategy: str = "pinv",
+                  validate: bool = True) -> CochainComplex:
     """The long sequence on harmonic spaces as one acyclic complex.
 
     Degree i of the three complexes lands at degrees 3i, 3i+1, 3i+2 (so the
     whole complex has offset 3 * offset); the differentials cycle through
     the induced map of f, the induced map of g and the connecting map.
     """
-    tol = rank_tol if rank_tol is not None else ses.rank_tol
     h1, h2, h3 = ses.hodge(1), ses.hodge(2), ses.hodge(3)
     modules = []
     diffs: list[Morphism] = []
@@ -177,35 +172,32 @@ def long_sequence(ses: ComplexSES, rank_tol: float | None = None,
     for i in ses.degrees():
         modules.extend([h1.harmonic_module(i), h2.harmonic_module(i),
                         h3.harmonic_module(i)])
-        diffs.append(induced_harmonic_map(ses.f, i, h1, h2, tol))
-        diffs.append(induced_harmonic_map(ses.g, i, h2, h3, tol))
+        diffs.append(induced_harmonic_map(ses.f, i, h1, h2))
+        diffs.append(induced_harmonic_map(ses.g, i, h2, h3))
         if i < top:
-            diffs.append(connecting_hom(ses, i, strategy, tol))
+            diffs.append(connecting_hom(ses, i, strategy))
     # A map that is zero in exact arithmetic comes out of the zig-zag with
     # tiny nonzero entries; relative-to-itself rank decisions would promote
     # that noise to full rank, so snap maps that are negligible against the
     # scale of the whole sequence to honest zeros.
-    scale = max([d.norm() for d in diffs if min(d.shape)] + [1.0])
+    norms = [gram_spectrum(d.matrix).sigma.max() if d.matrix.size else 0.0 for d in diffs]
+    scale = max(norms + [1.0])
     dim = max(m.ambient_dim for m in modules) if modules else 1
     snap = rank_cutoff(scale, max(dim, 2))
-    diffs = [d if not min(d.shape) or d.norm() > snap
-             else Morphism.zero(d.domain, d.codomain) for d in diffs]
+    diffs = [d if n > snap else Morphism.zero(d.domain, d.codomain)
+             for d, n in zip(diffs, norms)]
     seq = CochainComplex(modules, diffs, 3 * ses.offset, validate=False)
     if validate:
         # Composites vanish only up to the scale of the zig-zag inputs, so
         # check against the overall data scale rather than per-factor norms
-        # (a mathematically zero harmonic map has tiny, noisy norm).
-        scale = max([1.0] + [d.norm() for d in diffs if min(d.shape)])
-        for k in range(len(diffs) - 1):
-            a, b = diffs[k + 1], diffs[k]
-            if 0 in a.shape or 0 in b.shape:
-                continue
-            err = float(np.linalg.norm(a.matrix @ b.matrix, 2))
-            if err > COMPOSITION_TOL * scale * scale:
+        # (a mathematically zero harmonic map has tiny, noisy norm).  The
+        # largest map survives the snap, so ``scale`` is still that scale.
+        for k, (b, a) in enumerate(zip(diffs, diffs[1:])):
+            if not vanishes(a.matrix @ b.matrix, scale * scale):
                 raise DataValidationError(
                     "long sequence maps do not compose to zero",
                     location=f"positions {k} -> {k + 2}")
-        if not hodge(seq, tol).is_acyclic():
+        if not hodge(seq, ses.rank_tol).is_acyclic():
             raise DataValidationError("long sequence is not exact")
     return seq
 
@@ -239,17 +231,18 @@ class MilnorReport:
     residual: float
 
 
-def milnor_check(ses: ComplexSES, rank_tol: float | None = None) -> MilnorReport:
+def milnor_check(ses: ComplexSES) -> MilnorReport:
     """Evaluate torsion additivity for a short exact sequence of complexes.
 
     lhs is log T(C2); rhs collects log T(C1) + log T(C3) + log T(H) minus
-    the alternating sum of the degreewise (modulewise) sequence torsions.
+    the alternating sum of the degreewise (modulewise) sequence torsions,
+    all at the sequence's ``rank_tol``.
     """
-    tol = rank_tol if rank_tol is not None else ses.rank_tol
+    tol = ses.rank_tol
     t1 = torsion(ses.first, tol, ses.hodge(1))
     t2 = torsion(ses.middle, tol, ses.hodge(2))
     t3 = torsion(ses.last, tol, ses.hodge(3))
-    t_h = torsion(long_sequence(ses, tol))
+    t_h = torsion(long_sequence(ses), tol)
     degreewise = {}
     for i in ses.degrees():
         stage = CochainComplex(

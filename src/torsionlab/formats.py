@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from typing import Mapping
 
 import numpy as np
@@ -68,14 +69,13 @@ def load_input(path: str) -> dict:
 
 
 def parse_scalar(value, where: str) -> complex:
-    """A complex number: ``[re, im]`` pair, or a bare real number."""
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if (isinstance(value, list) and len(value) == 2
-            and all(isinstance(x, (int, float)) for x in value)):
-        return complex(value[0], value[1])
-    raise DataValidationError(
-        f"expected a number or [re, im] pair, got {value!r}", location=where)
+    """A finite complex number: ``[re, im]`` pair, or a bare real number
+    (``json.load`` reads ``NaN``, ``Infinity`` and ``1e400`` as non-finite)."""
+    pair = value if isinstance(value, list) and len(value) == 2 else [value, 0]
+    if not all(isinstance(x, (int, float)) and abs(x) <= sys.float_info.max for x in pair):
+        raise DataValidationError(
+            f"expected a finite number or [re, im] pair, got {value!r}", location=where)
+    return complex(*pair)
 
 
 def parse_matrix(value, where: str) -> np.ndarray:
@@ -261,7 +261,8 @@ def parse_gluing(obj, where: str = "gluing") -> GluingSpec:
     return GluingSpec(lower=lower, upper=upper, coupling=coupling)
 
 
-def parse_ses(obj, where: str = "ses") -> ComplexSES:
+def parse_ses(obj, where: str = "ses", rank_tol: float | None = None) -> ComplexSES:
+    """The sequence of a ``ses`` input, with ``rank_tol`` as its rank cutoff."""
     parts = {}
     for part in ("sub", "middle", "quotient"):
         if not isinstance(obj.get(part), Mapping):
@@ -294,7 +295,7 @@ def parse_ses(obj, where: str = "ses") -> ComplexSES:
 
     include = _morphism(sub, middle, "include")
     project = _morphism(middle, quotient, "project")
-    return ComplexSES(include, project)
+    return ComplexSES(include, project, rank_tol=rank_tol)
 
 
 def parse_laurent_matrix(obj, where: str = "laurent") -> LaurentMatrix:
@@ -317,12 +318,11 @@ def parse_laurent_matrix(obj, where: str = "laurent") -> LaurentMatrix:
             terms = []
             for triple in entry:
                 if (not isinstance(triple, list) or len(triple) != 3
-                        or not isinstance(triple[0], int)
-                        or not all(isinstance(x, (int, float)) for x in triple[1:])):
+                        or not isinstance(triple[0], int)):
                     raise DataValidationError(
                         f"expected [exponent, re, im], got {triple!r}",
                         location=spot)
-                terms.append((triple[0], complex(triple[1], triple[2])))
+                terms.append((triple[0], parse_scalar(triple[1:], spot)))
             entries.append(LaurentPoly(tuple(terms)))
         parsed.append(entries)
     return LaurentMatrix.from_lists(parsed)

@@ -75,14 +75,6 @@ def random_alinear_unitary(rng: np.random.Generator, ctx: TraceContext,
     return m @ ((s.vectors / s.sigma) @ s.vectors.conj().T)
 
 
-def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Haar-style random unitary over the complex field."""
-    if n == 0:
-        return np.zeros((0, 0), np.complex128)
-    q, r = np.linalg.qr(_random_coeff(rng, n, n))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 @dataclass(eq=False)
 class ComplexShape:
     """Free ranks that pin down a random complex and frames to rebuild it."""

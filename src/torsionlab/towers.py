@@ -175,6 +175,8 @@ def parse_laurent(text: str) -> LaurentPoly:
                 exponent = 0
         except ValueError:
             raise DataValidationError(f"cannot parse term {raw!r}") from None
+        if not np.isfinite(coeff):
+            raise DataValidationError(f"term {raw!r} has a non-finite coefficient")
         pieces.append((exponent, sign * coeff))
     return LaurentPoly(tuple(pieces))
 

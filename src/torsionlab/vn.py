@@ -26,7 +26,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DataValidationError
+from .errors import DataValidationError, NumericalError
 
 #: Default rank cutoff on singular values, relative to sigma_max x sqrt(dim).
 #: Its square 2^-44 sits 32 times above the eigenvalue noise floor 8 eps =
@@ -38,6 +38,9 @@ NOISE_FLOOR_SLACK = 8.0
 
 #: Factor-of-ten window around the rank tolerance that flags an ambiguous rank call.
 RANK_AMBIGUITY_FACTOR = 10.0
+
+#: Tolerance of ``vanishes``, relative to the scale of the check.
+COMPOSITION_TOL = 1e-10
 
 
 def _as_matrix(matrix) -> np.ndarray:
@@ -297,10 +300,6 @@ class Morphism:
     def adjoint(self) -> "Morphism":
         return Morphism(self.codomain, self.domain, self.matrix.conj().T)
 
-    @property
-    def H(self) -> "Morphism":
-        return self.adjoint()
-
     def norm(self) -> float:
         """Spectral norm."""
         if 0 in self.matrix.shape:
@@ -397,6 +396,29 @@ def rank_cutoff(top_sigma: float, dim: int, rank_tol: float | None = None) -> fl
     return top_sigma * math.sqrt(dim) * RANK_TOL_SCALE
 
 
+def norm_lower_bound(a: np.ndarray) -> float:
+    """The largest column or row 2-norm of ``a``: a lower bound on its
+    spectral norm that needs no SVD (0 if ``a`` is empty)."""
+    squares = (a * a.conj()).real
+    return math.sqrt(max(squares.sum(0).max(initial=0.0), squares.sum(1).max(initial=0.0)))
+
+
+def vanishes(x: np.ndarray, scale: float) -> bool:
+    """Whether ``x`` is numerically zero: ||x||_F <= COMPOSITION_TOL x scale,
+    the one zero-test of every structural check.
+
+    ||x||_F >= ||x||_2 and callers build ``scale`` from lower bounds of the
+    factors' spectral norms (``norm_lower_bound``), so this never accepts
+    what ||x||_2 <= COMPOSITION_TOL x (spectral scale) rejects, and never
+    runs an SVD.  A non-finite norm or scale (overflow) raises
+    ``NumericalError``.
+    """
+    norm = math.sqrt(np.vdot(x, x).real)
+    if not (math.isfinite(norm) and math.isfinite(scale)):
+        raise NumericalError("non-finite values in a vanishing test (overflow)")
+    return norm <= COMPOSITION_TOL * scale
+
+
 def spectrum(a: np.ndarray, rank_tol: float | None = None, vectors: bool = False,
              dim: int | None = None) -> Spectrum:
     """Spectrum and rank decision of a nonnegative Hermitian matrix.
@@ -406,8 +428,11 @@ def spectrum(a: np.ndarray, rank_tol: float | None = None, vectors: bool = False
     as nonzero when sigma = sqrt(lambda) exceeds ``rank_cutoff``, so
     ``rank_tol`` cuts singular values for Gram matrices and Laplacians
     alike.  ``dim`` (default: the size of ``a``) sizes floor and cutoff.
-    A clearly negative eigenvalue raises ``DataValidationError``.
+    A clearly negative eigenvalue raises ``DataValidationError``, a
+    non-finite entry (an overflow, say in f* f) ``NumericalError``.
     """
+    if not np.isfinite(a).all():
+        raise NumericalError("non-finite matrix entries in the spectral kernel (overflow)")
     dim = a.shape[0] if dim is None else dim
     if a.shape[0] == 0:
         empty = np.zeros(0)

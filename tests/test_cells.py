@@ -262,6 +262,13 @@ class TestGluing:
         glued, _ = glue(circle_from_arcs(rep))
         assert abs(t_comb(glued) - t_comb(circle(rep))) < 1e-12
 
+    def test_glued_sequence_carries_the_rank_cutoff(self):
+        rep = RegularRepresentation(vn.cyclic_group(6))
+        _, ses = glue(circle_from_arcs(rep), rank_tol=0.5)
+        assert ses.rank_tol == 0.5
+        report = glue_check(circle_from_arcs(rep), rank_tol=0.5)
+        assert report["residual"] < RESIDUAL_TOL
+
     def test_glue_check_on_circle_holonomies(self):
         for lam in (-1.0, 1j, np.exp(1j * np.pi / 5)):
             rep = UnitaryRepresentation({"t": [[lam]]})

@@ -7,9 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from torsionlab import cli, formats
+from torsionlab.exact import ComplexSES, milnor_check
+from torsionlab.generators import random_ses
+from torsionlab.vn import complex_field
 
 DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
 
@@ -234,6 +238,39 @@ class TestFailureModes:
         assert "numerical failure" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("command", ["torsion", "hodge"])
+    def test_overflow_is_named_numerical_failure(self, tmp_path, command):
+        # 1e200 squared overflows in the Gram and Laplacian matrices
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({
+            "kind": "complex", "modules": [1, 1], "differentials": [[[1e200]]]}))
+        proc = run_cli(command, str(path))
+        assert proc.returncode == 1
+        assert "numerical failure" in proc.stderr
+        assert "non-finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+
+    @pytest.mark.parametrize("args, text, where", [
+        (("torsion",), '{"kind": "complex", "modules": [1, 1], '
+                       '"differentials": [[[NaN]]]}', "differentials[0] row 0"),
+        (("torsion",), '{"kind": "complex", "modules": [1, 1], '
+                       '"differentials": [[[[1, Infinity]]]]}', "differentials[0] row 0"),
+        (("hodge",), '{"kind": "complex", "modules": [1, 1], '
+                     '"differentials": [[[1e400]]]}', "differentials[0] row 0"),
+        (("lueck", "--levels", "2..4"),
+         '{"kind": "laurent", "rows": [[[[0, 2, 0], [1, -Infinity, 0]]]]}', "rows[0][0]"),
+    ], ids=["nan", "infinity-in-pair", "1e400", "laurent-minus-infinity"])
+    def test_non_finite_input_values_are_validation_errors(self, tmp_path, args,
+                                                           text, where):
+        # json.load accepts NaN, Infinity and 1e400 (as inf)
+        path = tmp_path / "non_finite.json"
+        path.write_text(text)
+        proc = run_cli(args[0], str(path), *args[1:])
+        assert proc.returncode == 2
+        assert "finite" in proc.stderr
+        assert where in proc.stderr
+
     def test_emission_failure_is_numerical_failure(self, monkeypatch, capsys):
         monkeypatch.setitem(cli._HANDLERS, "torsion",
                             lambda job: {"torsion": float("nan")})
@@ -241,3 +278,35 @@ class TestFailureModes:
         captured = capsys.readouterr()
         assert "numerical failure" in captured.err
         assert captured.out == ""
+
+
+def _matrix_json(m):
+    return [[[z.real, z.imag] for z in row] for row in np.asarray(m)]
+
+
+def _complex_json(c):
+    return {"modules": [m.ambient_dim for m in c.modules], "offset": c.offset,
+            "differentials": [_matrix_json(d.matrix) for d in c.differentials]}
+
+
+def _ses_json(ses):
+    return {"kind": "ses", "sub": _complex_json(ses.first),
+            "middle": _complex_json(ses.middle), "quotient": _complex_json(ses.last),
+            "include": [_matrix_json(f.matrix) for f in ses.f.components],
+            "project": [_matrix_json(g.matrix) for g in ses.g.components]}
+
+
+def test_ses_check_rank_tol_is_the_sequence_cutoff(tmp_path):
+    # The ninth such draw has singular values on both sides of 0.6: with one
+    # cutoff for the whole sequence additivity holds; mixing the default
+    # cutoff (cached Hodge data) with 0.6 (torsions) left a residual of 0.14.
+    rng = np.random.default_rng(3)
+    for _ in range(9):
+        ses = random_ses(rng, complex_field(), length=3, max_rank=2)
+    path = tmp_path / "ses.json"
+    path.write_text(json.dumps(_ses_json(ses)))
+    report, _ = run_json("ses-check", str(path), "--rank-tol", "0.6")
+    expected = milnor_check(ComplexSES(ses.f, ses.g, rank_tol=0.6))
+    assert report["residual"] < 1e-9
+    assert report["passed"] is True
+    assert report["torsion_long_sequence"] == pytest.approx(expected.t_h, abs=1e-12)

@@ -92,6 +92,9 @@ class TestLaurentAlgebra:
             parse_laurent("2 + * 3")
         with pytest.raises(DataValidationError, match="parse"):
             parse_laurent("t^x")
+        for text in ("nan - t", "2 - inf*t", "1e400"):
+            with pytest.raises(DataValidationError, match="non-finite"):
+                parse_laurent(text)
 
     def test_matrix_shapes_validated(self):
         with pytest.raises(DataValidationError, match="ragged"):

@@ -10,8 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from torsionlab.errors import DataValidationError
+from torsionlab.cells import UnitaryRepresentation
+from torsionlab.complexes import CochainComplex
+from torsionlab.errors import DataValidationError, NumericalError
+from torsionlab.generators import random_alinear_unitary, random_cochain_complex
 from torsionlab.vn import (
+    COMPOSITION_TOL,
     HilbertModule,
     Morphism,
     a_linearity_residual,
@@ -20,15 +24,18 @@ from torsionlab.vn import (
     cyclic_group,
     default_rank_tol,
     finite_group,
+    gram_spectrum,
     group_ring_matrix,
     is_determinant_class,
     log_vol,
     log_vol_additivity_residual,
+    norm_lower_bound,
     polar_decompose,
     regular_module,
     singular_values,
     spectral_distribution,
     stieltjes_log_vol,
+    vanishes,
     vn_trace,
 )
 
@@ -197,9 +204,38 @@ EIGENSOLVER_CALLERS = {
 }
 
 
+#: The only functions allowed an SVD (``svd``, or ``norm`` of order 2, -2 or
+#: "nuc"): the two public spectral values and the condition-number check of
+#: one generator.  Structural checks use ``vn.vanishes`` instead.
+SVD_CALLERS = {
+    ("vn", "norm"),
+    ("vn", "a_linearity_residual"),
+    ("generators", "random_alinear_invertible"),
+}
+
+
+def _literal(node):
+    try:
+        return ast.literal_eval(node)
+    except ValueError:
+        return None
+
+
+def _runs_svd(node) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name != "norm":
+        return False
+    orders = [_literal(k.value) for k in node.keywords if k.arg == "ord"]
+    orders += [_literal(a) for a in node.args[1:2]]
+    return any(o in (2, -2, "nuc") for o in orders)
+
+
 def test_eigensolver_calls_stay_in_the_kernel():
     package = Path(__file__).resolve().parents[1] / "src" / "torsionlab"
-    callers = set()
+    callers, svd_callers = set(), set()
     for path in package.glob("*.py"):
         tree = ast.parse(path.read_text())
         owner = {}  # node -> name of the outermost function containing it
@@ -211,10 +247,117 @@ def test_eigensolver_calls_stay_in_the_kernel():
             name = (node.attr if isinstance(node, ast.Attribute) else
                     node.id if isinstance(node, ast.Name) else
                     node.name if isinstance(node, ast.alias) else None)
+            site = (path.stem, owner.get(node, "<module>"))
             if name in ("eigh", "eigvalsh"):
-                callers.add((path.stem, owner.get(node, "<module>")))
+                callers.add(site)
+            if name == "svd" or _runs_svd(node):
+                svd_callers.add(site)
     assert callers <= EIGENSOLVER_CALLERS
     assert ("vn", "spectrum") in callers
+    assert svd_callers <= SVD_CALLERS
+    assert ("vn", "norm") in svd_callers
+
+
+def test_svd_detector_sees_every_spelling():
+    for text in ("np.linalg.norm(x, 2)", "norm(x, ord=2)", "np.linalg.norm(x, -2)",
+                 "np.linalg.norm(x, 'nuc')"):
+        assert _runs_svd(ast.parse(text).body[0].value), text
+    for text in ("np.linalg.norm(x)", "np.linalg.norm(x, axis=0)", "norm(x, 1)"):
+        assert not _runs_svd(ast.parse(text).body[0].value), text
+
+
+# ---------------------------------------------------------------------------
+# the vanishing test
+
+
+def _spectral(x):
+    return float(np.linalg.norm(x, 2)) if x.size else 0.0
+
+
+def test_norm_lower_bound_is_a_lower_bound_and_sharp_on_columns():
+    rng = np.random.default_rng(5)
+    for rows, cols in ((1, 1), (3, 5), (6, 2), (7, 7)):
+        a = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+        assert norm_lower_bound(a) <= _spectral(a) * (1 + 1e-12)
+    assert norm_lower_bound(np.diag([3.0, -1.0])) == pytest.approx(3.0)
+    assert norm_lower_bound(np.zeros((0, 4))) == 0.0
+
+
+def test_vanishes_conventions():
+    assert vanishes(np.zeros((0, 3)), 0.0)
+    assert vanishes(np.zeros((2, 2)), 0.0)
+    assert vanishes(np.full((2, 2), 0.5e-10), 1.0)
+    assert not vanishes(np.full((2, 2), 0.6e-10), 1.0)  # Frobenius 1.2e-10
+    with pytest.raises(NumericalError):
+        vanishes(np.array([[np.nan]]), 1.0)
+    with np.errstate(over="ignore"), pytest.raises(NumericalError):
+        vanishes(np.array([[1e200]]), 1.0)  # the squares overflow
+    with pytest.raises(NumericalError):
+        vanishes(np.zeros((1, 1)), np.inf)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(1, 6), st.integers(2, 7),
+       st.integers(1, 6), st.floats(-2.0, 2.0))
+def test_vanishing_test_is_never_looser_than_the_spectral_test(seed, rows, inner, cols,
+                                                               log_ratio):
+    # d1 = a + perturbation and d0 = b with a @ b = 0 up to roundoff (b maps
+    # into the kernel of a); the perturbation puts ||d1 d0|| within a factor
+    # 100 of the vanishing threshold or of the spectral one.
+    rng = np.random.default_rng(seed)
+    rank = int(rng.integers(0, min(rows, inner - 1) + 1))
+    u, _ = np.linalg.qr(rng.standard_normal((inner, inner))
+                        + 1j * rng.standard_normal((inner, inner)))
+    a = (rng.standard_normal((rows, rank)) * np.exp(rng.normal(size=rank))) \
+        @ u[:, :rank].conj().T
+    b = u[:, rank:] @ (rng.standard_normal((inner - rank, cols))
+                       + 1j * rng.standard_normal((inner - rank, cols)))
+    e = rng.standard_normal((rows, inner)) + 1j * rng.standard_normal((rows, inner))
+    thresholds = (norm_lower_bound(a) * norm_lower_bound(b), _spectral(a) * _spectral(b))
+    size = 10.0 ** log_ratio * COMPOSITION_TOL * thresholds[int(rng.integers(0, 2))]
+    d1 = a + e * (size / max(np.linalg.norm(e @ b), 1e-300))
+    x = d1 @ b
+    spectral_ok = _spectral(x) <= COMPOSITION_TOL * _spectral(d1) * _spectral(b)
+    if vanishes(x, norm_lower_bound(d1) * norm_lower_bound(b)):
+        assert spectral_ok
+    modules = [HilbertModule(complex_field(), n) for n in (cols, inner, rows)]
+    try:
+        CochainComplex(modules, [Morphism(modules[0], modules[1], b),
+                                 Morphism(modules[1], modules[2], d1)])
+    except DataValidationError:
+        return
+    assert spectral_ok
+
+
+def _rounded(m, digits):
+    keep = np.vectorize(lambda v: float(f"{v:.{digits - 1}e}"))
+    return keep(m.real) + 1j * keep(m.imag)
+
+
+def test_vanishing_test_accepts_inputs_rounded_to_twelve_digits():
+    # The test may be stricter than the spectral one; inputs stored with 12
+    # significant digits, which the spectral test accepts, must still pass.
+    rng = np.random.default_rng(0)
+    u = _rounded(random_alinear_unitary(rng, complex_field(), 64), 12)
+    assert _spectral(u.conj().T @ u - np.eye(64)) <= COMPOSITION_TOL
+    UnitaryRepresentation({"t": u})
+    c, _ = random_cochain_complex(np.random.default_rng(1), complex_field(),
+                                  shape=([0, 0, 0], [50, 50]))
+    d0, d1 = (_rounded(d.matrix, 12) for d in c.differentials)
+    assert _spectral(d1 @ d0) <= COMPOSITION_TOL * _spectral(d1) * _spectral(d0)
+    CochainComplex(c.modules, [Morphism(c.modules[0], c.modules[1], d0),
+                               Morphism(c.modules[1], c.modules[2], d1)])
+
+
+def test_spectral_kernel_rejects_non_finite_input():
+    # 1e200 squared overflows: the Gram matrix is inf and eigh returns NaN
+    big = _morphism([[1e200]])
+    with np.errstate(over="ignore"), pytest.raises(NumericalError, match="non-finite"):
+        log_vol(big)
+    with np.errstate(over="ignore"), pytest.raises(NumericalError, match="non-finite"):
+        gram_spectrum(big.matrix)
+    with pytest.raises(NumericalError, match="non-finite"):
+        singular_values(_morphism([[np.nan, 1.0]]))
 
 
 def test_default_rank_tol_formula():
