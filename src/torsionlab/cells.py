@@ -7,6 +7,15 @@ turns each word into a matrix block on a fiber, the blocks assemble into
 differentials, and everything downstream (torsion, duality, gluing) is the
 machinery of the complexes/exact modules applied to the result.
 
+Over ``cyclic_group(m)`` the regular representation works by characters:
+a word is evaluated at the m-th roots of unity, each differential is the
+stack of its m character blocks, and torsion, Hodge data, duality and
+gluing are computed block by block, with the rank decisions of the dense
+matrix (the cutoff is sized by m n, so over Z/2^16 the circle's characters
+j = +-1 fall under the default cutoff and ``hodge`` warns).  Every other
+representation, including a regular one over a ``finite_group`` table,
+builds dense matrices.
+
 Words are lists of (element, coefficient) pairs.  An element may be a
 group-element label ("t"), an integer n meaning the n-th power of the
 generator labelled "t", or an explicit (label, power) pair; "e", 0 and
@@ -33,6 +42,7 @@ from .vn import (
     HilbertModule,
     Morphism,
     TraceContext,
+    array_shape,
     complex_field,
     group_ring_matrix,
     vanishes,
@@ -50,7 +60,10 @@ class RegularRepresentation:
 
     One cell contributes an l^2(Gamma) (x) C^fiber block; incidence words
     act by right-regular permutation blocks and therefore commute with the
-    left algebra action.
+    left algebra action.  Over ``cyclic_group(m)`` the cells live in
+    character coordinates: a word is the sum of its coefficients times
+    exp(2 pi i j k / m) at the character j, for each element t^k, one
+    (fiber x fiber) block per character instead of a dense m x m block.
     """
 
     def __init__(self, context: TraceContext, fiber_dim: int = 1):
@@ -65,7 +78,7 @@ class RegularRepresentation:
 
     def module(self, ncells: int) -> HilbertModule:
         return HilbertModule(self.context, ncells * self.block_dim,
-                             fiber_dim=self.fiber_dim)
+                             fiber_dim=self.fiber_dim, characters=self.context.is_cyclic)
 
     def _element(self, spec) -> int:
         ctx = self.context
@@ -80,11 +93,21 @@ class RegularRepresentation:
 
     def inverse_element(self, spec):
         ctx = self.context
-        return ctx.labels[ctx.inverse(self._element(spec))]
+        return ctx.label(ctx.inverse(self._element(spec)))
 
     def word_matrix(self, word: Word) -> np.ndarray:
         resolved = [(self._element(e), complex(c)) for e, c in word]
         return group_ring_matrix(resolved, self.context, self.fiber_dim).matrix
+
+    def word_blocks(self, word: Word) -> np.ndarray:
+        """The (m, fiber, fiber) character blocks of a word over Z/m; the
+        phase of t^k at the character j is taken from j k mod m exactly."""
+        m = self.context.size
+        j = np.arange(m)
+        values = np.zeros(m, np.complex128)
+        for e, c in word:
+            values += complex(c) * np.exp(2j * np.pi * (j * self._element(e) % m) / m)
+        return values[:, None, None] * np.eye(self.fiber_dim)
 
 
 class UnitaryRepresentation:
@@ -221,6 +244,10 @@ class TwistedCellComplex:
 def build_complex(cw: TwistedCellComplex, validate: bool = True) -> CochainComplex:
     """Assemble the cochain complex of a cell complex under its representation.
 
+    Over the regular representation of ``cyclic_group(m)`` each differential
+    is the (m, rows x fiber, cols x fiber) stack of its character blocks;
+    every other representation gives dense matrices.
+
     Raises DataValidationError naming the offending ((q+2)-cell, q-cell)
     pair if the incidence words do not compose to zero.
     """
@@ -229,19 +256,21 @@ def build_complex(cw: TwistedCellComplex, validate: bool = True) -> CochainCompl
         raise DataValidationError(
             "infinite-cyclic twists have no finite matrices; convert with "
             "the tower module (cw_to_laurent) instead")
-    block = rep.block_dim
+    cell = rep.module(1)
+    block = cell.width
+    word_array = rep.word_blocks if cell.characters else rep.word_matrix
     layers = [cw.degree_cells(q) for q in range(cw.top_degree + 1)]
     modules = [rep.module(len(layer)) for layer in layers]
     diffs = []
     for q in range(cw.top_degree):
         cols, rows = layers[q], layers[q + 1]
-        mat = np.zeros((len(rows) * block, len(cols) * block), np.complex128)
+        mat = np.zeros(array_shape(modules[q + 1], modules[q]), np.complex128)
         for (to_cell, from_cell), word in cw.incidences.items():
             if from_cell in cols and to_cell in rows:
                 iy = rows.index(to_cell)
                 ix = cols.index(from_cell)
-                mat[iy * block:(iy + 1) * block,
-                    ix * block:(ix + 1) * block] = rep.word_matrix(word)
+                mat[..., iy * block:(iy + 1) * block,
+                    ix * block:(ix + 1) * block] = word_array(word)
         diffs.append(Morphism(modules[q], modules[q + 1], mat))
     c = CochainComplex(modules, diffs, 0, validate=False)
     q = c.first_nonzero_square() if validate else None
@@ -252,11 +281,11 @@ def build_complex(cw: TwistedCellComplex, validate: bool = True) -> CochainCompl
 
 def _worst_cell_pair(c: CochainComplex, q: int, layers, block: int) -> DataValidationError:
     """The error naming the ((q+2)-cell, q-cell) pair with the largest block of d d."""
-    product = c.differentials[q + 1].matrix @ c.differentials[q].matrix
+    product = c.differentials[q + 1].array @ c.differentials[q].array
     worst, worst_pair = 0.0, None
     for iz, z in enumerate(layers[q + 2]):
         for ix, x in enumerate(layers[q]):
-            blk = product[iz * block:(iz + 1) * block,
+            blk = product[..., iz * block:(iz + 1) * block,
                           ix * block:(ix + 1) * block]
             norm = float(np.linalg.norm(blk))
             if norm > worst:
@@ -445,16 +474,14 @@ def glue(spec: GluingSpec, rank_tol: float | None = None) -> tuple[TwistedCellCo
     c_up = build_complex(upper)
     c_low = build_complex(lower)
     include, restrict = [], []
-    block = glued.representation.block_dim
     for q in range(d + 1):
-        n_up = len(upper.degree_cells(q)) * block
-        n_low = len(lower.degree_cells(q)) * block
-        inc = np.zeros((n_up + n_low, n_up), np.complex128)
-        inc[:n_up, :] = np.eye(n_up)
-        prj = np.zeros((n_low, n_up + n_low), np.complex128)
-        prj[:, n_up:] = np.eye(n_low)
-        include.append(Morphism(c_up.module(q), built.module(q), inc))
-        restrict.append(Morphism(built.module(q), c_low.module(q), prj))
+        up, mid, low = c_up.module(q), built.module(q), c_low.module(q)
+        inc = np.zeros(array_shape(mid, up), np.complex128)
+        inc[..., :up.width, :] = np.eye(up.width)
+        prj = np.zeros(array_shape(low, mid), np.complex128)
+        prj[..., up.width:] = np.eye(low.width)
+        include.append(Morphism(up, mid, inc))
+        restrict.append(Morphism(mid, low, prj))
     ses = ComplexSES(ComplexMorphism(c_up, built, include),
                      ComplexMorphism(built, c_low, restrict), rank_tol=rank_tol)
     return glued, ses

@@ -16,11 +16,20 @@ Torsion is computed by two deliberately independent routes:
                               of the degree-q Laplacian.
 
 They are cross-checked in the tests, never merged.
+
+Complexes in character coordinates (cell complexes over the regular
+representation of ``cyclic_group(m)``, see ``vn.HilbertModule``) are
+computed by characters: every step below runs block by block on the
+(m, rows, cols) stacks of their differentials, in batched eigensolves.
+Rank decisions are those of the dense direct sum, since ``vn.spectrum``
+sizes the floor and the cutoff by the full dimension m n; over Z/2^16 the
+circle's characters j = +-1 (sigma ~ 9.6e-5) fall under the default cutoff
+(~1.2e-4), and ``hodge`` warns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -31,6 +40,7 @@ from .vn import (
     HilbertModule,
     Morphism,
     TraceContext,
+    array_shape,
     direct_sum_modules,
     gram_spectrum,
     log_vol,
@@ -41,16 +51,27 @@ from .vn import (
 
 
 def _phase_normalize(columns: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first nonzero entry is positive real."""
-    out = columns.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        nz = np.nonzero(np.abs(col) > 1e-12 * max(1.0, float(np.abs(col).max(initial=0.0))))[0]
-        if len(nz):
-            pivot = col[nz[0]]
-            if abs(pivot) > 0:
-                out[:, j] = col * (np.conj(pivot) / abs(pivot))
-    return out
+    """Rotate each column (of each block of a stack) so that its first entry
+    above 1e-12 x max(1, largest magnitude in the column) is positive real."""
+    if 0 in columns.shape[-2:]:
+        return columns.copy()
+    mag = np.abs(columns)
+    above = mag > 1e-12 * np.maximum(1.0, mag.max(axis=-2, keepdims=True))
+    first = (above.argmax(axis=-2), np.arange(columns.shape[-1]))
+    if columns.ndim == 3:
+        first = (np.arange(columns.shape[0])[:, None],) + first
+    pivot, found = columns[first], above[first]
+    # hypot is the scalar abs() of the column loop this replaced (np.abs may
+    # round differently), which keeps the output bitwise the same
+    size = np.where(found, np.hypot(pivot.real, pivot.imag), 1.0)
+    rotated = columns * (np.conj(pivot) / size)[..., None, :]
+    return np.where(found[..., None, :], rotated, columns)
+
+
+def _kept(stack: np.ndarray) -> np.ndarray:
+    """Mask of the present columns of a stack of character blocks (the
+    dropped ones are exact zeros)."""
+    return np.any(stack != 0, axis=-2)
 
 
 @dataclass(eq=False)
@@ -96,8 +117,8 @@ class CochainComplex:
     def first_nonzero_square(self) -> int | None:
         """Stored index i of the first d_{i+1} o d_i that does not vanish, or None."""
         for i, (b, a) in enumerate(zip(self.differentials, self.differentials[1:])):
-            scale = norm_lower_bound(a.matrix) * norm_lower_bound(b.matrix)
-            if not vanishes(a.matrix @ b.matrix, scale):
+            scale = norm_lower_bound(a.array) * norm_lower_bound(b.array)
+            if not vanishes(a.array @ b.array, scale):
                 return i
         return None
 
@@ -119,7 +140,7 @@ class CochainComplex:
         i = q - self.offset
         if 0 <= i < len(self.modules):
             return self.modules[i]
-        return HilbertModule(self.context, 0)
+        return HilbertModule(self.context, 0, characters=self.modules[0].characters)
 
     def differential(self, q: int) -> Morphism:
         """d_q : C_q -> C_{q+1} at true degree q (zero outside the window)."""
@@ -176,6 +197,7 @@ class HodgeData:
     * ``plus_bases[i]``  -- orthonormal columns spanning image(d_{i-1}),
     * ``minus_bases[i]`` -- orthonormal columns spanning image(d_i^*),
     * ``harmonic_bases[i]`` -- orthonormal columns spanning the complement,
+    * ``harmonic_dims[i]`` -- their number,
     * ``reduced[i]``     -- the invertible matrix of d_i from the minus
                             subspace at i to the plus subspace at i+1, in
                             those bases.
@@ -186,6 +208,7 @@ class HodgeData:
 
     complex: CochainComplex
     harmonic_bases: list[np.ndarray]
+    harmonic_dims: list[int]
     plus_bases: list[np.ndarray]
     minus_bases: list[np.ndarray]
     reduced: list[np.ndarray]
@@ -197,55 +220,72 @@ class HodgeData:
 
     def harmonic_dim(self, q: int) -> int:
         i = q - self.offset
-        if 0 <= i < len(self.harmonic_bases):
-            return self.harmonic_bases[i].shape[1]
+        if 0 <= i < len(self.harmonic_dims):
+            return self.harmonic_dims[i]
         return 0
 
     def harmonic_basis(self, q: int) -> np.ndarray:
+        """Orthonormal columns spanning the harmonic space; in character
+        coordinates a stack of per-block columns, dropped ones zero."""
         i = q - self.offset
         if 0 <= i < len(self.harmonic_bases):
             return self.harmonic_bases[i]
-        return np.zeros((self.complex.module(q).ambient_dim, 0), np.complex128)
+        module = self.complex.module(q)
+        return np.zeros(array_shape(module, module)[:-1] + (0,), np.complex128)
 
     def harmonic_module(self, q: int) -> HilbertModule:
-        return HilbertModule(self.complex.context, self.harmonic_dim(q), free=False)
+        return self._carrier(self.harmonic_basis(q))
+
+    def _carrier(self, basis: np.ndarray) -> HilbertModule:
+        """The subspace carrier spanned by the present columns of ``basis``."""
+        if basis.ndim == 2:
+            return HilbertModule(self.complex.context, basis.shape[1], free=False)
+        kept = _kept(basis)
+        return HilbertModule(self.complex.context, int(kept.sum()), free=False,
+                             characters=True, block_mask=kept)
 
     def reduced_morphism(self, q: int) -> Morphism:
         """Reduced differential at true degree q as a morphism of carriers."""
         i = q - self.offset
-        ctx = self.complex.context
         if not 0 <= i < len(self.reduced):
-            zero = HilbertModule(ctx, 0, free=False)
+            zero = HilbertModule(self.complex.context, 0, free=False,
+                                 characters=self.complex.modules[0].characters)
             return Morphism.zero(zero, zero)
-        r = self.reduced[i]
-        return Morphism(HilbertModule(ctx, r.shape[1], free=False),
-                        HilbertModule(ctx, r.shape[0], free=False), r)
+        return Morphism(self._carrier(self.minus_bases[i]),
+                        self._carrier(self.plus_bases[i + 1]), self.reduced[i])
 
     def is_acyclic(self) -> bool:
-        return all(b.shape[1] == 0 for b in self.harmonic_bases)
+        return not any(self.harmonic_dims)
 
 
-def _range_basis(matrix: np.ndarray, rank_tol: float | None,
+def _range_basis(matrix: np.ndarray, dim: int, rank_tol: float | None,
                  warnings: list[str], label: str) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal bases (V of the coimage, U of the range) of a matrix.
 
     Both come from one Hermitian eigendecomposition of m* m; columns are
-    ordered by descending singular value and phase-normalized.
+    ordered by descending singular value and phase-normalized.  A stack of
+    character blocks keeps every column, the dropped ones set to zero.
+    ``dim`` sizes the rank decision (see ``gram_spectrum``).
     """
-    rows, cols = matrix.shape
+    rows, cols = matrix.shape[-2:]
     if rows == 0 or cols == 0:
-        return (np.zeros((cols, 0), np.complex128), np.zeros((rows, 0), np.complex128))
-    s = gram_spectrum(matrix, rank_tol, vectors=True)
+        return (np.zeros(matrix.shape[:-2] + (cols, 0), np.complex128),
+                np.zeros(matrix.shape[:-2] + (rows, 0), np.complex128))
+    s = gram_spectrum(matrix, rank_tol, vectors=True, dim=dim)
     if s.ambiguous:
         warnings.append(
             f"{label}: singular value within a factor {RANK_AMBIGUITY_FACTOR:g} "
             f"of the rank tolerance {s.tol:.3e}")
-    order = np.argsort(-s.sigma[s.keep])
-    v_kept = _phase_normalize(s.vectors[:, s.keep][:, order])
-    u = matrix @ v_kept
-    u /= np.linalg.norm(u, axis=0, keepdims=True)
-    u = _phase_normalize(u)
-    return v_kept, u
+    if matrix.ndim == 2:
+        order = np.argsort(-s.sigma[s.keep])
+        v_kept = _phase_normalize(s.vectors[:, s.keep][:, order])
+        u = matrix @ v_kept
+        u /= np.linalg.norm(u, axis=0, keepdims=True)
+    else:  # the dropped columns stay, as zeros
+        v_kept = _phase_normalize(s.vectors * s.keep[..., None, :])
+        u = matrix @ v_kept
+        u /= np.maximum(np.linalg.norm(u, axis=-2, keepdims=True), np.finfo(float).tiny)
+    return v_kept, _phase_normalize(u)
 
 
 def hodge(c: CochainComplex, rank_tol: float | None = None) -> HodgeData:
@@ -254,42 +294,62 @@ def hodge(c: CochainComplex, rank_tol: float | None = None) -> HodgeData:
     The reduced differential at degree q is invertible from the coimage of
     d_q onto its range; the degree-q harmonic space is the kernel of d_q
     intersected with the kernel of d_{q-1}^*, realized as the orthogonal
-    complement of range(d_{q-1}) + range(d_q^*).
+    complement of range(d_{q-1}) + range(d_q^*).  In character coordinates
+    every step runs block by block, in batched eigensolves, with the rank
+    decisions of the dense direct sum.
     """
     n = len(c.modules)
     warnings: list[str] = []
     minus, plus_next = [], []
     for i, d in enumerate(c.differentials):
-        v, u = _range_basis(d.matrix, rank_tol, warnings, f"d at degree {c.offset + i}")
+        v, u = _range_basis(d.array, max(d.shape + (1,)), rank_tol, warnings,
+                            f"d at degree {c.offset + i}")
         minus.append(v)
         plus_next.append(u)
 
-    harmonic_bases, plus_bases, minus_bases, reduced = [], [], [], []
+    harmonic_bases, harmonic_dims, plus_bases, minus_bases, reduced = [], [], [], [], []
     for i in range(n):
-        dim = c.modules[i].ambient_dim
-        plus = plus_next[i - 1] if i >= 1 else np.zeros((dim, 0), np.complex128)
-        mnus = minus[i] if i < len(minus) else np.zeros((dim, 0), np.complex128)
-        span = np.hstack([plus, mnus])
-        h_dim = dim - span.shape[1]
-        if h_dim < 0:
+        module = c.modules[i]
+        shape = array_shape(module, module)
+        dim = shape[-1]
+        none = np.zeros(shape[:-1] + (0,), np.complex128)
+        plus = plus_next[i - 1] if i >= 1 else none
+        mnus = minus[i] if i < len(minus) else none
+        span = np.concatenate([plus, mnus], axis=-1)
+        mask = module.block_mask  # the coordinates each block has, if not all
+        if span.ndim == 2:
+            h_dim = h_least = h_total = dim - span.shape[1]
+        else:
+            h_dim = (dim if mask is None else mask.sum(-1)) - _kept(span).sum(-1)
+            h_least, h_total = int(h_dim.min()), int(h_dim.sum())
+        if h_least < 0:
             raise DataValidationError(
                 "rank bookkeeping failed (image + coimage exceed the module)",
                 location=f"degree {c.offset + i}")
-        if h_dim == 0 or dim == 0:
-            harm = np.zeros((dim, 0), np.complex128)
+        if h_total == 0 or dim == 0:
+            harm = none
         else:
-            proj = np.eye(dim, dtype=np.complex128) - span @ span.conj().T
-            proj = 0.5 * (proj + proj.conj().T)
+            ident = np.eye(dim, dtype=np.complex128)
+            if mask is not None:
+                ident = ident * mask[:, None, :]
+            proj = ident - span @ span.conj().swapaxes(-1, -2)
+            proj = 0.5 * (proj + proj.conj().swapaxes(-1, -2))
             w, vecs = np.linalg.eigh(proj)
-            harm = _phase_normalize(vecs[:, dim - h_dim:])
+            if vecs.ndim == 2:
+                harm = vecs[:, dim - h_dim:]
+            else:  # the top h_dim eigenvectors of each block
+                harm = vecs * (np.arange(dim) >= (dim - h_dim)[:, None])[:, None, :]
+            harm = _phase_normalize(harm)
         harmonic_bases.append(harm)
+        harmonic_dims.append(h_total)
         plus_bases.append(plus)
         minus_bases.append(mnus)
 
     for i, d in enumerate(c.differentials):
-        reduced.append(plus_next[i].conj().T @ d.matrix @ minus[i])
+        reduced.append(plus_next[i].conj().swapaxes(-1, -2) @ d.array @ minus[i])
 
-    return HodgeData(c, harmonic_bases, plus_bases, minus_bases, reduced, warnings)
+    return HodgeData(c, harmonic_bases, harmonic_dims, plus_bases, minus_bases, reduced,
+                     warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +364,7 @@ def torsion(c: CochainComplex, rank_tol: float | None = None,
     total = 0.0
     for i, r in enumerate(h.reduced):
         q = c.offset + i
-        if min(r.shape) == 0:
+        if min(r.shape[-2:]) == 0:
             continue
         total += (-1) ** q * log_vol(h.reduced_morphism(q), rank_tol)
     return float(total)
@@ -319,12 +379,12 @@ def laplacian(c: CochainComplex, q: int) -> Morphism:
     d_q = c.differential(q)
     d_prev = c.differential(q - 1)
     mod = c.module(q)
-    acc = np.zeros((mod.ambient_dim, mod.ambient_dim), np.complex128)
+    acc = np.zeros(array_shape(mod, mod), np.complex128)
     if d_q.shape[0] and d_q.shape[1]:
-        acc += d_q.matrix.conj().T @ d_q.matrix
+        acc += d_q.array.conj().swapaxes(-1, -2) @ d_q.array
     if d_prev.shape[0] and d_prev.shape[1]:
-        acc += d_prev.matrix @ d_prev.matrix.conj().T
-    acc = 0.5 * (acc + acc.conj().T)
+        acc += d_prev.array @ d_prev.array.conj().swapaxes(-1, -2)
+    acc = 0.5 * (acc + acc.conj().swapaxes(-1, -2))
     return Morphism(mod, mod, acc)
 
 
@@ -338,12 +398,12 @@ def log_det_prime(op: Morphism, rank_tol: float | None = None) -> float:
     """
     if op.domain.ambient_dim != op.codomain.ambient_dim:
         raise DataValidationError("log det' needs an endomorphism")
-    m = op.matrix
-    if m.shape[0] == 0:
+    m = op.array
+    if op.shape[0] == 0:
         return 0.0
-    if not vanishes(m - m.conj().T, float(np.abs(m).max())):
+    if not vanishes(m - m.conj().swapaxes(-1, -2), float(np.abs(m).max())):
         raise DataValidationError("operator is not self-adjoint")
-    s = spectrum(m, rank_tol)
+    s = spectrum(m, rank_tol, dim=op.shape[0])
     return float(op.context.kappa * np.log(s.lam[s.keep]).sum())
 
 
@@ -437,6 +497,17 @@ def tensor_product(c1: CochainComplex, c2: CochainComplex) -> CochainComplex:
     return CochainComplex(modules, diffs, lo)
 
 
+def _standard_basis(c: CochainComplex) -> CochainComplex:
+    """``c`` with every module and differential in the dense standard basis
+    (``c`` itself when it is not in character coordinates)."""
+    if not c.modules[0].characters:
+        return c
+    modules = [replace(m, characters=False) for m in c.modules]
+    diffs = [Morphism(modules[i], modules[i + 1], d.matrix)
+             for i, d in enumerate(c.differentials)]
+    return CochainComplex(modules, diffs, c.offset, validate=False)
+
+
 def suspension(c: CochainComplex) -> CochainComplex:
     """(SC)_i = C_{i+1} with differentials negated."""
     return CochainComplex(c.modules, [-d for d in c.differentials], c.offset - 1,
@@ -477,11 +548,11 @@ class ComplexMorphism:
 
     def validate(self) -> None:
         """Check that d_target f_i - f_{i+1} d_source vanishes at every degree."""
-        bounds = [norm_lower_bound(c.matrix) for c in self.components]
+        bounds = [norm_lower_bound(c.array) for c in self.components]
         for i in range(len(self.components) - 1):
-            d_s = self.source.differentials[i].matrix
-            d_t = self.target.differentials[i].matrix
-            defect = d_t @ self.components[i].matrix - self.components[i + 1].matrix @ d_s
+            d_s = self.source.differentials[i].array
+            d_t = self.target.differentials[i].array
+            defect = d_t @ self.components[i].array - self.components[i + 1].array @ d_s
             scale = (max(norm_lower_bound(d_t), norm_lower_bound(d_s))
                      * max(bounds[i], bounds[i + 1], 1.0))
             if not vanishes(defect, scale):
@@ -507,7 +578,7 @@ def mapping_cone(f: ComplexMorphism) -> tuple[CochainComplex, ComplexMorphism, C
     returns (cone, j, p) where j : C2 -> cone is (id, 0) and
     p : cone -> SC1 is (0, id), all padded to the cone's degree window.
     """
-    c1, c2 = f.source, f.target
+    c1, c2 = _standard_basis(f.source), _standard_basis(f.target)
     lo, hi = c1.offset - 1, c1.top_degree
     cone_modules = [direct_sum_modules([c2.module(i), c1.module(i + 1)])
                     for i in range(lo, hi + 1)]
@@ -550,7 +621,7 @@ def induced_harmonic_map(f: ComplexMorphism, q: int,
     ht = hodge_target if hodge_target is not None else hodge(f.target, rank_tol)
     basis_s = hs.harmonic_basis(q)
     basis_t = ht.harmonic_basis(q)
-    mat = basis_t.conj().T @ f.component(q).matrix @ basis_s
+    mat = basis_t.conj().swapaxes(-1, -2) @ f.component(q).array @ basis_s
     return Morphism(hs.harmonic_module(q), ht.harmonic_module(q), mat)
 
 

@@ -30,23 +30,41 @@ from .complexes import (
     torsion,
 )
 from .errors import DataValidationError
-from .vn import Morphism, gram_spectrum, log_vol, norm_lower_bound, rank_cutoff, vanishes
+from .vn import (
+    Morphism,
+    Spectrum,
+    gram_spectrum,
+    log_vol,
+    norm_lower_bound,
+    rank_cutoff,
+    vanishes,
+)
 
 CONNECTING_STRATEGIES = ("pinv", "complement")
 
 
+def _kept_vectors(s: Spectrum) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors and eigenvalues of the kept part of a spectrum; a stack
+    of blocks keeps its shape, with dropped vectors zero and their
+    eigenvalues 1."""
+    if s.vectors.ndim == 2:
+        return s.vectors[:, s.keep], s.lam[s.keep]
+    return s.vectors * s.keep[..., None, :], np.where(s.keep, s.lam, 1.0)
+
+
 def _least_squares(mat: np.ndarray, rhs: np.ndarray,
                    rank_tol: float | None) -> np.ndarray:
-    """Minimal-norm least-squares solve through the Gram spectrum of mat."""
-    if 0 in mat.shape:
-        return np.zeros((mat.shape[1], rhs.shape[1]), np.complex128)
-    if mat.shape[0] >= mat.shape[1]:
-        s = gram_spectrum(mat, rank_tol, vectors=True)
-        v = s.vectors[:, s.keep]
-        return v @ ((v.conj().T @ (mat.conj().T @ rhs)) / s.lam[s.keep][:, None])
-    s = gram_spectrum(mat.conj().T, rank_tol, vectors=True)
-    v = s.vectors[:, s.keep]
-    return mat.conj().T @ (v @ ((v.conj().T @ rhs) / s.lam[s.keep][:, None]))
+    """Minimal-norm least-squares solve through the Gram spectrum of mat
+    (block by block for a stack)."""
+    rows, cols = mat.shape[-2:]
+    if rows == 0 or cols == 0:
+        return np.zeros(mat.shape[:-2] + (cols, rhs.shape[-1]), np.complex128)
+    star = mat.conj().swapaxes(-1, -2)
+    if rows >= cols:
+        v, lam = _kept_vectors(gram_spectrum(mat, rank_tol, vectors=True))
+        return v @ ((v.conj().swapaxes(-1, -2) @ (star @ rhs)) / lam[..., :, None])
+    v, lam = _kept_vectors(gram_spectrum(star, rank_tol, vectors=True))
+    return star @ (v @ ((v.conj().swapaxes(-1, -2) @ rhs) / lam[..., :, None]))
 
 
 class ComplexSES:
@@ -78,8 +96,8 @@ class ComplexSES:
 
     def validate(self) -> None:
         for i in self.degrees():
-            fm = self.f.component(i).matrix
-            gm = self.g.component(i).matrix
+            fm = self.f.component(i).array
+            gm = self.g.component(i).array
             if not vanishes(gm @ fm, max(norm_lower_bound(fm) * norm_lower_bound(gm), 1.0)):
                 raise DataValidationError("composition g o f is not zero",
                                           location=f"degree {i}")
@@ -115,9 +133,9 @@ class ComplexSES:
 def _same_complex(a: CochainComplex, b: CochainComplex) -> bool:
     if a.offset != b.offset or len(a.modules) != len(b.modules):
         return False
-    if any(x.ambient_dim != y.ambient_dim for x, y in zip(a.modules, b.modules)):
+    if not all(x.matches(y) for x, y in zip(a.modules, b.modules)):
         return False
-    return all(np.array_equal(x.matrix, y.matrix)
+    return all(np.array_equal(x.array, y.array)
                for x, y in zip(a.differentials, b.differentials))
 
 
@@ -140,20 +158,21 @@ def connecting_hom(ses: ComplexSES, i: int, strategy: str = "pinv") -> Morphism:
     if dom.ambient_dim == 0 or cod.ambient_dim == 0:
         return Morphism.zero(dom, cod)
     hbasis = h3.harmonic_basis(i)
-    gm = ses.g.component(i).matrix
+    gm = ses.g.component(i).array
     if strategy == "pinv":
         u = _least_squares(gm, hbasis, tol)
     else:
         s = gram_spectrum(gm, tol, vectors=True)
-        basis = s.vectors[:, s.keep]
-        restricted = gm @ basis
-        if restricted.shape[0] != restricted.shape[1]:
+        if np.any(s.keep.sum(-1) != gm.shape[-2]):
             raise DataValidationError("map is not surjective",
                                       location=f"degree {i}")
-        u = basis @ np.linalg.solve(restricted, hbasis)
-    v_mid = ses.middle.differential(i).matrix @ u
-    w_back = _least_squares(ses.f.component(i + 1).matrix, v_mid, tol)
-    mat = h1.harmonic_basis(i + 1).conj().T @ w_back
+        # every block keeps as many vectors as it has rows
+        basis = s.vectors.swapaxes(-1, -2)[s.keep].reshape(
+            gm.shape[:-1] + (gm.shape[-1],)).swapaxes(-1, -2)
+        u = basis @ np.linalg.solve(gm @ basis, hbasis)
+    v_mid = ses.middle.differential(i).array @ u
+    w_back = _least_squares(ses.f.component(i + 1).array, v_mid, tol)
+    mat = h1.harmonic_basis(i + 1).conj().swapaxes(-1, -2) @ w_back
     return Morphism(dom, cod, mat)
 
 
@@ -179,26 +198,31 @@ def long_sequence(ses: ComplexSES, strategy: str = "pinv",
     # A map that is zero in exact arithmetic comes out of the zig-zag with
     # tiny nonzero entries; relative-to-itself rank decisions would promote
     # that noise to full rank, so snap maps that are negligible against the
-    # scale of the whole sequence to honest zeros.
-    norms = [gram_spectrum(d.matrix).sigma.max() if d.matrix.size else 0.0 for d in diffs]
+    # scale of the whole sequence (or below the sequence's cutoff) to zeros.
+    norms = [gram_spectrum(d.array).sigma.max() if d.array.size else 0.0 for d in diffs]
     scale = max(norms + [1.0])
     dim = max(m.ambient_dim for m in modules) if modules else 1
-    snap = rank_cutoff(scale, max(dim, 2))
+    snap = rank_cutoff(scale, max(dim, 2), ses.rank_tol)
     diffs = [d if n > snap else Morphism.zero(d.domain, d.codomain)
              for d, n in zip(diffs, norms)]
     seq = CochainComplex(modules, diffs, 3 * ses.offset, validate=False)
     if validate:
+        # A cutoff above genuine singular values leaves harmonic spaces that
+        # are not kernels; the error then names the cutoff, not the input.
+        hint = ("" if ses.rank_tol is None else
+                f" at rank cutoff {ses.rank_tol:g} (a cutoff above genuine singular "
+                "values truncates the harmonic spaces)")
         # Composites vanish only up to the scale of the zig-zag inputs, so
         # check against the overall data scale rather than per-factor norms
-        # (a mathematically zero harmonic map has tiny, noisy norm).  The
-        # largest map survives the snap, so ``scale`` is still that scale.
+        # (a mathematically zero harmonic map has tiny, noisy norm):
+        # ``scale``, the largest norm before the snap.
         for k, (b, a) in enumerate(zip(diffs, diffs[1:])):
-            if not vanishes(a.matrix @ b.matrix, scale * scale):
+            if not vanishes(a.array @ b.array, scale * scale):
                 raise DataValidationError(
-                    "long sequence maps do not compose to zero",
+                    "long sequence maps do not compose to zero" + hint,
                     location=f"positions {k} -> {k + 2}")
         if not hodge(seq, ses.rank_tol).is_acyclic():
-            raise DataValidationError("long sequence is not exact")
+            raise DataValidationError("long sequence is not exact" + hint)
     return seq
 
 

@@ -58,25 +58,34 @@ def _as_matrix(matrix) -> np.ndarray:
 class TraceContext:
     """The algebra a computation is linear over, with its normalized trace.
 
-    Either the complex field (``table is None``, kappa = 1) or a finite group
-    given by its multiplication table (kappa = 1/|Gamma|).  ``table[i, j]`` is
-    the index of g_i * g_j.  Group axioms are checked on construction via the
-    ``finite_group`` factory.
+    The complex field (kappa = 1), a finite group given by its
+    multiplication table (``table[i, j]`` is the index of g_i * g_j), or the
+    cyclic group Z/``cyclic``, whose products, powers and inverses are
+    arithmetic mod its order and which stores no table; kappa = 1/|Gamma|
+    for groups.  Group axioms of a table are checked by ``finite_group``.
     """
 
     kappa: float
     table: np.ndarray | None = None
     labels: tuple[str, ...] | None = None
+    cyclic: int = 0
     _identity: int = field(default=-1, repr=False)
     _inverse: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def is_group(self) -> bool:
-        return self.table is not None
+        return self.table is not None or self.is_cyclic
+
+    @property
+    def is_cyclic(self) -> bool:
+        """Whether this is ``cyclic_group(m)`` (not a table that happens to be cyclic)."""
+        return self.cyclic > 0
 
     @property
     def size(self) -> int:
         """|Gamma| for group contexts, 1 for the complex field."""
+        if self.is_cyclic:
+            return self.cyclic
         return 1 if self.table is None else self.table.shape[0]
 
     @property
@@ -86,28 +95,46 @@ class TraceContext:
         return self._identity
 
     def inverse(self, i: int) -> int:
+        if self.is_cyclic:
+            return -i % self.cyclic
         if self._inverse is None:
             raise DataValidationError("inverse table only exists for group contexts")
         return int(self._inverse[i])
 
     def multiply(self, i: int, j: int) -> int:
+        if self.is_cyclic:
+            return (i + j) % self.cyclic
         assert self.table is not None
         return int(self.table[i, j])
 
+    def label(self, i: int):
+        """The label of g_i (e, t, t^2, ... for cyclic groups; the index if unlabelled)."""
+        if self.is_cyclic:
+            return "e" if i == 0 else "t" if i == 1 else f"t^{i}"
+        return i if self.labels is None else self.labels[i]
+
     def element_index(self, element) -> int:
         """Resolve a group element given as index or label."""
-        assert self.table is not None
+        assert self.is_group
         if isinstance(element, (int, np.integer)):
             idx = int(element)
             if not 0 <= idx < self.size:
                 raise DataValidationError(f"group element index {idx} out of range")
             return idx
-        if self.labels is not None and element in self.labels:
+        if self.is_cyclic and isinstance(element, str):
+            power = {"e": 0, "t": 1}.get(element)
+            if power is None and element.startswith("t^") and element[2:].isdecimal():
+                power = int(element[2:])
+            if power is not None and power < self.size and self.label(power) == element:
+                return power
+        elif self.labels is not None and element in self.labels:
             return self.labels.index(element)
         raise DataValidationError(f"unknown group element {element!r}")
 
     def power(self, i: int, n: int) -> int:
-        """g_i**n resolved through the multiplication table (n may be negative)."""
+        """g_i**n (n may be negative)."""
+        if self.is_cyclic:
+            return i * n % self.cyclic
         g = i if n >= 0 else self.inverse(i)
         out = self._identity
         for _ in range(abs(n)):
@@ -115,9 +142,9 @@ class TraceContext:
         return out
 
     def matches(self, other: "TraceContext") -> bool:
-        if self.is_group != other.is_group:
+        if self.is_group != other.is_group or self.cyclic != other.cyclic:
             return False
-        if not self.is_group:
+        if self.table is None:
             return True
         return bool(np.array_equal(self.table, other.table))
 
@@ -181,21 +208,16 @@ def finite_group(table, labels: Sequence[str] | None = None) -> TraceContext:
 
 
 def cyclic_group(m: int) -> TraceContext:
-    """Z/m with labels e, t, t^2, ...
+    """Z/m with labels e, t, t^2, ..., t^(m-1).
 
-    The context is assembled directly: modular addition is associative by
-    construction, so the cubic table check (reserved for user-supplied
-    tables) is skipped and large orders stay affordable.
+    Products, powers, inverses and labels are arithmetic mod m, so the
+    context holds no table and any order is affordable.  Cell complexes
+    over its regular representation are computed by characters (see
+    ``HilbertModule.characters``).
     """
     if m < 1:
         raise DataValidationError("cyclic group order must be >= 1")
-    i = np.arange(m)
-    table = (i[:, None] + i[None, :]) % m
-    labels = tuple(["e"] + [f"t^{k}" if k > 1 else "t" for k in range(1, m)])
-    ctx = TraceContext(kappa=1.0 / m, table=table, labels=labels,
-                       _identity=0, _inverse=(-i) % m)
-    table.setflags(write=False)
-    return ctx
+    return TraceContext(kappa=1.0 / m, cyclic=int(m), _identity=0)
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +238,25 @@ class HilbertModule:
     ordered (copy index, group index, fiber index) with the fiber innermost,
     so the algebra acts by I_copies (x) lambda(g) (x) I_fiber.  It has no
     meaning over the complex field or for non-free carriers.
+
+    ``characters`` (cyclic contexts only) puts the module in character
+    coordinates instead: Z/m is abelian, so l^2(Z/m) is the orthogonal sum
+    of its m characters, and the module is the sum over them of C^width
+    (width = ambient_dim / m, ordered copy index then fiber index).  A
+    morphism between such modules commutes with the algebra, so it is
+    block diagonal there and is stored as the (m, rows, cols) stack of its
+    blocks; ``Morphism.matrix`` converts it back to the standard basis.
+    A non-free carrier in character coordinates may have a different
+    dimension in each block: ``block_mask`` (m, width) marks the
+    coordinates each block has, and ambient_dim is their number.
     """
 
     context: TraceContext
     ambient_dim: int
     free: bool = True
     fiber_dim: int = 1
+    characters: bool = False
+    block_mask: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.ambient_dim < 0:
@@ -234,13 +269,45 @@ class HilbertModule:
                 f"free module over a group of order {self.context.size} with fiber "
                 f"{self.fiber_dim} needs ambient dimension divisible by "
                 f"{self.context.size * self.fiber_dim}, got {self.ambient_dim}")
+        if self.characters and not self.context.is_cyclic:
+            raise DataValidationError("character coordinates need a cyclic group context")
+        mask = self.block_mask
+        if mask is None:
+            if self.characters and self.ambient_dim % self.context.size:
+                raise DataValidationError(
+                    "a module in character coordinates without a block mask needs "
+                    "ambient dimension divisible by the group order")
+        elif not (self.characters and not self.free and mask.ndim == 2
+                  and mask.shape[0] == self.context.size and mask.sum() == self.ambient_dim):
+            raise DataValidationError(
+                "a block mask marks the coordinates of a non-free carrier in character "
+                "coordinates, one row per character, as many as the ambient dimension")
 
     @property
     def vn_dim(self) -> float:
         return self.context.kappa * self.ambient_dim
 
+    @property
+    def width(self) -> int:
+        """Size of one character block (ambient_dim in the standard basis)."""
+        if self.block_mask is not None:
+            return self.block_mask.shape[1]
+        if self.characters:
+            return self.ambient_dim // self.context.size
+        return self.ambient_dim
+
     def matches(self, other: "HilbertModule") -> bool:
-        return self.ambient_dim == other.ambient_dim and self.context.matches(other.context)
+        a, b = self.block_mask, other.block_mask
+        return (self.ambient_dim == other.ambient_dim and self.characters == other.characters
+                and self.context.matches(other.context)
+                and (a is b or (a is not None and b is not None and np.array_equal(a, b))))
+
+
+def array_shape(codomain: HilbertModule, domain: HilbertModule) -> tuple[int, ...]:
+    """Shape of the stored array of a morphism domain -> codomain."""
+    if domain.characters:
+        return (domain.context.size, codomain.width, domain.width)
+    return (codomain.ambient_dim, domain.ambient_dim)
 
 
 def regular_module(context: TraceContext, rank: int = 1, fiber_dim: int = 1) -> HilbertModule:
@@ -271,23 +338,35 @@ def direct_sum_modules(modules: Sequence[HilbertModule]) -> HilbertModule:
 
 @dataclass(frozen=True, eq=False)
 class Morphism:
-    """A module map given by a dense complex matrix (codomain x domain)."""
+    """A module map.  ``array`` is its dense complex matrix (codomain x
+    domain), or, between modules in character coordinates, the stack of its
+    m blocks (rows and columns outside a block mask are zero)."""
 
     domain: HilbertModule
     codomain: HilbertModule
-    matrix: np.ndarray
+    array: np.ndarray
 
     def __post_init__(self):
-        m = _as_matrix(self.matrix)
-        if m.shape != (self.codomain.ambient_dim, self.domain.ambient_dim):
-            raise DataValidationError(
-                f"matrix shape {m.shape} does not match codomain x domain "
-                f"({self.codomain.ambient_dim}, {self.domain.ambient_dim})")
+        if self.domain.characters != self.codomain.characters:
+            raise DataValidationError("domain and codomain use different coordinates")
+        if self.domain.characters:
+            a = np.asarray(self.array, dtype=np.complex128)
+            want = array_shape(self.codomain, self.domain)
+            if a.shape != want:
+                raise DataValidationError(
+                    f"block stack shape {a.shape} does not match codomain x domain "
+                    f"blocks {want}")
+        else:
+            a = _as_matrix(self.array)
+            if a.shape != (self.codomain.ambient_dim, self.domain.ambient_dim):
+                raise DataValidationError(
+                    f"matrix shape {a.shape} does not match codomain x domain "
+                    f"({self.codomain.ambient_dim}, {self.domain.ambient_dim})")
         if not self.domain.context.matches(self.codomain.context):
             raise DataValidationError("domain and codomain live over different contexts")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        a = a.copy()
+        a.setflags(write=False)
+        object.__setattr__(self, "array", a)
 
     @property
     def context(self) -> TraceContext:
@@ -295,16 +374,34 @@ class Morphism:
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
+        return (self.codomain.ambient_dim, self.domain.ambient_dim)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense matrix in the standard basis (computed for a block stack)."""
+        if not self.domain.characters:
+            return self.array
+        if not (self.domain.free and self.codomain.free):
+            raise DataValidationError("a non-free carrier in character coordinates "
+                                      "has no standard-basis matrix")
+        # Block j is the value at the character h -> exp(2 pi i j h / m), so
+        # entry (g, h) of the dense matrix is (1/m) sum_j B_j exp(-2 pi i j (g - h) / m).
+        m = self.context.size
+        fr, fc = self.codomain.fiber_dim, self.domain.fiber_dim
+        rows, cols = self.codomain.width // fr, self.domain.width // fc
+        c = (np.fft.fft(self.array, axis=0) / m).reshape(m, rows, fr, cols, fc)
+        g = np.arange(m)
+        dense = c[(g[:, None] - g[None, :]) % m].transpose(2, 0, 3, 4, 1, 5)
+        return dense.reshape(self.shape)
 
     def adjoint(self) -> "Morphism":
-        return Morphism(self.codomain, self.domain, self.matrix.conj().T)
+        return Morphism(self.codomain, self.domain, self.array.conj().swapaxes(-1, -2))
 
     def norm(self) -> float:
         """Spectral norm."""
-        if 0 in self.matrix.shape:
+        if 0 in self.shape:
             return 0.0
-        return float(np.linalg.norm(self.matrix, 2))
+        return float(np.linalg.norm(self.array, 2, axis=(-2, -1)).max())
 
     def __matmul__(self, other: "Morphism") -> "Morphism":
         if not isinstance(other, Morphism):
@@ -313,34 +410,37 @@ class Morphism:
             raise DataValidationError(
                 f"cannot compose: inner modules have ambient dims "
                 f"{other.codomain.ambient_dim} vs {self.domain.ambient_dim}")
-        return Morphism(other.domain, self.codomain, self.matrix @ other.matrix)
+        return Morphism(other.domain, self.codomain, self.array @ other.array)
 
     def __add__(self, other: "Morphism") -> "Morphism":
         if not isinstance(other, Morphism):
             return NotImplemented
-        return Morphism(self.domain, self.codomain, self.matrix + other.matrix)
+        return Morphism(self.domain, self.codomain, self.array + other.array)
 
     def __sub__(self, other: "Morphism") -> "Morphism":
         if not isinstance(other, Morphism):
             return NotImplemented
-        return Morphism(self.domain, self.codomain, self.matrix - other.matrix)
+        return Morphism(self.domain, self.codomain, self.array - other.array)
 
     def __neg__(self) -> "Morphism":
-        return Morphism(self.domain, self.codomain, -self.matrix)
+        return Morphism(self.domain, self.codomain, -self.array)
 
     def __mul__(self, scalar) -> "Morphism":
-        return Morphism(self.domain, self.codomain, self.matrix * complex(scalar))
+        return Morphism(self.domain, self.codomain, self.array * complex(scalar))
 
     __rmul__ = __mul__
 
     @staticmethod
     def identity(module: HilbertModule) -> "Morphism":
-        return Morphism(module, module, np.eye(module.ambient_dim, dtype=np.complex128))
+        eye = np.broadcast_to(np.eye(module.width, dtype=np.complex128),
+                              array_shape(module, module))
+        if module.block_mask is not None:
+            eye = eye * module.block_mask[:, None, :]
+        return Morphism(module, module, eye)
 
     @staticmethod
     def zero(domain: HilbertModule, codomain: HilbertModule) -> "Morphism":
-        return Morphism(domain, codomain,
-                        np.zeros((codomain.ambient_dim, domain.ambient_dim), np.complex128))
+        return Morphism(domain, codomain, np.zeros(array_shape(codomain, domain), np.complex128))
 
 
 # ---------------------------------------------------------------------------
@@ -397,10 +497,10 @@ def rank_cutoff(top_sigma: float, dim: int, rank_tol: float | None = None) -> fl
 
 
 def norm_lower_bound(a: np.ndarray) -> float:
-    """The largest column or row 2-norm of ``a``: a lower bound on its
-    spectral norm that needs no SVD (0 if ``a`` is empty)."""
+    """The largest column or row 2-norm of ``a`` (of any block of a stack): a
+    lower bound on its spectral norm that needs no SVD (0 if ``a`` is empty)."""
     squares = (a * a.conj()).real
-    return math.sqrt(max(squares.sum(0).max(initial=0.0), squares.sum(1).max(initial=0.0)))
+    return math.sqrt(max(squares.sum(-2).max(initial=0.0), squares.sum(-1).max(initial=0.0)))
 
 
 def vanishes(x: np.ndarray, scale: float) -> bool:
@@ -427,20 +527,24 @@ def spectrum(a: np.ndarray, rank_tol: float | None = None, vectors: bool = False
     values at or below ``noise_floor`` are exactly zero, and a value counts
     as nonzero when sigma = sqrt(lambda) exceeds ``rank_cutoff``, so
     ``rank_tol`` cuts singular values for Gram matrices and Laplacians
-    alike.  ``dim`` (default: the size of ``a``) sizes floor and cutoff.
-    A clearly negative eigenvalue raises ``DataValidationError``, a
+    alike.  A stack (m, n, n) is read as the direct sum of its blocks, in
+    one batched eigensolve: the top eigenvalue is the largest of all
+    blocks, and ``dim`` (default: the size of ``a``, m n for a stack) sizes
+    floor and cutoff, so every decision is the one the dense direct sum
+    gets.  A clearly negative eigenvalue raises ``DataValidationError``, a
     non-finite entry (an overflow, say in f* f) ``NumericalError``.
     """
     if not np.isfinite(a).all():
         raise NumericalError("non-finite matrix entries in the spectral kernel (overflow)")
-    dim = a.shape[0] if dim is None else dim
-    if a.shape[0] == 0:
-        empty = np.zeros(0)
+    dim = math.prod(a.shape[:-1]) if dim is None else dim
+    if a.shape[-1] == 0:
+        empty = np.zeros(a.shape[:-1])
         return Spectrum(empty, empty, rank_cutoff(0.0, dim, rank_tol), empty > 0,
-                        np.zeros((0, 0), np.complex128) if vectors else None)
-    a = 0.5 * (a + a.conj().T)
+                        np.zeros(a.shape, np.complex128) if vectors else None)
+    a = 0.5 * (a + a.conj().swapaxes(-1, -2))
     w, v = np.linalg.eigh(a) if vectors else (np.linalg.eigvalsh(a), None)
-    top, bottom = max(float(w[-1]), 0.0), float(w[0])
+    low, high = (w[0], w[-1]) if w.ndim == 1 else (w[:, 0].min(), w[:, -1].max())
+    top, bottom = max(float(high), 0.0), float(low)
     if bottom < -1e-10 * max(top, -bottom):
         raise DataValidationError("operator is not nonnegative")
     w = np.where(w > noise_floor(top, dim), w, 0.0)
@@ -450,10 +554,12 @@ def spectrum(a: np.ndarray, rank_tol: float | None = None, vectors: bool = False
 
 
 def gram_spectrum(matrix: np.ndarray, rank_tol: float | None = None,
-                  vectors: bool = False) -> Spectrum:
-    """``spectrum`` of m* m sized by max(m.shape): the singular values of m."""
-    return spectrum(matrix.conj().T @ matrix, rank_tol, vectors,
-                    max(matrix.shape + (1,)))
+                  vectors: bool = False, dim: int | None = None) -> Spectrum:
+    """``spectrum`` of m* m: the singular values of m, sized by ``dim``
+    (default: the larger side of m, times the number of blocks of a stack)."""
+    if dim is None:
+        dim = math.prod(matrix.shape[:-2]) * max(matrix.shape[-2:] + (1,))
+    return spectrum(matrix.conj().swapaxes(-1, -2) @ matrix, rank_tol, vectors, dim)
 
 
 def singular_values(f: Morphism) -> np.ndarray:
@@ -476,7 +582,7 @@ def log_vol(f: Morphism, rank_tol: float | None = None) -> float:
     Zero morphisms (and empty matrices) give 0.0 by the empty-product
     convention; rank truncation keeps the value finite always.
     """
-    s = gram_spectrum(f.matrix, rank_tol)
+    s = gram_spectrum(f.array, rank_tol, dim=max(f.shape + (1,)))
     return float(f.context.kappa * np.log(s.sigma[s.keep]).sum())
 
 

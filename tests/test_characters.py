@@ -1,0 +1,266 @@
+"""Cell complexes over cyclic groups, computed by characters.
+
+The oracle for every comparison is the same cell complex over
+``finite_group(<the Z/m table>)``, which builds dense matrices.  The oracle
+stays at m <= 64: its associativity check is O(m^3) in memory.
+"""
+
+import json
+import math
+import time
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from torsionlab import cli, vn
+from torsionlab.cells import (
+    RegularRepresentation,
+    TwistedCellComplex,
+    build_complex,
+    circle_from_arcs,
+    duality_residual,
+    glue_check,
+)
+from torsionlab.complexes import (
+    ComplexMorphism,
+    hodge,
+    laplacian,
+    log_det_prime,
+    torsion,
+    torsion_via_laplacians,
+)
+from torsionlab.errors import DataValidationError
+from torsionlab.exact import cone_ses, milnor_check
+from torsionlab.vn import Morphism
+
+ORDERS = (1, 2, 3, 8, 64)
+AGREE = 1e-12
+
+
+def _labels(m):
+    return [vn.cyclic_group(m).label(k) for k in range(m)]
+
+
+def _contexts(m):
+    """The character route's context and its dense oracle."""
+    i = np.arange(m)
+    return vn.cyclic_group(m), vn.finite_group((i[:, None] + i[None, :]) % m, _labels(m))
+
+
+def _on(cw, ctx, fiber_dim=1):
+    return TwistedCellComplex(RegularRepresentation(ctx, fiber_dim), cw.cells,
+                              cw.incidences, cw.top_degree)
+
+
+def _circle(m, coeff=1.0):
+    """One 0-cell, one 1-cell, word t - coeff (t = e over Z/1)."""
+    word = ((_labels(m)[1 % m], 1.0), ("e", -coeff))
+    return TwistedCellComplex(None, {0: ("min",), 1: ("max",)}, {("max", "min"): word}, 1)
+
+
+def _report(cw, rank_tol=None):
+    """The numbers and decisions of the torsion, hodge and duality-check commands."""
+    c = build_complex(cw)
+    h = hodge(c, rank_tol)
+    return {
+        "torsion": torsion(c, rank_tol, h),
+        "torsion_via_laplacians": torsion_via_laplacians(c, rank_tol),
+        "harmonic_dims": [h.harmonic_dim(q) for q in c.degrees()],
+        "log_det_prime": [log_det_prime(laplacian(c, q), rank_tol) for q in c.degrees()],
+        "warnings": h.warnings,
+        "duality_residual": duality_residual(cw, rank_tol),
+    }
+
+
+def _assert_same(got, want):
+    """Every number within AGREE, everything else identical."""
+    assert got.keys() == want.keys()
+    for key in want:
+        a, b = got[key], want[key]
+        if isinstance(b, float) or (isinstance(b, list) and b and isinstance(b[0], float)):
+            np.testing.assert_allclose(a, b, rtol=0, atol=AGREE, err_msg=key)
+        else:
+            assert a == b, key
+
+
+def _assert_matches_oracle(cw, m, fiber_dim=1, rank_tol=None):
+    fast, dense = _contexts(m)
+    got = _on(cw, fast, fiber_dim)
+    assert build_complex(got).modules[0].characters
+    _assert_same(_report(got, rank_tol), _report(_on(cw, dense, fiber_dim), rank_tol))
+
+
+# ---------------------------------------------------------------------------
+# the character route against the dense oracle
+
+
+@pytest.mark.parametrize("m", ORDERS)
+@pytest.mark.parametrize("fiber_dim", (1, 2))
+def test_circle_matches_dense_oracle(m, fiber_dim):
+    _assert_matches_oracle(_circle(m), m, fiber_dim)
+    _assert_matches_oracle(_circle(m), m, fiber_dim, rank_tol=0.3)
+
+
+@pytest.mark.parametrize("m", ORDERS)
+def test_glue_check_matches_dense_oracle(m):
+    word = ((_labels(m)[3 % m], 0.5 - 1.0j), ("e", 0.75), (_labels(m)[1 % m], -1.0))
+    fast, dense = _contexts(m)
+    for rank_tol in (None, 1e-3):
+        got = glue_check(circle_from_arcs(RegularRepresentation(fast), word), rank_tol=rank_tol)
+        want = glue_check(circle_from_arcs(RegularRepresentation(dense), word),
+                          rank_tol=rank_tol)
+        assert got.keys() == want.keys() and len(got) == 5
+        for key in want:
+            assert abs(got[key] - want[key]) <= AGREE, key
+
+
+@pytest.mark.parametrize("m", ORDERS)
+def test_blocks_convert_to_the_dense_matrices(m):
+    w, u = ((_labels(m)[1 % m], 1.0), ("e", -1.0)), ((_labels(m)[2 % m], 0.5j), ("e", 0.75))
+    cw = TwistedCellComplex(
+        None, {0: ("p1",), 1: ("a1", "p2"), 2: ("a2",)},
+        {("a1", "p1"): w, ("p2", "p1"): u, ("a2", "a1"): [(e, -c) for e, c in u],
+         ("a2", "p2"): w}, 2)
+    fast, dense = _contexts(m)
+    got, want = build_complex(_on(cw, fast, 2)), build_complex(_on(cw, dense, 2))
+    for a, b in zip(got.differentials, want.differentials):
+        assert a.array.shape == (m,) + tuple(n // m for n in b.shape)
+        np.testing.assert_allclose(a.matrix, b.matrix, rtol=0, atol=AGREE)
+
+
+def test_mapping_cone_works_in_the_standard_basis():
+    reports = []
+    for ctx in _contexts(8):
+        c = build_complex(_on(_circle(8), ctx))
+        f = ComplexMorphism(c, c, [Morphism.identity(m) * 2.0 for m in c.modules])
+        r = milnor_check(cone_ses(f))
+        reports.append([r.t1, r.t2, r.t3, r.t_h, r.residual, *r.degreewise.values()])
+    np.testing.assert_allclose(reports[0], reports[1], rtol=0, atol=AGREE)
+    assert reports[0][4] < 1e-9
+
+
+def test_near_cutoff_decision_is_the_dense_one():
+    # At the trivial character the word t - (1 + 1e-6) has sigma = 1e-6:
+    # under the cutoff sized by m n = 64 (2.02 x 8 x 2^-22 = 3.9e-6), above
+    # the one its own 1 x 1 block would get (1e-6 x 2^-22).  Dropped, with
+    # a warning, on both routes.
+    m = 64
+    fast, dense = _contexts(m)
+    got = _report(_on(_circle(m, 1.0 + 1e-6), fast))
+    _assert_same(got, _report(_on(_circle(m, 1.0 + 1e-6), dense)))
+    assert got["harmonic_dims"] == [1, 1]
+    assert got["warnings"]
+
+
+@st.composite
+def _random_cells(draw):
+    """A 1-dimensional complex with random cells and words, or the
+    2-dimensional one whose square vanishes because Z/m is abelian."""
+    m = draw(st.sampled_from(ORDERS[:4]))
+    labels = _labels(m)
+    half = st.integers(-4, 4).map(lambda k: k / 2)
+
+    def word():
+        terms = draw(st.lists(st.tuples(st.integers(0, 7), half, half), min_size=1, max_size=3))
+        return [(labels[k % m], complex(re, im)) for k, re, im in terms]
+
+    if draw(st.booleans()):
+        w, u = word(), word()
+        cw = TwistedCellComplex(
+            None, {0: ("p1",), 1: ("a1", "p2"), 2: ("a2",)},
+            {("a1", "p1"): w, ("p2", "p1"): u, ("a2", "a1"): [(e, -c) for e, c in u],
+             ("a2", "p2"): w}, 2)
+    else:
+        low = [f"x{k}" for k in range(draw(st.integers(1, 2)))]
+        high = [f"y{k}" for k in range(draw(st.integers(1, 3)))]
+        pairs = [(y, x) for y in high for x in low]
+        chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+        cw = TwistedCellComplex(None, {0: tuple(low), 1: tuple(high)},
+                                {pair: word() for pair in chosen}, 1)
+    return cw, m, draw(st.sampled_from((1, 2)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_random_cells())
+def test_random_cell_complexes_match_dense_oracle(case):
+    cw, m, fiber_dim = case
+    _assert_matches_oracle(cw, m, fiber_dim)
+
+
+# ---------------------------------------------------------------------------
+# scale
+
+
+def _write(path, data):
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _circle_files(tmp_path, m):
+    rep = {"type": "regular", "context": {"type": "cyclic", "order": m}}
+    word = [["t", [1, 0]], ["e", [-1, 0]]]
+    circle = _write(tmp_path / "circle.json", {
+        "kind": "cw", "representation": rep, "top_degree": 1,
+        "cells": {"0": ["min"], "1": ["max"]},
+        "incidences": [{"from": "min", "to": "max", "word": word}]})
+    arcs = _write(tmp_path / "arcs.json", {
+        "kind": "gluing",
+        "lower": {"representation": rep, "top_degree": 1, "cells": {"0": ["lo"]},
+                  "incidences": []},
+        "upper": {"representation": rep, "top_degree": 1, "cells": {"1": ["up"]},
+                  "incidences": []},
+        "coupling": [{"from": "lo", "to": "up", "word": word}]})
+    return circle, arcs
+
+
+def test_large_circle_in_every_command(tmp_path):
+    m = 4096
+    value = math.log(m) / m
+    circle, arcs = _circle_files(tmp_path, m)
+    start = time.perf_counter()
+    t = cli.run(cli.JobSpec("torsion", (circle,)))
+    h = cli.run(cli.JobSpec("hodge", (circle,)))
+    d = cli.run(cli.JobSpec("duality-check", (circle,)))
+    g = cli.run(cli.JobSpec("glue-check", (arcs,)))
+    elapsed = time.perf_counter() - start
+    assert abs(t["torsion"] - value) < 1e-9 and abs(t["torsion_via_laplacians"] - value) < 1e-9
+    for row in h["degrees"]:
+        assert row["harmonic_vn_dim"] == 1 / m
+        assert abs(row["laplacian_log_det_prime"] - 2 * value) < 1e-9
+    assert abs(d["torsion"] - value) < 1e-9 and d["residual"] < 1e-9
+    assert abs(g["t_comb"] - value) < 1e-9 and g["residual"] < 1e-9
+    assert t["warnings"] == h["warnings"] == []
+    assert elapsed < 1.0
+
+
+def test_torsion_memory_stays_linear_in_the_order(tmp_path):
+    m = 2 ** 16  # the dense matrix would take 64 GiB
+    circle, _ = _circle_files(tmp_path, m)
+    tracemalloc.start()
+    try:
+        report = cli.run(cli.JobSpec("torsion", (circle,)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    # the characters j = +-1 fall under the cutoff sized by m (see README)
+    assert report["warnings"]
+    assert report["route_residual"] < 1e-12
+
+
+def test_cyclic_group_holds_no_table():
+    m = 2 ** 20
+    ctx = vn.cyclic_group(m)
+    for value in vars(ctx).values():
+        assert np.size(value) <= m
+    assert ctx.multiply(m - 1, 2) == 1 and ctx.inverse(3) == m - 3
+    assert ctx.power(ctx.element_index("t^5"), -3) == m - 15
+    assert ctx.label(ctx.element_index(f"t^{m - 1}")) == f"t^{m - 1}"
+    for bad in ("t^1", "t^0", f"t^{m}", "t^-1", "s"):
+        with pytest.raises(DataValidationError):
+            ctx.element_index(bad)
+    assert vn.cyclic_group(4).matches(vn.cyclic_group(4))
+    assert not vn.cyclic_group(4).matches(_contexts(4)[1])

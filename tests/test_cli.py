@@ -310,3 +310,28 @@ def test_ses_check_rank_tol_is_the_sequence_cutoff(tmp_path):
     assert report["residual"] < 1e-9
     assert report["passed"] is True
     assert report["torsion_long_sequence"] == pytest.approx(expected.t_h, abs=1e-12)
+
+
+@pytest.mark.parametrize("context", [
+    {"type": "cyclic", "order": 4},
+    {"type": "finite_group", "table": [[(i + j) % 4 for j in range(4)] for i in range(4)],
+     "labels": ["e", "t", "t^2", "t^3"]},
+])
+def test_glue_check_failure_names_the_rank_cutoff(tmp_path, context):
+    # A cutoff above genuine singular values leaves harmonic spaces that are
+    # not kernels, so the long sequence fails; the message blames the cutoff.
+    rep = {"type": "regular", "context": context}
+    word = [["e", [0.5, 0]], ["t", [1.0, 0]], [["t", 2], [0.3, 0]]]
+    path = tmp_path / "arcs.json"
+    path.write_text(json.dumps({
+        "kind": "gluing",
+        "lower": {"representation": rep, "top_degree": 1, "cells": {"0": ["lo"]},
+                  "incidences": []},
+        "upper": {"representation": rep, "top_degree": 1, "cells": {"1": ["up"]},
+                  "incidences": []},
+        "coupling": [{"from": "lo", "to": "up", "word": word}]}))
+    proc = run_cli("glue-check", str(path), "--rank-tol", "0.3")
+    assert proc.returncode == 2
+    assert "long sequence maps do not compose to zero at rank cutoff 0.3" in proc.stderr
+    assert "truncates the harmonic spaces" in proc.stderr
+    assert run_cli("glue-check", str(path)).returncode == 0

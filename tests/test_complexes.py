@@ -20,6 +20,7 @@ from torsionlab.complexes import (
     torsion_transfer_residual,
     torsion_via_laplacians,
 )
+from torsionlab.complexes import _phase_normalize
 from torsionlab.errors import DataValidationError
 from torsionlab.generators import random_chain_morphism, random_cochain_complex
 from torsionlab.vn import (
@@ -134,6 +135,37 @@ def test_hodge_bases_are_deterministic():
     h2 = hodge(c)
     for a, b in zip(h1.harmonic_bases + h1.reduced, h2.harmonic_bases + h2.reduced):
         assert np.array_equal(a, b)
+
+
+def _phase_normalize_loop(columns):
+    """The column loop ``_phase_normalize`` replaces, kept as its reference."""
+    out = columns.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        nz = np.nonzero(np.abs(col) > 1e-12 * max(1.0, float(np.abs(col).max(initial=0.0))))[0]
+        if len(nz):
+            pivot = col[nz[0]]
+            if abs(pivot) > 0:
+                out[:, j] = col * (np.conj(pivot) / abs(pivot))
+    return out
+
+
+def test_phase_normalize_matches_the_column_loop_bitwise():
+    rng = np.random.default_rng(17)
+    for rows, cols in ((0, 3), (3, 0), (1, 1), (4, 6), (9, 5)):
+        for _ in range(20):
+            a = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+            a *= 10.0 ** rng.integers(-14, 3, size=(rows, cols))  # leading entries below 1e-12
+            a[:, rng.random(cols) < 0.3] = 0.0                      # zero columns
+            a[rng.random((rows, cols)) < 0.2] = -0.0
+            got = _phase_normalize(a)
+            want = _phase_normalize_loop(a)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+    # a stack is normalized block by block
+    stack = rng.standard_normal((3, 4, 2)) + 1j * rng.standard_normal((3, 4, 2))
+    for block, got in zip(stack, _phase_normalize(stack)):
+        assert got.tobytes() == _phase_normalize_loop(block).tobytes()
 
 
 def test_hodge_flags_ambiguous_rank():

@@ -165,25 +165,41 @@ def test_milnor_additivity_on_random_sequences():
             assert set(report.degreewise) == set(ses.degrees())
 
 
-def test_milnor_long_sequence_torsion_uses_the_sequence_cutoff():
-    # C2 = (C^2 --diag(1, 1e-7)--> C^2) with sub-complex its degree-1 part:
-    # the connecting map is the differential, singular values 1 and 1e-7.
-    # The default cutoff (about 3.4e-7) would drop 1e-7 from t_h while the
-    # sequence, built at rank_tol 1e-9, keeps it in t2 and in exactness.
-    mods = [HilbertModule(CF, n) for n in (0, 2, 2, 2, 0)]
-    d = Morphism(mods[1], mods[2], np.diag([1.0, 1e-7]))
-    c1 = CochainComplex([mods[0], mods[3]], [Morphism(mods[0], mods[3], np.zeros((2, 0)))])
+def _sub_complex_sequence(diagonal, rank_tol):
+    """C2 = (C^n --diag--> C^n) with sub-complex its degree-1 part: the
+    connecting map is the differential."""
+    n = len(diagonal)
+    mods = [HilbertModule(CF, k) for k in (0, n, n, n, 0)]
+    d = Morphism(mods[1], mods[2], np.diag(diagonal))
+    c1 = CochainComplex([mods[0], mods[3]], [Morphism(mods[0], mods[3], np.zeros((n, 0)))])
     c2 = CochainComplex([mods[1], mods[2]], [d])
-    c3 = CochainComplex([mods[3], mods[4]], [Morphism(mods[3], mods[4], np.zeros((0, 2)))])
-    f = ComplexMorphism(c1, c2, [Morphism(mods[0], mods[1], np.zeros((2, 0))),
+    c3 = CochainComplex([mods[3], mods[4]], [Morphism(mods[3], mods[4], np.zeros((0, n)))])
+    f = ComplexMorphism(c1, c2, [Morphism(mods[0], mods[1], np.zeros((n, 0))),
                                  Morphism.identity(mods[2])])
     g = ComplexMorphism(c2, c3, [Morphism.identity(mods[1]),
-                                 Morphism(mods[2], mods[4], np.zeros((0, 2)))])
-    ses = ComplexSES(f, g, rank_tol=1e-9)
+                                 Morphism(mods[2], mods[4], np.zeros((0, n)))])
+    return ComplexSES(f, g, rank_tol=rank_tol)
+
+
+def test_milnor_long_sequence_torsion_uses_the_sequence_cutoff():
+    # Singular values 1 and 1e-7: the default cutoff (about 3.4e-7) would
+    # drop 1e-7 from t_h while the sequence, built at rank_tol 1e-9, keeps
+    # it in t2 and in exactness.
+    ses = _sub_complex_sequence([1.0, 1e-7], 1e-9)
     report = milnor_check(ses)
     assert abs(report.t_h) == pytest.approx(7 * np.log(10), rel=1e-9)
     assert report.t_h == pytest.approx(torsion(long_sequence(ses), ses.rank_tol), abs=1e-12)
     assert report.residual < MILNOR_TOL
+
+
+@pytest.mark.parametrize("sigma", [1e-8, 1e-6])
+def test_long_sequence_snaps_at_the_sequence_cutoff(sigma):
+    # At rank_tol 1e-12 the Hodge data keep sigma, so the long sequence is
+    # exact only if its connecting map (norm sigma) is not snapped to zero;
+    # the default snap cutoff (about 3.4e-7) zeroed sigma = 1e-8.
+    report = milnor_check(_sub_complex_sequence([sigma], 1e-12))
+    assert report.t_h == pytest.approx(np.log(sigma), rel=1e-12)
+    assert report.residual == 0.0
 
 
 def test_milnor_report_is_deterministic():

@@ -2,6 +2,7 @@
 
 import ast
 import itertools
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from torsionlab.cells import UnitaryRepresentation
-from torsionlab.complexes import CochainComplex
+from torsionlab.cells import (
+    RegularRepresentation,
+    UnitaryRepresentation,
+    build_complex,
+    circle,
+    circle_from_arcs,
+    duality_residual,
+    glue,
+    glue_check,
+)
+from torsionlab.complexes import CochainComplex, hodge, torsion, torsion_via_laplacians
+from torsionlab.exact import milnor_check
 from torsionlab.errors import DataValidationError, NumericalError
 from torsionlab.generators import random_alinear_unitary, random_cochain_complex
 from torsionlab.vn import (
@@ -233,7 +244,7 @@ def _runs_svd(node) -> bool:
     return any(o in (2, -2, "nuc") for o in orders)
 
 
-def test_eigensolver_calls_stay_in_the_kernel():
+def test_eigensolver_calls_stay_in_the_kernel(monkeypatch):
     package = Path(__file__).resolve().parents[1] / "src" / "torsionlab"
     callers, svd_callers = set(), set()
     for path in package.glob("*.py"):
@@ -256,6 +267,32 @@ def test_eigensolver_calls_stay_in_the_kernel():
     assert ("vn", "spectrum") in callers
     assert svd_callers <= SVD_CALLERS
     assert ("vn", "norm") in svd_callers
+
+    # At run time, every eigensolve of the commands' work on a cyclic cell
+    # complex is one batched call on its m character blocks, from the
+    # spectral kernel (or the harmonic projector), and nothing runs an SVD.
+    calls = []
+    for name in ("eigh", "eigvalsh", "svd"):
+        def spy(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            code = sys._getframe(1).f_code
+            calls.append((_name, Path(code.co_filename).stem, code.co_name, np.shape(a)))
+            return _original(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    m = 16
+    rep = RegularRepresentation(cyclic_group(m))
+    c = build_complex(circle(rep))
+    data = hodge(c)
+    torsion(c, hodge_data=data)
+    torsion_via_laplacians(c)
+    duality_residual(circle(rep))
+    glue_check(circle_from_arcs(rep))
+    milnor_check(glue(circle_from_arcs(rep))[1])
+    sites = {(module, function) for _, module, function, _ in calls}
+    assert ("vn", "spectrum") in sites
+    assert sites <= {("vn", "spectrum"), ("complexes", "hodge")}
+    assert all(name != "svd" for name, *_ in calls)
+    assert all(len(shape) == 3 and shape[0] == m and shape[-1] <= 2
+               for *_, shape in calls)
 
 
 def test_svd_detector_sees_every_spelling():
