@@ -114,6 +114,7 @@ from .towers import (  # noqa: F401
     cw_to_laurent,
     fourier_counting,
     fourier_log_det,
+    jensen_log_det,
     laurent_laplacian,
     level_log_det,
     limit_distribution_check,

@@ -287,8 +287,16 @@ def _run_ses_check(job: JobSpec) -> dict:
 
 def _run_lueck(job: JobSpec) -> dict:
     from . import formats
-    from .errors import DataValidationError
-    from .towers import approx_tower, fourier_log_det, parse_laurent
+    from .errors import DataValidationError, QuadratureError
+    from .towers import (
+        DEFAULT_LEVELS,
+        LUECK_MAX_REFINEMENT,
+        QUAD_TOL,
+        approx_tower,
+        fourier_quadrature,
+        jensen_log_det,
+        parse_laurent,
+    )
     if (job.op is None) == (not job.inputs):
         raise DataValidationError(
             "lueck needs exactly one operator: a laurent input file or --op")
@@ -296,17 +304,43 @@ def _run_lueck(job: JobSpec) -> dict:
         operator = parse_laurent(job.op)
     else:
         operator = formats.parse_laurent_matrix(_load(job, "laurent"), job.inputs[0])
-    from .towers import DEFAULT_LEVELS, QUAD_TOL
     levels = job.levels if job.levels is not None else DEFAULT_LEVELS
     tower = approx_tower(operator, levels)
+    limit = jensen_log_det(tower.operator)
+    warnings = []
+    jensen = {"degree": limit.degree, "rank": limit.rank,
+              "roots_near_circle": limit.near_circle,
+              "integer_coefficients": limit.integer}
+    if limit.bracket is not None:
+        jensen["bracket"] = list(limit.bracket)
+        if limit.near_circle:
+            warnings.append(
+                f"{limit.near_circle} roots of the determinant polynomial lie "
+                "within their error of the unit circle: the circle integral is "
+                f"known only within [{limit.bracket[0]!r}, {limit.bracket[1]!r}]")
     quad_tol = job.tol if job.tol is not None else QUAD_TOL
-    oracle = fourier_log_det(operator, tol=quad_tol)
+    try:
+        value, depth, increment = fourier_quadrature(
+            tower.operator, quad_tol, LUECK_MAX_REFINEMENT)
+        quadrature = {"depth": depth, "last_increment": increment,
+                      "residual": abs(value - limit.value)}
+    except QuadratureError as exc:
+        low, high = exc.bracket
+        quadrature = {"depth": LUECK_MAX_REFINEMENT,
+                      "last_increment": abs(high - low), "bracket": [low, high]}
+        warnings.append(
+            f"the quadrature did not reach {quad_tol!r} at 2^{LUECK_MAX_REFINEMENT} "
+            f"points: its last estimates are {low!r} and {high!r}")
     return {
         "job": job.echo(),
         "norm_bound": tower.norm_bound,
-        "levels": [{"m": m, "log_det": value}
-                   for m, value in tower.level_values()],
-        "fourier_log_det": oracle,
+        "levels": [{"m": level.m, "log_det": level.log_det,
+                    "smallest_positive": level.smallest_positive,
+                    "largest": level.largest} for level in tower.levels],
+        "fourier_log_det": limit.value,
+        "jensen": jensen,
+        "quadrature": quadrature,
+        "warnings": warnings,
     }
 
 

@@ -5,14 +5,20 @@ polynomials in the shift t.  Reducing modulo m turns the shift into the
 cyclic shift on Z/m, every entry into an m x m circulant, and the operator
 into a morphism over the Z/m trace context whose normalized log-determinant
 is exactly computable.  Running these up a divisibility-nested tower of
-levels approximates the true L2 log-determinant of the operator, which is
-independently available as a symbol integral over the unit circle (a Mahler
-measure in the scalar case) — the two routes cross-validate each other.
+levels approximates the true L2 log-determinant of the operator, the
+circle integral of log det' of its symbol.
 
-Both routes evaluate the symbol through one kernel, ``_symbol_eigenvalues``.
+That integral is the Mahler measure of the Laurent polynomial det' =
+e_r(symbol eigenvalues), so ``jensen_log_det`` computes it from polynomial
+roots by Jensen's formula: exactly, through Yun's square-free factors, for
+integer coefficients, and with a root-cluster bracket otherwise.
+``fourier_log_det``, dyadic midpoint quadrature, is the independent second
+route.
+
+Every route evaluates the symbol through one kernel, ``_symbol_eigenvalues``.
 The level-m specialization is block-circulant, so its spectrum is the
 union of the symbol's eigenvalues at the m-th roots of unity: a level is
-the left-endpoint rule on the circle, the integral the midpoint rule.
+the left-endpoint rule on the circle, the quadrature the midpoint rule.
 ``specialize`` builds the dense nm x nm matrix and is kept as the
 reference route.
 """
@@ -20,6 +26,8 @@ reference route.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from math import comb, gcd
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -38,8 +46,13 @@ DEFAULT_LEVELS = tuple(2 ** k for k in range(1, 13))
 LEVEL_AGREEMENT_TOL = 1e-9
 QUAD_TOL = 1e-8
 MAX_REFINEMENT = 22
+#: The quadrature budget of ``lueck``'s second route: 2^16 points.
+LUECK_MAX_REFINEMENT = 16
 SELFADJOINT_TOL = 1e-10
 INTEGER_DET_CAP = 2.0 ** 26
+#: The largest determinant polynomial degree that ``jensen_log_det``
+#: factors exactly (about 0.1 s; the cost grows like degree^4).
+EXACT_DEGREE_CAP = 128
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +292,14 @@ def _as_laurent_matrix(op) -> LaurentMatrix:
     raise DataValidationError("expected a Laurent polynomial or matrix")
 
 
+def _checked(op) -> LaurentMatrix:
+    """The operator as a Laurent matrix, which must be selfadjoint."""
+    mat = _as_laurent_matrix(op)
+    if mat.selfadjointness_defect() > SELFADJOINT_TOL * mat.norm_bound():
+        raise DataValidationError("operator is not selfadjoint")
+    return mat
+
+
 # ---------------------------------------------------------------------------
 # finite quotients
 
@@ -421,9 +442,7 @@ def approx_tower(op, levels: Iterable[int] = DEFAULT_LEVELS,
     integer-line reduction), whose matrix is diagonalized densely and then
     runs through the same checks and clamp, with the noise floor of its size.
     """
-    mat = _as_laurent_matrix(op)
-    if mat.selfadjointness_defect() > SELFADJOINT_TOL * mat.norm_bound():
-        raise DataValidationError("operator is not selfadjoint")
+    mat = _checked(op)
     ms = [int(m) for m in levels]
     if not ms:
         raise DataValidationError("a tower needs at least one level")
@@ -467,6 +486,14 @@ def _symbol_eigenvalues(op: LaurentMatrix, theta: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(0.5 * (sym + star))
 
 
+def _require_semidefinite(w: np.ndarray, mat: LaurentMatrix) -> None:
+    """Symbol eigenvalues ``w`` may dip below zero by roundoff only."""
+    if float(w.min()) < -1e-8 * mat.norm_bound():
+        raise DataValidationError(
+            "symbol is not positive-semidefinite on the circle "
+            f"(eigenvalue {float(w.min()):.3e})")
+
+
 def fourier_log_det(op, tol: float = QUAD_TOL,
                     max_refinement: int = MAX_REFINEMENT) -> float:
     """Mean over the circle of the log-product of positive symbol eigenvalues.
@@ -477,22 +504,26 @@ def fourier_log_det(op, tol: float = QUAD_TOL,
     zeros give integrable log singularities: plain midpoint converges like
     1/K there, and the extrapolation removes that leading term.  If the
     extrapolated estimates have not settled after ``max_refinement``
-    doublings the computation fails with the last bracket.
+    doublings the computation fails with the last bracket.  This is the
+    independent second route to the value ``jensen_log_det`` computes from
+    polynomial roots.
     """
-    mat = _as_laurent_matrix(op)
-    if mat.selfadjointness_defect() > SELFADJOINT_TOL * mat.norm_bound():
-        raise DataValidationError("operator is not selfadjoint")
-    n = mat.shape[0]
-    floor = noise_floor(mat.norm_bound(), n)
+    return fourier_quadrature(op, tol, max_refinement)[0]
+
+
+def fourier_quadrature(op, tol: float = QUAD_TOL,
+                       max_refinement: int = MAX_REFINEMENT
+                       ) -> tuple[float, int, float]:
+    """``fourier_log_det`` with its depth (log2 of the finest grid) and its
+    last increment; raises QuadratureError with the last bracket."""
+    mat = _checked(op)
+    floor = noise_floor(mat.norm_bound(), mat.shape[0])
 
     def estimate(k: int) -> float:
         points = 1 << k
         theta = (np.arange(points) + 0.5) / points
         w = _symbol_eigenvalues(mat, theta)
-        if float(w.min()) < -1e-8 * mat.norm_bound():
-            raise DataValidationError(
-                "symbol is not positive-semidefinite on the circle "
-                f"(eigenvalue {float(w.min()):.3e})")
+        _require_semidefinite(w, mat)
         logs = np.where(w > floor, np.log(np.where(w > floor, w, 1.0)), 0.0)
         return float(logs.sum() / points)
 
@@ -502,11 +533,255 @@ def fourier_log_det(op, tol: float = QUAD_TOL,
     for k in range(6, max_refinement + 1):
         previous_est, current_est = current_est, estimate(k)
         extrapolated = 2.0 * current_est - previous_est
-        if abs(extrapolated - previous_ext) < tol:
-            return extrapolated
+        increment = abs(extrapolated - previous_ext)
+        if increment < tol:
+            return extrapolated, k, increment
         older_ext, previous_ext = previous_ext, extrapolated
     raise QuadratureError("symbol integral did not converge",
                           bracket=(older_ext, previous_ext))
+
+
+# ---------------------------------------------------------------------------
+# the circle integral by Jensen's formula
+
+
+#: Generic angles for the rank of the symbol: multiples of the golden
+#: section, far from every root of unity of small order.
+_GENERIC_ANGLES = np.array([0.6180339887498949, 0.2360679774997898,
+                            0.8541019662496847])
+
+
+@dataclass(frozen=True)
+class JensenLogDet:
+    """The circle integral of log det' of the symbol, from polynomial roots.
+
+    det' of the n x n symbol is e_r of its eigenvalues, r the generic rank:
+    a Laurent polynomial p of degree at most r D (D the largest absolute
+    exponent).  ``degree`` is that of z^K p(z), K its top exponent;
+    ``near_circle`` counts (with multiplicity) the roots whose error disc
+    meets the unit circle.  ``integer`` says the coefficients of p were
+    resolved to integers and factored exactly; otherwise ``bracket`` holds
+    the range the value is known to, from the root-cluster errors.
+    """
+
+    value: float
+    rank: int
+    degree: int
+    near_circle: int
+    integer: bool
+    bracket: tuple[float, float] | None = None
+
+
+def jensen_log_det(op) -> JensenLogDet:
+    """Mean over the circle of log det' of the symbol, by Jensen's formula.
+
+    For p = sum c_k t^k, nonnegative on the circle, the mean of log p is
+    log|c_K| + sum over the roots rho of z^K p(z) of log max(1, |rho|) (the
+    Mahler measure of p).  The coefficients of p = e_r(eigenvalues) come
+    from an FFT of its values at N >= 4 r D + 2 roots of unity; the band
+    between r D and N - r D, zero in exact arithmetic, measures their noise.
+
+    With real integer operator coefficients the coefficients of p are
+    integers.  When the rounding is resolved and the degree is at most
+    EXACT_DEGREE_CAP, they are rounded and p is split into square-free
+    factors by Yun's algorithm in exact integer arithmetic, so repeated
+    roots (every zero on the circle is one) are simple roots of a factor,
+    weighted by their multiplicity.  Otherwise the roots of p are used as
+    computed, and roots in clusters are bracketed.
+    """
+    mat = _checked(op)
+    n = mat.shape[0]
+    scale = mat.norm_bound()
+    floor = noise_floor(scale, n)
+    rank = int(np.max(np.sum(_symbol_eigenvalues(mat, _GENERIC_ANGLES) > floor,
+                             axis=-1)))
+    if rank == 0:
+        return JensenLogDet(0.0, 0, 0, 0, True)
+    top = rank * max(abs(e) for row in mat.rows for poly in row
+                     for e, _ in poly.terms)
+    points = max(8, 1 << int(np.ceil(np.log2(4 * top + 2))))
+    w = _symbol_eigenvalues(mat, np.arange(points) / points)
+    _require_semidefinite(w, mat)
+    values = _elementary_symmetric(w, rank)
+    # evaluation error of e_r: r relative eigenvalue errors of n eps each,
+    # on at most C(n, r) products of size scale^r, plus the FFT's roundoff
+    with np.errstate(over="ignore"):
+        size = comb(n, rank) * np.float64(scale) ** rank
+    if not (np.isfinite(size) and np.all(np.isfinite(values))):
+        raise NumericalError(
+            "the determinant polynomial of the symbol leaves the float range")
+    spectrum = np.fft.fft(values) / points
+    coeffs = spectrum[np.arange(top, -top - 1, -1) % points]  # c_K .. c_-K
+    eps = np.finfo(float).eps
+    noise = max(float(np.max(np.abs(spectrum[top + 1:points - top]))),
+                eps * size * (16.0 * n * rank + 8.0 * np.log2(points)))
+    integral = np.rint(coeffs.real)
+    residual = float(np.max(np.abs(coeffs - integral)))
+    if (_non_integer_entry(mat) is None and max(noise, residual) < 0.125
+            and 2 * top <= EXACT_DEGREE_CAP):
+        return _integer_jensen(integral, rank)
+    keep = np.flatnonzero(np.abs(coeffs) > 4.0 * noise)
+    if keep.size == 0:
+        raise NumericalError(
+            "the determinant polynomial of the symbol is below its noise")
+    trimmed = coeffs[keep[0]:keep[-1] + 1]
+    value, bracket, near = _jensen_sum(trimmed, 4.0 * noise * trimmed.size)
+    return JensenLogDet(value, rank, trimmed.size - 1, near, False, bracket)
+
+
+def _elementary_symmetric(w: np.ndarray, r: int) -> np.ndarray:
+    """e_r of the last axis of ``w``, by the product recurrence."""
+    e = np.zeros(w.shape[:-1] + (r + 1,))
+    e[..., 0] = 1.0
+    for j in range(w.shape[-1]):
+        e[..., 1:] = e[..., 1:] + w[..., j:j + 1] * e[..., :-1]
+    return e[..., r]
+
+
+def _integer_jensen(coeffs: np.ndarray, rank: int) -> JensenLogDet:
+    """Jensen's formula on integer coefficients (highest power first),
+    through Yun's square-free factors."""
+    present = np.flatnonzero(coeffs)  # not empty: p is nonzero at a generic angle
+    ints = [int(c) for c in coeffs[present[0]:present[-1] + 1]]
+    degree = len(ints) - 1
+    value = float(np.log(abs(ints[0])))
+    near = 0
+    for multiplicity, factor in _square_free_factors(ints[::-1]):
+        monic = np.array([c / factor[-1] for c in factor[::-1]])
+        part, _, hits = _jensen_sum(monic, 0.0)
+        if hits and multiplicity % 2:
+            raise DataValidationError(
+                "symbol is not positive-semidefinite on the circle "
+                f"(its determinant has a zero of odd order {multiplicity} there)")
+        value += multiplicity * part
+        near += multiplicity * hits
+    return JensenLogDet(value, rank, degree, near, True)
+
+
+def _square_free_factors(coeffs: list[int]) -> list[tuple[int, list[int]]]:
+    """Yun's algorithm over the integers: (i, a_i) with p = c prod a_i^i,
+    each a_i primitive, with positive leading coefficient, and square-free.
+    Polynomials are coefficient lists, lowest power first.
+
+    The gcds run on primitive pseudo-remainders, and every other division
+    is exact over the integers (Gauss's lemma).  Rational arithmetic would
+    reduce a fraction at every operation: at degree 40 that is about a
+    hundred times slower.
+    """
+    def trim(p):
+        while p and p[-1] == 0:
+            p = p[:-1]
+        return p
+
+    def primitive(p):
+        g = reduce(gcd, p)
+        return [c // g for c in p] if p[-1] > 0 else [-c // g for c in p]
+
+    def derivative(p):
+        return trim([k * c for k, c in enumerate(p)][1:])
+
+    def subtract(p, q):
+        size = max(len(p), len(q))
+        return trim([(p[k] if k < len(p) else 0) - (q[k] if k < len(q) else 0)
+                     for k in range(size)])
+
+    def remainder(p, q):  # a primitive multiple of the remainder of p by q
+        while p and len(p) >= len(q):
+            shift, lead = len(p) - len(q), p[-1]
+            p = [c * q[-1] for c in p]
+            for j, c in enumerate(q):
+                p[shift + j] -= lead * c
+            p = trim(p)
+            p = primitive(p) if p else p
+        return p
+
+    def common(p, q):
+        while q:
+            p, q = q, remainder(p, q)
+        return primitive(p)
+
+    def divide(p, q):  # exact: q is primitive and divides p
+        p, out = list(p), [0] * max(len(p) - len(q) + 1, 0)
+        for k in range(len(out) - 1, -1, -1):
+            out[k] = p[k + len(q) - 1] // q[-1]
+            for j, c in enumerate(q):
+                p[k + j] -= out[k] * c
+        return trim(out)
+
+    f = trim([int(c) for c in coeffs])
+    a = common(f, derivative(f))
+    b = divide(f, a)
+    d = subtract(divide(derivative(f), a), derivative(b))
+    factors, i = [], 1
+    while len(b) > 1:
+        a = common(b, d)
+        b, c = divide(b, a), divide(d, a)
+        if len(a) > 1:
+            factors.append((i, a))
+        d = subtract(c, derivative(b))
+        i += 1
+    return factors
+
+
+def _polynomial_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Roots of a polynomial, highest power first: the one root finder
+    (an eigensolve of the companion matrix)."""
+    return np.roots(coeffs)
+
+
+def _jensen_sum(coeffs: np.ndarray, noise: float
+                ) -> tuple[float, tuple[float, float], int]:
+    """log|lead| + sum log max(1, |root|), its bracket, and the count of
+    roots whose error disc meets the unit circle.
+
+    ``noise`` bounds the sum of moduli of the coefficient errors, so it
+    bounds the polynomial's error on the circle; the root finder's own
+    backward error, size x eps x the coefficients' sum of moduli, is added.
+    A cluster of k computed roots around a k-fold root zeta lies within
+    about (noise / |lead prod_{others} (zeta - rho)|)^(1/k) of it, while its
+    centroid is far more accurate than its members.  Clusters are merged
+    until their error discs are disjoint; each contributes k log max(1,
+    |centroid|) to the value and, for a disc of radius R, between k log
+    max(1, |zeta| - R) and k log max(1, |zeta| + R) to the bracket.
+    """
+    roots = _polynomial_roots(coeffs)
+    lead = abs(coeffs[0])
+    noise += np.finfo(float).eps * coeffs.size * float(np.sum(np.abs(coeffs)))
+    clusters = [[j] for j in range(roots.size)]
+    while True:
+        discs = [_cluster_disc(roots, members, lead, noise) for members in clusters]
+        centers = np.array([center for center, _ in discs])
+        radii = np.array([radius for _, radius in discs])
+        distance = np.abs(centers[:, None] - centers[None, :])
+        overlap = np.triu(distance <= radii[:, None] + radii[None, :], 1)
+        if not overlap.any():
+            break
+        # the closest overlapping pair first: a coincident pair has gap 0,
+        # an infinite radius, and overlaps everything
+        a, b = np.unravel_index(np.argmin(np.where(overlap, distance, np.inf)),
+                                distance.shape)
+        clusters[a] += clusters.pop(b)
+    value = low = high = float(np.log(lead))
+    near = 0
+    for members, (center, radius) in zip(clusters, discs):
+        k = len(members)
+        value += k * np.log(max(1.0, abs(center)))
+        low += k * np.log(max(1.0, abs(center) - radius))
+        high += k * np.log(max(1.0, abs(center) + radius))
+        if abs(abs(center) - 1.0) <= radius:
+            near += k
+    return float(value), (float(low), float(high)), near
+
+
+def _cluster_disc(roots: np.ndarray, members: list[int], lead: float,
+                  noise: float) -> tuple[complex, float]:
+    """Center and error radius (four times the first-order estimate) of a
+    cluster of roots."""
+    center = complex(np.mean(roots[members]))
+    others = np.delete(roots, members)
+    gap = lead * float(np.prod(np.abs(center - others)))
+    k = len(members)
+    return center, 4.0 * (noise / gap) ** (1.0 / k) if gap > 0 else np.inf
 
 
 def fourier_counting(op, lam: float, points: int = 1 << 15) -> float:
@@ -559,15 +834,14 @@ def limit_distribution_check(tower: ApproxTower, lam: float,
 # integrality / nonnegativity diagnostics
 
 
-def _require_integer_coefficients(mat: LaurentMatrix) -> None:
-    n, m = mat.shape
-    for i in range(n):
-        for j in range(m):
-            for _, c in mat.rows[i][j].terms:
-                if abs(c.imag) > 1e-9 or abs(c.real - round(c.real)) > 1e-9:
-                    raise DataValidationError(
-                        "nonnegativity certificates need integer coefficients "
-                        f"(entry ({i}, {j}) has {c!r})")
+def _non_integer_entry(mat: LaurentMatrix) -> tuple[int, int, complex] | None:
+    """The first coefficient (with its entry) that is not a real integer."""
+    for i, row in enumerate(mat.rows):
+        for j, poly in enumerate(row):
+            for _, c in poly.terms:
+                if c.imag != 0.0 or not float(c.real).is_integer():
+                    return i, j, c
+    return None
 
 
 def _det_error_bound(tower: ApproxTower, level: TowerLevel) -> float:
@@ -589,24 +863,25 @@ def _det_error_bound(tower: ApproxTower, level: TowerLevel) -> float:
 
 
 def nonnegativity_check(op, levels: Iterable[int] = tuple(2 ** k for k in range(1, 9)),
-                        tol: float = 1e-6, quad_tol: float = 2e-5) -> dict:
+                        tol: float = 1e-6) -> dict:
     """Determinant-class evidence for an integer-coefficient operator.
 
     At every level the un-normalized det' of the specialization is a
     positive integer, so its log is >= 0; the limit value (the symbol
-    integral) must then be >= 0 as well.  The report carries, per level,
-    the un-normalized log det', the det' itself with its distance to the
-    nearest integer whenever floating point can resolve that distance
-    (small determinant and well-separated spectrum), and a passed flag;
-    offending levels are listed.
-
-    ``tol`` governs the per-level decisions; the symbol integral is only
-    resolved to ``quad_tol`` (symbols whose zeros sit at irrational angles
-    converge slowly under dyadic refinement), so the limit assertion uses
-    the combined margin tol + quad_tol.
+    integral, by ``jensen_log_det``) must then be >= 0 as well.  The report
+    carries, per level, the un-normalized log det', the det' itself with its
+    distance to the nearest integer whenever floating point can resolve
+    that distance (small determinant and well-separated spectrum), and a
+    passed flag; offending levels are listed.  ``tol`` is the margin of
+    every decision, the limit's included.
     """
     mat = _as_laurent_matrix(op)
-    _require_integer_coefficients(mat)
+    offender = _non_integer_entry(mat)
+    if offender is not None:
+        i, j, c = offender
+        raise DataValidationError(
+            "nonnegativity certificates need integer coefficients "
+            f"(entry ({i}, {j}) has {c!r})")
     tower = approx_tower(mat, levels)
     level_rows = []
     offending = []
@@ -623,16 +898,14 @@ def nonnegativity_check(op, levels: Iterable[int] = tuple(2 ** k for k in range(
         if not nonneg:
             offending.append(level.m)
         level_rows.append(row)
-    limit = fourier_log_det(mat, tol=quad_tol)
-    margin = tol + quad_tol
-    report = {
+    limit = jensen_log_det(mat).value
+    return {
         "levels": level_rows,
         "fourier_log_det": limit,
-        "fourier_nonnegative": bool(limit >= -margin),
+        "fourier_nonnegative": bool(limit >= -tol),
         "offending_levels": offending,
-        "passed": bool(not offending and limit >= -margin),
+        "passed": bool(not offending and limit >= -tol),
     }
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,20 @@ class TestHappyPaths:
         assert abs(report["fourier_log_det"]) < 1e-6
         assert report["norm_bound"] == 4.0
 
+    def test_lueck_explains_its_numbers(self):
+        report, _ = run_json("lueck", "--op", "2 - t - t^-1", "--levels", "2..8")
+        for row in report["levels"]:
+            m = row["m"]
+            assert abs(row["smallest_positive"]
+                       - (2.0 - 2.0 * math.cos(2.0 * math.pi / m))) < 1e-12
+            assert row["largest"] == 4.0
+        assert report["jensen"] == {"degree": 2, "rank": 1, "roots_near_circle": 2,
+                                    "integer_coefficients": True}
+        quad = report["quadrature"]
+        assert quad["residual"] < 1e-8 and quad["last_increment"] < 1e-8
+        assert 6 <= quad["depth"] <= 16
+        assert report["warnings"] == []
+
     def test_lueck_file_input(self):
         report, _ = run_json("lueck", str(DATA / "laurent_flagship.json"),
                              "--levels", "2,4,8")
@@ -128,6 +142,12 @@ class TestDeterminismAndRoundTrip:
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
         assert json.loads(a.stdout)["job"]["seed"] == 7
+        irrational = ("lueck", "--op", "4t^-2 - 12t^-1 + 17 - 12t + 4t^2",
+                      "--levels", "2..64", "--json")
+        a, b = run_cli(*irrational), run_cli(*irrational)
+        assert a.returncode == b.returncode == 0
+        assert a.stdout == b.stdout
+        assert json.loads(a.stdout)["quadrature"]["bracket"]
 
     @pytest.mark.parametrize("args", [
         ("torsion", str(DATA / "circle_z3.json")),
@@ -207,12 +227,28 @@ class TestFailureModes:
         assert proc.returncode == 2
         assert "--degree" in proc.stderr
 
-    def test_nonconvergent_quadrature_is_numerical_failure(self):
-        proc = run_cli("lueck", "--op", "4t^-2 + 4t^-1 + 9 + 4t + 4t^2",
-                       "--levels", "2..8")
+    def test_nonconvergent_quadrature_is_a_warning(self):
+        # |2 + t + 2t^2|^2 has zeros at irrational angles: the capped
+        # quadrature does not settle, but Jensen's formula gives 2 log 2
+        report, _ = run_json("lueck", "--op", "4t^-2 + 4t^-1 + 9 + 4t + 4t^2",
+                             "--levels", "2..8")
+        assert abs(report["fourier_log_det"] - 2.0 * math.log(2.0)) < 1e-12
+        low, high = report["quadrature"]["bracket"]
+        assert abs(low - 2.0 * math.log(2.0)) < 1e-3
+        assert report["quadrature"]["depth"] == 16
+        assert any("quadrature did not reach" in w for w in report["warnings"])
+
+    def test_overflowing_determinant_polynomial_is_numerical_failure(self, tmp_path):
+        # det of the symbol is about 3e400: its coefficients leave the float range
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"kind": "laurent", "rows": [
+            [[[0, 2e200, 0]], [[1, 1e200, 0]]],
+            [[[-1, 1e200, 0]], [[0, 2e200, 0]]]]}))
+        proc = run_cli("lueck", str(path), "--levels", "2..4")
         assert proc.returncode == 1
         assert "numerical failure" in proc.stderr
-        assert "converge" in proc.stderr
+        assert "float range" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("flag, value", [
         ("--rank-tol", "nan"),

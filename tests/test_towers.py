@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from torsionlab.cells import InfiniteCyclic, circle
-from torsionlab.errors import DataValidationError, QuadratureError
+from torsionlab.errors import DataValidationError, NumericalError, QuadratureError
 from torsionlab.towers import (
     DEFAULT_LEVELS,
     LaurentMatrix,
@@ -16,6 +16,8 @@ from torsionlab.towers import (
     cw_to_laurent,
     fourier_counting,
     fourier_log_det,
+    fourier_quadrature,
+    jensen_log_det,
     laurent_laplacian,
     level_log_det,
     limit_distribution_check,
@@ -341,6 +343,142 @@ class TestFourierLogDet:
         low, high = info.value.bracket
         assert low != high
         assert abs(low - np.log(4.0)) < 0.05 and abs(high - np.log(4.0)) < 0.05
+
+
+def _power(p, k):
+    out = LaurentPoly.constant(1.0)
+    for _ in range(k):
+        out = out * p
+    return out
+
+
+LEHMER = LaurentPoly([(k, c) for k, c in
+                      enumerate([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])])
+GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
+
+
+class TestJensenLogDet:
+    CLOSED_FORMS = {
+        "flagship": (FLAGSHIP, 0.0, 1e-12),
+        "golden": (FLAGSHIP + LaurentPoly.constant(1.0), 2.0 * np.log(GOLDEN), 1e-12),
+        "squared": (FLAGSHIP * FLAGSHIP, 0.0, 1e-12),
+        "eighth-power": (_power(FLAGSHIP, 8), 0.0, 1e-12),
+        "laplacian": (_two_by_two_laplacian(), np.log((7.0 + np.sqrt(13.0)) / 2.0), 1e-12),
+        "irrational": (parse_laurent("4t^-2 - 12t^-1 + 17 - 12t + 4t^2"), np.log(4.0), 1e-12),
+        "seeded-9": (_seeded_operators()[9], np.log(4.0), 1e-12),
+        "lehmer": (LEHMER * LEHMER.adjoint(), 2.0 * np.log(1.17628081826), 1e-10),
+    }
+
+    @pytest.mark.parametrize("op, exact, tol", CLOSED_FORMS.values(),
+                             ids=CLOSED_FORMS.keys())
+    def test_closed_forms(self, op, exact, tol):
+        result = jensen_log_det(op)
+        assert result.integer and result.bracket is None
+        assert abs(result.value - exact) < tol
+
+    def test_degree_rank_and_roots_on_the_circle(self):
+        flagship = jensen_log_det(FLAGSHIP)
+        assert (flagship.degree, flagship.rank, flagship.near_circle) == (2, 1, 2)
+        assert jensen_log_det(_power(FLAGSHIP, 8)).near_circle == 16
+        golden = jensen_log_det(FLAGSHIP + LaurentPoly.constant(1.0))
+        assert golden.near_circle == 0
+        # |Lehmer|^2 = Lehmer^2 up to a unit: 8 double roots on the circle
+        assert jensen_log_det(LEHMER * LEHMER.adjoint()).near_circle == 16
+
+    def test_rank_deficient_and_full_rank_matrices(self):
+        lap = jensen_log_det(_two_by_two_laplacian())
+        assert (lap.rank, lap.degree) == (1, 2)
+        diag = LaurentMatrix.from_lists([[FLAGSHIP, LaurentPoly()],
+                                         [LaurentPoly(), LaurentPoly.constant(2.0)]])
+        full = jensen_log_det(diag)
+        assert full.rank == 2
+        assert abs(full.value - np.log(2.0)) < 1e-12
+        zero = LaurentMatrix.from_lists([[LaurentPoly()]])
+        assert jensen_log_det(zero).value == 0.0
+
+    @pytest.mark.parametrize("i", range(10))
+    def test_agrees_with_the_converged_quadrature(self, i):
+        op = _seeded_operators()[i]
+        quad = fourier_log_det(op, tol=2e-5)
+        assert abs(jensen_log_det(op).value - quad) < 2e-5
+
+    def test_non_integer_coefficients_carry_a_bracket(self):
+        scaled = (FLAGSHIP + LaurentPoly.constant(1.0)).scale(1.5)
+        exact = np.log(1.5) + 2.0 * np.log(GOLDEN)
+        result = jensen_log_det(scaled)
+        assert not result.integer and result.near_circle == 0
+        low, high = result.bracket
+        assert low <= exact <= high and high - low < 1e-10
+        assert abs(result.value - exact) < 1e-12
+        # a fourfold zero on the circle: the computed roots split by about
+        # eps^(1/4), and the bracket says so
+        squared = (FLAGSHIP * FLAGSHIP).scale(0.3)
+        result = jensen_log_det(squared)
+        low, high = result.bracket
+        assert result.near_circle == 4
+        assert low <= np.log(0.3) <= high and high - low > 1e-6
+        assert abs(result.value - np.log(0.3)) < 1e-12
+
+    def test_rejects_non_selfadjoint_and_indefinite_symbols(self):
+        with pytest.raises(DataValidationError, match="selfadjoint"):
+            jensen_log_det(LaurentPoly.shift(1))
+        with pytest.raises(DataValidationError, match="positive-semidefinite"):
+            jensen_log_det(LaurentPoly([(1, 1.0), (-1, 1.0)]))
+        with pytest.raises(DataValidationError, match="not selfadjoint"):
+            jensen_log_det(ONE_BY_TWO)
+
+    def test_zero_of_odd_order_on_the_circle_is_indefinite(self):
+        from torsionlab.towers import _integer_jensen
+        # t + t^-1: simple zeros at +-i, where the symbol changes sign
+        with pytest.raises(DataValidationError, match="odd order"):
+            _integer_jensen(np.array([1.0, 0.0, 1.0]), 1)
+
+    def test_overflowing_determinant_polynomial_is_numerical_failure(self):
+        big = LaurentMatrix.from_lists(
+            [[LaurentPoly.constant(2e200), LaurentPoly.shift(1, 1e200)],
+             [LaurentPoly.shift(-1, 1e200), LaurentPoly.constant(2e200)]])
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericalError, match="float range"):
+            jensen_log_det(big)
+
+    def test_coincident_roots_form_one_cluster(self):
+        from torsionlab.towers import _jensen_sum
+        # (z - 5)(z - 1)^2: the double root may come back as two equal
+        # roots, whose disc is unbounded until they merge with each other
+        value, (low, high), near = _jensen_sum(np.poly([5.0, 1.0, 1.0]), 0.0)
+        assert abs(value - np.log(5.0)) < 1e-12
+        assert low <= np.log(5.0) <= high and near == 2
+
+    def test_square_free_factors(self):
+        from torsionlab.towers import _square_free_factors
+        # -3 (z - 1)^4 (2z^2 + z + 1) (z - 2)^2, lowest power first
+        poly = np.polynomial.polynomial
+        coeffs = poly.polymul(poly.polypow([-1, 1], 4), [-3, -3, -6])
+        coeffs = poly.polymul(coeffs, poly.polypow([-2, 1], 2))
+        factors = _square_free_factors([int(c) for c in coeffs])
+        assert factors == [(1, [1, 1, 2]), (2, [-2, 1]), (4, [-1, 1])]
+
+    def test_high_degree_stays_fast(self):
+        # |p|^2 for a random integer p of degree 60, times a double zero on
+        # the circle: degree 124 is factored exactly; past the cap the
+        # roots are used as computed, with a bracket
+        rng = np.random.default_rng(2)
+        for degree, exact in ((60, True), (70, False)):
+            p = LaurentPoly([(e, float(c)) for e, c in
+                             enumerate(rng.integers(-3, 4, size=degree + 1))])
+            op = p * p.adjoint() * FLAGSHIP
+            start = time.perf_counter()
+            result = jensen_log_det(op)
+            assert time.perf_counter() - start < 2.0
+            assert result.integer is exact and result.near_circle >= 2
+            assert abs(result.value - fourier_log_det(op, tol=1e-7)) < 1e-6
+
+
+class TestFourierQuadrature:
+    def test_reports_depth_and_last_increment(self):
+        value, depth, increment = fourier_quadrature(FLAGSHIP, tol=1e-8)
+        assert value == fourier_log_det(FLAGSHIP, tol=1e-8)
+        assert 6 <= depth <= 22 and increment < 1e-8
 
 
 class TestFourierCounting:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from torsionlab import cli
 from torsionlab.cells import (
     RegularRepresentation,
     UnitaryRepresentation,
@@ -25,6 +26,7 @@ from torsionlab.complexes import CochainComplex, hodge, torsion, torsion_via_lap
 from torsionlab.exact import milnor_check
 from torsionlab.errors import DataValidationError, NumericalError
 from torsionlab.generators import random_alinear_unitary, random_cochain_complex
+from torsionlab.towers import nonnegativity_check, parse_laurent
 from torsionlab.vn import (
     COMPOSITION_TOL,
     HilbertModule,
@@ -225,6 +227,13 @@ SVD_CALLERS = {
 }
 
 
+#: The only function allowed a root finder or a general eigensolver
+#: (``roots``, ``eigvals``, ``eig``; ``np.roots`` is an ``eigvals`` of the
+#: companion matrix): the root finder of the Jensen kernel.
+ROOT_CALLERS = {("towers", "_polynomial_roots")}
+ROOT_NAMES = ("roots", "eigvals", "eig")
+
+
 def _literal(node):
     try:
         return ast.literal_eval(node)
@@ -246,7 +255,7 @@ def _runs_svd(node) -> bool:
 
 def test_eigensolver_calls_stay_in_the_kernel(monkeypatch):
     package = Path(__file__).resolve().parents[1] / "src" / "torsionlab"
-    callers, svd_callers = set(), set()
+    callers, svd_callers, root_callers = set(), set(), set()
     for path in package.glob("*.py"):
         tree = ast.parse(path.read_text())
         owner = {}  # node -> name of the outermost function containing it
@@ -254,6 +263,7 @@ def test_eigensolver_calls_stay_in_the_kernel(monkeypatch):
             if isinstance(func, ast.FunctionDef):
                 for node in ast.walk(func):
                     owner.setdefault(node, func.name)
+        called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
         for node in ast.walk(tree):
             name = (node.attr if isinstance(node, ast.Attribute) else
                     node.id if isinstance(node, ast.Name) else
@@ -263,21 +273,28 @@ def test_eigensolver_calls_stay_in_the_kernel(monkeypatch):
                 callers.add(site)
             if name == "svd" or _runs_svd(node):
                 svd_callers.add(site)
+            # a local variable may be called "roots"; a bare name counts
+            # when it is called
+            if name in ROOT_NAMES and (not isinstance(node, ast.Name)
+                                       or id(node) in called):
+                root_callers.add(site)
     assert callers <= EIGENSOLVER_CALLERS
     assert ("vn", "spectrum") in callers
     assert svd_callers <= SVD_CALLERS
     assert ("vn", "norm") in svd_callers
+    assert root_callers == ROOT_CALLERS
 
     # At run time, every eigensolve of the commands' work on a cyclic cell
     # complex is one batched call on its m character blocks, from the
     # spectral kernel (or the harmonic projector), and nothing runs an SVD.
     calls = []
-    for name in ("eigh", "eigvalsh", "svd"):
-        def spy(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+    spied = [(np.linalg, name) for name in ("eigh", "eigvalsh", "svd", "eigvals", "eig")]
+    for owner, name in spied + [(np, "roots")]:
+        def spy(a, *args, _name=name, _original=getattr(owner, name), **kwargs):
             code = sys._getframe(1).f_code
             calls.append((_name, Path(code.co_filename).stem, code.co_name, np.shape(a)))
             return _original(a, *args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, spy)
+        monkeypatch.setattr(owner, name, spy)
     m = 16
     rep = RegularRepresentation(cyclic_group(m))
     c = build_complex(circle(rep))
@@ -290,9 +307,20 @@ def test_eigensolver_calls_stay_in_the_kernel(monkeypatch):
     sites = {(module, function) for _, module, function, _ in calls}
     assert ("vn", "spectrum") in sites
     assert sites <= {("vn", "spectrum"), ("complexes", "hodge")}
-    assert all(name != "svd" for name, *_ in calls)
+    assert all(name in ("eigh", "eigvalsh") for name, *_ in calls)
     assert all(len(shape) == 3 and shape[0] == m and shape[-1] <= 2
                for *_, shape in calls)
+
+    # The circle integral's roots come from the one root finder, and the
+    # tower and both limit routes run no general eigensolver.
+    calls.clear()
+    cli.run(cli.JobSpec("lueck", (), levels=(2, 4, 8),
+                        op="4t^-2 - 12t^-1 + 17 - 12t + 4t^2"))
+    nonnegativity_check(parse_laurent("3 - t - t^-1"), levels=(2, 4))
+    roots = [(module, function) for name, module, function, _ in calls
+             if name in ROOT_NAMES]
+    assert roots and set(roots) == ROOT_CALLERS
+    assert all(name != "svd" for name, *_ in calls)
 
 
 def test_svd_detector_sees_every_spelling():
