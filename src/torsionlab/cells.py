@@ -12,9 +12,11 @@ a word is evaluated at the m-th roots of unity, each differential is the
 stack of its m character blocks, and torsion, Hodge data, duality and
 gluing are computed block by block, with the rank decisions of the dense
 matrix (the cutoff is sized by m n, so over Z/2^16 the circle's characters
-j = +-1 fall under the default cutoff and ``hodge`` warns).  Every other
-representation, including a regular one over a ``finite_group`` table,
-builds dense matrices.
+j = +-1 fall under the default cutoff and ``hodge`` warns).  A product
+with a cell complex over the complex field stays blockwise, the field
+factor's index outermost; a product of two group factors is refused.
+Every other representation, including a regular one over a
+``finite_group`` table, builds dense matrices.
 
 Words are lists of (element, coefficient) pairs.  An element may be a
 group-element label ("t"), an integer n meaning the n-th power of the
@@ -42,7 +44,7 @@ from .vn import (
     HilbertModule,
     Morphism,
     TraceContext,
-    array_shape,
+    assemble_blocks,
     complex_field,
     group_ring_matrix,
     vanishes,
@@ -257,25 +259,22 @@ def build_complex(cw: TwistedCellComplex, validate: bool = True) -> CochainCompl
             "infinite-cyclic twists have no finite matrices; convert with "
             "the tower module (cw_to_laurent) instead")
     cell = rep.module(1)
-    block = cell.width
     word_array = rep.word_blocks if cell.characters else rep.word_matrix
     layers = [cw.degree_cells(q) for q in range(cw.top_degree + 1)]
     modules = [rep.module(len(layer)) for layer in layers]
+    # one summand per cell; an empty layer is its (zero) module
+    parts = [[cell] * len(layer) or [module] for layer, module in zip(layers, modules)]
     diffs = []
     for q in range(cw.top_degree):
         cols, rows = layers[q], layers[q + 1]
-        mat = np.zeros(array_shape(modules[q + 1], modules[q]), np.complex128)
-        for (to_cell, from_cell), word in cw.incidences.items():
-            if from_cell in cols and to_cell in rows:
-                iy = rows.index(to_cell)
-                ix = cols.index(from_cell)
-                mat[..., iy * block:(iy + 1) * block,
-                    ix * block:(ix + 1) * block] = word_array(word)
-        diffs.append(Morphism(modules[q], modules[q + 1], mat))
+        blocks = {(rows.index(y), cols.index(x)): word_array(word)
+                  for (y, x), word in cw.incidences.items() if x in cols and y in rows}
+        diffs.append(Morphism(modules[q], modules[q + 1],
+                              assemble_blocks(blocks, parts[q + 1], parts[q])))
     c = CochainComplex(modules, diffs, 0, validate=False)
     q = c.first_nonzero_square() if validate else None
     if q is not None:
-        raise _worst_cell_pair(c, q, layers, block)
+        raise _worst_cell_pair(c, q, layers, cell.width)
     return c
 
 
@@ -476,12 +475,10 @@ def glue(spec: GluingSpec, rank_tol: float | None = None) -> tuple[TwistedCellCo
     include, restrict = [], []
     for q in range(d + 1):
         up, mid, low = c_up.module(q), built.module(q), c_low.module(q)
-        inc = np.zeros(array_shape(mid, up), np.complex128)
-        inc[..., :up.width, :] = np.eye(up.width)
-        prj = np.zeros(array_shape(low, mid), np.complex128)
-        prj[..., up.width:] = np.eye(low.width)
-        include.append(Morphism(up, mid, inc))
-        restrict.append(Morphism(mid, low, prj))
+        include.append(Morphism(up, mid, assemble_blocks({(0, 0): np.eye(up.width)},
+                                                         [up, low], [up])))
+        restrict.append(Morphism(mid, low, assemble_blocks({(0, 1): np.eye(low.width)},
+                                                           [low], [up, low])))
     ses = ComplexSES(ComplexMorphism(c_up, built, include),
                      ComplexMorphism(built, c_low, restrict), rank_tol=rank_tol)
     return glued, ses

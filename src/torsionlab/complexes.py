@@ -24,12 +24,15 @@ computed by characters: every step below runs block by block on the
 Rank decisions are those of the dense direct sum, since ``vn.spectrum``
 sizes the floor and the cutoff by the full dimension m n; over Z/2^16 the
 circle's characters j = +-1 (sigma ~ 9.6e-5) fall under the default cutoff
-(~1.2e-4), and ``hodge`` warns.
+(~1.2e-4), and ``hodge`` warns.  Direct sums, mapping cones and tensor
+products with a complex-field factor stay in the coordinates of their
+inputs: ``vn.assemble_blocks`` builds dense matrices and stacks alike, and
+in a tensor product the field factor's index is outermost.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -41,6 +44,7 @@ from .vn import (
     Morphism,
     TraceContext,
     array_shape,
+    assemble_blocks,
     direct_sum_modules,
     gram_spectrum,
     log_vol,
@@ -176,14 +180,11 @@ def direct_sum(a: CochainComplex, b: CochainComplex) -> CochainComplex:
     if not a.context.matches(b.context):
         raise DataValidationError("direct sum needs a common trace context")
     lo, hi = min(a.offset, b.offset), max(a.top_degree, b.top_degree)
-    modules, diffs = [], []
-    for q in range(lo, hi + 1):
-        modules.append(direct_sum_modules([a.module(q), b.module(q)]))
-    for q in range(lo, hi):
-        da, db = a.differential(q), b.differential(q)
-        top = np.hstack([da.matrix, np.zeros((da.shape[0], db.shape[1]), np.complex128)])
-        bot = np.hstack([np.zeros((db.shape[0], da.shape[1]), np.complex128), db.matrix])
-        diffs.append(Morphism(modules[q - lo], modules[q - lo + 1], np.vstack([top, bot])))
+    parts = [[a.module(q), b.module(q)] for q in range(lo, hi + 1)]
+    modules = [direct_sum_modules(p) for p in parts]
+    diffs = [Morphism(modules[i], modules[i + 1], assemble_blocks(
+        {(0, 0): a.differential(q).array, (1, 1): b.differential(q).array},
+        parts[i + 1], parts[i])) for i, q in enumerate(range(lo, hi))]
     return CochainComplex(modules, diffs, lo, validate=False)
 
 
@@ -425,22 +426,11 @@ def torsion_via_laplacians(c: CochainComplex, rank_tol: float | None = None) -> 
 
 
 def _tensor_modules(a: HilbertModule, b: HilbertModule) -> HilbertModule:
-    if a.context.is_group and b.context.is_group:
-        raise DataValidationError("tensor products need at least one factor over the complex field")
-    ctx = a.context if a.context.is_group else b.context
-    ambient = a.ambient_dim * b.ambient_dim
-    # kron layout: when the group factor is second, (copies, group, fiber)
-    # survives with the same fiber; when it is first, the field factor is
-    # absorbed into the fiber.
-    if b.context.is_group:
-        fiber = b.fiber_dim
-    elif a.context.is_group:
-        fiber = max(a.fiber_dim * b.ambient_dim, 1)
-    else:
-        fiber = 1
-    if ambient == 0:
-        fiber = 1
-    return HilbertModule(ctx, ambient, free=a.free and b.free, fiber_dim=fiber)
+    """C^n (x) M with the field index outermost keeps the group factor M's
+    context, fiber and coordinates."""
+    group = b if b.context.is_group else a
+    return HilbertModule(group.context, a.ambient_dim * b.ambient_dim, free=a.free and b.free,
+                         fiber_dim=group.fiber_dim, characters=group.characters)
 
 
 def tensor_product(c1: CochainComplex, c2: CochainComplex) -> CochainComplex:
@@ -450,65 +440,42 @@ def tensor_product(c1: CochainComplex, c2: CochainComplex) -> CochainComplex:
     differential acts by d1 (x) id + (-1)^k id (x) d2 (sign by the true
     degree k of the first factor).  At least one factor must live over the
     complex field; the product inherits the group context of the other.
+    The field factor's index is outermost on every summand, in both factor
+    orders (the first factor's when both are over the field), so each
+    summand keeps the group factor's (copies, group, fiber) layout and a
+    factor in character coordinates stays blockwise: kron(B, A_j) per
+    character j.
     """
     if c1.context.is_group and c2.context.is_group:
         raise DataValidationError("tensor products need at least one factor over the complex field")
+    # kron(part of c1, part of c2), the field factor's part outermost
+    kron = (lambda x, y: np.kron(y, x)) if c1.context.is_group else np.kron
     lo = c1.offset + c2.offset
     hi = c1.top_degree + c2.top_degree
-    summands: dict[int, list[int]] = {}
-    modules: list[HilbertModule] = []
-    for j in range(lo, hi + 1):
-        ks = [k for k in c1.degrees() if c2.offset <= j - k <= c2.top_degree]
-        summands[j] = ks
-        mods = [_tensor_modules(c1.module(k), c2.module(j - k)) for k in ks]
-        modules.append(direct_sum_modules(mods) if mods else
-                       HilbertModule(c1.context if c1.context.is_group else c2.context, 0))
+    summands = [range(max(c1.offset, j - c2.top_degree), min(c1.top_degree, j - c2.offset) + 1)
+                for j in range(lo, hi + 1)]
+    parts = [[_tensor_modules(c1.module(k), c2.module(j - k)) for k in ks]
+             for j, ks in enumerate(summands, lo)]
+    modules = [direct_sum_modules(p) for p in parts]
 
     diffs: list[Morphism] = []
-    for j in range(lo, hi):
-        src, dst = modules[j - lo], modules[j - lo + 1]
-        mat = np.zeros((dst.ambient_dim, src.ambient_dim), np.complex128)
-        src_ks, dst_ks = summands[j], summands[j + 1]
-        src_starts, pos = {}, 0
-        for k in src_ks:
-            src_starts[k] = pos
-            pos += c1.module(k).ambient_dim * c2.module(j - k).ambient_dim
-        dst_starts, pos = {}, 0
-        for k in dst_ks:
-            dst_starts[k] = pos
-            pos += c1.module(k).ambient_dim * c2.module(j + 1 - k).ambient_dim
-        for k in src_ks:
-            a_dim = c1.module(k).ambient_dim
-            b_dim = c2.module(j - k).ambient_dim
-            if a_dim == 0 or b_dim == 0:
-                continue
+    for i, (src_ks, dst_ks) in enumerate(zip(summands, summands[1:])):
+        j = lo + i
+        blocks = {}
+        for s, k in enumerate(src_ks):
+            w1, w2 = c1.module(k).width, c2.module(j - k).width
+            if not (w1 and w2):
+                continue  # empty blocks stay out
             # d1 (x) id : summand (k, j-k) -> (k+1, j-k)
-            if (k + 1) in dst_starts:
-                d1 = c1.differential(k)
-                if d1.shape[0]:
-                    block = np.kron(d1.matrix, np.eye(b_dim))
-                    r0, c0 = dst_starts[k + 1], src_starts[k]
-                    mat[r0:r0 + block.shape[0], c0:c0 + block.shape[1]] += block
+            if k + 1 in dst_ks and c1.module(k + 1).width:
+                blocks[dst_ks.index(k + 1), s] = kron(c1.differential(k).array, np.eye(w2))
             # (-1)^k id (x) d2 : summand (k, j-k) -> (k, j-k+1)
-            if k in dst_starts:
-                d2 = c2.differential(j - k)
-                if d2.shape[0]:
-                    block = (-1) ** k * np.kron(np.eye(a_dim), d2.matrix)
-                    r0, c0 = dst_starts[k], src_starts[k]
-                    mat[r0:r0 + block.shape[0], c0:c0 + block.shape[1]] += block
-        diffs.append(Morphism(src, dst, mat))
+            if k in dst_ks and c2.module(j - k + 1).width:
+                blocks[dst_ks.index(k), s] = (-1) ** k * kron(
+                    np.eye(w1), c2.differential(j - k).array)
+        diffs.append(Morphism(modules[i], modules[i + 1],
+                              assemble_blocks(blocks, parts[i + 1], parts[i])))
     return CochainComplex(modules, diffs, lo)
-
-
-def _standard_basis(c: CochainComplex) -> CochainComplex:
-    """``c`` with every module and differential in the dense standard basis
-    (``c`` itself when it is not in character coordinates)."""
-    if not c.modules[0].characters:
-        return c
-    modules = [replace(m, characters=False) for m in c.modules]
-    diffs = [Morphism(modules[i], modules[i + 1], d.matrix)
-             for i, d in enumerate(c.differentials)]
-    return CochainComplex(modules, diffs, c.offset, validate=False)
 
 
 def suspension(c: CochainComplex) -> CochainComplex:
@@ -581,33 +548,25 @@ def mapping_cone(f: ComplexMorphism) -> tuple[CochainComplex, ComplexMorphism, C
     returns (cone, j, p) where j : C2 -> cone is (id, 0) and
     p : cone -> SC1 is (0, id), all padded to the cone's degree window.
     """
-    c1, c2 = _standard_basis(f.source), _standard_basis(f.target)
+    c1, c2 = f.source, f.target
     lo, hi = c1.offset - 1, c1.top_degree
-    cone_modules = [direct_sum_modules([c2.module(i), c1.module(i + 1)])
-                    for i in range(lo, hi + 1)]
-    cone_diffs = []
-    for i in range(lo, hi):
-        src, dst = cone_modules[i - lo], cone_modules[i - lo + 1]
-        d2 = c2.differential(i)
-        d1 = c1.differential(i + 1)
-        fi = f.component(i + 1)
-        top = np.hstack([d2.matrix, fi.matrix])
-        bot = np.hstack([np.zeros((d1.shape[0], d2.shape[1]), np.complex128), -d1.matrix])
-        cone_diffs.append(Morphism(src, dst, np.vstack([top, bot])))
+    parts = [[c2.module(i), c1.module(i + 1)] for i in range(lo, hi + 1)]
+    cone_modules = [direct_sum_modules(p) for p in parts]
+    cone_diffs = [Morphism(cone_modules[n], cone_modules[n + 1], assemble_blocks(
+        {(0, 0): c2.differential(i).array, (0, 1): f.component(i + 1).array,
+         (1, 1): -c1.differential(i + 1).array}, parts[n + 1], parts[n]))
+        for n, i in enumerate(range(lo, hi))]
     cone = CochainComplex(cone_modules, cone_diffs, lo)
 
-    c2_pad = pad_complex(c2, lo, hi)
-    sc1_pad = pad_complex(suspension(c1), lo, hi)
-    j_parts, p_parts = [], []
-    for i in range(lo, hi + 1):
-        n2 = c2.module(i).ambient_dim
-        n1 = c1.module(i + 1).ambient_dim
-        j_mat = np.vstack([np.eye(n2), np.zeros((n1, n2))]).astype(np.complex128)
-        p_mat = np.hstack([np.zeros((n1, n2)), np.eye(n1)]).astype(np.complex128)
-        j_parts.append(Morphism(c2_pad.module(i), cone_modules[i - lo], j_mat))
-        p_parts.append(Morphism(cone_modules[i - lo], sc1_pad.module(i), p_mat))
-    j = ComplexMorphism(c2_pad, cone, j_parts)
-    p = ComplexMorphism(cone, sc1_pad, p_parts)
+    include, project = [], []
+    for part, module in zip(parts, cone_modules):
+        n2, n1 = part
+        include.append(Morphism(n2, module, assemble_blocks({(0, 0): np.eye(n2.width)},
+                                                            part, [n2])))
+        project.append(Morphism(module, n1, assemble_blocks({(0, 1): np.eye(n1.width)},
+                                                            [n1], part)))
+    j = ComplexMorphism(pad_complex(c2, lo, hi), cone, include)
+    p = ComplexMorphism(cone, pad_complex(suspension(c1), lo, hi), project)
     return cone, j, p
 
 

@@ -25,6 +25,7 @@ from .vn import (
     HilbertModule,
     Morphism,
     TraceContext,
+    assemble_blocks,
     direct_sum_modules,
     gram_spectrum,
     right_regular,
@@ -104,20 +105,9 @@ def random_shape(rng: np.random.Generator, length: int, max_rank: int = 2,
     return harmonic, boundary
 
 
-def _slice_embed(shape_rows: tuple[int, int, int], shape_cols: tuple[int, int, int],
-                 block: np.ndarray, row_slice: int, col_slice: int,
-                 unit: int) -> np.ndarray:
-    """Place ``block`` into the (row_slice, col_slice) slice of a 3x3 grid.
-
-    ``unit`` is the ambient size of a free-rank unit (|Gamma| or 1).
-    """
-    rows = sum(shape_rows) * unit
-    cols = sum(shape_cols) * unit
-    out = np.zeros((rows, cols), np.complex128)
-    r0 = sum(shape_rows[:row_slice]) * unit
-    c0 = sum(shape_cols[:col_slice]) * unit
-    out[r0:r0 + block.shape[0], c0:c0 + block.shape[1]] = block
-    return out
+def _grid(ctx: TraceContext, ranks: tuple[int, ...]) -> list[HilbertModule]:
+    """Free modules of the given ranks: the slices of a block grid."""
+    return [HilbertModule(ctx, rank * ctx.size) for rank in ranks]
 
 
 def random_cochain_complex(rng: np.random.Generator, ctx: TraceContext,
@@ -151,7 +141,7 @@ def random_cochain_complex(rng: np.random.Generator, ctx: TraceContext,
         rows = (harmonic[i + 1], r, boundary[i + 1] if i + 1 < len(boundary) else 0)
         prev = boundary[i - 1] if i >= 1 else 0
         cols = (harmonic[i], prev, r)
-        embedded = _slice_embed(rows, cols, block, 1, 2, unit)
+        embedded = assemble_blocks({(1, 2): block}, _grid(ctx, rows), _grid(ctx, cols))
         mat = data.frames[i + 1] @ embedded @ data.frames[i].conj().T
         diffs.append(Morphism(modules[i], modules[i + 1], mat))
     return CochainComplex(modules, diffs, offset), data
@@ -208,16 +198,10 @@ def random_chain_morphism(rng: np.random.Generator, source: CochainComplex,
     for i in range(length):
         prev = r[i - 1] if i >= 1 else 0
         curr = r[i] if i < len(r) else 0
-        grid = (h[i], prev, curr)
-        rows_total = sum(grid) * unit
-        mat = np.zeros((rows_total, rows_total), np.complex128)
-        f11 = rand_square(h[i])
-        mat += _slice_embed(grid, grid, f11, 0, 0, unit)
-        mat += _slice_embed(grid, grid, f22[i], 1, 1, unit)
-        mat += _slice_embed(grid, grid, f33[i], 2, 2, unit)
-        mat += _slice_embed(grid, grid, rand(prev, h[i]), 1, 0, unit)
-        mat += _slice_embed(grid, grid, rand(h[i], curr), 0, 2, unit)
-        mat += _slice_embed(grid, grid, rand(prev, curr), 1, 2, unit)
+        grid = _grid(ctx, (h[i], prev, curr))
+        mat = assemble_blocks({(0, 0): rand_square(h[i]), (1, 1): f22[i], (2, 2): f33[i],
+                               (1, 0): rand(prev, h[i]), (0, 2): rand(h[i], curr),
+                               (1, 2): rand(prev, curr)}, grid, grid)
         ambient = tshape.frames[i] @ mat @ source_shape.frames[i].conj().T
         components.append(Morphism(source.modules[i], target.modules[i], ambient))
     return ComplexMorphism(source, target, components), target, tshape
@@ -243,16 +227,11 @@ def coboundary_twist(rng: np.random.Generator, c1: CochainComplex,
 def twisted_sum(c1: CochainComplex, c3: CochainComplex,
                 thetas: list[np.ndarray]) -> CochainComplex:
     """Middle complex C1 (+) C3 with differential [[d1, theta], [0, d3]]."""
-    modules = [direct_sum_modules([m1, m3])
-               for m1, m3 in zip(c1.modules, c3.modules)]
-    diffs = []
-    for i in range(len(modules) - 1):
-        d1 = c1.differentials[i].matrix
-        d3 = c3.differentials[i].matrix
-        theta = thetas[i]
-        top = np.hstack([d1, theta])
-        bot = np.hstack([np.zeros((d3.shape[0], d1.shape[1]), np.complex128), d3])
-        diffs.append(Morphism(modules[i], modules[i + 1], np.vstack([top, bot])))
+    parts = [[m1, m3] for m1, m3 in zip(c1.modules, c3.modules)]
+    modules = [direct_sum_modules(p) for p in parts]
+    diffs = [Morphism(modules[i], modules[i + 1], assemble_blocks(
+        {(0, 0): d1.array, (0, 1): theta, (1, 1): d3.array}, parts[i + 1], parts[i]))
+        for i, (d1, d3, theta) in enumerate(zip(c1.differentials, c3.differentials, thetas))]
     return CochainComplex(modules, diffs, c1.offset)
 
 
@@ -285,17 +264,12 @@ def random_ses(rng: np.random.Generator, ctx: TraceContext, length: int = 3,
                             c3.modules[i].ambient_dim), np.complex128)
                   for i in range(len(c1.modules) - 1)]
     c2 = twisted_sum(c1, c3, thetas)
-    include = []
-    project = []
-    for i in range(len(c1.modules)):
-        n1 = c1.modules[i].ambient_dim
-        n3 = c3.modules[i].ambient_dim
-        inc = np.zeros((n1 + n3, n1), np.complex128)
-        inc[:n1, :n1] = np.eye(n1)
-        prj = np.zeros((n3, n1 + n3), np.complex128)
-        prj[:, n1:] = np.eye(n3)
-        include.append(Morphism(c1.modules[i], c2.modules[i], inc))
-        project.append(Morphism(c2.modules[i], c3.modules[i], prj))
+    include, project = [], []
+    for m1, m2, m3 in zip(c1.modules, c2.modules, c3.modules):
+        include.append(Morphism(m1, m2, assemble_blocks({(0, 0): np.eye(m1.width)},
+                                                        [m1, m3], [m1])))
+        project.append(Morphism(m2, m3, assemble_blocks({(0, 1): np.eye(m3.width)},
+                                                        [m3], [m1, m3])))
     f = ComplexMorphism(c1, c2, include)
     g = ComplexMorphism(c2, c3, project)
     return ComplexSES(f, g)

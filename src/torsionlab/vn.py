@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from itertools import accumulate
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -318,13 +319,16 @@ def regular_module(context: TraceContext, rank: int = 1, fiber_dim: int = 1) -> 
 
 
 def direct_sum_modules(modules: Sequence[HilbertModule]) -> HilbertModule:
-    """Orthogonal direct sum; keeps a common fiber layout when there is one."""
+    """Orthogonal direct sum; keeps a common fiber layout when there is one,
+    and the coordinates (with the block masks side by side) of the summands."""
     if not modules:
         raise DataValidationError("direct sum needs at least one module")
-    ctx = modules[0].context
+    first = modules[0]
+    ctx, characters = first.context, first.characters
     for m in modules[1:]:
-        if not m.context.matches(ctx):
-            raise DataValidationError("direct sum of modules over different contexts")
+        if not m.context.matches(ctx) or m.characters != characters:
+            raise DataValidationError("direct sum of modules over different contexts "
+                                      "or in different coordinates")
     ambient = sum(m.ambient_dim for m in modules)
     free = all(m.free for m in modules)
     fibers = {m.fiber_dim for m in modules if m.ambient_dim > 0}
@@ -333,7 +337,32 @@ def direct_sum_modules(modules: Sequence[HilbertModule]) -> HilbertModule:
         fiber = 1
     if free and ctx.is_group and ambient % ctx.size:
         free = False
-    return HilbertModule(ctx, ambient, free=free, fiber_dim=fiber)
+    mask = None
+    if any(m.block_mask is not None for m in modules):
+        mask = np.concatenate([np.ones((ctx.size, m.width), bool) if m.block_mask is None
+                               else m.block_mask for m in modules], axis=1)
+    return HilbertModule(ctx, ambient, free=free, fiber_dim=fiber, characters=characters,
+                         block_mask=mask)
+
+
+def assemble_blocks(blocks: Mapping[tuple[int, int], np.ndarray],
+                    rows: Sequence[HilbertModule], cols: Sequence[HilbertModule]) -> np.ndarray:
+    """The stored array of the map from the sum of ``cols`` to the sum of
+    ``rows`` whose block from cols[j] to rows[i] is ``blocks[i, j]`` (zero
+    where absent): a dense matrix, or the stack of its character blocks.
+
+    One preallocated array, filled by slicing on ``...``, so a 2-d block
+    placed in a stack is the same in every character (an identity, say).
+    ``rows`` and ``cols`` must not both be empty.
+    """
+    r = list(accumulate((m.width for m in rows), initial=0))
+    c = list(accumulate((m.width for m in cols), initial=0))
+    first = (*rows, *cols)[0]
+    out = np.zeros(((first.context.size,) if first.characters else ()) + (r[-1], c[-1]),
+                   np.complex128)
+    for (i, j), block in blocks.items():
+        out[..., r[i]:r[i + 1], c[j]:c[j + 1]] = block
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -451,7 +480,7 @@ def vn_trace(f: Morphism) -> complex:
     """kappa times the matrix trace (defined for endomorphisms)."""
     if f.domain.ambient_dim != f.codomain.ambient_dim:
         raise DataValidationError("trace requires an endomorphism")
-    return complex(f.context.kappa * np.trace(f.matrix))
+    return complex(f.context.kappa * np.trace(f.array, axis1=-2, axis2=-1).sum())
 
 
 class Spectrum(NamedTuple):
@@ -562,18 +591,33 @@ def gram_spectrum(matrix: np.ndarray, rank_tol: float | None = None,
     return spectrum(matrix.conj().swapaxes(-1, -2) @ matrix, rank_tol, vectors, dim)
 
 
+def _domain_spectrum(f: Morphism, rank_tol: float | None = None,
+                     vectors: bool = False) -> tuple[Spectrum, np.ndarray]:
+    """``gram_spectrum`` of the stored array of f, sized by the larger of its
+    dimensions, and the mask of the values that belong to coordinates of the
+    domain: all of them, except that a block with fewer coordinates than its
+    width (``block_mask``) adds an exact zero per absent one, sorted first."""
+    s = gram_spectrum(f.array, rank_tol, vectors, dim=max(f.shape + (1,)))
+    mask = f.domain.block_mask
+    if mask is None:
+        return s, np.ones(s.sigma.shape, bool)
+    width = mask.shape[1]
+    return s, np.arange(width) >= width - mask.sum(1)[:, None]
+
+
 def singular_values(f: Morphism) -> np.ndarray:
     """Singular values in ascending order, from eigh applied to f*f.
 
     Values below the eigensolver's noise floor are exactly zero; the domain
     dimension many values are returned (zeros included).
     """
-    return gram_spectrum(f.matrix).sigma
+    s, present = _domain_spectrum(f)
+    return np.sort(s.sigma[present])
 
 
 def default_rank_tol(f: Morphism) -> float:
     """sigma_max x sqrt(max(matrix dims)) x 2^-22 (0 for the zero morphism)."""
-    return gram_spectrum(f.matrix).tol
+    return _domain_spectrum(f)[0].tol
 
 
 def log_vol(f: Morphism, rank_tol: float | None = None) -> float:
@@ -582,7 +626,7 @@ def log_vol(f: Morphism, rank_tol: float | None = None) -> float:
     Zero morphisms (and empty matrices) give 0.0 by the empty-product
     convention; rank truncation keeps the value finite always.
     """
-    s = gram_spectrum(f.array, rank_tol, dim=max(f.shape + (1,)))
+    s = _domain_spectrum(f, rank_tol)[0]
     return float(f.context.kappa * np.log(s.sigma[s.keep]).sum())
 
 
@@ -594,13 +638,13 @@ def polar_decompose(f: Morphism, rank_tol: float | None = None) -> tuple[Morphis
     partial isometry, isometric on the closure of the range of f_wiso.  Both
     come from one Hermitian eigendecomposition of f*f.
     """
-    m = f.matrix
-    s = gram_spectrum(m, rank_tol, vectors=True)
+    s = _domain_spectrum(f, rank_tol, vectors=True)[0]
     v, sv, keep = s.vectors, s.sigma, s.keep
-    wiso = (v * sv) @ v.conj().T
-    wiso = 0.5 * (wiso + wiso.conj().T)
+    vh = v.conj().swapaxes(-1, -2)
+    wiso = (v * sv[..., None, :]) @ vh
+    wiso = 0.5 * (wiso + wiso.conj().swapaxes(-1, -2))
     inv = np.where(keep, 1.0 / np.where(keep, sv, 1.0), 0.0)
-    iso = m @ ((v * inv) @ v.conj().T)
+    iso = f.array @ ((v * inv[..., None, :]) @ vh)
     return (Morphism(f.domain, f.codomain, iso),
             Morphism(f.domain, f.domain, wiso))
 
@@ -649,10 +693,8 @@ def spectral_distribution(f: Morphism, rank_tol: float | None = None) -> Spectra
     Singular values at or below the rank tolerance are treated as exactly
     zero (same truncation rule as ``log_vol`` / ``log_det_prime``).
     """
-    s = gram_spectrum(f.matrix, rank_tol)
-    lam = np.where(s.keep, s.sigma, 0.0) ** 2
-    lam = np.sort(lam)
-    uniq, counts = np.unique(lam, return_counts=True)
+    s, present = _domain_spectrum(f, rank_tol)
+    uniq, counts = np.unique(np.where(s.keep, s.sigma, 0.0)[present] ** 2, return_counts=True)
     values = f.context.kappa * np.cumsum(counts)
     total = f.context.kappa * f.domain.ambient_dim
     return SpectralDistribution(uniq, values, float(total))
@@ -695,11 +737,12 @@ def _require_invertible(f: Morphism, name: str, rank_tol: float | None) -> None:
         raise DataValidationError(f"{name} must be square to be invertible, got {f.shape}")
     if f.domain.ambient_dim == 0:
         return
-    s = gram_spectrum(f.matrix, rank_tol)
-    if s.sigma[0] <= s.tol:
+    s, present = _domain_spectrum(f, rank_tol)
+    smallest = s.sigma[present].min()
+    if smallest <= s.tol:
         raise DataValidationError(
             f"{name} is numerically singular (smallest singular value "
-            f"{s.sigma[0]:.3e} <= tolerance {s.tol:.3e})")
+            f"{smallest:.3e} <= tolerance {s.tol:.3e})")
 
 
 def log_vol_additivity_residual(f: Morphism, g: Morphism,
@@ -722,11 +765,9 @@ def block_triangular_log_vol_residual(f: Morphism, g: Morphism, h: Morphism,
         raise DataValidationError("h must map the domain of g into the codomain of f")
     _require_invertible(f, "f", rank_tol)
     _require_invertible(g, "g", rank_tol)
-    dom = direct_sum_modules([f.domain, g.domain])
-    cod = direct_sum_modules([f.codomain, g.codomain])
-    top = np.hstack([f.matrix, h.matrix])
-    bottom = np.hstack([np.zeros((g.shape[0], f.shape[1]), np.complex128), g.matrix])
-    block = Morphism(dom, cod, np.vstack([top, bottom]))
+    dom, cod = [f.domain, g.domain], [f.codomain, g.codomain]
+    block = Morphism(direct_sum_modules(dom), direct_sum_modules(cod), assemble_blocks(
+        {(0, 0): f.array, (0, 1): h.array, (1, 1): g.array}, cod, dom))
     return abs(log_vol(block, rank_tol) - log_vol(f, rank_tol) - log_vol(g, rank_tol))
 
 

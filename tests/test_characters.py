@@ -9,6 +9,7 @@ import json
 import math
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,15 +30,19 @@ from torsionlab.complexes import (
     hodge,
     laplacian,
     log_det_prime,
+    mapping_cone,
+    tensor_product,
     torsion,
     torsion_via_laplacians,
 )
 from torsionlab.errors import DataValidationError
 from torsionlab.exact import cone_ses, milnor_check
+from torsionlab.generators import random_cochain_complex
 from torsionlab.vn import Morphism
 
 ORDERS = (1, 2, 3, 8, 64)
 AGREE = 1e-12
+DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
 
 
 def _labels(m):
@@ -59,6 +64,15 @@ def _circle(m, coeff=1.0):
     """One 0-cell, one 1-cell, word t - coeff (t = e over Z/1)."""
     word = ((_labels(m)[1 % m], 1.0), ("e", -coeff))
     return TwistedCellComplex(None, {0: ("min",), 1: ("max",)}, {("max", "min"): word}, 1)
+
+
+def _two_dimensional(m):
+    """Cells p1 | a1, p2 | a2 whose square vanishes because Z/m is abelian."""
+    w, u = ((_labels(m)[1 % m], 1.0), ("e", -1.0)), ((_labels(m)[2 % m], 0.5j), ("e", 0.75))
+    return TwistedCellComplex(
+        None, {0: ("p1",), 1: ("a1", "p2"), 2: ("a2",)},
+        {("a1", "p1"): w, ("p2", "p1"): u, ("a2", "a1"): [(e, -c) for e, c in u],
+         ("a2", "p2"): w}, 2)
 
 
 def _report(cw, rank_tol=None):
@@ -119,27 +133,86 @@ def test_glue_check_matches_dense_oracle(m):
 
 @pytest.mark.parametrize("m", ORDERS)
 def test_blocks_convert_to_the_dense_matrices(m):
-    w, u = ((_labels(m)[1 % m], 1.0), ("e", -1.0)), ((_labels(m)[2 % m], 0.5j), ("e", 0.75))
-    cw = TwistedCellComplex(
-        None, {0: ("p1",), 1: ("a1", "p2"), 2: ("a2",)},
-        {("a1", "p1"): w, ("p2", "p1"): u, ("a2", "a1"): [(e, -c) for e, c in u],
-         ("a2", "p2"): w}, 2)
     fast, dense = _contexts(m)
-    got, want = build_complex(_on(cw, fast, 2)), build_complex(_on(cw, dense, 2))
+    got = build_complex(_on(_two_dimensional(m), fast, 2))
+    want = build_complex(_on(_two_dimensional(m), dense, 2))
+    _assert_same_matrices(got, want)
     for a, b in zip(got.differentials, want.differentials):
         assert a.array.shape == (m,) + tuple(n // m for n in b.shape)
+
+
+def _assert_same_matrices(got, want):
+    """``got`` is in character coordinates and converts to ``want``."""
+    assert all(module.characters for module in got.modules)
+    assert len(got.differentials) == len(want.differentials)
+    for a, b in zip(got.differentials, want.differentials):
         np.testing.assert_allclose(a.matrix, b.matrix, rtol=0, atol=AGREE)
 
 
-def test_mapping_cone_works_in_the_standard_basis():
-    reports = []
-    for ctx in _contexts(8):
-        c = build_complex(_on(_circle(8), ctx))
-        f = ComplexMorphism(c, c, [Morphism.identity(m) * 2.0 for m in c.modules])
+def _complex_report(c):
+    """The numbers and decisions of the torsion and hodge commands on a complex."""
+    h = hodge(c)
+    return {
+        "torsion": torsion(c, None, h),
+        "torsion_via_laplacians": torsion_via_laplacians(c),
+        "harmonic_dims": [h.harmonic_dim(q) for q in c.degrees()],
+        "warnings": h.warnings,
+    }
+
+
+@pytest.mark.parametrize("m", ORDERS)
+@pytest.mark.parametrize("fiber_dim", (1, 2))
+@pytest.mark.parametrize("group_first", (True, False), ids=("group-first", "field-first"))
+def test_products_stay_blockwise_and_match_dense_oracle(m, fiber_dim, group_first):
+    field, _ = random_cochain_complex(np.random.default_rng(m), vn.complex_field(), length=2)
+    got, want = (
+        tensor_product(*((c, field) if group_first else (field, c)))
+        for c in (build_complex(_on(_circle(m, 0.5 + 0.5j), ctx, fiber_dim))
+                  for ctx in _contexts(m)))
+    _assert_same_matrices(got, want)
+    _assert_same(_complex_report(got), _complex_report(want))
+
+
+def test_mapping_cone_keeps_character_coordinates():
+    m = 8
+    reports, cones = [], []
+    for ctx in _contexts(m):
+        rep = RegularRepresentation(ctx)
+        c = build_complex(_on(_circle(m), ctx))
+        # multiplication by t - 1: a chain map, since Z/m is abelian
+        word = ((_labels(m)[1], 1.0), ("e", -1.0))
+        blocks = rep.word_blocks(word) if ctx.is_cyclic else rep.word_matrix(word)
+        f = ComplexMorphism(c, c, [Morphism(module, module, blocks) for module in c.modules])
+        cone, include, project = mapping_cone(f)
+        for g in (include, project):
+            assert all(part.domain.characters == ctx.is_cyclic for part in g.components)
         r = milnor_check(cone_ses(f))
         reports.append([r.t1, r.t2, r.t3, r.t_h, r.residual, *r.degreewise.values()])
+        cones.append(cone)
+    _assert_same_matrices(*cones)
     np.testing.assert_allclose(reports[0], reports[1], rtol=0, atol=AGREE)
     assert reports[0][4] < 1e-9
+
+
+@pytest.mark.parametrize("cw", (_circle(8), _two_dimensional(8)), ids=("circle", "two-dimensional"))
+def test_spectral_functions_read_character_carriers(cw):
+    # the reduced differentials live on carriers with block masks, which
+    # have no standard-basis matrix
+    got, want = (hodge(build_complex(_on(cw, ctx))) for ctx in _contexts(8))
+    for q in got.complex.degrees():
+        r, dense = got.reduced_morphism(q), want.reduced_morphism(q)
+        dist = vn.spectral_distribution(r)
+        assert abs(vn.stieltjes_log_vol(dist) - vn.log_vol(r)) <= AGREE
+        assert dist.total == r.domain.vn_dim
+        assert vn.is_determinant_class(r)
+        np.testing.assert_allclose(vn.singular_values(r), vn.singular_values(dense),
+                                   rtol=0, atol=AGREE)
+        assert abs(vn.default_rank_tol(r) - vn.default_rank_tol(dense)) <= AGREE
+        assert abs(vn.vn_trace(r.adjoint() @ r) - vn.vn_trace(dense.adjoint() @ dense)) <= AGREE
+        iso, wiso = vn.polar_decompose(r)
+        np.testing.assert_allclose((iso @ wiso).array, r.array, rtol=0, atol=AGREE)
+        assert vn.log_vol_additivity_residual(r, r.adjoint()) <= AGREE
+        assert vn.block_triangular_log_vol_residual(r, r, r) <= AGREE
 
 
 def test_near_cutoff_decision_is_the_dense_one():
@@ -234,6 +307,23 @@ def test_large_circle_in_every_command(tmp_path):
     assert abs(g["t_comb"] - value) < 1e-9 and g["residual"] < 1e-9
     assert t["warnings"] == h["warnings"] == []
     assert elapsed < 1.0
+
+
+def test_product_stays_blockwise_at_scale(tmp_path):
+    m = 4096  # the dense product would allocate about 1 GiB
+    circle, _ = _circle_files(tmp_path, m)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        report = cli.run(cli.JobSpec("product", (circle, str(DATA / "interval_tau2.json"))))
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    assert elapsed < 1.0
+    assert abs(report["torsion_product"] - math.log(m) / m) < 1e-9
+    assert report["residual"] < 1e-12 and report["passed"]
 
 
 def test_torsion_memory_stays_linear_in_the_order(tmp_path):

@@ -26,6 +26,7 @@ from torsionlab.generators import random_chain_morphism, random_cochain_complex
 from torsionlab.vn import (
     HilbertModule,
     Morphism,
+    a_linearity_residual,
     complex_field,
     cyclic_group,
     group_ring_matrix,
@@ -278,18 +279,22 @@ def test_tensor_product_formula_examples():
 
 
 def test_tensor_product_formula_random():
+    # The field factor's index is outermost in both factor orders, so every
+    # product differential is linear over the group factor's algebra.
     rng = np.random.default_rng(14)
-    for ctx in [CF, cyclic_group(2)]:
+    for ctx in [CF, cyclic_group(2), cyclic_group(3), cyclic_group(6)]:
         for _ in range(8):
             c1, _ = random_cochain_complex(rng, ctx, length=3, max_rank=2)
             c2, _ = random_cochain_complex(rng, CF, length=2, max_rank=2)
-            prod = tensor_product(c1, c2)
             expected = (c2.euler_characteristic() * torsion(c1)
                         + c1.euler_characteristic() * torsion(c2))
-            got = torsion(prod)
-            assert abs(got - expected) < 1e-8 * (1.0 + abs(expected))
-            assert prod.euler_characteristic() == pytest.approx(
-                c1.euler_characteristic() * c2.euler_characteristic(), abs=1e-9)
+            for prod in (tensor_product(c1, c2), tensor_product(c2, c1)):
+                got = torsion(prod)
+                assert abs(got - expected) < 1e-8 * (1.0 + abs(expected))
+                assert prod.euler_characteristic() == pytest.approx(
+                    c1.euler_characteristic() * c2.euler_characteristic(), abs=1e-9)
+                for d in prod.differentials:
+                    assert a_linearity_residual(d) < 1e-10
 
 
 def test_tensor_rejects_two_group_factors():
