@@ -8,20 +8,22 @@ differentials, and everything downstream (torsion, duality, gluing) is the
 machinery of the complexes/exact modules applied to the result.
 
 Over ``cyclic_group(m)`` the regular representation works by characters:
-a word is evaluated at the m-th roots of unity, each differential is the
-stack of its m character blocks, and torsion, Hodge data, duality and
-gluing are computed block by block, with the rank decisions of the dense
-matrix (the cutoff is sized by m n, so over Z/2^16 the circle's characters
-j = +-1 fall under the default cutoff and ``hodge`` warns).  A product
-with a cell complex over the complex field stays blockwise, the field
-factor's index outermost; a product of two group factors is refused.
-Every other representation, including a regular one over a
-``finite_group`` table, builds dense matrices.
+a word is its Laurent polynomial at the m-th roots of unity, from the one
+phase kernel of the tower module, each differential is the stack of its m
+character blocks, and torsion, Hodge data, duality and gluing are computed
+block by block, with the rank decisions of the dense matrix (the cutoff is
+sized by m n, so over Z/2^16 the circle's characters j = +-1 fall under
+the default cutoff and ``hodge`` warns).  A product with a cell complex
+over the complex field stays blockwise, the field factor's index
+outermost; a product of two group factors is refused.  Every other
+representation, including a regular one over a ``finite_group`` table,
+builds dense matrices.
 
-Words are lists of (element, coefficient) pairs.  An element may be a
-group-element label ("t"), an integer n meaning the n-th power of the
-generator labelled "t", or an explicit (label, power) pair; "e", 0 and
-(label, 0) all mean the identity.
+Words are lists of (element, coefficient) pairs.  Every representation
+reads an element as (label, power) (``towers.word_element``): a label
+("t", or "t^k" over ``cyclic_group``) is its first power, an integer n is
+("t", n), and a pair is itself; "e" is the identity.  The adjoint of a
+word negates every power and conjugates every coefficient.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .complexes import (
 )
 from .errors import DataValidationError
 from .exact import ComplexSES, long_sequence
+from .towers import LaurentMatrix, LaurentPoly, word_element
 from .vn import (
     HilbertModule,
     Morphism,
@@ -63,9 +66,9 @@ class RegularRepresentation:
     One cell contributes an l^2(Gamma) (x) C^fiber block; incidence words
     act by right-regular permutation blocks and therefore commute with the
     left algebra action.  Over ``cyclic_group(m)`` the cells live in
-    character coordinates: a word is the sum of its coefficients times
-    exp(2 pi i j k / m) at the character j, for each element t^k, one
-    (fiber x fiber) block per character instead of a dense m x m block.
+    character coordinates: a word is its Laurent polynomial in t at
+    exp(2 pi i j / m) at the character j, one (fiber x fiber) block per
+    character instead of a dense m x m block.
     """
 
     def __init__(self, context: TraceContext, fiber_dim: int = 1):
@@ -83,33 +86,20 @@ class RegularRepresentation:
                              fiber_dim=self.fiber_dim, characters=self.context.is_cyclic)
 
     def _element(self, spec) -> int:
+        label, power = word_element(spec)
         ctx = self.context
-        if isinstance(spec, str):
-            return ctx.element_index(spec)
-        if isinstance(spec, tuple):
-            label, power = spec
-            return ctx.power(ctx.element_index(label), int(power))
-        if isinstance(spec, (int, np.integer)):
-            return ctx.power(ctx.element_index("t"), int(spec))
-        raise DataValidationError(f"cannot resolve group element {spec!r}")
-
-    def inverse_element(self, spec):
-        ctx = self.context
-        return ctx.label(ctx.inverse(self._element(spec)))
+        return ctx.power(ctx.element_index(label), power)
 
     def word_matrix(self, word: Word) -> np.ndarray:
         resolved = [(self._element(e), complex(c)) for e, c in word]
         return group_ring_matrix(resolved, self.context, self.fiber_dim).matrix
 
     def word_blocks(self, word: Word) -> np.ndarray:
-        """The (m, fiber, fiber) character blocks of a word over Z/m; the
-        phase of t^k at the character j is taken from j k mod m exactly."""
+        """The (m, fiber, fiber) character blocks of a word over Z/m: its
+        Laurent polynomial at the m-th roots of unity."""
         m = self.context.size
-        j = np.arange(m)
-        values = np.zeros(m, np.complex128)
-        for e, c in word:
-            values += complex(c) * np.exp(2j * np.pi * (j * self._element(e) % m) / m)
-        return values[:, None, None] * np.eye(self.fiber_dim)
+        poly = LaurentPoly(tuple((self._element(e), c) for e, c in word))
+        return LaurentMatrix.from_scalar(poly).symbol(np.arange(m), m) * np.eye(self.fiber_dim)
 
 
 class UnitaryRepresentation:
@@ -144,30 +134,15 @@ class UnitaryRepresentation:
         return HilbertModule(self.context, ncells * self.block_dim)
 
     def _elem_matrix(self, spec) -> np.ndarray:
-        if isinstance(spec, (int, np.integer)):
-            spec = ("t", int(spec))
-        if isinstance(spec, str):
-            if spec == "e":
-                return np.eye(self.fiber_dim, dtype=np.complex128)
-            spec = (spec, 1)
-        label, power = spec
-        power = int(power)
+        label, power = word_element(spec)
         if label == "e":
-            label, power = next(iter(self.generators)), 0
+            return np.eye(self.fiber_dim, dtype=np.complex128)
         if label not in self.generators:
             raise DataValidationError(f"unknown generator {label!r}")
         base = self.generators[label]
         if power < 0:
             base, power = base.conj().T, -power
         return np.linalg.matrix_power(base, power)
-
-    def inverse_element(self, spec):
-        if isinstance(spec, (int, np.integer)):
-            return -int(spec)
-        if isinstance(spec, str):
-            return spec if spec == "e" else (spec, -1)
-        label, power = spec
-        return (label, -int(power))
 
     def word_matrix(self, word: Word) -> np.ndarray:
         total = np.zeros((self.fiber_dim, self.fiber_dim), np.complex128)
@@ -188,9 +163,10 @@ class InfiniteCyclic:
     block_dim = 1
 
 
-def adjoint_word(rep, word: Word) -> list[tuple[object, complex]]:
-    """Formal adjoint: invert every element, conjugate every coefficient."""
-    return [(rep.inverse_element(e), np.conj(complex(c))) for e, c in word]
+def adjoint_word(word: Word) -> list[tuple[object, complex]]:
+    """Formal adjoint: negate every power, conjugate every coefficient."""
+    return [((label, -power), np.conj(complex(c)))
+            for (label, power), c in ((word_element(e), c) for e, c in word)]
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +299,7 @@ def dual_complex(cw: TwistedCellComplex) -> TwistedCellComplex:
     for (to_cell, from_cell), word in cw.incidences.items():
         q = cw.cell_degree(from_cell)
         sign = (-1) ** (q * (d - q))
-        flipped = [(e, sign * c) for e, c in adjoint_word(rep, word)]
+        flipped = [(e, sign * c) for e, c in adjoint_word(word)]
         incidences[(from_cell, to_cell)] = flipped
     return TwistedCellComplex(rep, cells, incidences, d)
 
@@ -440,16 +416,11 @@ class GluingSpec:
 def glue(spec: GluingSpec, rank_tol: float | None = None) -> tuple[TwistedCellComplex, ComplexSES]:
     """Assemble the glued complex and its inclusion/restriction sequence (cutoff ``rank_tol``)."""
     lower, upper = spec.lower, spec.upper
-    if not _compatible_reps(lower.representation, upper.representation):
-        raise DataValidationError("gluing factors use different representations")
     if lower.top_degree != upper.top_degree:
         raise DataValidationError("gluing factors must share a degree window")
-    d = lower.top_degree
+    union = disjoint_union(upper, lower)
     lower_labels = {x for ls in lower.cells.values() for x in ls}
     upper_labels = {x for ls in upper.cells.values() for x in ls}
-    if lower_labels & upper_labels:
-        raise DataValidationError(
-            f"cell labels collide: {sorted(lower_labels & upper_labels)!r}")
     for to_cell, from_cell in spec.coupling:
         if to_cell not in upper_labels:
             raise DataValidationError(
@@ -461,19 +432,13 @@ def glue(spec: GluingSpec, rank_tol: float | None = None) -> tuple[TwistedCellCo
             raise DataValidationError(
                 f"coupling ({to_cell!r}, {from_cell!r}) does not raise the "
                 "degree by one")
-    cells = {q: tuple(upper.degree_cells(q)) + tuple(lower.degree_cells(q))
-             for q in range(d + 1)
-             if upper.degree_cells(q) or lower.degree_cells(q)}
-    incidences = dict(upper.incidences)
-    incidences.update(lower.incidences)
-    incidences.update(spec.coupling)
-    glued = TwistedCellComplex(lower.representation, cells, incidences, d)
-
+    glued = TwistedCellComplex(union.representation, union.cells,
+                               {**union.incidences, **spec.coupling}, union.top_degree)
     built = build_complex(glued)
     c_up = build_complex(upper)
     c_low = build_complex(lower)
     include, restrict = [], []
-    for q in range(d + 1):
+    for q in range(union.top_degree + 1):
         up, mid, low = c_up.module(q), built.module(q), c_low.module(q)
         include.append(Morphism(up, mid, assemble_blocks({(0, 0): np.eye(up.width)},
                                                          [up, low], [up])))

@@ -39,7 +39,7 @@ from .cells import (
 from .complexes import CochainComplex, ComplexMorphism
 from .errors import DataValidationError, NumericalError
 from .exact import ComplexSES
-from .towers import LaurentMatrix, LaurentPoly
+from .towers import LaurentMatrix, LaurentPoly, word_element
 from .vn import HilbertModule, Morphism, complex_field, cyclic_group, finite_group
 
 KINDS = ("complex", "cw", "gluing", "ses", "laurent")
@@ -96,6 +96,18 @@ def parse_matrix(value, where: str) -> np.ndarray:
     return np.asarray(rows, dtype=np.complex128).reshape(len(rows), width)
 
 
+def parse_shaped_matrix(value, shape: tuple[int, int], where: str) -> np.ndarray:
+    """A matrix of the given (rows, cols): nested rows as in ``parse_matrix``,
+    or ``[]`` / ``null`` when a side is 0."""
+    if 0 in shape and value in ([], None):
+        return np.zeros(shape, np.complex128)
+    matrix = parse_matrix(value, where)
+    if matrix.shape != shape:
+        raise DataValidationError(
+            f"matrix has shape {matrix.shape}, expected {shape}", location=where)
+    return matrix
+
+
 def parse_context(obj, where: str):
     if not isinstance(obj, Mapping) or "type" not in obj:
         raise DataValidationError("context needs a 'type' field", location=where)
@@ -133,50 +145,28 @@ def parse_complex(obj, where: str = "complex") -> CochainComplex:
         raise DataValidationError(
             f"{len(modules)} modules need {max(0, len(modules) - 1)} "
             f"differentials, got {len(raw_diffs)}", location=where)
-    diffs = []
-    for i, raw in enumerate(raw_diffs):
-        spot = f"{where}.differentials[{i}]"
-        if dims[i] == 0 or dims[i + 1] == 0:
-            matrix = np.zeros((dims[i + 1], dims[i]), np.complex128)
-            if raw not in ([], None):
-                matrix_in = parse_matrix(raw, spot) if raw else matrix
-                if matrix_in.shape != matrix.shape:
-                    raise DataValidationError("differential shape mismatch",
-                                              location=spot)
-        else:
-            matrix = parse_matrix(raw, spot)
-        if matrix.shape != (dims[i + 1], dims[i]):
-            raise DataValidationError(
-                f"differential has shape {matrix.shape}, expected "
-                f"{(dims[i + 1], dims[i])}", location=spot)
-        diffs.append(Morphism(modules[i], modules[i + 1], matrix))
+    diffs = [Morphism(modules[i], modules[i + 1], parse_shaped_matrix(
+                 raw, (dims[i + 1], dims[i]), f"{where}.differentials[{i}]"))
+             for i, raw in enumerate(raw_diffs)]
     return CochainComplex(modules, diffs, offset)
 
 
-def _parse_word_element(value, where: str):
-    if isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return value
-    if (isinstance(value, list) and len(value) == 2
-            and isinstance(value[0], str) and isinstance(value[1], int)):
-        return (value[0], value[1])
-    raise DataValidationError(
-        f"word element must be a label, an integer power, or [label, power]; "
-        f"got {value!r}", location=where)
-
-
 def parse_word(value, where: str) -> tuple:
+    """A word: its elements as read by ``towers.word_element``."""
     if not isinstance(value, list):
         raise DataValidationError("word must be a list of [element, coeff]",
                                   location=where)
     out = []
     for i, pair in enumerate(value):
+        spot = f"{where}[{i}]"
         if not isinstance(pair, list) or len(pair) != 2:
             raise DataValidationError("word entries are [element, coeff] pairs",
-                                      location=f"{where}[{i}]")
-        element = _parse_word_element(pair[0], f"{where}[{i}]")
-        out.append((element, parse_scalar(pair[1], f"{where}[{i}]")))
+                                      location=spot)
+        try:
+            element = word_element(pair[0])
+        except DataValidationError as exc:
+            raise DataValidationError(str(exc), location=spot) from None
+        out.append((element, parse_scalar(pair[1], spot)))
     return tuple(out)
 
 
@@ -280,16 +270,8 @@ def parse_ses(obj, where: str = "ses", rank_tol: float | None = None) -> Complex
         comps = []
         for i, entry in enumerate(raw):
             dom, cod = source.modules[i], target.modules[i]
-            spot = f"{where}.{key}[{i}]"
-            if dom.ambient_dim == 0 or cod.ambient_dim == 0:
-                matrix = np.zeros((cod.ambient_dim, dom.ambient_dim),
-                                  np.complex128)
-            else:
-                matrix = parse_matrix(entry, spot)
-            if matrix.shape != (cod.ambient_dim, dom.ambient_dim):
-                raise DataValidationError(
-                    f"component has shape {matrix.shape}, expected "
-                    f"{(cod.ambient_dim, dom.ambient_dim)}", location=spot)
+            matrix = parse_shaped_matrix(entry, (cod.ambient_dim, dom.ambient_dim),
+                                         f"{where}.{key}[{i}]")
             comps.append(Morphism(dom, cod, matrix))
         return ComplexMorphism(source, target, comps)
 

@@ -15,12 +15,15 @@ integer coefficients, and with a root-cluster bracket otherwise.
 ``fourier_log_det``, dyadic midpoint quadrature, is the independent second
 route.
 
-Every route evaluates the symbol through one kernel, ``_symbol_eigenvalues``.
+Every route, and every cell word over Z/m, evaluates the symbol at exact
+rational angles k/n through one phase kernel, ``LaurentMatrix.symbol``.
 The level-m specialization is block-circulant, so its spectrum is the
 union of the symbol's eigenvalues at the m-th roots of unity: a level is
 the left-endpoint rule on the circle, the quadrature the midpoint rule.
 ``specialize`` builds the dense nm x nm matrix and is kept as the
-reference route.
+reference route.  ``word_element`` is the one reading of a cell-word
+element, and ``cw_to_laurent`` turns a cell complex over the integers into
+Laurent matrices.
 """
 
 from __future__ import annotations
@@ -36,10 +39,11 @@ from .errors import DataValidationError, NumericalError, QuadratureError
 from .vn import (
     Morphism,
     SpectralDistribution,
+    assemble_blocks,
     cyclic_group,
+    group_ring_matrix,
     noise_floor,
     regular_module,
-    right_regular,
 )
 
 DEFAULT_LEVELS = tuple(2 ** k for k in range(1, 13))
@@ -140,14 +144,6 @@ class LaurentPoly:
         for sign, body in pieces[1:]:
             text += f" {sign} {body}"
         return text
-
-    def __call__(self, z: complex | np.ndarray):
-        """Evaluate at a point (or array of points) of the complex plane."""
-        z = np.asarray(z, dtype=np.complex128)
-        total = np.zeros_like(z)
-        for e, c in self.terms:
-            total = total + c * z ** e
-        return total
 
 
 def parse_laurent(text: str) -> LaurentPoly:
@@ -272,16 +268,63 @@ class LaurentMatrix:
         col = max(sum(sums[i][j] for i in range(n)) for j in range(m))
         return float(max(row, col, 1e-300))
 
-    def symbol(self, theta: np.ndarray) -> np.ndarray:
-        """Evaluate entrywise at z = exp(2 pi i theta); returns (..., n, m)."""
-        theta = np.asarray(theta, dtype=float)
-        z = np.exp(2j * np.pi * theta)
-        n, m = self.shape
-        out = np.zeros(theta.shape + (n, m), np.complex128)
-        for i in range(n):
-            for j in range(m):
-                out[..., i, j] = self.rows[i][j](z)
+    def symbol(self, k, n: int) -> np.ndarray:
+        """Evaluate entrywise at z = exp(2 pi i k / n) for integer numerators
+        ``k`` (any shape); returns k.shape + (rows, cols).
+
+        The one phase kernel: each phase k e is reduced mod n exactly, k
+        (unless it is in range) and e mod n first, so the int64 product
+        stays below n^2 <= 2^62.  The powers are gathered from one table of
+        the n-th roots of unity, or computed directly where that table would
+        be larger than the result.
+        """
+        k = np.asarray(k)
+        if not (1 <= n <= 1 << 31 and (k.size == 0 or np.issubdtype(k.dtype, np.integer))):
+            raise DataValidationError("angles k/n need integer k and 1 <= n <= 2^31")
+        k = k.astype(np.int64, copy=False)
+        if k.size and (k.min() < 0 or k.max() >= n):
+            k = k % n
+        terms: dict[int, list[tuple[int, int, complex]]] = {}
+        for i, row in enumerate(self.rows):
+            for j, poly in enumerate(row):
+                for e, c in poly.terms:
+                    terms.setdefault(e, []).append((i, j, c))
+        table = None
+        if n <= k.size * len(terms):  # built in place: one complex n-array
+            table = 2j * np.pi * np.arange(n)
+            table /= n
+            np.exp(table, out=table)
+        out = np.zeros(k.shape + self.shape, np.complex128)
+        phase, power = np.empty(k.shape, np.int64), np.empty(k.shape, np.complex128)
+        for e in sorted(terms):
+            np.multiply(k, e % n, out=phase)
+            phase %= n
+            if table is None:
+                np.exp(2j * np.pi * phase / n, out=power)
+            else:
+                # phase is in range; "clip" spares the copy "raise" makes of out
+                np.take(table, phase, out=power, mode="clip")
+            # the last entry with this exponent scales the powers in place
+            *shared, (i, j, c) = terms[e]
+            for i2, j2, c2 in shared:
+                out[..., i2, j2] += c2 * power
+            out[..., i, j] += np.multiply(c, power, out=power)
         return out
+
+
+def word_element(spec) -> tuple[str, int]:
+    """The one reading of a cell-word element, as (label, power): a string
+    label is its first power, an integer n is ("t", n), and a (label,
+    power) pair, tuple or list, is itself."""
+    if isinstance(spec, str):
+        return spec, 1
+    if isinstance(spec, (int, np.integer)):
+        return "t", int(spec)
+    if (isinstance(spec, (tuple, list)) and len(spec) == 2 and isinstance(spec[0], str)
+            and isinstance(spec[1], (int, np.integer))):
+        return spec[0], int(spec[1])
+    raise DataValidationError("word element must be a label, an integer power, or "
+                              f"[label, power]; got {spec!r}")
 
 
 def _as_laurent_matrix(op) -> LaurentMatrix:
@@ -305,22 +348,20 @@ def _checked(op) -> LaurentMatrix:
 
 
 def specialize(op, m: int) -> Morphism:
-    """Reduce mod m: the shift becomes the cyclic shift on l^2(Z/m)."""
+    """Reduce mod m: the shift becomes the cyclic shift on l^2(Z/m), and each
+    entry the group-ring matrix of its terms."""
     mat = _as_laurent_matrix(op)
     if m < 1:
         raise DataValidationError("quotient order must be >= 1")
     ctx = cyclic_group(m)
     n, k = mat.shape
-    out = np.zeros((n * m, k * m), np.complex128)
-    for i in range(n):
-        for j in range(k):
-            poly = mat.rows[i][j]
-            if poly.is_zero():
-                continue
-            block = out[i * m:(i + 1) * m, j * m:(j + 1) * m]
-            for e, c in poly.terms:
-                block += c * right_regular(ctx, e % m)
-    return Morphism(regular_module(ctx, rank=k), regular_module(ctx, rank=n), out)
+    one = regular_module(ctx)
+    # the blocks die once assembled, before the Morphism copies the result
+    array = assemble_blocks(
+        {(i, j): group_ring_matrix([(e % m, c) for e, c in poly.terms], ctx).array
+         for i, row in enumerate(mat.rows) for j, poly in enumerate(row) if not poly.is_zero()},
+        [one] * n, [one] * k)
+    return Morphism(regular_module(ctx, rank=k), regular_module(ctx, rank=n), array)
 
 
 def _level_eigenvalues(op: LaurentMatrix, m: int,
@@ -340,7 +381,7 @@ def _level_eigenvalues(op: LaurentMatrix, m: int,
     """
     scale = op.norm_bound()
     if specializer is None:
-        w = np.sort(_symbol_eigenvalues(op, np.arange(m) / m), axis=None)
+        w = np.sort(_symbol_eigenvalues(op, np.arange(m), m), axis=None)
         dim = op.shape[0]
     else:
         mat = specializer(op, m).matrix
@@ -461,19 +502,19 @@ def approx_tower(op, levels: Iterable[int] = DEFAULT_LEVELS,
 # circle-integral oracles
 
 
-def _symbol_eigenvalues(op: LaurentMatrix, theta: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the symbol at z = exp(2 pi i theta), shape (..., n).
+def _symbol_eigenvalues(op: LaurentMatrix, k: np.ndarray, n: int) -> np.ndarray:
+    """Eigenvalues of the symbol at z = exp(2 pi i k / n), shape k.shape + (rows,).
 
     The one evaluation path for tower levels and the circle oracles.  The
     operator must be square and its symbol Hermitian at every sampled point
     up to SELFADJOINT_TOL * norm_bound; a scalar symbol is its own
     eigenvalue, so only matrix symbols reach the eigensolver.
     """
-    n, k = op.shape
-    if n != k:
+    rows, cols = op.shape
+    if rows != cols:
         raise DataValidationError("operator is not selfadjoint")
-    sym = op.symbol(theta)
-    if n == 1:
+    sym = op.symbol(k, n)
+    if rows == 1:
         # |s - conj(s)| = 2 |Im s|, without materializing the conjugate
         defect = 2.0 * np.abs(sym.imag).max()
     else:
@@ -481,7 +522,7 @@ def _symbol_eigenvalues(op: LaurentMatrix, theta: np.ndarray) -> np.ndarray:
         defect = np.abs(sym - star).max()
     if defect > SELFADJOINT_TOL * op.norm_bound():
         raise DataValidationError("operator is not selfadjoint")
-    if n == 1:
+    if rows == 1:
         return sym[..., 0].real
     return np.linalg.eigvalsh(0.5 * (sym + star))
 
@@ -521,8 +562,7 @@ def fourier_quadrature(op, tol: float = QUAD_TOL,
 
     def estimate(k: int) -> float:
         points = 1 << k
-        theta = (np.arange(points) + 0.5) / points
-        w = _symbol_eigenvalues(mat, theta)
+        w = _symbol_eigenvalues(mat, 2 * np.arange(points) + 1, 2 * points)
         _require_semidefinite(w, mat)
         logs = np.where(w > floor, np.log(np.where(w > floor, w, 1.0)), 0.0)
         return float(logs.sum() / points)
@@ -545,10 +585,11 @@ def fourier_quadrature(op, tol: float = QUAD_TOL,
 # the circle integral by Jensen's formula
 
 
-#: Generic angles for the rank of the symbol: multiples of the golden
-#: section, far from every root of unity of small order.
-_GENERIC_ANGLES = np.array([0.6180339887498949, 0.2360679774997898,
-                            0.8541019662496847])
+#: Generic angles for the rank of the symbol, numerators over 2^31 - 1:
+#: the first multiples of the golden section, far from every root of unity
+#: of small order.
+_GENERIC_NUMERATORS = np.array([1327217884, 506952121, 1834170005])
+_GENERIC_ORDER = 2 ** 31 - 1
 
 
 @dataclass(frozen=True)
@@ -593,14 +634,14 @@ def jensen_log_det(op) -> JensenLogDet:
     n = mat.shape[0]
     scale = mat.norm_bound()
     floor = noise_floor(scale, n)
-    rank = int(np.max(np.sum(_symbol_eigenvalues(mat, _GENERIC_ANGLES) > floor,
-                             axis=-1)))
+    rank = int(np.max(np.sum(_symbol_eigenvalues(
+        mat, _GENERIC_NUMERATORS, _GENERIC_ORDER) > floor, axis=-1)))
     if rank == 0:
         return JensenLogDet(0.0, 0, 0, 0, True)
     top = rank * max(abs(e) for row in mat.rows for poly in row
                      for e, _ in poly.terms)
     points = max(8, 1 << int(np.ceil(np.log2(4 * top + 2))))
-    w = _symbol_eigenvalues(mat, np.arange(points) / points)
+    w = _symbol_eigenvalues(mat, np.arange(points), points)
     _require_semidefinite(w, mat)
     values = _elementary_symmetric(w, rank)
     # evaluation error of e_r: r relative eigenvalue errors of n eps each,
@@ -735,8 +776,10 @@ def _jensen_sum(coeffs: np.ndarray, noise: float
     roots whose error disc meets the unit circle.
 
     ``noise`` bounds the sum of moduli of the coefficient errors, so it
-    bounds the polynomial's error on the circle; the root finder's own
-    backward error, size x eps x the coefficients' sum of moduli, is added.
+    bounds the polynomial's error on the circle; noise / size bounds the
+    error of the leading coefficient, which widens the bracket.  The root
+    finder's own backward error, size x eps x the coefficients' sum of
+    moduli, is added.
     A cluster of k computed roots around a k-fold root zeta lies within
     about (noise / |lead prod_{others} (zeta - rho)|)^(1/k) of it, while its
     centroid is far more accurate than its members.  Clusters are merged
@@ -746,6 +789,7 @@ def _jensen_sum(coeffs: np.ndarray, noise: float
     """
     roots = _polynomial_roots(coeffs)
     lead = abs(coeffs[0])
+    low, high = np.log(lead - noise / coeffs.size), np.log(lead + noise / coeffs.size)
     noise += np.finfo(float).eps * coeffs.size * float(np.sum(np.abs(coeffs)))
     clusters = [[j] for j in range(roots.size)]
     while True:
@@ -761,7 +805,7 @@ def _jensen_sum(coeffs: np.ndarray, noise: float
         a, b = np.unravel_index(np.argmin(np.where(overlap, distance, np.inf)),
                                 distance.shape)
         clusters[a] += clusters.pop(b)
-    value = low = high = float(np.log(lead))
+    value = float(np.log(lead))
     near = 0
     for members, (center, radius) in zip(clusters, discs):
         k = len(members)
@@ -789,8 +833,7 @@ def fourier_counting(op, lam: float, points: int = 1 << 15) -> float:
     where the symbol has an eigenvalue at most lam, counted with
     multiplicity (vn-normalized, totals the matrix size)."""
     mat = _as_laurent_matrix(op)
-    theta = (np.arange(points) + 0.5) / points
-    w = _symbol_eigenvalues(mat, theta)
+    w = _symbol_eigenvalues(mat, 2 * np.arange(points) + 1, 2 * points)
     return float(np.sum(w <= lam) / points)
 
 
@@ -912,12 +955,12 @@ def nonnegativity_check(op, levels: Iterable[int] = tuple(2 ** k for k in range(
 # bridge from integer-twisted cell complexes
 
 
-def cw_to_laurent(cw) -> list[LaurentMatrix]:
+def cw_to_laurent(cw) -> list[LaurentMatrix | None]:
     """Differentials of a cell complex twisted over the integers.
 
-    Incidence word elements must be integer shift powers ("e", "t", plain
-    integers, or ("t", n)); each differential becomes a Laurent matrix with
-    rows indexed by the (q+1)-cells and columns by the q-cells.
+    Incidence word elements must be powers of the shift "t" or the identity
+    "e" (see ``word_element``); each differential becomes a Laurent matrix
+    with rows indexed by the (q+1)-cells and columns by the q-cells.
     """
     diffs: list[LaurentMatrix | None] = []
     for q in range(cw.top_degree):
@@ -929,23 +972,16 @@ def cw_to_laurent(cw) -> list[LaurentMatrix]:
         entries = [[LaurentPoly() for _ in cols] for _ in rows]
         for (to_cell, from_cell), word in cw.incidences.items():
             if from_cell in cols and to_cell in rows:
-                terms = tuple((_shift_exponent(e), complex(c)) for e, c in word)
-                entries[rows.index(to_cell)][cols.index(from_cell)] = LaurentPoly(terms)
+                terms = []
+                for element, c in word:
+                    label, power = word_element(element)
+                    if label not in ("t", "e"):
+                        raise DataValidationError(
+                            f"element {element!r} is not a power of the integer shift")
+                    terms.append((power if label == "t" else 0, complex(c)))
+                entries[rows.index(to_cell)][cols.index(from_cell)] = LaurentPoly(tuple(terms))
         diffs.append(LaurentMatrix.from_lists(entries))
     return diffs
-
-
-def _shift_exponent(element) -> int:
-    if isinstance(element, (int, np.integer)):
-        return int(element)
-    if element == "e":
-        return 0
-    if element == "t":
-        return 1
-    if isinstance(element, tuple) and element[0] == "t":
-        return int(element[1])
-    raise DataValidationError(
-        f"element {element!r} is not a power of the integer shift")
 
 
 def laurent_laplacian(diffs: Sequence[LaurentMatrix | None], q: int) -> LaurentMatrix:

@@ -320,7 +320,10 @@ def regular_module(context: TraceContext, rank: int = 1, fiber_dim: int = 1) -> 
 
 def direct_sum_modules(modules: Sequence[HilbertModule]) -> HilbertModule:
     """Orthogonal direct sum; keeps a common fiber layout when there is one,
-    and the coordinates (with the block masks side by side) of the summands."""
+    and the coordinates (with the block masks side by side) of the summands.
+    In the standard basis, summands with different fibers have no one
+    (copies, group, fiber) layout: their sum is not free, so
+    ``a_linearity_residual`` refuses it."""
     if not modules:
         raise DataValidationError("direct sum needs at least one module")
     first = modules[0]
@@ -332,6 +335,8 @@ def direct_sum_modules(modules: Sequence[HilbertModule]) -> HilbertModule:
     ambient = sum(m.ambient_dim for m in modules)
     free = all(m.free for m in modules)
     fibers = {m.fiber_dim for m in modules if m.ambient_dim > 0}
+    if len(fibers) > 1 and not characters:
+        free = False
     fiber = fibers.pop() if len(fibers) == 1 else 1
     if free and ctx.is_group and ambient % (ctx.size * fiber):
         fiber = 1
@@ -809,9 +814,12 @@ def group_ring_matrix(word: Iterable[tuple[object, complex]], context: TraceCont
         raise DataValidationError("fiber dimension must be >= 1")
     n = context.size
     total = np.zeros((n * fiber_dim, n * fiber_dim), np.complex128)
-    eye = np.eye(fiber_dim)
     for element, coeff in word:
-        total += complex(coeff) * np.kron(right_regular(context, element), eye)
+        g = context.element_index(element)
+        # delta_h (x) f_a -> delta_{h g} (x) f_a, set in place: no dense blocks
+        hg = np.array([context.multiply(h, g) for h in range(n)])
+        total[(hg[:, None] * fiber_dim + np.arange(fiber_dim)).ravel(),
+              np.arange(n * fiber_dim)] += complex(coeff)
     module = regular_module(context, 1, fiber_dim)
     return Morphism(module, module, total)
 

@@ -31,6 +31,7 @@ from torsionlab.cells import (
 )
 from torsionlab.complexes import torsion
 from torsionlab.errors import DataValidationError
+from torsionlab.towers import cw_to_laurent
 
 ROUTE_TOL = 1e-8
 RESIDUAL_TOL = 1e-9
@@ -391,13 +392,41 @@ class TestAdjointWords:
     def test_adjoint_round_trip(self):
         rep = RegularRepresentation(vn.cyclic_group(5))
         word = [(("t", 2), 1.0 + 2.0j), ("e", -0.5)]
-        twice = adjoint_word(rep, adjoint_word(rep, word))
+        twice = adjoint_word(adjoint_word(word))
         np.testing.assert_allclose(rep.word_matrix(twice), rep.word_matrix(word),
                                    atol=1e-14)
+
+    def test_every_element_form_round_trips_on_every_representation(self):
+        # an integer power, "e", a label, "t^k" over Z/m, and pairs with
+        # powers outside [0, m): the adjoint negates each power, so applying
+        # it twice gives back the word on every representation
+        rng = np.random.default_rng(3)
+        m = 5
+        cyclic = [(3, 0.5j), ("e", -1.0), ("t", 2.0), ("t^2", 1.0 - 1.0j),
+                  (("t^3", 7), 0.25), (("t", -6), 1.5)]
+        unitary = [(3, 0.5j), ("e", -1.0), ("s", 2.0), (("s", -4), 0.25), (("t", 7), 1.5)]
+        integer = [(3, 0.5j), ("e", -1.0), ("t", 2.0), (("t", -6), 1.5)]
+        reps = [(RegularRepresentation(vn.cyclic_group(m), fiber_dim=2), cyclic),
+                (UnitaryRepresentation({"t": _random_unitary(rng, 2),
+                                        "s": _random_unitary(rng, 2)}), unitary)]
+        for rep, word in reps:
+            twice = adjoint_word(adjoint_word(word))
+            np.testing.assert_array_equal(rep.word_matrix(twice), rep.word_matrix(word))
+            np.testing.assert_allclose(rep.word_matrix(adjoint_word(word)),
+                                       rep.word_matrix(word).conj().T, atol=1e-12)
+        rep, word = reps[0]
+        np.testing.assert_array_equal(rep.word_blocks(adjoint_word(adjoint_word(word))),
+                                      rep.word_blocks(word))
+        np.testing.assert_allclose(rep.word_blocks(adjoint_word(word)),
+                                   rep.word_blocks(word).conj().swapaxes(-1, -2), atol=1e-12)
+        edge = {0: ("p",), 1: ("a",)}
+        over_z = [cw_to_laurent(TwistedCellComplex(InfiniteCyclic(), edge, {("a", "p"): w}, 1))[0]
+                  for w in (integer, adjoint_word(integer), adjoint_word(adjoint_word(integer)))]
+        assert over_z[2] == over_z[0] and over_z[1] == over_z[0].adjoint()
 
     def test_adjoint_matches_matrix_adjoint(self):
         rng = np.random.default_rng(7)
         for rep in _some_representations(rng):
             word = [(1, 0.5 - 0.25j), (("t", -1), 1.5j), ("e", 2.0)]
-            np.testing.assert_allclose(rep.word_matrix(adjoint_word(rep, word)),
+            np.testing.assert_allclose(rep.word_matrix(adjoint_word(word)),
                                        rep.word_matrix(word).conj().T, atol=1e-12)

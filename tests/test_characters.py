@@ -27,6 +27,7 @@ from torsionlab.cells import (
 )
 from torsionlab.complexes import (
     ComplexMorphism,
+    direct_sum,
     hodge,
     laplacian,
     log_det_prime,
@@ -171,6 +172,20 @@ def test_products_stay_blockwise_and_match_dense_oracle(m, fiber_dim, group_firs
                   for ctx in _contexts(m)))
     _assert_same_matrices(got, want)
     _assert_same(_complex_report(got), _complex_report(want))
+
+
+def test_sums_of_different_fibers_have_no_dense_layout():
+    # circles with fibers 1 and 2: their sum has no one (copies, group,
+    # fiber) layout in the standard basis, so the dense linearity check is
+    # refused there (it read 2.0 with a fiber-1 label); by characters the
+    # sum is blockwise and its differential is algebra-linear
+    fast, dense = _contexts(3)
+    sums = [direct_sum(*(build_complex(_on(_circle(3), ctx, fiber)) for fiber in (1, 2)))
+            for ctx in (fast, dense)]
+    assert vn.a_linearity_residual(sums[0].differentials[0]) == 0.0
+    with pytest.raises(DataValidationError, match="layout"):
+        vn.a_linearity_residual(sums[1].differentials[0])
+    assert torsion(sums[0]) == pytest.approx(torsion(sums[1]), abs=AGREE)
 
 
 def test_mapping_cone_keeps_character_coordinates():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from torsionlab import cli, formats
+from torsionlab.errors import DataValidationError
 from torsionlab.exact import ComplexSES, milnor_check
 from torsionlab.generators import random_ses
 from torsionlab.vn import complex_field
@@ -346,6 +347,36 @@ def test_ses_check_rank_tol_is_the_sequence_cutoff(tmp_path):
     assert report["residual"] < 1e-9
     assert report["passed"] is True
     assert report["torsion_long_sequence"] == pytest.approx(expected.t_h, abs=1e-12)
+
+
+@pytest.mark.parametrize("element", [2.5, ["t", 1.5], [1, 2], ["t", 1, 2], None])
+def test_word_elements_are_read_as_label_and_power(element):
+    word = formats.parse_word([["t^2", 1], [3, 2], [["s", -1], [0, 1]]], "w")
+    assert [e for e, _ in word] == [("t^2", 1), ("t", 3), ("s", -1)]
+    with pytest.raises(DataValidationError, match=r"word element .* \[at w\[1\]\]"):
+        formats.parse_word([["e", 1], [element, 1]], "w")
+
+
+def _zero_sided_ses(include_zero):
+    """0 -> C^1 and C -> C: the sub complex is 0 in degree 0, the quotient
+    in degree 1, so those components have a zero-dimensional side."""
+    one = [[[1, 0]]]
+    return {"kind": "ses",
+            "sub": {"modules": [0, 1], "differentials": [[]]},
+            "middle": {"modules": [1, 1], "differentials": [one]},
+            "quotient": {"modules": [1, 0], "differentials": [[]]},
+            "include": [include_zero, one], "project": [one, []]}
+
+
+@pytest.mark.parametrize("value, code", [([], 0), (None, 0), ("garbage", 2), ([[[1, 0]]], 2)],
+                         ids=["empty", "null", "garbage", "wrong-shape"])
+def test_ses_components_on_zero_dimensional_sides_are_read(tmp_path, value, code):
+    path = tmp_path / "ses.json"
+    path.write_text(json.dumps(_zero_sided_ses(value)))
+    proc = run_cli("ses-check", str(path), "--json")
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert "include[0]" in proc.stderr
 
 
 @pytest.mark.parametrize("context", [

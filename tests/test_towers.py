@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from torsionlab.cells import InfiniteCyclic, circle
+from torsionlab.cells import (
+    InfiniteCyclic,
+    RegularRepresentation,
+    TwistedCellComplex,
+    build_complex,
+    circle,
+    dual_complex,
+)
 from torsionlab.errors import DataValidationError, NumericalError, QuadratureError
 from torsionlab.towers import (
     DEFAULT_LEVELS,
@@ -25,6 +32,7 @@ from torsionlab.towers import (
     parse_laurent,
     specialize,
 )
+from torsionlab.vn import cyclic_group
 
 FLAGSHIP = parse_laurent("2 - t - t^-1")
 ONE_BY_TWO = LaurentMatrix.from_lists([[FLAGSHIP, FLAGSHIP]])
@@ -62,7 +70,8 @@ class TestLaurentAlgebra:
 
     def test_evaluation_on_the_circle(self):
         z = np.exp(2j * np.pi * 0.3)
-        assert_allclose(FLAGSHIP(z), 2.0 - z - 1.0 / z, atol=1e-14)
+        symbol = LaurentMatrix.from_scalar(FLAGSHIP).symbol([3, 13, -7], 10)
+        assert_allclose(symbol[:, 0, 0], 2.0 - z - 1.0 / z, atol=1e-14)
 
     def test_parse_flagship(self):
         assert parse_laurent("2 - t - t^-1") == LaurentPoly(
@@ -419,6 +428,15 @@ class TestJensenLogDet:
         assert low <= np.log(0.3) <= high and high - low > 1e-6
         assert abs(result.value - np.log(0.3)) < 1e-12
 
+    def test_bracket_holds_the_leading_coefficient_error(self):
+        # c (2 - t - t^-1) has value log c; a bracket that starts from the
+        # computed log|lead| alone misses it by an ulp or two for some c;
+        # c = 5 is an integer, exact, and carries no bracket
+        for c in np.linspace(0.01, 5.0, 400):
+            result = jensen_log_det(FLAGSHIP.scale(c))
+            low, high = result.bracket or (result.value, result.value)
+            assert low <= np.log(c) <= high, c
+
     def test_rejects_non_selfadjoint_and_indefinite_symbols(self):
         with pytest.raises(DataValidationError, match="selfadjoint"):
             jensen_log_det(LaurentPoly.shift(1))
@@ -597,7 +615,48 @@ class TestSemicontinuity:
                              for level in tail) + slack
 
 
+#: p(t) = t^3 - 0.5i t + 2 + 1.5 t^-13, written in every element form a
+#: word over the integers takes: an integer power, a label, "e" and a pair.
+MIXED_WORD = ((3, 1.0), ("t", -0.5j), ("e", 2.0), (("t", -13), 1.5))
+
+
+def _two_cell_cw(word=MIXED_WORD, rep=None):
+    """d0 = [p; 2] and d1 = [-2, p]: d1 d0 = 0 for every word p."""
+    return TwistedCellComplex(
+        representation=InfiniteCyclic() if rep is None else rep,
+        cells={0: ("v",), 1: ("a", "b"), 2: ("f",)},
+        incidences={("a", "v"): word, ("b", "v"): (("e", 2.0),),
+                    ("f", "a"): (("e", -2.0),), ("f", "b"): word},
+        top_degree=2,
+    )
+
+
 class TestCellBridge:
+    @pytest.mark.parametrize("cw", (circle(InfiniteCyclic()), _two_cell_cw()),
+                             ids=("circle", "two-cell"))
+    def test_dual_differentials_are_signed_adjoints(self, cw):
+        # delta^D_(d-q-1) = (-1)^(q(d-q)) delta_q^*, as Laurent matrices
+        d = cw.top_degree
+        dual = cw_to_laurent(dual_complex(cw))
+        for q, diff in enumerate(cw_to_laurent(cw)):
+            sign = (-1) ** (q * (d - q))
+            star = diff.adjoint()
+            assert dual[d - q - 1] == LaurentMatrix.from_lists(
+                [[poly.scale(sign) for poly in row] for row in star.rows])
+
+    @pytest.mark.parametrize("fiber_dim", (1, 3))
+    def test_cyclic_stacks_are_the_symbol_at_roots_of_unity(self, fiber_dim):
+        # over Z/m the character blocks of a differential are its Laurent
+        # matrix at the m-th roots of unity, on every fiber
+        m = 12
+        cw = _two_cell_cw()
+        built = build_complex(_two_cell_cw(rep=RegularRepresentation(cyclic_group(m),
+                                                                     fiber_dim)))
+        for diff, laurent in zip(built.differentials, cw_to_laurent(cw)):
+            want = [np.kron(block, np.eye(fiber_dim))
+                    for block in laurent.symbol(np.arange(m), m)]
+            assert_allclose(diff.array, want, rtol=0, atol=1e-14)
+
     def test_circle_differential_over_the_integers(self):
         diffs = cw_to_laurent(circle(InfiniteCyclic()))
         assert len(diffs) == 1

@@ -253,22 +253,33 @@ def _runs_svd(node) -> bool:
     return any(o in (2, -2, "nuc") for o in orders)
 
 
-def test_eigensolver_calls_stay_in_the_kernel(monkeypatch):
+def _package_sources():
+    """(module name, syntax tree, node -> name of the outermost function
+    containing it) for every module of the package."""
     package = Path(__file__).resolve().parents[1] / "src" / "torsionlab"
-    callers, svd_callers, root_callers = set(), set(), set()
     for path in package.glob("*.py"):
         tree = ast.parse(path.read_text())
-        owner = {}  # node -> name of the outermost function containing it
+        owner = {}
         for func in ast.walk(tree):
             if isinstance(func, ast.FunctionDef):
                 for node in ast.walk(func):
                     owner.setdefault(node, func.name)
+        yield path.stem, tree, owner
+
+
+def _name(node):
+    return (node.attr if isinstance(node, ast.Attribute) else
+            node.id if isinstance(node, ast.Name) else
+            node.name if isinstance(node, ast.alias) else None)
+
+
+def test_eigensolver_calls_stay_in_the_kernel(monkeypatch):
+    callers, svd_callers, root_callers = set(), set(), set()
+    for stem, tree, owner in _package_sources():
         called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
         for node in ast.walk(tree):
-            name = (node.attr if isinstance(node, ast.Attribute) else
-                    node.id if isinstance(node, ast.Name) else
-                    node.name if isinstance(node, ast.alias) else None)
-            site = (path.stem, owner.get(node, "<module>"))
+            name = _name(node)
+            site = (stem, owner.get(node, "<module>"))
             if name in ("eigh", "eigvalsh"):
                 callers.add(site)
             if name == "svd" or _runs_svd(node):
@@ -321,6 +332,20 @@ def test_eigensolver_calls_stay_in_the_kernel(monkeypatch):
              if name in ROOT_NAMES]
     assert roots and set(roots) == ROOT_CALLERS
     assert all(name != "svd" for name, *_ in calls)
+
+
+#: The only function with phase code (``pi``): the exact-phase kernel, which
+#: evaluates Laurent operators, and through them cell words over Z/m, at
+#: exp(2 pi i k / n).
+PHASE_CALLERS = {("towers", "symbol")}
+
+
+def test_phase_code_stays_in_the_kernel():
+    sites = set()
+    for stem, tree, owner in _package_sources():
+        sites |= {(stem, owner.get(node, "<module>"))
+                  for node in ast.walk(tree) if _name(node) == "pi"}
+    assert sites == PHASE_CALLERS
 
 
 def test_svd_detector_sees_every_spelling():
