@@ -46,12 +46,11 @@ def main():
     print()
     print("mapping cone of a random chain map")
     c, shape = random_cochain_complex(rng, ctx, length=3, max_rank=2)
-    f, target, _ = random_chain_morphism(rng, c, shape, invertible=False)
+    f, _, _ = random_chain_morphism(rng, c, shape, invertible=False)
     cone_sequence = cone_ses(f)
-    hs, ht = hodge(c), hodge(target)
     for i in list(cone_sequence.degrees())[:-1]:
         delta = connecting_hom(cone_sequence, i).matrix
-        induced = induced_harmonic_map(f, i + 1, hs, ht).matrix
+        induced = induced_harmonic_map(f, i + 1).matrix
         if delta.size == 0:
             print(f"  degree {i:+d}: nothing to connect")
             continue

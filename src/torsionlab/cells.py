@@ -464,10 +464,9 @@ def glue_check(spec: GluingSpec, representation=None,
             upper=TwistedCellComplex(representation, spec.upper.cells,
                                      spec.upper.incidences, spec.upper.top_degree),
             coupling=spec.coupling)
-    glued, ses = glue(spec, rank_tol)
-    total = t_comb(glued, rank_tol)
-    upper = t_comb(spec.upper, rank_tol)
-    lower = t_comb(spec.lower, rank_tol)
+    _, ses = glue(spec, rank_tol)
+    total, upper, lower = (torsion_via_laplacians(c, rank_tol)
+                           for c in (ses.middle, ses.first, ses.last))
     t_h = torsion(long_sequence(ses), rank_tol)
     return {
         "t_comb": total,

@@ -81,19 +81,25 @@ def _kept(stack: np.ndarray) -> np.ndarray:
     return np.any(stack != 0, axis=-2)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class CochainComplex:
-    """Modules C_offset, ..., C_{offset+n} with differentials between them."""
+    """Modules C_offset, ..., C_{offset+n} with differentials between them.
 
-    modules: list[HilbertModule]
-    differentials: list[Morphism]
+    Immutable (tuples of modules and read-only morphisms), so the Hodge
+    data ``hodge`` computes for a cutoff stay valid and are kept with it.
+    """
+
+    modules: tuple[HilbertModule, ...]
+    differentials: tuple[Morphism, ...]
     offset: int = 0
+    _hodge: dict = field(default_factory=dict, repr=False)
 
     def __init__(self, modules: Sequence[HilbertModule], differentials: Sequence[Morphism],
                  offset: int = 0, validate: bool = True):
-        self.modules = list(modules)
-        self.differentials = list(differentials)
-        self.offset = int(offset)
+        object.__setattr__(self, "modules", tuple(modules))
+        object.__setattr__(self, "differentials", tuple(differentials))
+        object.__setattr__(self, "offset", int(offset))
+        object.__setattr__(self, "_hodge", {})
         if not self.modules:
             raise DataValidationError("a complex needs at least one module")
         if len(self.differentials) != len(self.modules) - 1:
@@ -192,7 +198,7 @@ def direct_sum(a: CochainComplex, b: CochainComplex) -> CochainComplex:
 # Hodge decomposition
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class HodgeData:
     """Orthogonal decomposition C_i = harmonic + image(d_{i-1}) + image(d_i^*).
 
@@ -207,16 +213,17 @@ class HodgeData:
                             those bases.
 
     Bases are deterministic: eigensolver order (ascending) plus fixed-phase
-    normalization, so repeated runs agree bitwise.
+    normalization, so repeated runs agree bitwise.  Every field is a tuple
+    of read-only arrays (or ints, or strings): the complex keeps its data.
     """
 
     complex: CochainComplex
-    harmonic_bases: list[np.ndarray]
-    harmonic_dims: list[int]
-    plus_bases: list[np.ndarray]
-    minus_bases: list[np.ndarray]
-    reduced: list[np.ndarray]
-    warnings: list[str] = field(default_factory=list)
+    harmonic_bases: tuple[np.ndarray, ...]
+    harmonic_dims: tuple[int, ...]
+    plus_bases: tuple[np.ndarray, ...]
+    minus_bases: tuple[np.ndarray, ...]
+    reduced: tuple[np.ndarray, ...]
+    warnings: tuple[str, ...] = ()
 
     @property
     def offset(self) -> int:
@@ -292,6 +299,12 @@ def _range_basis(matrix: np.ndarray, dim: int, rank_tol: float | None,
     return v_kept, _phase_normalize(u)
 
 
+def _frozen(arrays: list[np.ndarray]) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return tuple(arrays)
+
+
 def hodge(c: CochainComplex, rank_tol: float | None = None) -> HodgeData:
     """Orthogonal decomposition of every module and the reduced differentials.
 
@@ -300,8 +313,13 @@ def hodge(c: CochainComplex, rank_tol: float | None = None) -> HodgeData:
     intersected with the kernel of d_{q-1}^*, realized as the orthogonal
     complement of range(d_{q-1}) + range(d_q^*).  In character coordinates
     every step runs block by block, in batched eigensolves, with the rank
-    decisions of the dense direct sum.
+    decisions of the dense direct sum.  Computed once per complex and
+    cutoff: the complex keeps the read-only parts, and later calls return
+    them (it holds no HodgeData, which refers back to it: no cycle).
     """
+    cached = c._hodge.get(rank_tol)
+    if cached is not None:
+        return HodgeData(c, *cached)
     n = len(c.modules)
     warnings: list[str] = []
     minus, plus_next = [], []
@@ -352,19 +370,20 @@ def hodge(c: CochainComplex, rank_tol: float | None = None) -> HodgeData:
     for i, d in enumerate(c.differentials):
         reduced.append(plus_next[i].conj().swapaxes(-1, -2) @ d.array @ minus[i])
 
-    return HodgeData(c, harmonic_bases, harmonic_dims, plus_bases, minus_bases, reduced,
-                     warnings)
+    parts = (_frozen(harmonic_bases), tuple(harmonic_dims), _frozen(plus_bases),
+             _frozen(minus_bases), _frozen(reduced), tuple(warnings))
+    c._hodge[rank_tol] = parts
+    return HodgeData(c, *parts)
 
 
 # ---------------------------------------------------------------------------
 # torsion, route one: reduced differentials
 
 
-def torsion(c: CochainComplex, rank_tol: float | None = None,
-            hodge_data: HodgeData | None = None) -> float:
+def torsion(c: CochainComplex, rank_tol: float | None = None) -> float:
     """Alternating sum over true degrees q of (-1)^q log-volume of the
     reduced differential at q."""
-    h = hodge_data if hodge_data is not None else hodge(c, rank_tol)
+    h = hodge(c, rank_tol)
     total = 0.0
     for i, r in enumerate(h.reduced):
         q = c.offset + i
@@ -575,12 +594,9 @@ def mapping_cone(f: ComplexMorphism) -> tuple[CochainComplex, ComplexMorphism, C
 
 
 def induced_harmonic_map(f: ComplexMorphism, q: int,
-                         hodge_source: HodgeData | None = None,
-                         hodge_target: HodgeData | None = None,
                          rank_tol: float | None = None) -> Morphism:
     """Compression of f_q to the harmonic subspaces (the map on cohomology)."""
-    hs = hodge_source if hodge_source is not None else hodge(f.source, rank_tol)
-    ht = hodge_target if hodge_target is not None else hodge(f.target, rank_tol)
+    hs, ht = hodge(f.source, rank_tol), hodge(f.target, rank_tol)
     basis_s = hs.harmonic_basis(q)
     basis_t = ht.harmonic_basis(q)
     mat = basis_t.conj().swapaxes(-1, -2) @ f.component(q).array @ basis_s
@@ -593,17 +609,15 @@ def torsion_transfer_residual(f: ComplexMorphism, rank_tol: float | None = None)
     For invertible components: log T(target) = log T(source)
     - sum (-1)^q log_vol(f_q) + sum (-1)^q log_vol(H(f_q)).
     """
-    hs = hodge(f.source, rank_tol)
-    ht = hodge(f.target, rank_tol)
-    t_source = torsion(f.source, rank_tol, hs)
-    t_target = torsion(f.target, rank_tol, ht)
+    t_source = torsion(f.source, rank_tol)
+    t_target = torsion(f.target, rank_tol)
     vol_sum = 0.0
     harm_sum = 0.0
     for q in f.source.degrees():
         comp = f.component(q)
         if min(comp.shape) > 0:
             vol_sum += (-1) ** q * log_vol(comp, rank_tol)
-        hq = induced_harmonic_map(f, q, hs, ht, rank_tol)
+        hq = induced_harmonic_map(f, q, rank_tol)
         if min(hq.shape) > 0:
             harm_sum += (-1) ** q * log_vol(hq, rank_tol)
     return abs(t_target - t_source + vol_sum - harm_sum)

@@ -34,7 +34,6 @@ from .vn import (
     Morphism,
     Spectrum,
     gram_spectrum,
-    log_vol,
     norm_lower_bound,
     rank_cutoff,
     vanishes,
@@ -70,48 +69,52 @@ def _least_squares(mat: np.ndarray, rhs: np.ndarray,
 class ComplexSES:
     """Degreewise short exact sequence 0 -> C1 -f-> C2 -g-> C3 -> 0.
 
-    Validation checks, at every degree, that g o f vanishes, f is injective,
-    g is surjective and the ranks account for the middle dimension; any
-    failure raises DataValidationError naming the offending degree.
-    ``rank_tol`` is the sequence's one rank cutoff: validation, the cached
-    Hodge data and every function of this module use it.
+    ``stages`` holds each degree i as the complex 0 -> C1_i -> C2_i -> C3_i
+    -> 0 at positions 0, 1, 2.  Validation checks at every degree that g o f
+    vanishes and that the stage is acyclic (its harmonic spaces are ker f,
+    ker g / im f and coker g); a failure raises DataValidationError naming
+    the degree.  ``rank_tol`` is the sequence's one rank cutoff: validation,
+    the Hodge data and every function of this module use it.
     """
 
     def __init__(self, f: ComplexMorphism, g: ComplexMorphism,
                  validate: bool = True, rank_tol: float | None = None):
-        if f.target is not g.source and not _same_complex(f.target, g.source):
-            raise DataValidationError(
-                "the two morphisms do not share a middle complex")
+        if f.target is not g.source:
+            if not _same_complex(f.target, g.source):
+                raise DataValidationError(
+                    "the two morphisms do not share a middle complex")
+            f = ComplexMorphism(f.source, g.source, f.components, validate=False)
         self.f = f
         self.g = g
         self.first = f.source
         self.middle = g.source
         self.last = g.target
         self.rank_tol = rank_tol
-        self._hodges: list[HodgeData | None] = [None, None, None]
         if not self.first.context.matches(self.last.context):
             raise DataValidationError("complexes live over different contexts")
+        self.stages = tuple(
+            CochainComplex([self.first.module(i), self.middle.module(i), self.last.module(i)],
+                           [f.component(i), g.component(i)], 0, validate=False)
+            for i in self.degrees())
         if validate:
             self.validate()
 
     def validate(self) -> None:
-        for i in self.degrees():
-            fm = self.f.component(i).array
-            gm = self.g.component(i).array
+        for i, stage in zip(self.degrees(), self.stages):
+            fm, gm = (d.array for d in stage.differentials)
             if not vanishes(gm @ fm, max(norm_lower_bound(fm) * norm_lower_bound(gm), 1.0)):
                 raise DataValidationError("composition g o f is not zero",
                                           location=f"degree {i}")
-            rank_f = int(gram_spectrum(fm, self.rank_tol).keep.sum())
-            rank_g = int(gram_spectrum(gm, self.rank_tol).keep.sum())
-            if rank_f != self.first.module(i).ambient_dim:
-                raise DataValidationError("first map is not injective",
-                                          location=f"degree {i}")
-            if rank_g != self.last.module(i).ambient_dim:
-                raise DataValidationError("last map is not surjective",
-                                          location=f"degree {i}")
-            if rank_f + rank_g != self.middle.module(i).ambient_dim:
+            try:
+                dims = hodge(stage, self.rank_tol).harmonic_dims
+            except DataValidationError as exc:  # rank f + rank g exceed dim C2_i
                 raise DataValidationError("sequence is not exact in the middle",
-                                          location=f"degree {i}")
+                                          location=f"degree {i}") from exc
+            for dim, message in ((dims[0], "first map is not injective"),
+                                 (dims[2], "last map is not surjective"),
+                                 (dims[1], "sequence is not exact in the middle")):
+                if dim:
+                    raise DataValidationError(message, location=f"degree {i}")
 
     @property
     def offset(self) -> int:
@@ -121,13 +124,10 @@ class ComplexSES:
         return self.first.degrees()
 
     def hodge(self, which: int) -> HodgeData:
-        """Cached Hodge data of complex 1, 2 or 3."""
+        """Hodge data of complex 1, 2 or 3 at the sequence's cutoff."""
         if which not in (1, 2, 3):
             raise DataValidationError("which must be 1, 2 or 3")
-        if self._hodges[which - 1] is None:
-            c = (self.first, self.middle, self.last)[which - 1]
-            self._hodges[which - 1] = hodge(c, self.rank_tol)
-        return self._hodges[which - 1]
+        return hodge((self.first, self.middle, self.last)[which - 1], self.rank_tol)
 
 
 def _same_complex(a: CochainComplex, b: CochainComplex) -> bool:
@@ -191,8 +191,8 @@ def long_sequence(ses: ComplexSES, strategy: str = "pinv",
     for i in ses.degrees():
         modules.extend([h1.harmonic_module(i), h2.harmonic_module(i),
                         h3.harmonic_module(i)])
-        diffs.append(induced_harmonic_map(ses.f, i, h1, h2))
-        diffs.append(induced_harmonic_map(ses.g, i, h2, h3))
+        diffs.append(induced_harmonic_map(ses.f, i, ses.rank_tol))
+        diffs.append(induced_harmonic_map(ses.g, i, ses.rank_tol))
         if i < top:
             diffs.append(connecting_hom(ses, i, strategy))
     # A map that is zero in exact arithmetic comes out of the zig-zag with
@@ -236,9 +236,7 @@ def three_stage_torsion(c: CochainComplex, rank_tol: float | None = None) -> flo
     if len(c.modules) != 3:
         raise DataValidationError(
             f"three-stage torsion needs exactly 3 modules, got {len(c.modules)}")
-    data = hodge(c, rank_tol)
-    return (log_vol(data.reduced_morphism(c.offset), rank_tol)
-            - log_vol(data.reduced_morphism(c.offset + 1), rank_tol))
+    return (-1) ** c.offset * torsion(c, rank_tol)
 
 
 @dataclass(frozen=True)
@@ -263,16 +261,12 @@ def milnor_check(ses: ComplexSES) -> MilnorReport:
     all at the sequence's ``rank_tol``.
     """
     tol = ses.rank_tol
-    t1 = torsion(ses.first, tol, ses.hodge(1))
-    t2 = torsion(ses.middle, tol, ses.hodge(2))
-    t3 = torsion(ses.last, tol, ses.hodge(3))
+    t1 = torsion(ses.first, tol)
+    t2 = torsion(ses.middle, tol)
+    t3 = torsion(ses.last, tol)
     t_h = torsion(long_sequence(ses), tol)
-    degreewise = {}
-    for i in ses.degrees():
-        stage = CochainComplex(
-            [ses.first.module(i), ses.middle.module(i), ses.last.module(i)],
-            [ses.f.component(i), ses.g.component(i)], 0)
-        degreewise[i] = three_stage_torsion(stage, tol)
+    degreewise = {i: three_stage_torsion(stage, tol)
+                  for i, stage in zip(ses.degrees(), ses.stages)}
     correction = sum((-1) ** i * v for i, v in degreewise.items())
     lhs = t2
     rhs = t1 + t3 + t_h - correction

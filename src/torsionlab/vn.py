@@ -133,13 +133,16 @@ class TraceContext:
         raise DataValidationError(f"unknown group element {element!r}")
 
     def power(self, i: int, n: int) -> int:
-        """g_i**n (n may be negative)."""
+        """g_i**n (n may be negative), by repeated squaring."""
         if self.is_cyclic:
             return i * n % self.cyclic
         g = i if n >= 0 else self.inverse(i)
-        out = self._identity
-        for _ in range(abs(n)):
-            out = self.multiply(out, g)
+        out, n = self._identity, abs(n)
+        while n:
+            if n & 1:
+                out = self.multiply(out, g)
+            g = self.multiply(g, g)
+            n >>= 1
         return out
 
     def matches(self, other: "TraceContext") -> bool:

@@ -270,6 +270,20 @@ class TestGluing:
         report = glue_check(circle_from_arcs(rep), rank_tol=0.5)
         assert report["residual"] < RESIDUAL_TOL
 
+    def test_glue_check_builds_each_cell_complex_once(self, monkeypatch):
+        import torsionlab.cells as cells
+        built = []
+        original = cells.build_complex
+
+        def spy(cw, *args, **kwargs):
+            built.append(cw)
+            return original(cw, *args, **kwargs)
+
+        monkeypatch.setattr(cells, "build_complex", spy)
+        report = glue_check(circle_from_arcs(RegularRepresentation(vn.cyclic_group(5))))
+        assert len(built) == 3  # the glued complex, the upper and the lower piece
+        assert report["residual"] < RESIDUAL_TOL
+
     def test_glue_check_on_circle_holonomies(self):
         for lam in (-1.0, 1j, np.exp(1j * np.pi / 5)):
             rep = UnitaryRepresentation({"t": [[lam]]})

@@ -81,7 +81,7 @@ def _report(cw, rank_tol=None):
     c = build_complex(cw)
     h = hodge(c, rank_tol)
     return {
-        "torsion": torsion(c, rank_tol, h),
+        "torsion": torsion(c, rank_tol),
         "torsion_via_laplacians": torsion_via_laplacians(c, rank_tol),
         "harmonic_dims": [h.harmonic_dim(q) for q in c.degrees()],
         "log_det_prime": [log_det_prime(laplacian(c, q), rank_tol) for q in c.degrees()],
@@ -154,7 +154,7 @@ def _complex_report(c):
     """The numbers and decisions of the torsion and hodge commands on a complex."""
     h = hodge(c)
     return {
-        "torsion": torsion(c, None, h),
+        "torsion": torsion(c),
         "torsion_via_laplacians": torsion_via_laplacians(c),
         "harmonic_dims": [h.harmonic_dim(q) for q in c.degrees()],
         "warnings": h.warnings,

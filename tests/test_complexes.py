@@ -1,5 +1,7 @@
 """Tests for cochain complexes, Hodge decompositions and torsion."""
 
+import weakref
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -132,10 +134,48 @@ def test_hodge_dimensions_add_up_on_random_complexes():
 def test_hodge_bases_are_deterministic():
     rng = np.random.default_rng(6)
     c, _ = random_cochain_complex(rng, CF, length=3)
+    # an equal but distinct complex, so the second decomposition is
+    # recomputed rather than read from the data cached on c
+    twin = CochainComplex(c.modules, c.differentials, c.offset)
     h1 = hodge(c)
-    h2 = hodge(c)
+    h2 = hodge(twin)
+    assert h2.reduced is not h1.reduced
     for a, b in zip(h1.harmonic_bases + h1.reduced, h2.harmonic_bases + h2.reduced):
         assert np.array_equal(a, b)
+
+
+def test_hodge_data_are_cached_per_cutoff():
+    c = _two_term(np.diag([1.0, 5e-6]))
+    assert hodge(c).reduced is hodge(c).reduced
+    assert hodge(c, 1e-6).reduced is hodge(c, 1e-6).reduced
+    assert hodge(c, 1e-6).reduced is not hodge(c).reduced
+    assert hodge(c, 1e-6).harmonic_dims != hodge(c, 1e-5).harmonic_dims
+    # the complex keeps the arrays, not the HodgeData that refers back to
+    # it, so a dropped complex is freed without the cycle collector
+    probe = weakref.ref(c)
+    del c
+    assert probe() is None
+
+
+def test_complexes_and_their_hodge_data_are_immutable():
+    c, _ = random_cochain_complex(np.random.default_rng(7), CF, length=3, max_rank=2)
+    with pytest.raises(AttributeError):
+        c.offset = 1
+    with pytest.raises(AttributeError):
+        c.differentials = ()
+    assert isinstance(c.modules, tuple) and isinstance(c.differentials, tuple)
+    with pytest.raises(ValueError, match="read-only"):
+        c.differentials[0].array[0, 0] = 1.0
+    h = hodge(c)
+    with pytest.raises(AttributeError):
+        h.harmonic_dims = ()
+    for field in ("harmonic_bases", "harmonic_dims", "plus_bases", "minus_bases",
+                  "reduced", "warnings"):
+        assert isinstance(getattr(h, field), tuple), field
+    for arrays in (h.harmonic_bases, h.plus_bases, h.minus_bases, h.reduced):
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0.0
 
 
 def _phase_normalize_loop(columns):
@@ -173,7 +213,7 @@ def test_hodge_flags_ambiguous_rank():
     c = _two_term(np.diag([1.0, 5e-6]))
     h = hodge(c, rank_tol=1e-6)
     assert h.warnings
-    assert hodge(c).warnings == []
+    assert hodge(c).warnings == ()
 
 
 @pytest.mark.parametrize("diagonal, rank_tol", [
@@ -353,10 +393,9 @@ def test_induced_harmonic_map_invertible_for_isomorphisms():
     rng = np.random.default_rng(18)
     for ctx in [CF, cyclic_group(2)]:
         c, shape = random_cochain_complex(rng, ctx, length=3, max_rank=2)
-        f, target, _ = random_chain_morphism(rng, c, shape, invertible=True)
-        hs, ht = hodge(c), hodge(target)
+        f, _, _ = random_chain_morphism(rng, c, shape, invertible=True)
         for q in c.degrees():
-            hq = induced_harmonic_map(f, q, hs, ht)
+            hq = induced_harmonic_map(f, q)
             assert hq.shape[0] == hq.shape[1]
             if hq.shape[0]:
                 assert singular_values(hq)[0] > 1e-10

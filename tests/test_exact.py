@@ -72,6 +72,16 @@ def test_validation_catches_middle_rank_gap():
         ComplexSES(f, g)
 
 
+def test_ranks_that_overcount_the_middle_are_not_exact_there():
+    # g o f = 1e-11 vanishes, yet both maps have rank one in a
+    # one-dimensional middle: the stage's rank bookkeeping fails
+    c1, c2, c3 = (CochainComplex([HilbertModule(CF, 1)], [], 0) for _ in range(3))
+    f = ComplexMorphism(c1, c2, [Morphism(c1.modules[0], c2.modules[0], [[1.0]])])
+    g = ComplexMorphism(c2, c3, [Morphism(c2.modules[0], c3.modules[0], [[1e-11]])])
+    with pytest.raises(DataValidationError, match="not exact in the middle"):
+        ComplexSES(f, g, rank_tol=1e-12)
+
+
 def test_three_stage_torsion_hand_examples():
     dom = HilbertModule(CF, 1)
     mid = HilbertModule(CF, 2)
@@ -203,12 +213,35 @@ def test_long_sequence_snaps_at_the_sequence_cutoff(sigma):
 
 
 def test_milnor_report_is_deterministic():
-    rng = np.random.default_rng(40)
-    ses = random_ses(rng, CF, length=3, max_rank=2)
-    r1 = milnor_check(ses)
-    r2 = milnor_check(ses)
+    # two equal but distinct sequences, so the second report is recomputed
+    # rather than read from the Hodge data cached on the first
+    first, second = (random_ses(np.random.default_rng(40), CF, length=3, max_rank=2)
+                     for _ in range(2))
+    assert first.middle is not second.middle
+    r1 = milnor_check(first)
+    r2 = milnor_check(second)
     assert r1 == r2
     assert isinstance(r1, MilnorReport)
+
+
+@pytest.mark.parametrize("ctx", [CF, cyclic_group(3)], ids=["C", "Z/3"])
+def test_milnor_check_decomposes_every_complex_once(ctx, monkeypatch):
+    import torsionlab.complexes as complexes
+    calls = []
+    original = complexes._range_basis
+
+    def spy(matrix, *args, **kwargs):
+        calls.append(matrix.shape)
+        return original(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(complexes, "_range_basis", spy)
+    ses = random_ses(np.random.default_rng(44), ctx, length=4, max_rank=2)
+    milnor_check(ses)
+    decomposed = len(calls)
+    seq = long_sequence(ses)  # an equal sequence, for its length
+    stages = 2 * len(ses.degrees())  # 0 -> C1_i -> C2_i -> C3_i -> 0
+    assert decomposed == stages + sum(
+        len(c.differentials) for c in (ses.first, ses.middle, ses.last, seq))
 
 
 def test_cone_sequence_connecting_is_induced_map_up_to_sign():
@@ -216,12 +249,11 @@ def test_cone_sequence_connecting_is_induced_map_up_to_sign():
     for ctx in [CF, cyclic_group(2)]:
         for _ in range(5):
             c, shape = random_cochain_complex(rng, ctx, length=3, max_rank=2)
-            f, target, _ = random_chain_morphism(rng, c, shape, invertible=False)
+            f, _, _ = random_chain_morphism(rng, c, shape, invertible=False)
             ses = cone_ses(f)
-            hs, ht = hodge(c), hodge(target)
             for i in list(ses.degrees())[:-1]:
                 delta = connecting_hom(ses, i).matrix
-                induced = induced_harmonic_map(f, i + 1, hs, ht).matrix
+                induced = induced_harmonic_map(f, i + 1).matrix
                 if delta.size == 0:
                     assert induced.size == 0
                     continue

@@ -186,6 +186,16 @@ class TestLevelLogDet:
         with pytest.raises(DataValidationError, match="not selfadjoint"):
             level_log_det(op, 4)
 
+    @pytest.mark.parametrize("text, m", [("t - t^-1", 2), ("2 + t^2 - t^-2", 4)])
+    def test_rejects_defects_that_vanish_at_the_level_roots(self, text, m):
+        # t - t^-1 vanishes at z = +-1 and t^2 - t^-2 at the 4th roots of
+        # unity: the symbol is Hermitian at every point level m samples
+        op = parse_laurent(text)
+        with pytest.raises(DataValidationError, match="not selfadjoint"):
+            level_log_det(op, m)
+        with pytest.raises(DataValidationError, match="not selfadjoint"):
+            approx_tower(op, [m])
+
 
 class TestApproxTower:
     def test_default_levels_are_nested_powers(self):
@@ -517,6 +527,12 @@ class TestFourierCounting:
     def test_rejects_non_square(self):
         with pytest.raises(DataValidationError, match="not selfadjoint"):
             fourier_counting(ONE_BY_TWO, 0.5)
+
+    def test_rejects_defects_that_vanish_at_the_midpoints(self):
+        # t^4 - t^-4 = 2i sin(4 theta) vanishes at the 4 midpoint angles
+        # (2j + 1) pi / 4
+        with pytest.raises(DataValidationError, match="not selfadjoint"):
+            fourier_counting(parse_laurent("2 + t^4 - t^-4"), 1.0, points=4)
 
 
 class TestLimitDistribution:

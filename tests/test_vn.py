@@ -31,6 +31,7 @@ from torsionlab.vn import (
     COMPOSITION_TOL,
     HilbertModule,
     Morphism,
+    TraceContext,
     a_linearity_residual,
     block_triangular_log_vol_residual,
     complex_field,
@@ -108,6 +109,29 @@ def test_cyclic_group_basics():
     assert ctx.multiply(2, 3) == 1
     assert ctx.element_index("t^2") == 2
     assert ctx.power(1, -1) == 3
+
+
+def test_powers_over_a_table_take_logarithmic_steps(monkeypatch):
+    # t^(10^9) over the Z/3 table is t (10^9 = 1 mod 3), t^(-10^9) is t^2
+    i = np.arange(3)
+    ctx = finite_group((i[:, None] + i[None, :]) % 3, ["e", "t", "t^2"])
+    products = []
+    multiply = TraceContext.multiply
+
+    def counted(self, a, b):
+        products.append(1)
+        if len(products) > 200:
+            raise AssertionError("more than 200 group products")
+        return multiply(self, a, b)
+
+    monkeypatch.setattr(TraceContext, "multiply", counted)
+    rep = RegularRepresentation(ctx)
+    assert np.array_equal(rep.word_matrix([(("t", 10 ** 9), 1.0)]),
+                          rep.word_matrix([("t", 1.0)]))
+    assert np.array_equal(rep.word_matrix([(("t", -10 ** 9), 1.0)]),
+                          rep.word_matrix([("t^2", 1.0)]))
+    assert ctx.power(2, 0) == ctx.identity
+    assert [ctx.power(1, n) for n in range(-4, 5)] == [n % 3 for n in range(-4, 5)]
 
 
 def test_free_module_dimension_rule():
@@ -309,8 +333,7 @@ def test_eigensolver_calls_stay_in_the_kernel(monkeypatch):
     m = 16
     rep = RegularRepresentation(cyclic_group(m))
     c = build_complex(circle(rep))
-    data = hodge(c)
-    torsion(c, hodge_data=data)
+    torsion(c)
     torsion_via_laplacians(c)
     duality_residual(circle(rep))
     glue_check(circle_from_arcs(rep))
