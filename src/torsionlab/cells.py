@@ -20,7 +20,7 @@ representation, including a regular one over a ``finite_group`` table,
 builds dense matrices.
 
 Words are lists of (element, coefficient) pairs.  Every representation
-reads an element as (label, power) (``towers.word_element``): a label
+reads an element as (label, power) (``vn.word_element``): a label
 ("t", or "t^k" over ``cyclic_group``) is its first power, an integer n is
 ("t", n), and a pair is itself; "e" is the identity.  The adjoint of a
 word negates every power and conjugates every coefficient.
@@ -29,7 +29,7 @@ word negates every power and conjugates every coefficient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -41,8 +41,6 @@ from .complexes import (
     torsion_via_laplacians,
 )
 from .errors import DataValidationError
-from .exact import ComplexSES, long_sequence
-from .towers import LaurentMatrix, LaurentPoly, word_element
 from .vn import (
     HilbertModule,
     Morphism,
@@ -51,7 +49,11 @@ from .vn import (
     complex_field,
     group_ring_matrix,
     vanishes,
+    word_element,
 )
+
+if TYPE_CHECKING:
+    from .exact import ComplexSES
 
 Word = Sequence[tuple[object, complex]]
 
@@ -97,6 +99,7 @@ class RegularRepresentation:
     def word_blocks(self, word: Word) -> np.ndarray:
         """The (m, fiber, fiber) character blocks of a word over Z/m: its
         Laurent polynomial at the m-th roots of unity."""
+        from .towers import LaurentMatrix, LaurentPoly
         m = self.context.size
         poly = LaurentPoly(tuple((self._element(e), c) for e, c in word))
         return LaurentMatrix.from_scalar(poly).symbol(np.arange(m), m) * np.eye(self.fiber_dim)
@@ -415,6 +418,7 @@ class GluingSpec:
 
 def glue(spec: GluingSpec, rank_tol: float | None = None) -> tuple[TwistedCellComplex, ComplexSES]:
     """Assemble the glued complex and its inclusion/restriction sequence (cutoff ``rank_tol``)."""
+    from .exact import ComplexSES
     lower, upper = spec.lower, spec.upper
     if lower.top_degree != upper.top_degree:
         raise DataValidationError("gluing factors must share a degree window")
@@ -457,6 +461,7 @@ def glue_check(spec: GluingSpec, representation=None,
     long sequence of the gluing SES) and the residual
     |t_comb - t_comb_upper - t_comb_lower - t_h|.
     """
+    from .exact import long_sequence
     if representation is not None:
         spec = GluingSpec(
             lower=TwistedCellComplex(representation, spec.lower.cells,

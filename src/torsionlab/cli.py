@@ -192,11 +192,11 @@ def _load(job: JobSpec, *kinds: str, index: int = 0) -> dict:
 
 def _load_complex(job: JobSpec, index: int = 0):
     from . import formats
-    from .cells import build_complex
     path = job.inputs[index]
     data = _load(job, "complex", "cw", index=index)
     if data["kind"] == "complex":
         return formats.parse_complex(data, path)
+    from .cells import build_complex
     return build_complex(formats.parse_cw(data, path))
 
 

@@ -25,22 +25,26 @@ from __future__ import annotations
 import json
 import math
 import sys
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from .cells import (
-    GluingSpec,
-    InfiniteCyclic,
-    RegularRepresentation,
-    TwistedCellComplex,
-    UnitaryRepresentation,
-)
-from .complexes import CochainComplex, ComplexMorphism
 from .errors import DataValidationError, NumericalError
-from .exact import ComplexSES
-from .towers import LaurentMatrix, LaurentPoly, word_element
-from .vn import HilbertModule, Morphism, complex_field, cyclic_group, finite_group
+from .vn import (
+    HilbertModule,
+    Morphism,
+    complex_field,
+    cyclic_group,
+    finite_group,
+    is_integer,
+    word_element,
+)
+
+if TYPE_CHECKING:
+    from .cells import GluingSpec, TwistedCellComplex
+    from .complexes import CochainComplex
+    from .exact import ComplexSES
+    from .towers import LaurentMatrix
 
 KINDS = ("complex", "cw", "gluing", "ses", "laurent")
 
@@ -72,7 +76,8 @@ def parse_scalar(value, where: str) -> complex:
     """A finite complex number: ``[re, im]`` pair, or a bare real number
     (``json.load`` reads ``NaN``, ``Infinity`` and ``1e400`` as non-finite)."""
     pair = value if isinstance(value, list) and len(value) == 2 else [value, 0]
-    if not all(isinstance(x, (int, float)) and abs(x) <= sys.float_info.max for x in pair):
+    if not all((isinstance(x, float) or is_integer(x)) and abs(x) <= sys.float_info.max
+               for x in pair):
         raise DataValidationError(
             f"expected a finite number or [re, im] pair, got {value!r}", location=where)
     return complex(*pair)
@@ -109,35 +114,49 @@ def parse_shaped_matrix(value, shape: tuple[int, int], where: str) -> np.ndarray
 
 
 def parse_context(obj, where: str):
+    """A trace context; every error names ``where``."""
+    try:
+        return _context(obj)
+    except DataValidationError as exc:
+        raise DataValidationError(str(exc), location=where) from None
+
+
+def _context(obj):
     if not isinstance(obj, Mapping) or "type" not in obj:
-        raise DataValidationError("context needs a 'type' field", location=where)
+        raise DataValidationError("context needs a 'type' field")
     kind = obj["type"]
     if kind == "complex_field":
         return complex_field()
     if kind == "cyclic":
         order = obj.get("order")
-        if not isinstance(order, int):
-            raise DataValidationError("cyclic context needs integer 'order'",
-                                      location=where)
+        if not is_integer(order):
+            raise DataValidationError("cyclic context needs integer 'order'")
         return cyclic_group(order)
     if kind == "finite_group":
-        table = obj.get("table")
-        if not isinstance(table, list):
-            raise DataValidationError("finite_group context needs 'table'",
-                                      location=where)
-        return finite_group(np.asarray(table, dtype=int), obj.get("labels"))
-    raise DataValidationError(f"unknown context type {kind!r}", location=where)
+        table, labels = obj.get("table"), obj.get("labels")
+        if not isinstance(table, list) or any(
+                not isinstance(row, list) or len(row) != len(table) for row in table):
+            raise DataValidationError("finite_group context needs a square 'table'")
+        n = len(table)
+        if not all(is_integer(x) and 0 <= x < n for row in table for x in row):
+            raise DataValidationError(
+                f"group table entries must be integers in [0, {n})")
+        if labels is not None and not isinstance(labels, list):
+            raise DataValidationError("group 'labels' must be a list")
+        return finite_group(table, labels)
+    raise DataValidationError(f"unknown context type {kind!r}")
 
 
 def parse_complex(obj, where: str = "complex") -> CochainComplex:
+    from .complexes import CochainComplex
     ctx = parse_context(obj.get("context", {"type": "complex_field"}),
                         f"{where}.context")
     dims = obj.get("modules")
-    if not isinstance(dims, list) or not all(isinstance(d, int) for d in dims):
+    if not isinstance(dims, list) or not all(is_integer(d) for d in dims):
         raise DataValidationError("'modules' must list ambient dimensions",
                                   location=where)
     offset = obj.get("offset", 0)
-    if not isinstance(offset, int):
+    if not is_integer(offset):
         raise DataValidationError("'offset' must be an integer", location=where)
     modules = [HilbertModule(ctx, d) for d in dims]
     raw_diffs = obj.get("differentials", [])
@@ -152,7 +171,7 @@ def parse_complex(obj, where: str = "complex") -> CochainComplex:
 
 
 def parse_word(value, where: str) -> tuple:
-    """A word: its elements as read by ``towers.word_element``."""
+    """A word: its elements as read by ``vn.word_element``."""
     if not isinstance(value, list):
         raise DataValidationError("word must be a list of [element, coeff]",
                                   location=where)
@@ -171,13 +190,18 @@ def parse_word(value, where: str) -> tuple:
 
 
 def parse_representation(obj, where: str):
+    from .cells import InfiniteCyclic, RegularRepresentation, UnitaryRepresentation
     if not isinstance(obj, Mapping) or "type" not in obj:
         raise DataValidationError("representation needs a 'type' field",
                                   location=where)
     kind = obj["type"]
     if kind == "regular":
         ctx = parse_context(obj.get("context", {}), f"{where}.context")
-        return RegularRepresentation(ctx, fiber_dim=obj.get("fiber_dim", 1))
+        fiber_dim = obj.get("fiber_dim", 1)
+        if not is_integer(fiber_dim) or fiber_dim < 1:
+            raise DataValidationError("'fiber_dim' must be a positive integer",
+                                      location=where)
+        return RegularRepresentation(ctx, fiber_dim=fiber_dim)
     if kind == "unitary":
         gens = obj.get("generators")
         if not isinstance(gens, Mapping):
@@ -213,10 +237,11 @@ def _parse_incidences(records, where: str) -> dict:
 
 
 def parse_cw(obj, where: str = "cw") -> TwistedCellComplex:
+    from .cells import TwistedCellComplex
     rep = parse_representation(obj.get("representation", {}),
                                f"{where}.representation")
     top = obj.get("top_degree")
-    if not isinstance(top, int):
+    if not is_integer(top):
         raise DataValidationError("'top_degree' must be an integer",
                                   location=where)
     raw_cells = obj.get("cells", {})
@@ -241,6 +266,7 @@ def parse_cw(obj, where: str = "cw") -> TwistedCellComplex:
 
 
 def parse_gluing(obj, where: str = "gluing") -> GluingSpec:
+    from .cells import GluingSpec
     for part in ("lower", "upper"):
         if not isinstance(obj.get(part), Mapping):
             raise DataValidationError(f"gluing needs an embedded '{part}' complex",
@@ -253,6 +279,8 @@ def parse_gluing(obj, where: str = "gluing") -> GluingSpec:
 
 def parse_ses(obj, where: str = "ses", rank_tol: float | None = None) -> ComplexSES:
     """The sequence of a ``ses`` input, with ``rank_tol`` as its rank cutoff."""
+    from .complexes import ComplexMorphism
+    from .exact import ComplexSES
     parts = {}
     for part in ("sub", "middle", "quotient"):
         if not isinstance(obj.get(part), Mapping):
@@ -281,6 +309,7 @@ def parse_ses(obj, where: str = "ses", rank_tol: float | None = None) -> Complex
 
 
 def parse_laurent_matrix(obj, where: str = "laurent") -> LaurentMatrix:
+    from .towers import LaurentMatrix, LaurentPoly
     rows = obj.get("rows")
     if not isinstance(rows, list) or not rows:
         raise DataValidationError("'rows' must be a non-empty list",
@@ -300,7 +329,7 @@ def parse_laurent_matrix(obj, where: str = "laurent") -> LaurentMatrix:
             terms = []
             for triple in entry:
                 if (not isinstance(triple, list) or len(triple) != 3
-                        or not isinstance(triple[0], int)):
+                        or not is_integer(triple[0])):
                     raise DataValidationError(
                         f"expected [exponent, re, im], got {triple!r}",
                         location=spot)

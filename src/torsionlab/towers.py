@@ -21,9 +21,9 @@ The level-m specialization is block-circulant, so its spectrum is the
 union of the symbol's eigenvalues at the m-th roots of unity: a level is
 the left-endpoint rule on the circle, the quadrature the midpoint rule.
 ``specialize`` builds the dense nm x nm matrix and is kept as the
-reference route.  ``word_element`` is the one reading of a cell-word
-element, and ``cw_to_laurent`` turns a cell complex over the integers into
-Laurent matrices.
+reference route.  ``cw_to_laurent`` turns a cell complex over the
+integers into Laurent matrices, reading word elements by
+``vn.word_element``.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .vn import (
     group_ring_matrix,
     noise_floor,
     regular_module,
+    word_element,
 )
 
 DEFAULT_LEVELS = tuple(2 ** k for k in range(1, 13))
@@ -310,21 +311,6 @@ class LaurentMatrix:
                 out[..., i2, j2] += c2 * power
             out[..., i, j] += np.multiply(c, power, out=power)
         return out
-
-
-def word_element(spec) -> tuple[str, int]:
-    """The one reading of a cell-word element, as (label, power): a string
-    label is its first power, an integer n is ("t", n), and a (label,
-    power) pair, tuple or list, is itself."""
-    if isinstance(spec, str):
-        return spec, 1
-    if isinstance(spec, (int, np.integer)):
-        return "t", int(spec)
-    if (isinstance(spec, (tuple, list)) and len(spec) == 2 and isinstance(spec[0], str)
-            and isinstance(spec[1], (int, np.integer))):
-        return spec[0], int(spec[1])
-    raise DataValidationError("word element must be a label, an integer power, or "
-                              f"[label, power]; got {spec!r}")
 
 
 def _as_laurent_matrix(op) -> LaurentMatrix:

@@ -803,6 +803,27 @@ def left_regular(context: TraceContext, element) -> np.ndarray:
     return m
 
 
+def is_integer(value) -> bool:
+    """A Python or numpy integer that is not a bool (``json.load`` reads true
+    and false as ``bool``, a subclass of ``int``)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def word_element(spec) -> tuple[str, int]:
+    """The one reading of a cell-word element, as (label, power): a string
+    label is its first power, an integer n is ("t", n), and a (label,
+    power) pair, tuple or list, is itself."""
+    if isinstance(spec, str):
+        return spec, 1
+    if is_integer(spec):
+        return "t", int(spec)
+    if (isinstance(spec, (tuple, list)) and len(spec) == 2 and isinstance(spec[0], str)
+            and is_integer(spec[1])):
+        return spec[0], int(spec[1])
+    raise DataValidationError("word element must be a label, an integer power, or "
+                              f"[label, power]; got {spec!r}")
+
+
 def group_ring_matrix(word: Iterable[tuple[object, complex]], context: TraceContext,
                       fiber_dim: int = 1) -> Morphism:
     """Sum of coeff x (right-regular block of g) (x) identity on the fiber.

@@ -132,6 +132,17 @@ class TestHappyPaths:
         proc = run_cli("torsion", str(DATA / "interval_tau1.json"),
                        env_extra={"TORSIONLAB_THREADS": "1"})
         assert proc.returncode == 0
+        # a bare import sets every BLAS cap, and numpy is not loaded yet
+        blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in blas}
+        env["TORSIONLAB_THREADS"] = "1"
+        probe = subprocess.run(
+            [sys.executable, "-c",
+             "import json, os, sys, torsionlab; print(json.dumps("
+             f"['numpy' in sys.modules, [os.environ.get(v) for v in {blas!r}]]))"],
+            capture_output=True, text=True, env=env, check=True)
+        assert json.loads(probe.stdout) == [False, ["1"] * len(blas)]
 
 
 class TestDeterminismAndRoundTrip:
@@ -288,24 +299,47 @@ class TestFailureModes:
         assert "Traceback" not in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
 
-    @pytest.mark.parametrize("args, text, where", [
+    @pytest.mark.parametrize("args, text, where, message", [
         (("torsion",), '{"kind": "complex", "modules": [1, 1], '
-                       '"differentials": [[[NaN]]]}', "differentials[0] row 0"),
+                       '"differentials": [[[NaN]]]}', "differentials[0] row 0", "finite"),
         (("torsion",), '{"kind": "complex", "modules": [1, 1], '
-                       '"differentials": [[[[1, Infinity]]]]}', "differentials[0] row 0"),
+                       '"differentials": [[[[1, Infinity]]]]}', "differentials[0] row 0",
+         "finite"),
         (("hodge",), '{"kind": "complex", "modules": [1, 1], '
-                     '"differentials": [[[1e400]]]}', "differentials[0] row 0"),
+                     '"differentials": [[[1e400]]]}', "differentials[0] row 0", "finite"),
         (("lueck", "--levels", "2..4"),
-         '{"kind": "laurent", "rows": [[[[0, 2, 0], [1, -Infinity, 0]]]]}', "rows[0][0]"),
-    ], ids=["nan", "infinity-in-pair", "1e400", "laurent-minus-infinity"])
+         '{"kind": "laurent", "rows": [[[[0, 2, 0], [1, -Infinity, 0]]]]}', "rows[0][0]",
+         "finite"),
+        (("torsion",), '{"kind": "complex", "modules": [1, 1], '
+                       '"differentials": [[[[true, 0]]]]}', "differentials[0] row 0",
+         "finite"),
+        (("torsion",), '{"kind": "complex", "context": {"type": "cyclic", "order": true}, '
+                       '"modules": [1]}', "non_finite.json.context", "integer 'order'"),
+        (("torsion",), '{"kind": "complex", "modules": [true, 1], '
+                       '"differentials": [[[1]]]}', "non_finite.json", "'modules'"),
+        (("lueck", "--levels", "2..4"),
+         '{"kind": "laurent", "rows": [[[[true, 2, 0]]]]}', "rows[0][0]", "exponent"),
+        (("torsion",), '{"kind": "cw", "representation": {"type": "regular", '
+                       '"context": {"type": "cyclic", "order": 3}}, "top_degree": 1, '
+                       '"cells": {"0": ["a"], "1": ["b"]}, "incidences": [{"from": "a", '
+                       '"to": "b", "word": [[true, 1]]}]}', "incidences[0].word[0]",
+         "word element"),
+        (("torsion",), '{"kind": "cw", "representation": {"type": "regular", '
+                       '"context": {"type": "cyclic", "order": 3}, "fiber_dim": true}, '
+                       '"top_degree": 0, "cells": {"0": ["a"]}}', "representation",
+         "fiber_dim"),
+    ], ids=["nan", "infinity-in-pair", "1e400", "laurent-minus-infinity", "true-entry",
+            "true-order", "true-module", "true-exponent", "true-word-element",
+            "true-fiber-dim"])
     def test_non_finite_input_values_are_validation_errors(self, tmp_path, args,
-                                                           text, where):
-        # json.load accepts NaN, Infinity and 1e400 (as inf)
+                                                           text, where, message):
+        # json.load accepts NaN, Infinity and 1e400 (as inf), and reads true
+        # and false as bool, a subclass of int
         path = tmp_path / "non_finite.json"
         path.write_text(text)
         proc = run_cli(args[0], str(path), *args[1:])
         assert proc.returncode == 2
-        assert "finite" in proc.stderr
+        assert message in proc.stderr
         assert where in proc.stderr
 
     def test_emission_failure_is_numerical_failure(self, monkeypatch, capsys):
@@ -355,6 +389,25 @@ def test_word_elements_are_read_as_label_and_power(element):
     assert [e for e, _ in word] == [("t^2", 1), ("t", 3), ("s", -1)]
     with pytest.raises(DataValidationError, match=r"word element .* \[at w\[1\]\]"):
         formats.parse_word([["e", 1], [element, 1]], "w")
+
+
+@pytest.mark.parametrize("context", [
+    {"type": "finite_group", "table": [[0, 1], [1]]},
+    {"type": "finite_group", "table": [["a", "b"], ["b", "a"]]},
+    {"type": "finite_group", "table": [[0, 1.5], [1, 0]]},
+    {"type": "finite_group", "table": [[0, 2], [1, 0]]},
+    {"type": "finite_group", "table": [[0, 1], [1, 1]]},
+    {"type": "finite_group", "table": [[0]], "labels": 5},
+    {"type": "cyclic", "order": 0},
+], ids=["ragged", "strings", "fraction", "out-of-range", "no-inverse", "labels-not-list",
+        "cyclic-order-0"])
+def test_bad_group_contexts_are_validation_errors_at_the_context(tmp_path, context):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"kind": "complex", "context": context, "modules": [2]}))
+    proc = run_cli("torsion", str(path))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"[at {path}.context]" in proc.stderr
 
 
 def _zero_sided_ses(include_zero):
