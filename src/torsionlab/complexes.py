@@ -11,11 +11,22 @@ Torsion is computed by two deliberately independent routes:
 
 * ``torsion``              -- alternating sum of log-volumes of the reduced
                               differentials coming out of the orthogonal
-                              (Hodge) decomposition;
+                              (Hodge) decomposition, read as the kept
+                              singular values of the d_q, which are theirs;
 * ``torsion_via_laplacians`` -- (1/2) sum over q of (-1)^(q+1) q log det'
                               of the degree-q Laplacian.
 
 They are cross-checked in the tests, never merged.
+
+The Hodge decomposition comes in two stages, each computed once per
+complex and cutoff.  ``hodge_spectra`` takes one eigvalsh per differential:
+ranks, harmonic dimensions, rank warnings and route one read only it.
+``hodge`` adds the bases (one eigh per differential and one per module with
+harmonic part) for the callers that read a harmonic basis, a reduced
+differential or a harmonic map, with the ranks of the first stage.  Each
+differential's spectrum and range bases are kept with the morphism, so
+shifted, padded and suspended complexes reuse those of the complex they
+wrap.
 
 Complexes in character coordinates (cell complexes over the regular
 representation of ``cyclic_group(m)``, see ``vn.HilbertModule``) are
@@ -32,6 +43,7 @@ in a tensor product the field factor's index is outermost.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -42,6 +54,7 @@ from .vn import (
     RANK_AMBIGUITY_FACTOR,
     HilbertModule,
     Morphism,
+    Spectrum,
     TraceContext,
     array_shape,
     assemble_blocks,
@@ -195,11 +208,128 @@ def direct_sum(a: CochainComplex, b: CochainComplex) -> CochainComplex:
 
 
 # ---------------------------------------------------------------------------
-# Hodge decomposition
+# Hodge decomposition: a spectral stage and a basis stage
+
+
+#: What the Hodge stages computed from each differential, by (stage,
+#: cutoff): its Gram spectrum and its range bases.  Keyed on the morphism,
+#: so a complex made of another's differentials (``shifted``,
+#: ``pad_complex``) reads them as they are, and ``suspension`` shares them
+#: with its negated differentials, which have the same Gram matrix bit for
+#: bit, and so the same spectrum and phase-normalized bases.
+_DIFFERENTIAL_DATA: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _differential_data(d: Morphism) -> dict:
+    data = _DIFFERENTIAL_DATA.get(d)
+    if data is None:
+        data = _DIFFERENTIAL_DATA[d] = {}
+    return data
+
+
+def differential_spectrum(d: Morphism, rank_tol: float | None = None) -> Spectrum:
+    """``gram_spectrum`` of d sized by its larger side, one eigvalsh: its
+    singular values and rank decision, computed once per cutoff (an empty
+    map has none)."""
+    data = _differential_data(d)
+    s = data.get(("spectrum", rank_tol))
+    if s is None:
+        matrix = d.array if d.array.size else d.array[..., :0]
+        s = data["spectrum", rank_tol] = gram_spectrum(matrix, rank_tol,
+                                                       dim=max(d.shape + (1,)))
+    return s
+
+
+class _HarmonicDims:
+    """Harmonic dimensions by true degree, from ``complex`` and ``harmonic_dims``."""
+
+    @property
+    def offset(self) -> int:
+        return self.complex.offset
+
+    def harmonic_dim(self, q: int) -> int:
+        i = q - self.offset
+        if 0 <= i < len(self.harmonic_dims):
+            return self.harmonic_dims[i]
+        return 0
+
+    def is_acyclic(self) -> bool:
+        return not any(self.harmonic_dims)
 
 
 @dataclass(frozen=True, eq=False)
-class HodgeData:
+class HodgeSpectra(_HarmonicDims):
+    """The spectral stage of the Hodge decomposition: ranks without bases.
+
+    Per stored index i (true degree offset + i):
+
+    * ``spectra[i]``       -- ``differential_spectrum`` of d_i, whose kept
+                              singular values are those of the reduced
+                              differential at i (so its log-volume),
+    * ``harmonic_dims[i]`` -- dim C_i - rank d_{i-1} - rank d_i, the
+                              dimension of the harmonic space,
+    * ``block_dims[i]``    -- the same per character block (a number in the
+                              standard basis).
+    """
+
+    complex: CochainComplex
+    spectra: tuple[Spectrum, ...]
+    harmonic_dims: tuple[int, ...]
+    block_dims: np.ndarray
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        """One per differential with a singular value within a factor
+        RANK_AMBIGUITY_FACTOR of its cutoff."""
+        return tuple(
+            f"d at degree {self.offset + i}: singular value within a factor "
+            f"{RANK_AMBIGUITY_FACTOR:g} of the rank tolerance {s.tol:.3e}"
+            for i, s in enumerate(self.spectra) if s.ambiguous)
+
+    def log_vol(self, q: int) -> float:
+        """``log_vol`` of the reduced differential at true degree q: kappa
+        times the sum of log kept singular values of d_q."""
+        i = q - self.offset
+        if not 0 <= i < len(self.spectra):
+            return 0.0
+        s = self.spectra[i]
+        return float(self.complex.context.kappa * np.log(s.sigma[s.keep]).sum())
+
+
+def hodge_spectra(c: CochainComplex, rank_tol: float | None = None) -> HodgeSpectra:
+    """Ranks, harmonic dimensions and rank warnings of every degree, from one
+    eigvalsh per differential; ``hodge`` adds the bases.
+
+    In character coordinates ranks are counted block by block, with the
+    rank decisions of the dense direct sum.  Computed once per complex and
+    cutoff, and reads each differential's spectrum once per cutoff.
+    """
+    cached = c._hodge.get(("spectra", rank_tol))
+    if cached is not None:
+        return HodgeSpectra(c, *cached)
+    spectra = tuple(differential_spectrum(d, rank_tol) for d in c.differentials)
+    n = len(c.modules)
+    blocks = np.empty((n, c.context.size) if c.modules[0].characters else n, int)
+    for i, module in enumerate(c.modules):
+        mask = module.block_mask  # the coordinates each block has, if not all
+        blocks[i] = module.width if mask is None else mask.sum(-1)
+    for i, s in enumerate(spectra):
+        rank = s.keep.sum(-1)  # per block for a stack
+        blocks[i] -= rank
+        blocks[i + 1] -= rank
+    short = np.flatnonzero((blocks < 0).reshape(n, -1).any(1))
+    if short.size:
+        raise DataValidationError(
+            "rank bookkeeping failed (image + coimage exceed the module)",
+            location=f"degree {c.offset + short[0]}")
+    blocks.setflags(write=False)
+    parts = (spectra, tuple(blocks.reshape(n, -1).sum(1).tolist()), blocks)
+    c._hodge["spectra", rank_tol] = parts
+    return HodgeSpectra(c, *parts)
+
+
+@dataclass(frozen=True, eq=False)
+class HodgeData(_HarmonicDims):
     """Orthogonal decomposition C_i = harmonic + image(d_{i-1}) + image(d_i^*).
 
     Per stored index i (true degree offset + i):
@@ -215,6 +345,7 @@ class HodgeData:
     Bases are deterministic: eigensolver order (ascending) plus fixed-phase
     normalization, so repeated runs agree bitwise.  Every field is a tuple
     of read-only arrays (or ints, or strings): the complex keeps its data.
+    Dimensions and warnings are those of ``hodge_spectra``.
     """
 
     complex: CochainComplex
@@ -224,16 +355,6 @@ class HodgeData:
     minus_bases: tuple[np.ndarray, ...]
     reduced: tuple[np.ndarray, ...]
     warnings: tuple[str, ...] = ()
-
-    @property
-    def offset(self) -> int:
-        return self.complex.offset
-
-    def harmonic_dim(self, q: int) -> int:
-        i = q - self.offset
-        if 0 <= i < len(self.harmonic_dims):
-            return self.harmonic_dims[i]
-        return 0
 
     def harmonic_basis(self, q: int) -> np.ndarray:
         """Orthonormal columns spanning the harmonic space; in character
@@ -265,39 +386,6 @@ class HodgeData:
         return Morphism(self._carrier(self.minus_bases[i]),
                         self._carrier(self.plus_bases[i + 1]), self.reduced[i])
 
-    def is_acyclic(self) -> bool:
-        return not any(self.harmonic_dims)
-
-
-def _range_basis(matrix: np.ndarray, dim: int, rank_tol: float | None,
-                 warnings: list[str], label: str) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases (V of the coimage, U of the range) of a matrix.
-
-    Both come from one Hermitian eigendecomposition of m* m; columns are
-    ordered by descending singular value and phase-normalized.  A stack of
-    character blocks keeps every column, the dropped ones set to zero.
-    ``dim`` sizes the rank decision (see ``gram_spectrum``).
-    """
-    rows, cols = matrix.shape[-2:]
-    if rows == 0 or cols == 0:
-        return (np.zeros(matrix.shape[:-2] + (cols, 0), np.complex128),
-                np.zeros(matrix.shape[:-2] + (rows, 0), np.complex128))
-    s = gram_spectrum(matrix, rank_tol, vectors=True, dim=dim)
-    if s.ambiguous:
-        warnings.append(
-            f"{label}: singular value within a factor {RANK_AMBIGUITY_FACTOR:g} "
-            f"of the rank tolerance {s.tol:.3e}")
-    if matrix.ndim == 2:
-        order = np.argsort(-s.sigma[s.keep])
-        v_kept = _phase_normalize(s.vectors[:, s.keep][:, order])
-        u = matrix @ v_kept
-        u /= np.linalg.norm(u, axis=0, keepdims=True)
-    else:  # the dropped columns stay, as zeros
-        v_kept = _phase_normalize(s.vectors * s.keep[..., None, :])
-        u = matrix @ v_kept
-        u /= np.maximum(np.linalg.norm(u, axis=-2, keepdims=True), np.finfo(float).tiny)
-    return v_kept, _phase_normalize(u)
-
 
 def _frozen(arrays: list[np.ndarray]) -> tuple[np.ndarray, ...]:
     for a in arrays:
@@ -305,55 +393,74 @@ def _frozen(arrays: list[np.ndarray]) -> tuple[np.ndarray, ...]:
     return tuple(arrays)
 
 
+def _range_basis(d: Morphism, s: Spectrum, rank_tol: float | None
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases (V of the coimage, U of the range) of d, computed
+    once per cutoff.
+
+    Both come from one Hermitian eigendecomposition of d* d: V is its top
+    eigenvectors, as many (per block) as the spectral stage ``s`` keeps, so
+    the two stages make one rank decision.  Columns are ordered by
+    descending singular value and phase-normalized; a stack of character
+    blocks keeps every column, the dropped ones set to zero.
+    """
+    data = _differential_data(d)
+    bases = data.get(("bases", rank_tol))
+    if bases is not None:
+        return bases
+    matrix = d.array
+    rows, cols = matrix.shape[-2:]
+    if rows == 0 or cols == 0:
+        v_kept = np.zeros(matrix.shape[:-2] + (cols, 0), np.complex128)
+        u = np.zeros(matrix.shape[:-2] + (rows, 0), np.complex128)
+    else:
+        e = gram_spectrum(matrix, rank_tol, vectors=True, dim=max(d.shape + (1,)))
+        if matrix.ndim == 2:
+            order = np.argsort(-e.sigma[s.keep])
+            v_kept = _phase_normalize(e.vectors[:, s.keep][:, order])
+            u = matrix @ v_kept
+            u /= np.linalg.norm(u, axis=0, keepdims=True)
+        else:  # the dropped columns stay, as zeros
+            v_kept = _phase_normalize(e.vectors * s.keep[..., None, :])
+            u = matrix @ v_kept
+            u /= np.maximum(np.linalg.norm(u, axis=-2, keepdims=True), np.finfo(float).tiny)
+        u = _phase_normalize(u)
+    bases = data["bases", rank_tol] = _frozen([v_kept, u])
+    return bases
+
+
 def hodge(c: CochainComplex, rank_tol: float | None = None) -> HodgeData:
     """Orthogonal decomposition of every module and the reduced differentials.
 
-    The reduced differential at degree q is invertible from the coimage of
-    d_q onto its range; the degree-q harmonic space is the kernel of d_q
-    intersected with the kernel of d_{q-1}^*, realized as the orthogonal
-    complement of range(d_{q-1}) + range(d_q^*).  In character coordinates
-    every step runs block by block, in batched eigensolves, with the rank
-    decisions of the dense direct sum.  Computed once per complex and
+    The basis stage on top of ``hodge_spectra``, for callers that read a
+    harmonic basis, a reduced differential or a harmonic map.  The reduced
+    differential at degree q is invertible from the coimage of d_q onto its
+    range; the degree-q harmonic space is the kernel of d_q intersected
+    with the kernel of d_{q-1}^*, realized as the orthogonal complement of
+    range(d_{q-1}) + range(d_q^*).  In character coordinates every step runs
+    block by block, in batched eigensolves.  Computed once per complex and
     cutoff: the complex keeps the read-only parts, and later calls return
     them (it holds no HodgeData, which refers back to it: no cycle).
     """
-    cached = c._hodge.get(rank_tol)
+    cached = c._hodge.get(("bases", rank_tol))
     if cached is not None:
         return HodgeData(c, *cached)
-    n = len(c.modules)
-    warnings: list[str] = []
-    minus, plus_next = [], []
-    for i, d in enumerate(c.differentials):
-        v, u = _range_basis(d.array, max(d.shape + (1,)), rank_tol, warnings,
-                            f"d at degree {c.offset + i}")
-        minus.append(v)
-        plus_next.append(u)
-
-    harmonic_bases, harmonic_dims, plus_bases, minus_bases, reduced = [], [], [], [], []
-    for i in range(n):
-        module = c.modules[i]
+    spectra = hodge_spectra(c, rank_tol)
+    ranges = [_range_basis(d, s, rank_tol) for d, s in zip(c.differentials, spectra.spectra)]
+    harmonic_bases, plus_bases, minus_bases = [], [], []
+    for i, (module, h_dim) in enumerate(zip(c.modules, spectra.block_dims)):
         shape = array_shape(module, module)
         dim = shape[-1]
         none = np.zeros(shape[:-1] + (0,), np.complex128)
-        plus = plus_next[i - 1] if i >= 1 else none
-        mnus = minus[i] if i < len(minus) else none
-        span = np.concatenate([plus, mnus], axis=-1)
-        mask = module.block_mask  # the coordinates each block has, if not all
-        if span.ndim == 2:
-            h_dim = h_least = h_total = dim - span.shape[1]
-        else:
-            h_dim = (dim if mask is None else mask.sum(-1)) - _kept(span).sum(-1)
-            h_least, h_total = int(h_dim.min()), int(h_dim.sum())
-        if h_least < 0:
-            raise DataValidationError(
-                "rank bookkeeping failed (image + coimage exceed the module)",
-                location=f"degree {c.offset + i}")
-        if h_total == 0 or dim == 0:
+        plus = ranges[i - 1][1] if i >= 1 else none
+        mnus = ranges[i][0] if i < len(ranges) else none
+        if spectra.harmonic_dims[i] == 0 or dim == 0:
             harm = none
         else:
+            span = np.concatenate([plus, mnus], axis=-1)
             ident = np.eye(dim, dtype=np.complex128)
-            if mask is not None:
-                ident = ident * mask[:, None, :]
+            if module.block_mask is not None:
+                ident = ident * module.block_mask[:, None, :]
             proj = ident - span @ span.conj().swapaxes(-1, -2)
             proj = 0.5 * (proj + proj.conj().swapaxes(-1, -2))
             w, vecs = np.linalg.eigh(proj)
@@ -363,16 +470,13 @@ def hodge(c: CochainComplex, rank_tol: float | None = None) -> HodgeData:
                 harm = vecs * (np.arange(dim) >= (dim - h_dim)[:, None])[:, None, :]
             harm = _phase_normalize(harm)
         harmonic_bases.append(harm)
-        harmonic_dims.append(h_total)
         plus_bases.append(plus)
         minus_bases.append(mnus)
-
-    for i, d in enumerate(c.differentials):
-        reduced.append(plus_next[i].conj().swapaxes(-1, -2) @ d.array @ minus[i])
-
-    parts = (_frozen(harmonic_bases), tuple(harmonic_dims), _frozen(plus_bases),
-             _frozen(minus_bases), _frozen(reduced), tuple(warnings))
-    c._hodge[rank_tol] = parts
+    reduced = [u.conj().swapaxes(-1, -2) @ d.array @ v
+               for d, (v, u) in zip(c.differentials, ranges)]
+    parts = (_frozen(harmonic_bases), spectra.harmonic_dims, _frozen(plus_bases),
+             _frozen(minus_bases), _frozen(reduced), spectra.warnings)
+    c._hodge["bases", rank_tol] = parts
     return HodgeData(c, *parts)
 
 
@@ -382,14 +486,12 @@ def hodge(c: CochainComplex, rank_tol: float | None = None) -> HodgeData:
 
 def torsion(c: CochainComplex, rank_tol: float | None = None) -> float:
     """Alternating sum over true degrees q of (-1)^q log-volume of the
-    reduced differential at q."""
-    h = hodge(c, rank_tol)
+    reduced differential at q, read from ``hodge_spectra``: its singular
+    values are the kept singular values of d_q."""
+    s = hodge_spectra(c, rank_tol)
     total = 0.0
-    for i, r in enumerate(h.reduced):
-        q = c.offset + i
-        if min(r.shape[-2:]) == 0:
-            continue
-        total += (-1) ** q * log_vol(h.reduced_morphism(q), rank_tol)
+    for q in range(c.offset, c.top_degree):
+        total += (-1) ** q * s.log_vol(q)
     return float(total)
 
 
@@ -498,9 +600,13 @@ def tensor_product(c1: CochainComplex, c2: CochainComplex) -> CochainComplex:
 
 
 def suspension(c: CochainComplex) -> CochainComplex:
-    """(SC)_i = C_{i+1} with differentials negated."""
-    return CochainComplex(c.modules, [-d for d in c.differentials], c.offset - 1,
-                          validate=False)
+    """(SC)_i = C_{i+1} with differentials negated; each shares the Hodge
+    stages' data of the differential it negates."""
+    negated = []
+    for d in c.differentials:
+        negated.append(-d)
+        _DIFFERENTIAL_DATA[negated[-1]] = _differential_data(d)
+    return CochainComplex(c.modules, negated, c.offset - 1, validate=False)
 
 
 @dataclass(eq=False)

@@ -12,6 +12,11 @@ The connecting map is computed by the usual zig-zag (lift along g, apply
 the middle differential, pull back along f, project to harmonics); two
 independent lifting strategies are provided so the choice can be checked
 rather than trusted.
+
+Exactness of each degree, the degreewise torsions and the acyclicity of
+the long sequence read ranks and singular values only (``hodge_spectra``);
+harmonic bases are computed for the three complexes alone, when the long
+sequence needs them.
 """
 
 from __future__ import annotations
@@ -24,7 +29,9 @@ from .complexes import (
     CochainComplex,
     ComplexMorphism,
     HodgeData,
+    differential_spectrum,
     hodge,
+    hodge_spectra,
     induced_harmonic_map,
     mapping_cone,
     torsion,
@@ -106,7 +113,7 @@ class ComplexSES:
                 raise DataValidationError("composition g o f is not zero",
                                           location=f"degree {i}")
             try:
-                dims = hodge(stage, self.rank_tol).harmonic_dims
+                dims = hodge_spectra(stage, self.rank_tol).harmonic_dims
             except DataValidationError as exc:  # rank f + rank g exceed dim C2_i
                 raise DataValidationError("sequence is not exact in the middle",
                                           location=f"degree {i}") from exc
@@ -199,7 +206,9 @@ def long_sequence(ses: ComplexSES, strategy: str = "pinv",
     # tiny nonzero entries; relative-to-itself rank decisions would promote
     # that noise to full rank, so snap maps that are negligible against the
     # scale of the whole sequence (or below the sequence's cutoff) to zeros.
-    norms = [gram_spectrum(d.array).sigma.max() if d.array.size else 0.0 for d in diffs]
+    # One eigvalsh per map gives its norm here and its spectrum in the
+    # sequence's Hodge stage (a snapped map is zero: it needs none).
+    norms = [differential_spectrum(d, ses.rank_tol).sigma.max(initial=0.0) for d in diffs]
     scale = max(norms + [1.0])
     dim = max(m.ambient_dim for m in modules) if modules else 1
     snap = rank_cutoff(scale, max(dim, 2), ses.rank_tol)
@@ -221,7 +230,7 @@ def long_sequence(ses: ComplexSES, strategy: str = "pinv",
                 raise DataValidationError(
                     "long sequence maps do not compose to zero" + hint,
                     location=f"positions {k} -> {k + 2}")
-        if not hodge(seq, ses.rank_tol).is_acyclic():
+        if not hodge_spectra(seq, ses.rank_tol).is_acyclic():
             raise DataValidationError("long sequence is not exact" + hint)
     return seq
 

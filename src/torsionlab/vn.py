@@ -170,7 +170,7 @@ def finite_group(table, labels: Sequence[str] | None = None) -> TraceContext:
     inverses and associativity are verified; violations raise
     ``DataValidationError``.
     """
-    t = np.asarray(table, dtype=np.int64)
+    t = np.array(table, dtype=np.int64)  # a copy: it is frozen below
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise DataValidationError("group table must be square")
     n = t.shape[0]
@@ -195,11 +195,14 @@ def finite_group(table, labels: Sequence[str] | None = None) -> TraceContext:
             raise DataValidationError(f"group element {i} has no two-sided inverse")
         inverse[i] = js[0]
 
-    # associativity: (gi gj) gk == gi (gj gk) for all triples
-    left = t[t, :]          # left[i, j, k] = (gi gj) gk
-    right = t[:, t]         # right[i, j, k] = gi (gj gk)
-    if not np.array_equal(left, right):
-        raise DataValidationError("group table is not associative")
+    # associativity: (gi gj) gk == gi (gj gk) for all triples, a slice of
+    # i at a time, so that no index array exceeds about 2^17 entries (1 MiB)
+    step = max(1, 2 ** 17 // (n * n))
+    for lo in range(0, n, step):
+        rows = t[lo:lo + step]
+        # rows[t] [i, j, k] = (gi gj) gk and rows[:, t] [i, j, k] = gi (gj gk)
+        if not np.array_equal(t[rows], rows[:, t]):
+            raise DataValidationError("group table is not associative")
 
     if labels is not None:
         labels = tuple(str(x) for x in labels)
@@ -568,13 +571,14 @@ def spectrum(a: np.ndarray, rank_tol: float | None = None, vectors: bool = False
     one batched eigensolve: the top eigenvalue is the largest of all
     blocks, and ``dim`` (default: the size of ``a``, m n for a stack) sizes
     floor and cutoff, so every decision is the one the dense direct sum
-    gets.  A clearly negative eigenvalue raises ``DataValidationError``, a
+    gets.  A zero matrix needs no eigensolve unless eigenvectors are asked
+    for.  A clearly negative eigenvalue raises ``DataValidationError``, a
     non-finite entry (an overflow, say in f* f) ``NumericalError``.
     """
     if not np.isfinite(a).all():
         raise NumericalError("non-finite matrix entries in the spectral kernel (overflow)")
     dim = math.prod(a.shape[:-1]) if dim is None else dim
-    if a.shape[-1] == 0:
+    if a.shape[-1] == 0 or not (vectors or a.any()):
         empty = np.zeros(a.shape[:-1])
         return Spectrum(empty, empty, rank_cutoff(0.0, dim, rank_tol), empty > 0,
                         np.zeros(a.shape, np.complex128) if vectors else None)

@@ -455,3 +455,29 @@ def test_glue_check_failure_names_the_rank_cutoff(tmp_path, context):
     assert "long sequence maps do not compose to zero at rank cutoff 0.3" in proc.stderr
     assert "truncates the harmonic spaces" in proc.stderr
     assert run_cli("glue-check", str(path)).returncode == 0
+
+
+def _regular_circle(tmp_path, m):
+    rep = {"type": "regular", "context": {"type": "cyclic", "order": m}}
+    circle = {"kind": "cw", "representation": rep, "top_degree": 1,
+              "cells": {"0": ["min"], "1": ["max"]},
+              "incidences": [{"from": "min", "to": "max",
+                              "word": [[["t", 5], [1, 0]], ["e", [-1, 0]]]}]}
+    path = tmp_path / f"circle_z{m}.json"
+    path.write_text(json.dumps(circle))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["torsion", "hodge", "duality-check"])
+@pytest.mark.parametrize("source", ["circle_z3", "regular_z64"])
+def test_rank_reports_compute_no_eigenvectors(tmp_path, monkeypatch, command, source):
+    # torsion, harmonic dimensions and rank warnings read singular values
+    # only: no command among these asks for a basis
+    path = (str(DATA / "circle_z3.json") if source == "circle_z3"
+            else _regular_circle(tmp_path, 64))
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda *args, **kwargs: calls.append(1) or eigh(*args, **kwargs))
+    cli.run(cli.JobSpec(command, (path,)))
+    assert calls == []

@@ -11,6 +11,7 @@ from torsionlab.complexes import (
     ComplexMorphism,
     direct_sum,
     hodge,
+    hodge_spectra,
     induced_harmonic_map,
     laplacian,
     log_det_prime,
@@ -257,6 +258,22 @@ def test_suspension_negates_torsion():
     assert torsion_via_laplacians(s) == pytest.approx(-torsion_via_laplacians(c), abs=1e-9)
 
 
+def test_shifted_padded_and_suspended_complexes_reuse_the_hodge_data():
+    c, _ = random_cochain_complex(np.random.default_rng(9), CF, length=3, max_rank=2)
+    h, spectra = hodge(c), hodge_spectra(c).spectra
+    padded = pad_complex(c, c.offset - 1, c.top_degree + 1)
+    for other, inner in ((c.shifted(2), slice(None)), (padded, slice(1, -1)),
+                         (suspension(c), slice(None))):
+        assert all(a is b for a, b in zip(hodge_spectra(other).spectra[inner], spectra))
+    # negating the differentials keeps the bases and negates the reduced maps
+    s = hodge(suspension(c))
+    for a, b in zip(s.harmonic_bases + s.plus_bases + s.minus_bases,
+                    h.harmonic_bases + h.plus_bases + h.minus_bases):
+        assert np.array_equal(a, b)
+    for a, b in zip(s.reduced, h.reduced):
+        assert np.array_equal(a, -b)
+
+
 def test_laplacian_examples():
     circle = _circle_complex(-1.0)
     assert_allclose(laplacian(circle, 0).matrix, [[4.0]], atol=1e-12)
@@ -295,6 +312,24 @@ def test_torsion_routes_agree_on_random_complexes():
             a = torsion(c)
             b = torsion_via_laplacians(c)
             assert abs(a - b) < ROUTE_AGREEMENT_TOL * (1.0 + abs(a))
+
+
+@pytest.mark.parametrize("rank_tol", [None, 1e-6], ids=["default", "1e-6"])
+def test_torsion_is_the_alternating_sum_of_reduced_log_volumes(rank_tol):
+    # torsion reads the kept singular values of each d_q, which are those of
+    # the reduced differential; its definition is their log-volumes
+    from torsionlab.cells import RegularRepresentation, build_complex, circle
+    rng = np.random.default_rng(11)
+    complexes = [build_complex(circle(RegularRepresentation(cyclic_group(8))))]
+    for ctx in [CF, cyclic_group(2), cyclic_group(3), cyclic_group(6)]:
+        complexes += [random_cochain_complex(rng, ctx, length=4, max_rank=2,
+                                             offset=int(rng.integers(-2, 3)))[0]
+                      for _ in range(5)]
+    for c in complexes:
+        h = hodge(c, rank_tol)
+        want = sum((-1) ** q * log_vol(h.reduced_morphism(q), rank_tol) for q in c.degrees())
+        got = torsion(c, rank_tol)
+        assert abs(got - want) <= 1e-12 * (1.0 + abs(got))
 
 
 def test_direct_sum_torsion_is_additive():

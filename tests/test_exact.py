@@ -224,24 +224,53 @@ def test_milnor_report_is_deterministic():
     assert isinstance(r1, MilnorReport)
 
 
-@pytest.mark.parametrize("ctx", [CF, cyclic_group(3)], ids=["C", "Z/3"])
-def test_milnor_check_decomposes_every_complex_once(ctx, monkeypatch):
+def _sequence(case):
+    """A length-4 random sequence, or the cone sequence of a length-3 chain
+    map whose complexes' torsions are already known."""
+    if case != "cone":
+        ctx = CF if case == "C" else cyclic_group(3)
+        return random_ses(np.random.default_rng(44), ctx, length=4, max_rank=2)
+    rng = np.random.default_rng(46)
+    c, shape = random_cochain_complex(rng, CF, length=3, max_rank=2)
+    f, _, _ = random_chain_morphism(rng, c, shape, invertible=False)
+    torsion(f.source)
+    torsion(f.target)
+    return cone_ses(f)
+
+
+# The parent of the two-stage Hodge data made (eigvalsh, eigh) = (23, 21),
+# (21, 19) and (15, 17) solves here, and 28 range bases for the cone.
+@pytest.mark.parametrize("case, eigvalsh, eigh", [
+    ("C", 11, 16),
+    ("Z/3", 10, 15),
+    ("cone", 5, 15),
+], ids=["C", "Z/3", "cone"])
+def test_milnor_check_decomposes_every_complex_once(case, eigvalsh, eigh, monkeypatch):
     import torsionlab.complexes as complexes
-    calls = []
+    ses = _sequence(case)  # validated: its stages' spectra are known
+    solves = {"eigvalsh": 0, "eigh": 0}
+    for name in solves:
+        def count(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            solves[_name] += 1
+            return _original(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, count)
+    bases = []
     original = complexes._range_basis
 
-    def spy(matrix, *args, **kwargs):
-        calls.append(matrix.shape)
-        return original(matrix, *args, **kwargs)
+    def spy(d, *args, **kwargs):
+        bases.append(d)
+        return original(d, *args, **kwargs)
 
     monkeypatch.setattr(complexes, "_range_basis", spy)
-    ses = random_ses(np.random.default_rng(44), ctx, length=4, max_rank=2)
     milnor_check(ses)
-    decomposed = len(calls)
-    seq = long_sequence(ses)  # an equal sequence, for its length
-    stages = 2 * len(ses.degrees())  # 0 -> C1_i -> C2_i -> C3_i -> 0
-    assert decomposed == stages + sum(
-        len(c.differentials) for c in (ses.first, ses.middle, ses.last, seq))
+    # Each differential of C1, C2, C3 and the long sequence gets one
+    # eigvalsh (torsion, exactness, the snap norm) and, where a harmonic
+    # basis is read, one eigh; a padded or suspended complex reuses those
+    # of the complex it wraps, and a stage complex gets no bases.
+    assert solves == {"eigvalsh": eigvalsh, "eigh": eigh}
+    stage_maps = {id(d) for stage in ses.stages for d in stage.differentials}
+    assert not stage_maps & {id(d) for d in bases}
+    assert len(bases) == sum(len(c.differentials) for c in (ses.first, ses.middle, ses.last))
 
 
 def test_cone_sequence_connecting_is_induced_map_up_to_sign():

@@ -3,6 +3,7 @@
 import ast
 import itertools
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +100,25 @@ def test_group_table_validation():
     bad = (np.arange(5)[:, None] - np.arange(5)[None, :]) % 5
     with pytest.raises(DataValidationError):
         finite_group(bad)
+
+
+def test_associativity_check_memory_stays_bounded():
+    # the check runs a slice of rows at a time; checking every triple at
+    # once built two 128^3 int64 index arrays (16 MiB each)
+    i = np.arange(128)
+    table = (i[:, None] + i[None, :]) % 128
+    tracemalloc.start()
+    try:
+        finite_group(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    # swapping t^100 t^2 and t^100 t^3 keeps the identity and the inverses,
+    # but (t^100 t) t = t^102 while t^100 (t t) is now t^103
+    table[100, [2, 3]] = table[100, [3, 2]]
+    with pytest.raises(DataValidationError, match="not associative"):
+        finite_group(table)
 
 
 def test_cyclic_group_basics():
