@@ -35,7 +35,7 @@ _EXPORTS = {
         "HilbertModule", "Morphism", "SpectralDistribution", "TraceContext",
         "a_linearity_residual", "block_triangular_log_vol_residual", "complex_field",
         "cyclic_group", "default_rank_tol", "direct_sum_modules", "finite_group",
-        "group_ring_matrix", "is_determinant_class", "log_vol",
+        "group_ring_matrix", "log_vol",
         "log_vol_additivity_residual", "polar_decompose", "regular_module",
         "singular_values", "spectral_distribution", "stieltjes_log_vol", "vn_trace",
     ),

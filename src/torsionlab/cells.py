@@ -35,7 +35,7 @@ import numpy as np
 
 from .complexes import (
     CochainComplex,
-    ComplexMorphism,
+    extension_maps,
     tensor_product,
     torsion,
     torsion_via_laplacians,
@@ -417,7 +417,10 @@ class GluingSpec:
 
 
 def glue(spec: GluingSpec, rank_tol: float | None = None) -> tuple[TwistedCellComplex, ComplexSES]:
-    """Assemble the glued complex and its inclusion/restriction sequence (cutoff ``rank_tol``)."""
+    """Assemble the glued complex and its inclusion/restriction sequence (cutoff ``rank_tol``).
+
+    The built glued complex has modules upper_q + lower_q, so the sequence
+    takes its maps from ``complexes.extension_maps``."""
     from .exact import ComplexSES
     lower, upper = spec.lower, spec.upper
     if lower.top_degree != upper.top_degree:
@@ -439,17 +442,8 @@ def glue(spec: GluingSpec, rank_tol: float | None = None) -> tuple[TwistedCellCo
     glued = TwistedCellComplex(union.representation, union.cells,
                                {**union.incidences, **spec.coupling}, union.top_degree)
     built = build_complex(glued)
-    c_up = build_complex(upper)
-    c_low = build_complex(lower)
-    include, restrict = [], []
-    for q in range(union.top_degree + 1):
-        up, mid, low = c_up.module(q), built.module(q), c_low.module(q)
-        include.append(Morphism(up, mid, assemble_blocks({(0, 0): np.eye(up.width)},
-                                                         [up, low], [up])))
-        restrict.append(Morphism(mid, low, assemble_blocks({(0, 1): np.eye(low.width)},
-                                                           [low], [up, low])))
-    ses = ComplexSES(ComplexMorphism(c_up, built, include),
-                     ComplexMorphism(built, c_low, restrict), rank_tol=rank_tol)
+    include, restrict = extension_maps(build_complex(upper), built, build_complex(lower))
+    ses = ComplexSES(include, restrict, rank_tol=rank_tol)
     return glued, ses
 
 

@@ -18,6 +18,13 @@ Torsion is computed by two deliberately independent routes:
 
 They are cross-checked in the tests, never merged.
 
+Every short exact sequence the package builds is an ``extension``
+0 -> sub -> E -> quot -> 0 with E_i = sub_i + quot_i, differential
+[[d_sub, theta_i], [0, d_quot]], inclusion (id, 0) and projection (0, id):
+direct sums (no coupling), mapping cones (coupled by f), the random
+sequences of ``generators`` (a coboundary twist) and, through
+``extension_maps``, the gluing sequences of ``cells``.
+
 The Hodge decomposition comes in two stages, each computed once per
 complex and cutoff.  ``hodge_spectra`` takes one eigvalsh per differential:
 ranks, harmonic dimensions, rank warnings and route one read only it.
@@ -191,19 +198,6 @@ def pad_complex(c: CochainComplex, lo: int, hi: int) -> CochainComplex:
         raise DataValidationError("padding window must contain the complex")
     modules = [c.module(q) for q in range(lo, hi + 1)]
     diffs = [c.differential(q) for q in range(lo, hi)]
-    return CochainComplex(modules, diffs, lo, validate=False)
-
-
-def direct_sum(a: CochainComplex, b: CochainComplex) -> CochainComplex:
-    """Degreewise orthogonal direct sum (blocks of a first)."""
-    if not a.context.matches(b.context):
-        raise DataValidationError("direct sum needs a common trace context")
-    lo, hi = min(a.offset, b.offset), max(a.top_degree, b.top_degree)
-    parts = [[a.module(q), b.module(q)] for q in range(lo, hi + 1)]
-    modules = [direct_sum_modules(p) for p in parts]
-    diffs = [Morphism(modules[i], modules[i + 1], assemble_blocks(
-        {(0, 0): a.differential(q).array, (1, 1): b.differential(q).array},
-        parts[i + 1], parts[i])) for i, q in enumerate(range(lo, hi))]
     return CochainComplex(modules, diffs, lo, validate=False)
 
 
@@ -543,7 +537,7 @@ def torsion_via_laplacians(c: CochainComplex, rank_tol: float | None = None) -> 
 
 
 # ---------------------------------------------------------------------------
-# constructions: tensor product, suspension, mapping cone
+# constructions: tensor product, suspension, extensions
 
 
 def _tensor_modules(a: HilbertModule, b: HilbertModule) -> HilbertModule:
@@ -666,33 +660,74 @@ class ComplexMorphism:
         return Morphism.zero(self.source.module(q), self.target.module(q))
 
 
+def extension_maps(sub: CochainComplex, middle: CochainComplex,
+                   quot: CochainComplex) -> tuple[ComplexMorphism, ComplexMorphism]:
+    """The inclusion (id, 0) : sub -> middle and the projection (0, id) :
+    middle -> quot of a middle complex whose modules are sub_i + quot_i."""
+    include, project = [], []
+    for a, m, b in zip(sub.modules, middle.modules, quot.modules):
+        include.append(Morphism(a, m, assemble_blocks({(0, 0): np.eye(a.width)}, [a, b], [a])))
+        project.append(Morphism(m, b, assemble_blocks({(0, 1): np.eye(b.width)}, [b], [a, b])))
+    return ComplexMorphism(sub, middle, include), ComplexMorphism(middle, quot, project)
+
+
+def extension(sub: CochainComplex, quot: CochainComplex,
+              couplings: Sequence[np.ndarray] | None = None,
+              ) -> tuple[CochainComplex, ComplexMorphism, ComplexMorphism]:
+    """The extension 0 -> sub -> E -> quot -> 0 with its inclusion and projection.
+
+    E_i = sub_i + quot_i with differential [[d_sub, theta_i], [0, d_quot]],
+    where theta_i : quot_i -> sub_{i+1} is the array ``couplings[i]``; it
+    must satisfy d_sub theta_i + theta_{i+1} d_quot = 0, which E's
+    validation checks.  No couplings give the split sum.  ``sub`` and
+    ``quot`` must share a trace context and a degree window.  Returns
+    (E, include, project) with the maps of ``extension_maps``.
+    """
+    if not sub.context.matches(quot.context):
+        raise DataValidationError("an extension needs a common trace context")
+    if sub.offset != quot.offset or len(sub.modules) != len(quot.modules):
+        raise DataValidationError("an extension needs complexes on one degree window")
+    if couplings is not None and len(couplings) != len(sub.differentials):
+        raise DataValidationError(
+            f"{len(sub.modules)} modules need {len(sub.differentials)} couplings, "
+            f"got {len(couplings)}")
+    parts = [[a, b] for a, b in zip(sub.modules, quot.modules)]
+    modules = [direct_sum_modules(p) for p in parts]
+    diffs = []
+    for i, (d_sub, d_quot) in enumerate(zip(sub.differentials, quot.differentials)):
+        blocks = {(0, 0): d_sub.array, (1, 1): d_quot.array}
+        if couplings is not None:
+            want = array_shape(sub.modules[i + 1], quot.modules[i])
+            if np.shape(couplings[i]) != want:
+                raise DataValidationError(
+                    f"coupling has shape {np.shape(couplings[i])}, expected {want}",
+                    location=f"degree {sub.offset + i}")
+            blocks[0, 1] = couplings[i]
+        diffs.append(Morphism(modules[i], modules[i + 1],
+                              assemble_blocks(blocks, parts[i + 1], parts[i])))
+    middle = CochainComplex(modules, diffs, sub.offset, validate=couplings is not None)
+    return (middle, *extension_maps(sub, middle, quot))
+
+
+def direct_sum(a: CochainComplex, b: CochainComplex) -> CochainComplex:
+    """Degreewise orthogonal direct sum (blocks of a first): the split
+    extension of the two complexes padded to one window."""
+    lo, hi = min(a.offset, b.offset), max(a.top_degree, b.top_degree)
+    return extension(pad_complex(a, lo, hi), pad_complex(b, lo, hi))[0]
+
+
 def mapping_cone(f: ComplexMorphism) -> tuple[CochainComplex, ComplexMorphism, ComplexMorphism]:
     """Cone of f : C1 -> C2 with its inclusion and projection.
 
-    Cone_i = C2_i + C1_{i+1} with differential [[d2, f_{i+1}], [0, -d1]];
-    returns (cone, j, p) where j : C2 -> cone is (id, 0) and
-    p : cone -> SC1 is (0, id), all padded to the cone's degree window.
+    Cone_i = C2_i + C1_{i+1} with differential [[d2, f_{i+1}], [0, -d1]]:
+    the extension of SC1 by C2 coupled by f, both padded to the cone's
+    degree window.  Returns (cone, j, p) with j : C2 -> cone the inclusion
+    (id, 0) and p : cone -> SC1 the projection (0, id).
     """
     c1, c2 = f.source, f.target
     lo, hi = c1.offset - 1, c1.top_degree
-    parts = [[c2.module(i), c1.module(i + 1)] for i in range(lo, hi + 1)]
-    cone_modules = [direct_sum_modules(p) for p in parts]
-    cone_diffs = [Morphism(cone_modules[n], cone_modules[n + 1], assemble_blocks(
-        {(0, 0): c2.differential(i).array, (0, 1): f.component(i + 1).array,
-         (1, 1): -c1.differential(i + 1).array}, parts[n + 1], parts[n]))
-        for n, i in enumerate(range(lo, hi))]
-    cone = CochainComplex(cone_modules, cone_diffs, lo)
-
-    include, project = [], []
-    for part, module in zip(parts, cone_modules):
-        n2, n1 = part
-        include.append(Morphism(n2, module, assemble_blocks({(0, 0): np.eye(n2.width)},
-                                                            part, [n2])))
-        project.append(Morphism(module, n1, assemble_blocks({(0, 1): np.eye(n1.width)},
-                                                            [n1], part)))
-    j = ComplexMorphism(pad_complex(c2, lo, hi), cone, include)
-    p = ComplexMorphism(cone, pad_complex(suspension(c1), lo, hi), project)
-    return cone, j, p
+    return extension(pad_complex(c2, lo, hi), pad_complex(suspension(c1), lo, hi),
+                     [f.component(i + 1).array for i in range(lo, hi)])
 
 
 # ---------------------------------------------------------------------------

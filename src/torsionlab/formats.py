@@ -155,11 +155,18 @@ def parse_complex(obj, where: str = "complex") -> CochainComplex:
     if not isinstance(dims, list) or not all(is_integer(d) for d in dims):
         raise DataValidationError("'modules' must list ambient dimensions",
                                   location=where)
+    for i, d in enumerate(dims):
+        if d < 0:
+            raise DataValidationError("ambient dimension must be >= 0",
+                                      location=f"{where}.modules[{i}]")
     offset = obj.get("offset", 0)
     if not is_integer(offset):
         raise DataValidationError("'offset' must be an integer", location=where)
     modules = [HilbertModule(ctx, d) for d in dims]
     raw_diffs = obj.get("differentials", [])
+    if not isinstance(raw_diffs, list):
+        raise DataValidationError("'differentials' must be a list of matrices",
+                                  location=where)
     if len(raw_diffs) != max(0, len(modules) - 1):
         raise DataValidationError(
             f"{len(modules)} modules need {max(0, len(modules) - 1)} "
@@ -227,6 +234,10 @@ def _parse_incidences(records, where: str) -> dict:
                 not {"from", "to", "word"} <= set(record):
             raise DataValidationError(
                 "incidence records need 'from', 'to' and 'word'", location=spot)
+        if not (isinstance(record["from"], str) and isinstance(record["to"], str)):
+            raise DataValidationError(
+                "incidence 'from' and 'to' must be cell labels (strings)",
+                location=spot)
         key = (record["to"], record["from"])
         if key in out:
             raise DataValidationError(

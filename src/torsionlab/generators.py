@@ -7,9 +7,9 @@ context every block is linear over the algebra (a sum of coefficient blocks
 kron'd with right-regular permutations), so the generated complexes are
 honest Hilbert-module complexes, not merely complex-linear ones.
 
-Random short exact sequences use the coboundary-twist construction: the
-middle complex is the direct sum of the outer ones with an off-diagonal
-block d1 u - u d3, which satisfies the chain identity automatically.
+Random short exact sequences are ``complexes.extension``s of two random
+complexes coupled by a coboundary twist: the off-diagonal block
+d1 u - u d3 satisfies the chain identity automatically.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import CochainComplex, ComplexMorphism
+from .complexes import CochainComplex, ComplexMorphism, extension
 from .errors import DataValidationError
 from .exact import ComplexSES
 from .vn import (
@@ -26,7 +26,6 @@ from .vn import (
     Morphism,
     TraceContext,
     assemble_blocks,
-    direct_sum_modules,
     gram_spectrum,
     right_regular,
 )
@@ -224,17 +223,6 @@ def coboundary_twist(rng: np.random.Generator, c1: CochainComplex,
     return thetas
 
 
-def twisted_sum(c1: CochainComplex, c3: CochainComplex,
-                thetas: list[np.ndarray]) -> CochainComplex:
-    """Middle complex C1 (+) C3 with differential [[d1, theta], [0, d3]]."""
-    parts = [[m1, m3] for m1, m3 in zip(c1.modules, c3.modules)]
-    modules = [direct_sum_modules(p) for p in parts]
-    diffs = [Morphism(modules[i], modules[i + 1], assemble_blocks(
-        {(0, 0): d1.array, (0, 1): theta, (1, 1): d3.array}, parts[i + 1], parts[i]))
-        for i, (d1, d3, theta) in enumerate(zip(c1.differentials, c3.differentials, thetas))]
-    return CochainComplex(modules, diffs, c1.offset)
-
-
 def random_ses(rng: np.random.Generator, ctx: TraceContext, length: int = 3,
                max_rank: int = 2, offset: int = 0, twist: bool = True,
                acyclic: bool = False,
@@ -243,12 +231,12 @@ def random_ses(rng: np.random.Generator, ctx: TraceContext, length: int = 3,
                ) -> ComplexSES:
     """Random short exact sequence of complexes over the given context.
 
-    The middle complex is a twisted direct sum of two independent random
-    complexes, so the sequence is exact by construction while the middle
-    differential genuinely mixes the factors (unless twist=False, which
-    yields the split sequence).  ``shapes`` optionally pins the
-    (harmonic, boundary) rank lists of the sub and quotient complexes,
-    which is how callers control module sizes exactly.
+    The middle complex is the extension of two independent random complexes
+    coupled by a coboundary twist, so the sequence is exact by construction
+    while the middle differential genuinely mixes the factors (unless
+    twist=False, which yields the split sequence).  ``shapes`` optionally
+    pins the (harmonic, boundary) rank lists of the sub and quotient
+    complexes, which is how callers control module sizes exactly.
     """
     sub_shape = quot_shape = None
     if shapes is not None:
@@ -257,19 +245,6 @@ def random_ses(rng: np.random.Generator, ctx: TraceContext, length: int = 3,
                                    acyclic=acyclic, shape=sub_shape)
     c3, _ = random_cochain_complex(rng, ctx, length, max_rank, offset,
                                    acyclic=acyclic, shape=quot_shape)
-    if twist:
-        thetas = coboundary_twist(rng, c1, c3)
-    else:
-        thetas = [np.zeros((c1.modules[i + 1].ambient_dim,
-                            c3.modules[i].ambient_dim), np.complex128)
-                  for i in range(len(c1.modules) - 1)]
-    c2 = twisted_sum(c1, c3, thetas)
-    include, project = [], []
-    for m1, m2, m3 in zip(c1.modules, c2.modules, c3.modules):
-        include.append(Morphism(m1, m2, assemble_blocks({(0, 0): np.eye(m1.width)},
-                                                        [m1, m3], [m1])))
-        project.append(Morphism(m2, m3, assemble_blocks({(0, 1): np.eye(m3.width)},
-                                                        [m3], [m1, m3])))
-    f = ComplexMorphism(c1, c2, include)
-    g = ComplexMorphism(c2, c3, project)
+    thetas = coboundary_twist(rng, c1, c3) if twist else None
+    _, f, g = extension(c1, c3, thetas)
     return ComplexSES(f, g)

@@ -725,21 +725,6 @@ def stieltjes_log_vol(dist: SpectralDistribution) -> float:
     return float(0.5 * np.sum(np.log(lam[keep]) * mass[keep]))
 
 
-def is_determinant_class(f: Morphism, rank_tol: float | None = None) -> bool:
-    """Whether integral of log(lambda) dF over (0, 1] is finite.
-
-    In this finite-dimensional regime rank truncation makes the integral a
-    finite sum, so the answer is always True; the predicate exists (and
-    actually computes the sum) for API fidelity with the infinite-dimensional
-    notion.
-    """
-    dist = spectral_distribution(f, rank_tol)
-    lam, mass = dist.masses()
-    keep = (lam > 0.0) & (lam <= 1.0)
-    value = float(np.sum(np.log(lam[keep]) * mass[keep])) if np.any(keep) else 0.0
-    return bool(np.isfinite(value))
-
-
 # ---------------------------------------------------------------------------
 # multiplicativity residuals
 

@@ -328,13 +328,40 @@ class TestFailureModes:
                        '"context": {"type": "cyclic", "order": 3}, "fiber_dim": true}, '
                        '"top_degree": 0, "cells": {"0": ["a"]}}', "representation",
          "fiber_dim"),
+        (("torsion",), '{"kind": "cw", "representation": {"type": "unitary", '
+                       '"generators": {"t": [[[-1, 0]]]}}, "top_degree": 1, '
+                       '"cells": {"0": ["a"], "1": ["b"]}, "incidences": [{"from": ["a"], '
+                       '"to": "b", "word": [["t", 1]]}]}', "non_finite.json.incidences[0]",
+         "cell labels"),
+        (("torsion",), '{"kind": "cw", "representation": {"type": "unitary", '
+                       '"generators": {"t": [[[-1, 0]]]}}, "top_degree": 1, '
+                       '"cells": {"0": ["a"], "1": ["b"]}, "incidences": [{"from": "a", '
+                       '"to": {"x": 1}, "word": [["t", 1]]}]}',
+         "non_finite.json.incidences[0]", "cell labels"),
+        (("glue-check",), '{"kind": "gluing", "lower": {"representation": {"type": '
+                          '"unitary", "generators": {"t": [[[-1, 0]]]}}, "top_degree": 1, '
+                          '"cells": {"0": ["lo"]}}, "upper": {"representation": {"type": '
+                          '"unitary", "generators": {"t": [[[-1, 0]]]}}, "top_degree": 1, '
+                          '"cells": {"1": ["up"]}}, "coupling": [{"from": ["lo"], '
+                          '"to": "up", "word": [["t", 1]]}]}',
+         "non_finite.json.coupling[0]", "cell labels"),
+        (("torsion",), '{"kind": "complex", "modules": [1, 1], "differentials": 5}',
+         "non_finite.json]", "'differentials' must be a list"),
+        (("torsion",), '{"kind": "complex", "modules": [1, -1], "differentials": [[]]}',
+         "non_finite.json.modules[1]", "ambient dimension must be >= 0"),
+        (("ses-check",), '{"kind": "ses", "sub": {"modules": [1]}, '
+                         '"middle": {"modules": [-2]}, "quotient": {"modules": [1]}, '
+                         '"include": [[[1]]], "project": [[[1]]]}',
+         "non_finite.json.middle.modules[0]", "ambient dimension must be >= 0"),
     ], ids=["nan", "infinity-in-pair", "1e400", "laurent-minus-infinity", "true-entry",
             "true-order", "true-module", "true-exponent", "true-word-element",
-            "true-fiber-dim"])
+            "true-fiber-dim", "list-from", "object-to", "list-coupling-from",
+            "int-differentials", "negative-module", "negative-ses-module"])
     def test_non_finite_input_values_are_validation_errors(self, tmp_path, args,
                                                            text, where, message):
         # json.load accepts NaN, Infinity and 1e400 (as inf), and reads true
-        # and false as bool, a subclass of int
+        # and false as bool, a subclass of int; labels and lists of the wrong
+        # type, and negative dimensions, are rejected where they are read
         path = tmp_path / "non_finite.json"
         path.write_text(text)
         proc = run_cli(args[0], str(path), *args[1:])

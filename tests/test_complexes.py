@@ -10,6 +10,7 @@ from torsionlab.complexes import (
     CochainComplex,
     ComplexMorphism,
     direct_sum,
+    extension,
     hodge,
     hodge_spectra,
     induced_harmonic_map,
@@ -338,6 +339,41 @@ def test_direct_sum_torsion_is_additive():
     b, _ = random_cochain_complex(rng, CF, length=3)
     s = direct_sum(a, b)
     assert torsion(s) == pytest.approx(torsion(a) + torsion(b), abs=1e-9)
+
+
+def test_split_extension_is_the_direct_sum():
+    rng = np.random.default_rng(13)
+    for ctx in [CF, cyclic_group(3)]:
+        a, _ = random_cochain_complex(rng, ctx, length=3)
+        b, _ = random_cochain_complex(rng, ctx, length=3)
+        middle, include, project = extension(a, b)
+        for got, want, da, db in zip(middle.differentials, direct_sum(a, b).differentials,
+                                     a.differentials, b.differentials):
+            assert np.array_equal(got.array, want.array)
+            rows, cols = da.shape
+            assert np.array_equal(got.array[:rows, :cols], da.array)
+            assert np.array_equal(got.array[rows:, cols:], db.array)
+            assert not got.array[:rows, cols:].any() and not got.array[rows:, :cols].any()
+        assert include.target is middle and project.source is middle
+
+
+def test_extension_rejects_mismatched_complexes():
+    rng = np.random.default_rng(15)
+    a, _ = random_cochain_complex(rng, CF, length=3)
+    with pytest.raises(DataValidationError, match="degree window"):
+        extension(a, a.shifted(1))
+    with pytest.raises(DataValidationError, match="degree window"):
+        extension(a, pad_complex(a, 0, 3))
+    g, _ = random_cochain_complex(rng, cyclic_group(3), length=3)
+    with pytest.raises(DataValidationError, match="common trace context"):
+        extension(a, g)
+    with pytest.raises(DataValidationError, match="couplings"):
+        extension(a, a, [])
+    with pytest.raises(DataValidationError, match="coupling has shape") as info:
+        wrong = np.zeros((a.modules[1].ambient_dim + 1, a.modules[0].ambient_dim))
+        extension(a, a, [wrong, np.zeros((a.modules[2].ambient_dim,
+                                          a.modules[1].ambient_dim))])
+    assert info.value.location == "degree 0"
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,15 @@ def test_validation_catches_broken_sequences():
         _one_degree_ses([[1.0], [0.0]], [[1.0, 0.0]])
 
 
+def test_morphisms_must_share_one_middle_object():
+    # an equal but distinct middle complex is a different complex
+    ses = random_ses(np.random.default_rng(7), CF)
+    copy = CochainComplex(ses.middle.modules, ses.middle.differentials, ses.middle.offset)
+    f = ComplexMorphism(ses.first, copy, ses.f.components)
+    with pytest.raises(DataValidationError, match="do not share a middle complex"):
+        ComplexSES(f, ses.g)
+
+
 def test_validation_catches_middle_rank_gap():
     c1 = CochainComplex([HilbertModule(CF, 1)], [], 0)
     c2 = CochainComplex([HilbertModule(CF, 3)], [], 0)

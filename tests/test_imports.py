@@ -3,6 +3,8 @@ the modules it runs.  Every process compiles what it imports when bytecode
 caching is off, so a module a command does not need is start-up it pays
 for nothing."""
 
+import importlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -12,9 +14,10 @@ from pathlib import Path
 import pytest
 
 import torsionlab
-from torsionlab import complexes
+from torsionlab import complexes, towers, vn
 
 DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 #: The public names of the package root: functions and classes, and the
 #: submodules an eager root used to load.
@@ -32,7 +35,7 @@ PUBLIC_NAMES = [
     "flip_cell_signs", "fourier_counting", "fourier_log_det", "glue", "glue_check",
     "group_ring_matrix", "hodge", "induced_harmonic_map", "interval_flow_through",
     "interval_interior_minimum", "interval_tau1", "interval_tau2",
-    "is_determinant_class", "jensen_log_det", "laplacian", "laurent_laplacian",
+    "jensen_log_det", "laplacian", "laurent_laplacian",
     "level_log_det", "limit_distribution_check", "log_det_prime", "log_vol",
     "log_vol_additivity_residual", "long_sequence", "mapping_cone", "milnor_check",
     "models", "nonnegativity_check", "parse_laurent", "point", "polar_decompose",
@@ -118,3 +121,23 @@ def test_names_resolve_to_their_defining_module_on_every_access(monkeypatch):
     assert torsionlab.torsion is complexes.torsion
     with pytest.raises(AttributeError, match="no attribute 'nope'"):
         torsionlab.nope
+
+
+def test_every_traced_name_resolves():
+    # perfbench/tracing.py wraps package functions by module and name, so a
+    # renamed or deleted one breaks a traced benchmark run
+    # (perfbench/run.py --trace 1); the tracer module is only read here
+    spec = importlib.util.spec_from_file_location("tracing", PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for layer, module, attr in tracing.SPANNED:
+        assert callable(getattr(importlib.import_module(module), attr, None)), layer
+    assert callable(vn.singular_values)
+    assert callable(towers.LaurentMatrix.symbol)
+    originals = (vn.singular_values, towers.LaurentMatrix.symbol)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
+    assert (vn.singular_values, towers.LaurentMatrix.symbol) == originals

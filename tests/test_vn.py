@@ -41,7 +41,6 @@ from torsionlab.vn import (
     finite_group,
     gram_spectrum,
     group_ring_matrix,
-    is_determinant_class,
     log_vol,
     log_vol_additivity_residual,
     norm_lower_bound,
@@ -523,12 +522,6 @@ def test_stieltjes_form_group_context():
     ctx = cyclic_group(6)
     f = group_ring_matrix([("t", 1.0), ("e", -1.0)], ctx)
     assert abs(stieltjes_log_vol(spectral_distribution(f)) - log_vol(f)) < STIELTJES_TOL
-
-
-def test_determinant_class_predicate():
-    rng = np.random.default_rng(3)
-    assert is_determinant_class(_random_morphism(rng, 4, 4))
-    assert is_determinant_class(Morphism.zero(_module(3), _module(3)))
 
 
 # ---------------------------------------------------------------------------
