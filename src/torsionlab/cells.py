@@ -9,7 +9,7 @@ machinery of the complexes/exact modules applied to the result.
 
 Over ``cyclic_group(m)`` the regular representation works by characters:
 a word is its Laurent polynomial at the m-th roots of unity, from the one
-phase kernel of the tower module, each differential is the stack of its m
+phase kernel ``vn.symbol_at_roots``, each differential is the stack of its m
 character blocks, and torsion, Hodge data, duality and gluing are computed
 block by block, with the rank decisions of the dense matrix (the cutoff is
 sized by m n, so over Z/2^16 the circle's characters j = +-1 fall under
@@ -48,6 +48,8 @@ from .vn import (
     assemble_blocks,
     complex_field,
     group_ring_matrix,
+    laurent_terms,
+    symbol_at_roots,
     vanishes,
     word_element,
 )
@@ -87,22 +89,22 @@ class RegularRepresentation:
         return HilbertModule(self.context, ncells * self.block_dim,
                              fiber_dim=self.fiber_dim, characters=self.context.is_cyclic)
 
-    def _element(self, spec) -> int:
+    def element(self, spec) -> int:
+        """The group index of a word element (an unknown label raises)."""
         label, power = word_element(spec)
         ctx = self.context
         return ctx.power(ctx.element_index(label), power)
 
     def word_matrix(self, word: Word) -> np.ndarray:
-        resolved = [(self._element(e), complex(c)) for e, c in word]
+        resolved = [(self.element(e), complex(c)) for e, c in word]
         return group_ring_matrix(resolved, self.context, self.fiber_dim).matrix
 
     def word_blocks(self, word: Word) -> np.ndarray:
         """The (m, fiber, fiber) character blocks of a word over Z/m: its
         Laurent polynomial at the m-th roots of unity."""
-        from .towers import LaurentMatrix, LaurentPoly
         m = self.context.size
-        poly = LaurentPoly(tuple((self._element(e), c) for e, c in word))
-        return LaurentMatrix.from_scalar(poly).symbol(np.arange(m), m) * np.eye(self.fiber_dim)
+        poly = laurent_terms((self.element(e), c) for e, c in word)
+        return symbol_at_roots([[poly]], np.arange(m), m) * np.eye(self.fiber_dim)
 
 
 class UnitaryRepresentation:
@@ -136,12 +138,17 @@ class UnitaryRepresentation:
     def module(self, ncells: int) -> HilbertModule:
         return HilbertModule(self.context, ncells * self.block_dim)
 
-    def _elem_matrix(self, spec) -> np.ndarray:
+    def element(self, spec) -> tuple[str, int]:
+        """A word element as (label, power); the label must be "e" or a generator."""
         label, power = word_element(spec)
+        if label != "e" and label not in self.generators:
+            raise DataValidationError(f"unknown generator {label!r}")
+        return label, power
+
+    def _elem_matrix(self, spec) -> np.ndarray:
+        label, power = self.element(spec)
         if label == "e":
             return np.eye(self.fiber_dim, dtype=np.complex128)
-        if label not in self.generators:
-            raise DataValidationError(f"unknown generator {label!r}")
         base = self.generators[label]
         if power < 0:
             base, power = base.conj().T, -power

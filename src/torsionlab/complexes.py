@@ -50,6 +50,7 @@ in a tensor product the field factor's index is outermost.
 
 from __future__ import annotations
 
+import functools
 import weakref
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -223,14 +224,24 @@ def _differential_data(d: Morphism) -> dict:
 
 def differential_spectrum(d: Morphism, rank_tol: float | None = None) -> Spectrum:
     """``gram_spectrum`` of d sized by its larger side, one eigvalsh: its
-    singular values and rank decision, computed once per cutoff (an empty
-    map has none)."""
+    singular values and rank decision, computed once per cutoff.  An empty
+    map has none: every empty map with its number of blocks, size and
+    cutoff shares one read-only spectrum."""
+    dim = max(d.shape + (1,))
+    if not d.array.size:
+        return _empty_spectrum(d.array.shape[:-2], dim, rank_tol)
     data = _differential_data(d)
     s = data.get(("spectrum", rank_tol))
     if s is None:
-        matrix = d.array if d.array.size else d.array[..., :0]
-        s = data["spectrum", rank_tol] = gram_spectrum(matrix, rank_tol,
-                                                       dim=max(d.shape + (1,)))
+        s = data["spectrum", rank_tol] = gram_spectrum(d.array, rank_tol, dim=dim)
+    return s
+
+
+@functools.lru_cache(maxsize=256)
+def _empty_spectrum(blocks: tuple[int, ...], dim: int, rank_tol: float | None) -> Spectrum:
+    s = gram_spectrum(np.zeros(blocks + (0, 0), np.complex128), rank_tol, dim=dim)
+    for a in (s.lam, s.sigma, s.keep):
+        a.setflags(write=False)
     return s
 
 
@@ -287,6 +298,8 @@ class HodgeSpectra(_HarmonicDims):
         if not 0 <= i < len(self.spectra):
             return 0.0
         s = self.spectra[i]
+        if not s.sigma.size:  # an empty map
+            return 0.0
         return float(self.complex.context.kappa * np.log(s.sigma[s.keep]).sum())
 
 
@@ -308,11 +321,12 @@ def hodge_spectra(c: CochainComplex, rank_tol: float | None = None) -> HodgeSpec
         mask = module.block_mask  # the coordinates each block has, if not all
         blocks[i] = module.width if mask is None else mask.sum(-1)
     for i, s in enumerate(spectra):
-        rank = s.keep.sum(-1)  # per block for a stack
-        blocks[i] -= rank
-        blocks[i + 1] -= rank
-    short = np.flatnonzero((blocks < 0).reshape(n, -1).any(1))
-    if short.size:
+        if s.keep.size:  # an empty map has rank 0
+            rank = s.keep.sum(-1)  # per block for a stack
+            blocks[i] -= rank
+            blocks[i + 1] -= rank
+    if (blocks < 0).any():
+        short = np.flatnonzero((blocks < 0).reshape(n, -1).any(1))
         raise DataValidationError(
             "rank bookkeeping failed (image + coimage exceed the module)",
             location=f"degree {c.offset + short[0]}")
@@ -334,11 +348,12 @@ class HodgeData(_HarmonicDims):
     * ``harmonic_dims[i]`` -- their number,
     * ``reduced[i]``     -- the invertible matrix of d_i from the minus
                             subspace at i to the plus subspace at i+1, in
-                            those bases.
+                            those bases,
+    * ``harmonic_modules[i]`` -- the carrier module of the harmonic space.
 
     Bases are deterministic: eigensolver order (ascending) plus fixed-phase
     normalization, so repeated runs agree bitwise.  Every field is a tuple
-    of read-only arrays (or ints, or strings): the complex keeps its data.
+    of read-only arrays (or ints, strings, modules): the complex keeps its data.
     Dimensions and warnings are those of ``hodge_spectra``.
     """
 
@@ -349,6 +364,7 @@ class HodgeData(_HarmonicDims):
     minus_bases: tuple[np.ndarray, ...]
     reduced: tuple[np.ndarray, ...]
     warnings: tuple[str, ...] = ()
+    harmonic_modules: tuple[HilbertModule, ...] = ()
 
     def harmonic_basis(self, q: int) -> np.ndarray:
         """Orthonormal columns spanning the harmonic space; in character
@@ -360,15 +376,12 @@ class HodgeData(_HarmonicDims):
         return np.zeros(array_shape(module, module)[:-1] + (0,), np.complex128)
 
     def harmonic_module(self, q: int) -> HilbertModule:
-        return self._carrier(self.harmonic_basis(q))
-
-    def _carrier(self, basis: np.ndarray) -> HilbertModule:
-        """The subspace carrier spanned by the present columns of ``basis``."""
-        if basis.ndim == 2:
-            return HilbertModule(self.complex.context, basis.shape[1], free=False)
-        kept = _kept(basis)
-        return HilbertModule(self.complex.context, int(kept.sum()), free=False,
-                             characters=True, block_mask=kept)
+        """The carrier of the harmonic space: one object per complex, cutoff
+        and degree of the window."""
+        i = q - self.offset
+        if 0 <= i < len(self.harmonic_modules):
+            return self.harmonic_modules[i]
+        return _carrier(self.complex.context, self.harmonic_basis(q))
 
     def reduced_morphism(self, q: int) -> Morphism:
         """Reduced differential at true degree q as a morphism of carriers."""
@@ -377,8 +390,17 @@ class HodgeData(_HarmonicDims):
             zero = HilbertModule(self.complex.context, 0, free=False,
                                  characters=self.complex.modules[0].characters)
             return Morphism.zero(zero, zero)
-        return Morphism(self._carrier(self.minus_bases[i]),
-                        self._carrier(self.plus_bases[i + 1]), self.reduced[i])
+        return Morphism(_carrier(self.complex.context, self.minus_bases[i]),
+                        _carrier(self.complex.context, self.plus_bases[i + 1]), self.reduced[i])
+
+
+def _carrier(context: TraceContext, basis: np.ndarray) -> HilbertModule:
+    """The subspace carrier spanned by the present columns of ``basis``."""
+    if basis.ndim == 2:
+        return HilbertModule(context, basis.shape[1], free=False)
+    kept = _kept(basis)
+    return HilbertModule(context, int(kept.sum()), free=False,
+                         characters=True, block_mask=kept)
 
 
 def _frozen(arrays: list[np.ndarray]) -> tuple[np.ndarray, ...]:
@@ -468,8 +490,10 @@ def hodge(c: CochainComplex, rank_tol: float | None = None) -> HodgeData:
         minus_bases.append(mnus)
     reduced = [u.conj().swapaxes(-1, -2) @ d.array @ v
                for d, (v, u) in zip(c.differentials, ranges)]
-    parts = (_frozen(harmonic_bases), spectra.harmonic_dims, _frozen(plus_bases),
-             _frozen(minus_bases), _frozen(reduced), spectra.warnings)
+    harmonic_bases = _frozen(harmonic_bases)
+    parts = (harmonic_bases, spectra.harmonic_dims, _frozen(plus_bases),
+             _frozen(minus_bases), _frozen(reduced), spectra.warnings,
+             tuple(_carrier(c.context, b) for b in harmonic_bases))
     c._hodge["bases", rank_tol] = parts
     return HodgeData(c, *parts)
 
@@ -548,6 +572,15 @@ def _tensor_modules(a: HilbertModule, b: HilbertModule) -> HilbertModule:
                          fiber_dim=group.fiber_dim, characters=group.characters)
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron(a, b)`` of a matrix and a matrix or a stack of matrices, as
+    one broadcast product and a reshape: each entry is the same one product
+    a[i, j] b[k, l], so the arrays are bit for bit those of ``np.kron``."""
+    (p, q), (r, s) = a.shape[-2:], b.shape[-2:]
+    lead = a.shape[:-2] or b.shape[:-2]
+    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(lead + (p * r, q * s))
+
+
 def tensor_product(c1: CochainComplex, c2: CochainComplex) -> CochainComplex:
     """Degreewise tensor product with the alternating-sign differential.
 
@@ -564,7 +597,7 @@ def tensor_product(c1: CochainComplex, c2: CochainComplex) -> CochainComplex:
     if c1.context.is_group and c2.context.is_group:
         raise DataValidationError("tensor products need at least one factor over the complex field")
     # kron(part of c1, part of c2), the field factor's part outermost
-    kron = (lambda x, y: np.kron(y, x)) if c1.context.is_group else np.kron
+    kron = (lambda x, y: _kron(y, x)) if c1.context.is_group else _kron
     lo = c1.offset + c2.offset
     hi = c1.top_degree + c2.top_degree
     summands = [range(max(c1.offset, j - c2.top_degree), min(c1.top_degree, j - c2.offset) + 1)
@@ -683,6 +716,13 @@ def extension(sub: CochainComplex, quot: CochainComplex,
     ``quot`` must share a trace context and a degree window.  Returns
     (E, include, project) with the maps of ``extension_maps``.
     """
+    middle = _extension_middle(sub, quot, couplings)
+    return (middle, *extension_maps(sub, middle, quot))
+
+
+def _extension_middle(sub: CochainComplex, quot: CochainComplex,
+                      couplings: Sequence[np.ndarray] | None) -> CochainComplex:
+    """The middle complex E of ``extension``, without its maps."""
     if not sub.context.matches(quot.context):
         raise DataValidationError("an extension needs a common trace context")
     if sub.offset != quot.offset or len(sub.modules) != len(quot.modules):
@@ -705,15 +745,14 @@ def extension(sub: CochainComplex, quot: CochainComplex,
             blocks[0, 1] = couplings[i]
         diffs.append(Morphism(modules[i], modules[i + 1],
                               assemble_blocks(blocks, parts[i + 1], parts[i])))
-    middle = CochainComplex(modules, diffs, sub.offset, validate=couplings is not None)
-    return (middle, *extension_maps(sub, middle, quot))
+    return CochainComplex(modules, diffs, sub.offset, validate=couplings is not None)
 
 
 def direct_sum(a: CochainComplex, b: CochainComplex) -> CochainComplex:
-    """Degreewise orthogonal direct sum (blocks of a first): the split
-    extension of the two complexes padded to one window."""
+    """Degreewise orthogonal direct sum (blocks of a first): the middle of
+    the split extension of the two complexes padded to one window."""
     lo, hi = min(a.offset, b.offset), max(a.top_degree, b.top_degree)
-    return extension(pad_complex(a, lo, hi), pad_complex(b, lo, hi))[0]
+    return _extension_middle(pad_complex(a, lo, hi), pad_complex(b, lo, hi), None)
 
 
 def mapping_cone(f: ComplexMorphism) -> tuple[CochainComplex, ComplexMorphism, ComplexMorphism]:
@@ -738,10 +777,12 @@ def induced_harmonic_map(f: ComplexMorphism, q: int,
                          rank_tol: float | None = None) -> Morphism:
     """Compression of f_q to the harmonic subspaces (the map on cohomology)."""
     hs, ht = hodge(f.source, rank_tol), hodge(f.target, rank_tol)
-    basis_s = hs.harmonic_basis(q)
-    basis_t = ht.harmonic_basis(q)
-    mat = basis_t.conj().swapaxes(-1, -2) @ f.component(q).array @ basis_s
-    return Morphism(hs.harmonic_module(q), ht.harmonic_module(q), mat)
+    dom, cod = hs.harmonic_module(q), ht.harmonic_module(q)
+    if dom.ambient_dim == 0 or cod.ambient_dim == 0:
+        return Morphism.zero(dom, cod)
+    mat = ht.harmonic_basis(q).conj().swapaxes(-1, -2) @ f.component(q).array \
+        @ hs.harmonic_basis(q)
+    return Morphism(dom, cod, mat)
 
 
 def torsion_transfer_residual(f: ComplexMorphism, rank_tol: float | None = None) -> float:

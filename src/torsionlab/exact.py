@@ -195,12 +195,14 @@ def long_sequence(ses: ComplexSES, strategy: str = "pinv",
     # that noise to full rank, so snap maps that are negligible against the
     # scale of the whole sequence (or below the sequence's cutoff) to zeros.
     # One eigvalsh per map gives its norm here and its spectrum in the
-    # sequence's Hodge stage (a snapped map is zero: it needs none).
+    # sequence's Hodge stage (a snapped map is zero: it needs none).  An empty
+    # map stays as it is; a zero map with entries is re-wrapped all the same,
+    # so that its signed zeros become the +0 of ``Morphism.zero``.
     norms = [differential_spectrum(d, ses.rank_tol).sigma.max(initial=0.0) for d in diffs]
     scale = max(norms + [1.0])
     dim = max(m.ambient_dim for m in modules) if modules else 1
     snap = rank_cutoff(scale, max(dim, 2), ses.rank_tol)
-    diffs = [d if n > snap else Morphism.zero(d.domain, d.codomain)
+    diffs = [d if n > snap or not d.array.size else Morphism.zero(d.domain, d.codomain)
              for d, n in zip(diffs, norms)]
     seq = CochainComplex(modules, diffs, 3 * ses.offset, validate=False)
     if validate:
@@ -212,9 +214,10 @@ def long_sequence(ses: ComplexSES, strategy: str = "pinv",
         # Composites vanish only up to the scale of the zig-zag inputs, so
         # check against the overall data scale rather than per-factor norms
         # (a mathematically zero harmonic map has tiny, noisy norm):
-        # ``scale``, the largest norm before the snap.
+        # ``scale``, the largest norm before the snap.  A composite through
+        # an empty map is zero.
         for k, (b, a) in enumerate(zip(diffs, diffs[1:])):
-            if not vanishes(a.array @ b.array, scale * scale):
+            if a.array.size and b.array.size and not vanishes(a.array @ b.array, scale * scale):
                 raise DataValidationError(
                     "long sequence maps do not compose to zero" + hint,
                     location=f"positions {k} -> {k + 2}")

@@ -214,19 +214,27 @@ def parse_representation(obj, where: str):
         if not isinstance(gens, Mapping):
             raise DataValidationError("unitary representation needs 'generators'",
                                       location=where)
-        return UnitaryRepresentation(
-            {label: parse_matrix(mat, f"{where}.generators[{label}]")
-             for label, mat in gens.items()})
+        matrices = {label: parse_matrix(mat, f"{where}.generators[{label}]")
+                    for label, mat in gens.items()}
+        try:
+            return UnitaryRepresentation(matrices)
+        except DataValidationError as exc:  # a generator that is not square or unitary
+            raise DataValidationError(str(exc), location=f"{where}.generators") from None
     if kind == "infinite_cyclic":
         return InfiniteCyclic()
     raise DataValidationError(f"unknown representation type {kind!r}",
                               location=where)
 
 
-def _parse_incidences(records, where: str) -> dict:
+def _parse_incidences(obj: Mapping, key: str, where: str, rep) -> dict:
+    """The incidence records ``obj[key]`` (default none); every word element
+    must be one the representation ``rep`` knows."""
+    records = obj.get(key, [])
+    where = f"{where}.{key}"
     if not isinstance(records, list):
-        raise DataValidationError("'incidences' must be a list of records",
+        raise DataValidationError(f"'{key}' must be a list of records",
                                   location=where)
+    element = getattr(rep, "element", None)  # infinite-cyclic words are read later
     out = {}
     for i, record in enumerate(records):
         spot = f"{where}[{i}]"
@@ -238,12 +246,19 @@ def _parse_incidences(records, where: str) -> dict:
             raise DataValidationError(
                 "incidence 'from' and 'to' must be cell labels (strings)",
                 location=spot)
-        key = (record["to"], record["from"])
-        if key in out:
+        pair = (record["to"], record["from"])
+        if pair in out:
             raise DataValidationError(
                 f"duplicate incidence {record['from']!r} -> {record['to']!r}",
                 location=spot)
-        out[key] = parse_word(record["word"], f"{spot}.word")
+        out[pair] = parse_word(record["word"], f"{spot}.word")
+        if element is None:
+            continue
+        for j, (e, _) in enumerate(out[pair]):
+            try:
+                element(e)
+            except DataValidationError as exc:  # an unknown generator or group element
+                raise DataValidationError(str(exc), location=f"{spot}.word[{j}]") from None
     return out
 
 
@@ -270,10 +285,12 @@ def parse_cw(obj, where: str = "cw") -> TwistedCellComplex:
             raise DataValidationError("cells are lists of string labels",
                                       location=f"{where}.cells[{key}]")
         cells[degree] = tuple(labels)
-    incidences = _parse_incidences(obj.get("incidences", []),
-                                   f"{where}.incidences")
-    return TwistedCellComplex(representation=rep, cells=cells,
-                              incidences=incidences, top_degree=top)
+    incidences = _parse_incidences(obj, "incidences", where, rep)
+    try:
+        return TwistedCellComplex(representation=rep, cells=cells,
+                                  incidences=incidences, top_degree=top)
+    except DataValidationError as exc:  # labels, degrees and the window
+        raise DataValidationError(str(exc), location=where) from None
 
 
 def parse_gluing(obj, where: str = "gluing") -> GluingSpec:
@@ -284,7 +301,8 @@ def parse_gluing(obj, where: str = "gluing") -> GluingSpec:
                                       location=where)
     lower = parse_cw(obj["lower"], f"{where}.lower")
     upper = parse_cw(obj["upper"], f"{where}.upper")
-    coupling = _parse_incidences(obj.get("coupling", []), f"{where}.coupling")
+    # the glued complex reads the coupling words in the upper representation
+    coupling = _parse_incidences(obj, "coupling", where, upper.representation)
     return GluingSpec(lower=lower, upper=upper, coupling=coupling)
 
 

@@ -16,7 +16,8 @@ integer coefficients, and with a root-cluster bracket otherwise.
 route.
 
 Every route, and every cell word over Z/m, evaluates the symbol at exact
-rational angles k/n through one phase kernel, ``LaurentMatrix.symbol``.
+rational angles k/n through one phase kernel, ``vn.symbol_at_roots`` (for
+a Laurent matrix, ``LaurentMatrix.symbol``).
 The level-m specialization is block-circulant, so its spectrum is the
 union of the symbol's eigenvalues at the m-th roots of unity: a level is
 the left-endpoint rule on the circle, the quadrature the midpoint rule.
@@ -42,8 +43,10 @@ from .vn import (
     assemble_blocks,
     cyclic_group,
     group_ring_matrix,
+    laurent_terms,
     noise_floor,
     regular_module,
+    symbol_at_roots,
     word_element,
 )
 
@@ -75,12 +78,7 @@ class LaurentPoly:
     terms: tuple[tuple[int, complex], ...] = ()
 
     def __post_init__(self):
-        merged: dict[int, complex] = {}
-        for exponent, coeff in self.terms:
-            e = int(exponent)
-            merged[e] = merged.get(e, 0.0 + 0.0j) + complex(coeff)
-        canonical = tuple((e, merged[e]) for e in sorted(merged) if merged[e] != 0)
-        object.__setattr__(self, "terms", canonical)
+        object.__setattr__(self, "terms", laurent_terms(self.terms))
 
     @classmethod
     def constant(cls, value: complex) -> "LaurentPoly":
@@ -271,46 +269,9 @@ class LaurentMatrix:
 
     def symbol(self, k, n: int) -> np.ndarray:
         """Evaluate entrywise at z = exp(2 pi i k / n) for integer numerators
-        ``k`` (any shape); returns k.shape + (rows, cols).
-
-        The one phase kernel: each phase k e is reduced mod n exactly, k
-        (unless it is in range) and e mod n first, so the int64 product
-        stays below n^2 <= 2^62.  The powers are gathered from one table of
-        the n-th roots of unity, or computed directly where that table would
-        be larger than the result.
-        """
-        k = np.asarray(k)
-        if not (1 <= n <= 1 << 31 and (k.size == 0 or np.issubdtype(k.dtype, np.integer))):
-            raise DataValidationError("angles k/n need integer k and 1 <= n <= 2^31")
-        k = k.astype(np.int64, copy=False)
-        if k.size and (k.min() < 0 or k.max() >= n):
-            k = k % n
-        terms: dict[int, list[tuple[int, int, complex]]] = {}
-        for i, row in enumerate(self.rows):
-            for j, poly in enumerate(row):
-                for e, c in poly.terms:
-                    terms.setdefault(e, []).append((i, j, c))
-        table = None
-        if n <= k.size * len(terms):  # built in place: one complex n-array
-            table = 2j * np.pi * np.arange(n)
-            table /= n
-            np.exp(table, out=table)
-        out = np.zeros(k.shape + self.shape, np.complex128)
-        phase, power = np.empty(k.shape, np.int64), np.empty(k.shape, np.complex128)
-        for e in sorted(terms):
-            np.multiply(k, e % n, out=phase)
-            phase %= n
-            if table is None:
-                np.exp(2j * np.pi * phase / n, out=power)
-            else:
-                # phase is in range; "clip" spares the copy "raise" makes of out
-                np.take(table, phase, out=power, mode="clip")
-            # the last entry with this exponent scales the powers in place
-            *shared, (i, j, c) = terms[e]
-            for i2, j2, c2 in shared:
-                out[..., i2, j2] += c2 * power
-            out[..., i, j] += np.multiply(c, power, out=power)
-        return out
+        ``k`` (any shape); returns k.shape + (rows, cols), from the one phase
+        kernel ``vn.symbol_at_roots``."""
+        return symbol_at_roots([[p.terms for p in row] for row in self.rows], k, n)
 
 
 def _as_laurent_matrix(op) -> LaurentMatrix:

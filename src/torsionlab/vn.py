@@ -146,6 +146,8 @@ class TraceContext:
         return out
 
     def matches(self, other: "TraceContext") -> bool:
+        if other is self:
+            return True
         if self.is_group != other.is_group or self.cyclic != other.cyclic:
             return False
         if self.table is None:
@@ -304,6 +306,8 @@ class HilbertModule:
         return self.ambient_dim
 
     def matches(self, other: "HilbertModule") -> bool:
+        if other is self:
+            return True
         a, b = self.block_mask, other.block_mask
         return (self.ambient_dim == other.ambient_dim and self.characters == other.characters
                 and self.context.matches(other.context)
@@ -811,6 +815,63 @@ def word_element(spec) -> tuple[str, int]:
         return spec[0], int(spec[1])
     raise DataValidationError("word element must be a label, an integer power, or "
                               f"[label, power]; got {spec!r}")
+
+
+def laurent_terms(pairs: Iterable[tuple[int, complex]]) -> tuple[tuple[int, complex], ...]:
+    """The canonical terms of the Laurent polynomial sum of c t^e over the
+    (e, c) ``pairs``: ascending exponents, equal exponents merged, exact-zero
+    coefficients dropped."""
+    merged: dict[int, complex] = {}
+    for exponent, coeff in pairs:
+        e = int(exponent)
+        merged[e] = merged.get(e, 0.0 + 0.0j) + complex(coeff)
+    return tuple((e, merged[e]) for e in sorted(merged) if merged[e] != 0)
+
+
+def symbol_at_roots(entries: Sequence[Sequence[tuple[tuple[int, complex], ...]]],
+                    k, n: int) -> np.ndarray:
+    """A matrix of Laurent polynomials, each given by its ``laurent_terms``,
+    evaluated entrywise at z = exp(2 pi i k / n) for integer numerators
+    ``k`` (any shape); returns k.shape + (rows, cols).
+
+    The one phase kernel (of tower levels, both limit routes and cell words
+    over Z/m): each phase k e is reduced mod n exactly, k (unless it is in
+    range) and e mod n first, so the int64 product stays below n^2 <= 2^62.
+    The powers are gathered from one table of the n-th roots of unity, or
+    computed directly where that table would be larger than the result.
+    """
+    k = np.asarray(k)
+    if not (1 <= n <= 1 << 31 and (k.size == 0 or np.issubdtype(k.dtype, np.integer))):
+        raise DataValidationError("angles k/n need integer k and 1 <= n <= 2^31")
+    k = k.astype(np.int64, copy=False)
+    if k.size and (k.min() < 0 or k.max() >= n):
+        k = k % n
+    terms: dict[int, list[tuple[int, int, complex]]] = {}
+    for i, row in enumerate(entries):
+        for j, poly in enumerate(row):
+            for e, c in poly:
+                terms.setdefault(e, []).append((i, j, c))
+    table = None
+    if n <= k.size * len(terms):  # built in place: one complex n-array
+        table = 2j * np.pi * np.arange(n)
+        table /= n
+        np.exp(table, out=table)
+    out = np.zeros(k.shape + (len(entries), len(entries[0])), np.complex128)
+    phase, power = np.empty(k.shape, np.int64), np.empty(k.shape, np.complex128)
+    for e in sorted(terms):
+        np.multiply(k, e % n, out=phase)
+        phase %= n
+        if table is None:
+            np.exp(2j * np.pi * phase / n, out=power)
+        else:
+            # phase is in range; "clip" spares the copy "raise" makes of out
+            np.take(table, phase, out=power, mode="clip")
+        # the last entry with this exponent scales the powers in place
+        *shared, (i, j, c) = terms[e]
+        for i2, j2, c2 in shared:
+            out[..., i2, j2] += c2 * power
+        out[..., i, j] += np.multiply(c, power, out=power)
+    return out
 
 
 def group_ring_matrix(word: Iterable[tuple[object, complex]], context: TraceContext,

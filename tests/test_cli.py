@@ -369,6 +369,52 @@ class TestFailureModes:
         assert message in proc.stderr
         assert where in proc.stderr
 
+    @pytest.mark.parametrize("command, changes, where, message", [
+        ("torsion", {"incidences": [{"from": "zzz", "to": "b", "word": [["t", 1]]}]},
+         "cw.json]", "unknown cell 'zzz'"),
+        ("torsion", {"cells": {"0": ["a"], "1": ["a"]}, "incidences": []},
+         "cw.json]", "duplicate cell label 'a'"),
+        ("torsion", {"cells": {"0": ["a"], "3": ["b"]}, "incidences": []},
+         "cw.json]", "outside window 0..1"),
+        ("torsion", {"top_degree": -1, "cells": {}, "incidences": []},
+         "cw.json]", "top degree must be >= 0"),
+        ("torsion", {"representation": {"type": "unitary", "generators": {"t": [[2]]}}},
+         "cw.json.representation.generators]", "not unitary"),
+        ("duality-check", {"incidences": [{"from": "a", "to": "b",
+                                           "word": [["e", 1], ["s", 1]]}]},
+         "cw.json.incidences[0].word[1]]", "unknown generator 's'"),
+        ("hodge", {"representation": {"type": "regular",
+                                      "context": {"type": "cyclic", "order": 3}},
+                   "incidences": [{"from": "a", "to": "b", "word": [["q", 1]]}]},
+         "cw.json.incidences[0].word[0]]", "unknown group element 'q'"),
+        ("glue-check", {"coupling": {"from": "lo"}}, "cw.json.coupling]",
+         "'coupling' must be a list"),
+        ("glue-check", {"coupling": [{"from": "lo", "to": "up", "word": [["s", 1]]}]},
+         "cw.json.coupling[0].word[0]]", "unknown generator 's'"),
+    ], ids=["unknown-cell", "duplicate-label", "outside-window", "negative-top-degree",
+            "non-unitary-generator", "unknown-generator", "unknown-group-element",
+            "coupling-not-a-list", "unknown-coupling-generator"])
+    def test_cell_structure_errors_name_their_location(self, tmp_path, command, changes,
+                                                       where, message):
+        unitary = {"type": "unitary", "generators": {"t": [[[-1, 0]]]}}
+        if command == "glue-check":
+            data = {"kind": "gluing",
+                    "lower": {"representation": unitary, "top_degree": 1,
+                              "cells": {"0": ["lo"]}},
+                    "upper": {"representation": unitary, "top_degree": 1,
+                              "cells": {"1": ["up"]}}}
+        else:
+            data = {"kind": "cw", "representation": unitary, "top_degree": 1,
+                    "cells": {"0": ["a"], "1": ["b"]},
+                    "incidences": [{"from": "a", "to": "b", "word": [["t", 1]]}]}
+        path = tmp_path / "cw.json"
+        path.write_text(json.dumps({**data, **changes}))
+        proc = run_cli(command, str(path))
+        assert proc.returncode == 2
+        assert message in proc.stderr
+        assert f"[at {path}" in proc.stderr and where in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_emission_failure_is_numerical_failure(self, monkeypatch, capsys):
         monkeypatch.setitem(cli._HANDLERS, "torsion",
                             lambda job: {"torsion": float("nan")})

@@ -24,7 +24,7 @@ from torsionlab.complexes import (
     torsion_transfer_residual,
     torsion_via_laplacians,
 )
-from torsionlab.complexes import _phase_normalize
+from torsionlab.complexes import _kron, _phase_normalize
 from torsionlab.errors import DataValidationError
 from torsionlab.generators import random_chain_morphism, random_cochain_complex
 from torsionlab.vn import (
@@ -357,6 +357,24 @@ def test_split_extension_is_the_direct_sum():
         assert include.target is middle and project.source is middle
 
 
+def test_direct_sum_builds_no_sequence_maps(monkeypatch):
+    rng = np.random.default_rng(15)
+    for ctx in [CF, cyclic_group(3)]:
+        a, _ = random_cochain_complex(rng, ctx, length=3, offset=-1)
+        b, _ = random_cochain_complex(rng, ctx, length=2, offset=0)
+        want = extension(pad_complex(a, -1, 1), pad_complex(b, -1, 1))[0]
+        with monkeypatch.context() as m:
+            def refuse(self):
+                raise AssertionError("direct_sum validated a chain map")
+            m.setattr(ComplexMorphism, "validate", refuse)
+            got = direct_sum(a, b)
+        assert got.offset == want.offset == -1
+        assert all(x.matches(y) for x, y in zip(got.modules, want.modules))
+        for x, y in zip(got.differentials, want.differentials):
+            assert x.array.shape == y.array.shape
+            assert np.array_equal(x.array, y.array)
+
+
 def test_extension_rejects_mismatched_complexes():
     rng = np.random.default_rng(15)
     a, _ = random_cochain_complex(rng, CF, length=3)
@@ -406,6 +424,23 @@ def test_tensor_product_formula_random():
                     c1.euler_characteristic() * c2.euler_characteristic(), abs=1e-9)
                 for d in prod.differentials:
                     assert a_linearity_residual(d) < 1e-10
+
+
+@pytest.mark.parametrize("a_shape, b_shape", [
+    ((2, 3), (4, 5)), ((2, 3), (6, 4, 5)), ((6, 2, 3), (4, 5)),
+    ((0, 3), (2, 2)), ((2, 0), (5, 4, 3)), ((5, 2, 3), (0, 0)), ((3, 2), (3, 0)),
+], ids=["matrix-matrix", "matrix-stack", "stack-matrix", "empty-rows",
+        "empty-cols-stack", "stack-empty", "matrix-empty-cols"])
+def test_kron_is_numpy_kron_bitwise(a_shape, b_shape):
+    rng = np.random.default_rng(16)
+    a = rng.standard_normal(a_shape) + 1j * rng.standard_normal(a_shape)
+    for b in (rng.standard_normal(b_shape) + 1j * rng.standard_normal(b_shape),
+              np.eye(*b_shape[-2:])):  # tensor_product's identity factors are real
+        got, want = _kron(a, b), np.kron(a, b)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        got, want = _kron(b, a), np.kron(b, a)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_tensor_rejects_two_group_factors():

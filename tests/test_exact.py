@@ -282,6 +282,32 @@ def test_milnor_check_decomposes_every_complex_once(case, eigvalsh, eigh, monkey
     assert len(bases) == sum(len(c.differentials) for c in (ses.first, ses.middle, ses.last))
 
 
+@pytest.mark.parametrize("case", ["Z/3", "cone"])
+def test_repeated_milnor_check_measures_no_empty_map(case, monkeypatch):
+    import torsionlab.complexes as complexes
+    import torsionlab.vn as vn
+    ses = _sequence(case)
+    first = milnor_check(ses)
+    empty = []
+    original = vn.spectrum
+
+    def spy(a, *args, **kwargs):
+        if a.size == 0:
+            empty.append(a.shape)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(vn, "spectrum", spy)
+    monkeypatch.setattr(complexes, "spectrum", spy)
+    assert milnor_check(ses) == first
+    assert empty == []
+    # the long sequence is built on the carriers of the three Hodge data
+    seq = long_sequence(ses)
+    carriers = [ses.hodge(k).harmonic_module(i) for i in ses.degrees() for k in (1, 2, 3)]
+    assert all(a is b for a, b in zip(seq.modules, carriers, strict=True))
+    for i, d in enumerate(seq.differentials):
+        assert d.domain is seq.modules[i] and d.codomain is seq.modules[i + 1]
+
+
 def test_cone_sequence_connecting_is_induced_map_up_to_sign():
     rng = np.random.default_rng(42)
     for ctx in [CF, cyclic_group(2)]:

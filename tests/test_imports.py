@@ -97,6 +97,30 @@ def test_commands_leave_unused_modules_unloaded(argv, absent):
     assert not loaded & absent
 
 
+#: A two-arc gluing over the regular representation of Z/4.
+_CYCLIC_GLUING = {
+    "kind": "gluing",
+    "lower": {"representation": {"type": "regular", "context": {"type": "cyclic", "order": 4}},
+              "top_degree": 1, "cells": {"0": ["low"]}, "incidences": []},
+    "upper": {"representation": {"type": "regular", "context": {"type": "cyclic", "order": 4}},
+              "top_degree": 1, "cells": {"1": ["up"]}, "incidences": []},
+    "coupling": [{"from": "low", "to": "up", "word": [["e", [1, 0]], [["t", 3], [-1, 0]]]}],
+}
+
+
+@pytest.mark.parametrize("command", ["torsion", "hodge", "duality-check", "glue-check"])
+def test_cyclic_regular_cell_complexes_load_no_towers(tmp_path, command):
+    # their cell words reach the phase kernel in vn, not through towers
+    if command == "glue-check":
+        path = tmp_path / "arcs_z4.json"
+        path.write_text(json.dumps(_CYCLIC_GLUING))
+    else:
+        path = DATA / "circle_z3.json"
+    loaded = _loaded(command, str(path), "--json")
+    assert "cells" in loaded
+    assert "towers" not in loaded
+
+
 def test_public_names_are_unchanged():
     script = ("import json, torsionlab; "
               "listed = [n for n in dir(torsionlab) if not n.startswith('_')]; "

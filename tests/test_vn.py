@@ -377,9 +377,9 @@ def test_eigensolver_calls_stay_in_the_kernel(monkeypatch):
 
 
 #: The only function with phase code (``pi``): the exact-phase kernel, which
-#: evaluates Laurent operators, and through them cell words over Z/m, at
-#: exp(2 pi i k / n).
-PHASE_CALLERS = {("towers", "symbol")}
+#: evaluates Laurent operators (``LaurentMatrix.symbol``) and cell words over
+#: Z/m at exp(2 pi i k / n).
+PHASE_CALLERS = {("vn", "symbol_at_roots")}
 
 
 def test_phase_code_stays_in_the_kernel():
