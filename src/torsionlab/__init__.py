@@ -31,8 +31,9 @@ if "TORSIONLAB_THREADS" in _os.environ:
 
 #: The public names, by the module that defines them.
 _EXPORTS = {
+    "kernel": ("SpectralDistribution",),
     "vn": (
-        "HilbertModule", "Morphism", "SpectralDistribution", "TraceContext",
+        "HilbertModule", "Morphism", "TraceContext",
         "a_linearity_residual", "block_triangular_log_vol_residual", "complex_field",
         "cyclic_group", "default_rank_tol", "direct_sum_modules", "finite_group",
         "group_ring_matrix", "log_vol",
@@ -70,7 +71,9 @@ _EXPORTS = {
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = (*_EXPORTS, "errors")
 
-__all__ = sorted((*_HOME, *_SUBMODULES))
+# ``kernel`` resolves like every submodule; its public name is exported
+# here, so the module itself stays out of the star import.
+__all__ = sorted({*_HOME, *_SUBMODULES} - {"kernel"})
 
 __version__ = "0.1.0"
 

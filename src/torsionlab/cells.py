@@ -9,7 +9,7 @@ machinery of the complexes/exact modules applied to the result.
 
 Over ``cyclic_group(m)`` the regular representation works by characters:
 a word is its Laurent polynomial at the m-th roots of unity, from the one
-phase kernel ``vn.symbol_at_roots``, each differential is the stack of its m
+phase kernel ``kernel.symbol_at_roots``, each differential is the stack of its m
 character blocks, and torsion, Hodge data, duality and gluing are computed
 block by block, with the rank decisions of the dense matrix (the cutoff is
 sized by m n, so over Z/2^16 the circle's characters j = +-1 fall under
@@ -20,7 +20,7 @@ representation, including a regular one over a ``finite_group`` table,
 builds dense matrices.
 
 Words are lists of (element, coefficient) pairs.  Every representation
-reads an element as (label, power) (``vn.word_element``): a label
+reads an element as (label, power) (``kernel.word_element``): a label
 ("t", or "t^k" over ``cyclic_group``) is its first power, an integer n is
 ("t", n), and a pair is itself; "e" is the identity.  The adjoint of a
 word negates every power and conjugates every coefficient.
@@ -29,7 +29,7 @@ word negates every power and conjugates every coefficient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .complexes import (
     torsion_via_laplacians,
 )
 from .errors import DataValidationError
+from .kernel import laurent_terms, symbol_at_roots, word_element
 from .vn import (
     HilbertModule,
     Morphism,
@@ -48,10 +49,7 @@ from .vn import (
     assemble_blocks,
     complex_field,
     group_ring_matrix,
-    laurent_terms,
-    symbol_at_roots,
     vanishes,
-    word_element,
 )
 
 if TYPE_CHECKING:
@@ -408,8 +406,7 @@ def _compatible_reps(a, b) -> bool:
 # gluing
 
 
-@dataclass(frozen=True)
-class GluingSpec:
+class GluingSpec(NamedTuple):
     """Cut system: upper subcomplex, lower quotient, and interface words.
 
     coupling maps ((q+1)-cell of upper, q-cell of lower) to the word carried
@@ -423,6 +420,24 @@ class GluingSpec:
     coupling: Mapping[tuple[str, str], Word]
 
 
+def check_windows(lower: TwistedCellComplex, upper: TwistedCellComplex) -> None:
+    """Gluing factors must share one degree window."""
+    if lower.top_degree != upper.top_degree:
+        raise DataValidationError("gluing factors must share a degree window")
+
+
+def check_coupling(lower: TwistedCellComplex, upper: TwistedCellComplex,
+                   to_cell: str, from_cell: str) -> None:
+    """A coupling runs from a lower q-cell to an upper (q+1)-cell."""
+    if not any(to_cell in labels for labels in upper.cells.values()):
+        raise DataValidationError(f"coupling target {to_cell!r} is not an upper cell")
+    if not any(from_cell in labels for labels in lower.cells.values()):
+        raise DataValidationError(f"coupling source {from_cell!r} is not a lower cell")
+    if upper.cell_degree(to_cell) != lower.cell_degree(from_cell) + 1:
+        raise DataValidationError(
+            f"coupling ({to_cell!r}, {from_cell!r}) does not raise the degree by one")
+
+
 def glue(spec: GluingSpec, rank_tol: float | None = None) -> tuple[TwistedCellComplex, ComplexSES]:
     """Assemble the glued complex and its inclusion/restriction sequence (cutoff ``rank_tol``).
 
@@ -430,22 +445,10 @@ def glue(spec: GluingSpec, rank_tol: float | None = None) -> tuple[TwistedCellCo
     takes its maps from ``complexes.extension_maps``."""
     from .exact import ComplexSES
     lower, upper = spec.lower, spec.upper
-    if lower.top_degree != upper.top_degree:
-        raise DataValidationError("gluing factors must share a degree window")
+    check_windows(lower, upper)
     union = disjoint_union(upper, lower)
-    lower_labels = {x for ls in lower.cells.values() for x in ls}
-    upper_labels = {x for ls in upper.cells.values() for x in ls}
     for to_cell, from_cell in spec.coupling:
-        if to_cell not in upper_labels:
-            raise DataValidationError(
-                f"coupling target {to_cell!r} is not an upper cell")
-        if from_cell not in lower_labels:
-            raise DataValidationError(
-                f"coupling source {from_cell!r} is not a lower cell")
-        if upper.cell_degree(to_cell) != lower.cell_degree(from_cell) + 1:
-            raise DataValidationError(
-                f"coupling ({to_cell!r}, {from_cell!r}) does not raise the "
-                "degree by one")
+        check_coupling(lower, upper, to_cell, from_cell)
     glued = TwistedCellComplex(union.representation, union.cells,
                                {**union.incidences, **spec.coupling}, union.top_degree)
     built = build_complex(glued)

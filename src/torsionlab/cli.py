@@ -19,7 +19,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 def _validate_thread_cap() -> None:
@@ -37,8 +37,7 @@ def _validate_thread_cap() -> None:
             location="environment")
 
 
-@dataclass(frozen=True)
-class JobSpec:
+class JobSpec(NamedTuple):
     """One CLI invocation: a command, its inputs, and its knobs."""
 
     command: str
@@ -295,6 +294,7 @@ def _run_lueck(job: JobSpec) -> dict:
         fourier_quadrature,
         jensen_log_det,
         parse_laurent,
+        tower_levels,
     )
     if (job.op is None) == (not job.inputs):
         raise DataValidationError(
@@ -303,7 +303,12 @@ def _run_lueck(job: JobSpec) -> dict:
         operator = parse_laurent(job.op)
     else:
         operator = formats.parse_laurent_matrix(_load(job, "laurent"), job.inputs[0])
-    levels = job.levels if job.levels is not None else DEFAULT_LEVELS
+    levels = DEFAULT_LEVELS
+    if job.levels is not None:
+        try:
+            levels = tower_levels(job.levels)
+        except DataValidationError as exc:
+            raise DataValidationError(str(exc), location="--levels") from None
     tower = approx_tower(operator, levels)
     limit = jensen_log_det(tower.operator)
     warnings = []

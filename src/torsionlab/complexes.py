@@ -39,7 +39,7 @@ Complexes in character coordinates (cell complexes over the regular
 representation of ``cyclic_group(m)``, see ``vn.HilbertModule``) are
 computed by characters: every step below runs block by block on the
 (m, rows, cols) stacks of their differentials, in batched eigensolves.
-Rank decisions are those of the dense direct sum, since ``vn.spectrum``
+Rank decisions are those of the dense direct sum, since ``kernel.spectrum``
 sizes the floor and the cutoff by the full dimension m n; over Z/2^16 the
 circle's characters j = +-1 (sigma ~ 9.6e-5) fall under the default cutoff
 (~1.2e-4), and ``hodge`` warns.  Direct sums, mapping cones and tensor
@@ -58,19 +58,16 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataValidationError
+from .kernel import RANK_AMBIGUITY_FACTOR, Spectrum, gram_spectrum, spectrum
 from .vn import (
-    RANK_AMBIGUITY_FACTOR,
     HilbertModule,
     Morphism,
-    Spectrum,
     TraceContext,
     array_shape,
     assemble_blocks,
     direct_sum_modules,
-    gram_spectrum,
     log_vol,
     norm_lower_bound,
-    spectrum,
     vanishes,
 )
 

@@ -21,7 +21,7 @@ sequence needs them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,14 +37,8 @@ from .complexes import (
     torsion,
 )
 from .errors import DataValidationError
-from .vn import (
-    Morphism,
-    Spectrum,
-    gram_spectrum,
-    norm_lower_bound,
-    rank_cutoff,
-    vanishes,
-)
+from .kernel import Spectrum, gram_spectrum, rank_cutoff
+from .vn import Morphism, norm_lower_bound, vanishes
 
 CONNECTING_STRATEGIES = ("pinv", "complement")
 
@@ -239,8 +233,7 @@ def three_stage_torsion(c: CochainComplex, rank_tol: float | None = None) -> flo
     return (-1) ** c.offset * torsion(c, rank_tol)
 
 
-@dataclass(frozen=True)
-class MilnorReport:
+class MilnorReport(NamedTuple):
     """Both sides of the torsion additivity identity for one sequence."""
 
     t1: float

@@ -30,15 +30,7 @@ from typing import TYPE_CHECKING, Mapping
 import numpy as np
 
 from .errors import DataValidationError, NumericalError
-from .vn import (
-    HilbertModule,
-    Morphism,
-    complex_field,
-    cyclic_group,
-    finite_group,
-    is_integer,
-    word_element,
-)
+from .kernel import is_integer, word_element
 
 if TYPE_CHECKING:
     from .cells import GluingSpec, TwistedCellComplex
@@ -122,6 +114,7 @@ def parse_context(obj, where: str):
 
 
 def _context(obj):
+    from .vn import complex_field, cyclic_group, finite_group
     if not isinstance(obj, Mapping) or "type" not in obj:
         raise DataValidationError("context needs a 'type' field")
     kind = obj["type"]
@@ -149,6 +142,7 @@ def _context(obj):
 
 def parse_complex(obj, where: str = "complex") -> CochainComplex:
     from .complexes import CochainComplex
+    from .vn import HilbertModule, Morphism
     ctx = parse_context(obj.get("context", {"type": "complex_field"}),
                         f"{where}.context")
     dims = obj.get("modules")
@@ -178,7 +172,7 @@ def parse_complex(obj, where: str = "complex") -> CochainComplex:
 
 
 def parse_word(value, where: str) -> tuple:
-    """A word: its elements as read by ``vn.word_element``."""
+    """A word: its elements as read by ``kernel.word_element``."""
     if not isinstance(value, list):
         raise DataValidationError("word must be a list of [element, coeff]",
                                   location=where)
@@ -294,7 +288,9 @@ def parse_cw(obj, where: str = "cw") -> TwistedCellComplex:
 
 
 def parse_gluing(obj, where: str = "gluing") -> GluingSpec:
-    from .cells import GluingSpec
+    """The gluing of a ``gluing`` input; a window mismatch names ``where``
+    and a coupling between the wrong cells names its record."""
+    from .cells import GluingSpec, check_coupling, check_windows
     for part in ("lower", "upper"):
         if not isinstance(obj.get(part), Mapping):
             raise DataValidationError(f"gluing needs an embedded '{part}' complex",
@@ -303,6 +299,14 @@ def parse_gluing(obj, where: str = "gluing") -> GluingSpec:
     upper = parse_cw(obj["upper"], f"{where}.upper")
     # the glued complex reads the coupling words in the upper representation
     coupling = _parse_incidences(obj, "coupling", where, upper.representation)
+    spot = where
+    try:
+        check_windows(lower, upper)
+        for i, (to_cell, from_cell) in enumerate(coupling):
+            spot = f"{where}.coupling[{i}]"
+            check_coupling(lower, upper, to_cell, from_cell)
+    except DataValidationError as exc:
+        raise DataValidationError(str(exc), location=spot) from None
     return GluingSpec(lower=lower, upper=upper, coupling=coupling)
 
 
@@ -310,6 +314,7 @@ def parse_ses(obj, where: str = "ses", rank_tol: float | None = None) -> Complex
     """The sequence of a ``ses`` input, with ``rank_tol`` as its rank cutoff."""
     from .complexes import ComplexMorphism
     from .exact import ComplexSES
+    from .vn import Morphism
     parts = {}
     for part in ("sub", "middle", "quotient"):
         if not isinstance(obj.get(part), Mapping):

@@ -21,12 +21,12 @@ import numpy as np
 from .complexes import CochainComplex, ComplexMorphism, extension
 from .errors import DataValidationError
 from .exact import ComplexSES
+from .kernel import gram_spectrum
 from .vn import (
     HilbertModule,
     Morphism,
     TraceContext,
     assemble_blocks,
-    gram_spectrum,
     right_regular,
 )
 

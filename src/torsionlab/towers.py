@@ -16,15 +16,15 @@ integer coefficients, and with a root-cluster bracket otherwise.
 route.
 
 Every route, and every cell word over Z/m, evaluates the symbol at exact
-rational angles k/n through one phase kernel, ``vn.symbol_at_roots`` (for
-a Laurent matrix, ``LaurentMatrix.symbol``).
+rational angles k/n through one phase kernel, ``kernel.symbol_at_roots``
+(for a Laurent matrix, ``LaurentMatrix.symbol``).
 The level-m specialization is block-circulant, so its spectrum is the
 union of the symbol's eigenvalues at the m-th roots of unity: a level is
 the left-endpoint rule on the circle, the quadrature the midpoint rule.
 ``specialize`` builds the dense nm x nm matrix and is kept as the
 reference route.  ``cw_to_laurent`` turns a cell complex over the
 integers into Laurent matrices, reading word elements by
-``vn.word_element``.
+``kernel.word_element``.
 """
 
 from __future__ import annotations
@@ -32,23 +32,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from math import comb, gcd
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DataValidationError, NumericalError, QuadratureError
-from .vn import (
-    Morphism,
+from .kernel import (
+    MAX_ROOT_ORDER,
     SpectralDistribution,
-    assemble_blocks,
-    cyclic_group,
-    group_ring_matrix,
     laurent_terms,
     noise_floor,
-    regular_module,
     symbol_at_roots,
     word_element,
 )
+
+if TYPE_CHECKING:
+    from .vn import Morphism
 
 DEFAULT_LEVELS = tuple(2 ** k for k in range(1, 13))
 LEVEL_AGREEMENT_TOL = 1e-9
@@ -270,7 +269,7 @@ class LaurentMatrix:
     def symbol(self, k, n: int) -> np.ndarray:
         """Evaluate entrywise at z = exp(2 pi i k / n) for integer numerators
         ``k`` (any shape); returns k.shape + (rows, cols), from the one phase
-        kernel ``vn.symbol_at_roots``."""
+        kernel ``kernel.symbol_at_roots``."""
         return symbol_at_roots([[p.terms for p in row] for row in self.rows], k, n)
 
 
@@ -297,6 +296,7 @@ def _checked(op) -> LaurentMatrix:
 def specialize(op, m: int) -> Morphism:
     """Reduce mod m: the shift becomes the cyclic shift on l^2(Z/m), and each
     entry the group-ring matrix of its terms."""
+    from .vn import Morphism, assemble_blocks, cyclic_group, group_ring_matrix, regular_module
     mat = _as_laurent_matrix(op)
     if m < 1:
         raise DataValidationError("quotient order must be >= 1")
@@ -348,8 +348,7 @@ def _level_eigenvalues(op: LaurentMatrix, m: int,
     return np.where(w > noise_floor(scale, dim), w, 0.0), scale
 
 
-@dataclass(frozen=True)
-class TowerLevel:
+class TowerLevel(NamedTuple):
     """One finite quotient: spectral data of the level-m specialization.
 
     ``distribution`` is the (1/m)-normalized eigenvalue counting function;
@@ -405,8 +404,7 @@ def level_log_det(op, m: int) -> float:
     return _make_level(_checked(op), m).log_det
 
 
-@dataclass(frozen=True)
-class ApproxTower:
+class ApproxTower(NamedTuple):
     """A nested family of finite quotients of one selfadjoint operator."""
 
     operator: LaurentMatrix
@@ -428,18 +426,30 @@ def approx_tower(op, levels: Iterable[int] = DEFAULT_LEVELS,
     runs through the same checks and clamp, with the noise floor of its size.
     """
     mat = _checked(op)
-    ms = [int(m) for m in levels]
+    ms = tower_levels(levels)
+    bound = mat.norm_bound()
+    built = [_make_level(mat, m, specializer) for m in ms]
+    return ApproxTower(mat, tuple(built), bound)
+
+
+def tower_levels(levels: Iterable[int]) -> tuple[int, ...]:
+    """The levels of a tower, checked before any is built: at least one,
+    each positive and at most the phase kernel's largest order 2^31, and
+    divisibility-nested."""
+    ms = tuple(int(m) for m in levels)
     if not ms:
         raise DataValidationError("a tower needs at least one level")
     if any(m < 1 for m in ms):
         raise DataValidationError("levels must be positive")
+    for m in ms:
+        if m > MAX_ROOT_ORDER:
+            raise DataValidationError(
+                f"level {m} is above 2^31, the largest order the phase kernel evaluates")
     for a, b in zip(ms, ms[1:]):
         if b % a != 0:
             raise DataValidationError(
                 f"levels must be divisibility-nested ({a} does not divide {b})")
-    bound = mat.norm_bound()
-    built = [_make_level(mat, m, specializer) for m in ms]
-    return ApproxTower(mat, tuple(built), bound)
+    return ms
 
 
 # ---------------------------------------------------------------------------
@@ -526,8 +536,7 @@ _GENERIC_NUMERATORS = np.array([1327217884, 506952121, 1834170005])
 _GENERIC_ORDER = 2 ** 31 - 1
 
 
-@dataclass(frozen=True)
-class JensenLogDet:
+class JensenLogDet(NamedTuple):
     """The circle integral of log det' of the symbol, from polynomial roots.
 
     det' of the n x n symbol is e_r of its eigenvalues, r the generic rank:

@@ -23,22 +23,29 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DataValidationError, NumericalError
 
-#: Default rank cutoff on singular values, relative to sigma_max x sqrt(dim).
-#: Its square 2^-44 sits 32 times above the eigenvalue noise floor 8 eps =
-#: 2^-49 (both scale with dim), so the floor never decides a rank by default.
-RANK_TOL_SCALE = 2.0 ** -22
-
-#: ``noise_floor`` in units of dimension x machine epsilon x the top eigenvalue.
-NOISE_FLOOR_SLACK = 8.0
-
-#: Factor-of-ten window around the rank tolerance that flags an ambiguous rank call.
-RANK_AMBIGUITY_FACTOR = 10.0
+# The rank policy, spectra, the phase kernel and SpectralDistribution are
+# defined in ``kernel``; the trace algebra re-exports them.
+from .kernel import (  # noqa: F401
+    NOISE_FLOOR_SLACK,
+    RANK_AMBIGUITY_FACTOR,
+    RANK_TOL_SCALE,
+    SpectralDistribution,
+    Spectrum,
+    gram_spectrum,
+    is_integer,
+    laurent_terms,
+    noise_floor,
+    rank_cutoff,
+    spectrum,
+    symbol_at_roots,
+    word_element,
+)
 
 #: Tolerance of ``vanishes``, relative to the scale of the check.
 COMPOSITION_TOL = 1e-10
@@ -498,48 +505,6 @@ def vn_trace(f: Morphism) -> complex:
     return complex(f.context.kappa * np.trace(f.array, axis1=-2, axis2=-1).sum())
 
 
-class Spectrum(NamedTuple):
-    """Eigenvalues of a nonnegative Hermitian matrix with its rank decision.
-
-    ``lam`` are the ascending eigenvalues with everything at or below the
-    noise floor set to 0, ``sigma`` their square roots (the singular values
-    when the matrix is a Gram matrix f*f), ``tol`` the cutoff on ``sigma``,
-    ``keep`` the mask sigma > tol of values that count as nonzero and
-    ``vectors`` the matching orthonormal eigenvectors (or None).
-    """
-
-    lam: np.ndarray
-    sigma: np.ndarray
-    tol: float
-    keep: np.ndarray
-    vectors: np.ndarray | None
-
-    @property
-    def ambiguous(self) -> bool:
-        """Whether a nonzero sigma lies within RANK_AMBIGUITY_FACTOR of tol."""
-        s = self.sigma
-        return bool(np.any((s > self.tol / RANK_AMBIGUITY_FACTOR)
-                           & (s <= self.tol * RANK_AMBIGUITY_FACTOR) & (s > 0)))
-
-
-def noise_floor(top: float, dim: int) -> float:
-    """Eigenvalues at or below this are roundoff: top x dim x eps x slack.
-
-    A Hermitian eigensolver resolves the eigenvalues of a dim x dim matrix
-    whose largest eigenvalue is ``top`` only to about dim x eps x top; a
-    value below that must not survive a square root, where it would pass
-    for a singular value of about sqrt(eps) x norm.
-    """
-    return top * dim * np.finfo(float).eps * NOISE_FLOOR_SLACK
-
-
-def rank_cutoff(top_sigma: float, dim: int, rank_tol: float | None = None) -> float:
-    """The cutoff on singular values: ``rank_tol``, or sigma_max x sqrt(dim) x 2^-22."""
-    if rank_tol is not None:
-        return float(rank_tol)
-    return top_sigma * math.sqrt(dim) * RANK_TOL_SCALE
-
-
 def norm_lower_bound(a: np.ndarray) -> float:
     """The largest column or row 2-norm of ``a`` (of any block of a stack): a
     lower bound on its spectral norm that needs no SVD (0 if ``a`` is empty)."""
@@ -561,50 +526,6 @@ def vanishes(x: np.ndarray, scale: float) -> bool:
     if not (math.isfinite(norm) and math.isfinite(scale)):
         raise NumericalError("non-finite values in a vanishing test (overflow)")
     return norm <= COMPOSITION_TOL * scale
-
-
-def spectrum(a: np.ndarray, rank_tol: float | None = None, vectors: bool = False,
-             dim: int | None = None) -> Spectrum:
-    """Spectrum and rank decision of a nonnegative Hermitian matrix.
-
-    The one place where eigenvalues are computed for a rank decision:
-    values at or below ``noise_floor`` are exactly zero, and a value counts
-    as nonzero when sigma = sqrt(lambda) exceeds ``rank_cutoff``, so
-    ``rank_tol`` cuts singular values for Gram matrices and Laplacians
-    alike.  A stack (m, n, n) is read as the direct sum of its blocks, in
-    one batched eigensolve: the top eigenvalue is the largest of all
-    blocks, and ``dim`` (default: the size of ``a``, m n for a stack) sizes
-    floor and cutoff, so every decision is the one the dense direct sum
-    gets.  A zero matrix needs no eigensolve unless eigenvectors are asked
-    for.  A clearly negative eigenvalue raises ``DataValidationError``, a
-    non-finite entry (an overflow, say in f* f) ``NumericalError``.
-    """
-    if not np.isfinite(a).all():
-        raise NumericalError("non-finite matrix entries in the spectral kernel (overflow)")
-    dim = math.prod(a.shape[:-1]) if dim is None else dim
-    if a.shape[-1] == 0 or not (vectors or a.any()):
-        empty = np.zeros(a.shape[:-1])
-        return Spectrum(empty, empty, rank_cutoff(0.0, dim, rank_tol), empty > 0,
-                        np.zeros(a.shape, np.complex128) if vectors else None)
-    a = 0.5 * (a + a.conj().swapaxes(-1, -2))
-    w, v = np.linalg.eigh(a) if vectors else (np.linalg.eigvalsh(a), None)
-    low, high = (w[0], w[-1]) if w.ndim == 1 else (w[:, 0].min(), w[:, -1].max())
-    top, bottom = max(float(high), 0.0), float(low)
-    if bottom < -1e-10 * max(top, -bottom):
-        raise DataValidationError("operator is not nonnegative")
-    w = np.where(w > noise_floor(top, dim), w, 0.0)
-    sigma = np.sqrt(w)
-    tol = rank_cutoff(math.sqrt(top), dim, rank_tol)
-    return Spectrum(w, sigma, tol, sigma > tol, v)
-
-
-def gram_spectrum(matrix: np.ndarray, rank_tol: float | None = None,
-                  vectors: bool = False, dim: int | None = None) -> Spectrum:
-    """``spectrum`` of m* m: the singular values of m, sized by ``dim``
-    (default: the larger side of m, times the number of blocks of a stack)."""
-    if dim is None:
-        dim = math.prod(matrix.shape[:-2]) * max(matrix.shape[-2:] + (1,))
-    return spectrum(matrix.conj().swapaxes(-1, -2) @ matrix, rank_tol, vectors, dim)
 
 
 def _domain_spectrum(f: Morphism, rank_tol: float | None = None,
@@ -667,40 +588,6 @@ def polar_decompose(f: Morphism, rank_tol: float | None = None) -> tuple[Morphis
 
 # ---------------------------------------------------------------------------
 # spectral distribution functions
-
-
-@dataclass(frozen=True, eq=False)
-class SpectralDistribution:
-    """Right-continuous step function F(lambda) = kappa * #{sigma^2 <= lambda}.
-
-    ``lambdas`` are the ascending jump locations and ``values`` the cumulative
-    values there, so F(lambda) = values[bisect_right(lambdas, lambda) - 1]
-    (0 below the first jump).  ``total`` equals the vn-dimension of the domain.
-    """
-
-    lambdas: np.ndarray
-    values: np.ndarray
-    total: float
-
-    def __post_init__(self):
-        lam = np.asarray(self.lambdas, dtype=float)
-        val = np.asarray(self.values, dtype=float)
-        if lam.shape != val.shape or lam.ndim != 1:
-            raise DataValidationError("jump locations and values must be equal-length vectors")
-        if np.any(np.diff(lam) < 0) or np.any(np.diff(val) < 0):
-            raise DataValidationError("spectral distribution must be nondecreasing")
-        object.__setattr__(self, "lambdas", lam)
-        object.__setattr__(self, "values", val)
-
-    def value_at(self, lam: float) -> float:
-        """F(lam), right-continuous."""
-        idx = int(np.searchsorted(self.lambdas, lam, side="right"))
-        return 0.0 if idx == 0 else float(self.values[idx - 1])
-
-    def masses(self) -> tuple[np.ndarray, np.ndarray]:
-        """Jump locations with their masses."""
-        prev = np.concatenate(([0.0], self.values[:-1]))
-        return self.lambdas, self.values - prev
 
 
 def spectral_distribution(f: Morphism, rank_tol: float | None = None) -> SpectralDistribution:
@@ -794,84 +681,6 @@ def left_regular(context: TraceContext, element) -> np.ndarray:
     for h in range(n):
         m[context.multiply(g, h), h] = 1.0
     return m
-
-
-def is_integer(value) -> bool:
-    """A Python or numpy integer that is not a bool (``json.load`` reads true
-    and false as ``bool``, a subclass of ``int``)."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def word_element(spec) -> tuple[str, int]:
-    """The one reading of a cell-word element, as (label, power): a string
-    label is its first power, an integer n is ("t", n), and a (label,
-    power) pair, tuple or list, is itself."""
-    if isinstance(spec, str):
-        return spec, 1
-    if is_integer(spec):
-        return "t", int(spec)
-    if (isinstance(spec, (tuple, list)) and len(spec) == 2 and isinstance(spec[0], str)
-            and is_integer(spec[1])):
-        return spec[0], int(spec[1])
-    raise DataValidationError("word element must be a label, an integer power, or "
-                              f"[label, power]; got {spec!r}")
-
-
-def laurent_terms(pairs: Iterable[tuple[int, complex]]) -> tuple[tuple[int, complex], ...]:
-    """The canonical terms of the Laurent polynomial sum of c t^e over the
-    (e, c) ``pairs``: ascending exponents, equal exponents merged, exact-zero
-    coefficients dropped."""
-    merged: dict[int, complex] = {}
-    for exponent, coeff in pairs:
-        e = int(exponent)
-        merged[e] = merged.get(e, 0.0 + 0.0j) + complex(coeff)
-    return tuple((e, merged[e]) for e in sorted(merged) if merged[e] != 0)
-
-
-def symbol_at_roots(entries: Sequence[Sequence[tuple[tuple[int, complex], ...]]],
-                    k, n: int) -> np.ndarray:
-    """A matrix of Laurent polynomials, each given by its ``laurent_terms``,
-    evaluated entrywise at z = exp(2 pi i k / n) for integer numerators
-    ``k`` (any shape); returns k.shape + (rows, cols).
-
-    The one phase kernel (of tower levels, both limit routes and cell words
-    over Z/m): each phase k e is reduced mod n exactly, k (unless it is in
-    range) and e mod n first, so the int64 product stays below n^2 <= 2^62.
-    The powers are gathered from one table of the n-th roots of unity, or
-    computed directly where that table would be larger than the result.
-    """
-    k = np.asarray(k)
-    if not (1 <= n <= 1 << 31 and (k.size == 0 or np.issubdtype(k.dtype, np.integer))):
-        raise DataValidationError("angles k/n need integer k and 1 <= n <= 2^31")
-    k = k.astype(np.int64, copy=False)
-    if k.size and (k.min() < 0 or k.max() >= n):
-        k = k % n
-    terms: dict[int, list[tuple[int, int, complex]]] = {}
-    for i, row in enumerate(entries):
-        for j, poly in enumerate(row):
-            for e, c in poly:
-                terms.setdefault(e, []).append((i, j, c))
-    table = None
-    if n <= k.size * len(terms):  # built in place: one complex n-array
-        table = 2j * np.pi * np.arange(n)
-        table /= n
-        np.exp(table, out=table)
-    out = np.zeros(k.shape + (len(entries), len(entries[0])), np.complex128)
-    phase, power = np.empty(k.shape, np.int64), np.empty(k.shape, np.complex128)
-    for e in sorted(terms):
-        np.multiply(k, e % n, out=phase)
-        phase %= n
-        if table is None:
-            np.exp(2j * np.pi * phase / n, out=power)
-        else:
-            # phase is in range; "clip" spares the copy "raise" makes of out
-            np.take(table, phase, out=power, mode="clip")
-        # the last entry with this exponent scales the powers in place
-        *shared, (i, j, c) = terms[e]
-        for i2, j2, c2 in shared:
-            out[..., i2, j2] += c2 * power
-        out[..., i, j] += np.multiply(c, power, out=power)
-    return out
 
 
 def group_ring_matrix(word: Iterable[tuple[object, complex]], context: TraceContext,

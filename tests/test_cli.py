@@ -18,6 +18,9 @@ from torsionlab.vn import complex_field
 
 DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
 
+#: A one-generator unitary representation: t acts as -1.
+_UNITARY = {"type": "unitary", "generators": {"t": [[[-1, 0]]]}}
+
 
 def run_cli(*args, env_extra=None, cwd=None):
     env = dict(os.environ)
@@ -391,20 +394,32 @@ class TestFailureModes:
          "'coupling' must be a list"),
         ("glue-check", {"coupling": [{"from": "lo", "to": "up", "word": [["s", 1]]}]},
          "cw.json.coupling[0].word[0]]", "unknown generator 's'"),
+        ("glue-check", {"coupling": [{"from": "lo", "to": "zz", "word": [["t", 1]]}]},
+         "cw.json.coupling[0]]", "coupling target 'zz' is not an upper cell"),
+        ("glue-check", {"coupling": [{"from": "lo", "to": "up", "word": [["t", 1]]},
+                                     {"from": "zz", "to": "up", "word": [["t", 1]]}]},
+         "cw.json.coupling[1]]", "coupling source 'zz' is not a lower cell"),
+        ("glue-check", {"lower": {"representation": _UNITARY, "top_degree": 1,
+                                  "cells": {"1": ["lo"]}},
+                        "coupling": [{"from": "lo", "to": "up", "word": [["t", 1]]}]},
+         "cw.json.coupling[0]]", "coupling ('up', 'lo') does not raise the degree by one"),
+        ("glue-check", {"upper": {"representation": _UNITARY, "top_degree": 2,
+                                  "cells": {"1": ["up"]}}},
+         "cw.json]", "gluing factors must share a degree window"),
     ], ids=["unknown-cell", "duplicate-label", "outside-window", "negative-top-degree",
             "non-unitary-generator", "unknown-generator", "unknown-group-element",
-            "coupling-not-a-list", "unknown-coupling-generator"])
+            "coupling-not-a-list", "unknown-coupling-generator", "coupling-unknown-target",
+            "coupling-unknown-source", "coupling-degree", "gluing-windows"])
     def test_cell_structure_errors_name_their_location(self, tmp_path, command, changes,
                                                        where, message):
-        unitary = {"type": "unitary", "generators": {"t": [[[-1, 0]]]}}
         if command == "glue-check":
             data = {"kind": "gluing",
-                    "lower": {"representation": unitary, "top_degree": 1,
+                    "lower": {"representation": _UNITARY, "top_degree": 1,
                               "cells": {"0": ["lo"]}},
-                    "upper": {"representation": unitary, "top_degree": 1,
+                    "upper": {"representation": _UNITARY, "top_degree": 1,
                               "cells": {"1": ["up"]}}}
         else:
-            data = {"kind": "cw", "representation": unitary, "top_degree": 1,
+            data = {"kind": "cw", "representation": _UNITARY, "top_degree": 1,
                     "cells": {"0": ["a"], "1": ["b"]},
                     "incidences": [{"from": "a", "to": "b", "word": [["t", 1]]}]}
         path = tmp_path / "cw.json"
@@ -414,6 +429,24 @@ class TestFailureModes:
         assert message in proc.stderr
         assert f"[at {path}" in proc.stderr and where in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_level_above_the_phase_kernel_is_refused_before_any_level(self, monkeypatch,
+                                                                      capsys):
+        # the phase kernel evaluates orders up to 2^31; a larger level would
+        # first allocate its m numerators (32 GiB for 2^32)
+        from torsionlab import towers
+
+        def reached(*args, **kwargs):
+            raise AssertionError("a tower level was built")
+
+        monkeypatch.setattr(towers, "_make_level", reached)
+        argv = ["lueck", "--op", "2 - t - t^-1", "--levels", "2,4294967296"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "level 4294967296 is above 2^31" in err and "[at --levels]" in err
+        with pytest.raises(DataValidationError, match="above 2"):
+            towers.approx_tower(towers.parse_laurent("2 - t - t^-1"), [2, 2 ** 32])
+        assert towers.tower_levels([2, 2 ** 31]) == (2, 2 ** 31)
 
     def test_emission_failure_is_numerical_failure(self, monkeypatch, capsys):
         monkeypatch.setitem(cli._HANDLERS, "torsion",

@@ -285,18 +285,18 @@ def test_milnor_check_decomposes_every_complex_once(case, eigvalsh, eigh, monkey
 @pytest.mark.parametrize("case", ["Z/3", "cone"])
 def test_repeated_milnor_check_measures_no_empty_map(case, monkeypatch):
     import torsionlab.complexes as complexes
-    import torsionlab.vn as vn
+    import torsionlab.kernel as kernel
     ses = _sequence(case)
     first = milnor_check(ses)
     empty = []
-    original = vn.spectrum
+    original = kernel.spectrum
 
     def spy(a, *args, **kwargs):
         if a.size == 0:
             empty.append(a.shape)
         return original(a, *args, **kwargs)
 
-    monkeypatch.setattr(vn, "spectrum", spy)
+    monkeypatch.setattr(kernel, "spectrum", spy)
     monkeypatch.setattr(complexes, "spectrum", spy)
     assert milnor_check(ses) == first
     assert empty == []

@@ -83,14 +83,23 @@ def test_bare_import_loads_no_numpy_and_no_submodule():
     ("lueck", str(DATA / "laurent_flagship.json"), "--levels", "2,4"),
 ], ids=["op", "file"])
 def test_lueck_loads_only_towers_and_its_front_end(argv):
-    assert _loaded(*argv) == {"numpy", "cli", "errors", "formats", "towers", "vn"}
+    assert _loaded(*argv) == {"numpy", "cli", "errors", "formats", "kernel", "towers"}
 
 
 @pytest.mark.parametrize("argv, absent", [
     (("ses-check", str(DATA / "ses_split.json")), {"cells", "towers"}),
     (("torsion", str(DATA / "circle_lambda_-1.json")), {"towers", "exact"}),
     (("hodge", str(DATA / "circle_lambda_-1.json")), {"towers", "exact"}),
-], ids=["ses-check", "torsion-unitary-cw", "hodge-unitary-cw"])
+    (("glue-check", str(DATA / "glue_circle.json")), {"towers"}),
+    (("duality-check", str(DATA / "circle_lambda_-1.json")), {"towers", "exact"}),
+    (("product", str(DATA / "interval_tau1.json"), str(DATA / "interval_tau2.json")),
+     {"towers", "exact"}),
+    (("lueck", "--op", "2 - t - t^-1", "--levels", "2..8"),
+     {"vn", "complexes", "exact", "cells"}),
+    (("lueck", str(DATA / "laurent_flagship.json"), "--levels", "2,4"),
+     {"vn", "complexes", "exact", "cells"}),
+], ids=["ses-check", "torsion-unitary-cw", "hodge-unitary-cw", "glue-check",
+        "duality-check", "product", "lueck-op", "lueck-file"])
 def test_commands_leave_unused_modules_unloaded(argv, absent):
     loaded = _loaded(*argv, "--json")
     assert "formats" in loaded

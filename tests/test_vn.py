@@ -253,7 +253,7 @@ def test_log_vol_conventions():
 #: kernel, the tower symbol kernel, the dense tower reference route and the
 #: harmonic projector (which makes no rank decision).
 EIGENSOLVER_CALLERS = {
-    ("vn", "spectrum"),
+    ("kernel", "spectrum"),
     ("towers", "_symbol_eigenvalues"),
     ("towers", "_level_eigenvalues"),
     ("complexes", "hodge"),
@@ -333,7 +333,7 @@ def test_eigensolver_calls_stay_in_the_kernel(monkeypatch):
                                        or id(node) in called):
                 root_callers.add(site)
     assert callers <= EIGENSOLVER_CALLERS
-    assert ("vn", "spectrum") in callers
+    assert ("kernel", "spectrum") in callers
     assert svd_callers <= SVD_CALLERS
     assert ("vn", "norm") in svd_callers
     assert root_callers == ROOT_CALLERS
@@ -358,8 +358,8 @@ def test_eigensolver_calls_stay_in_the_kernel(monkeypatch):
     glue_check(circle_from_arcs(rep))
     milnor_check(glue(circle_from_arcs(rep))[1])
     sites = {(module, function) for _, module, function, _ in calls}
-    assert ("vn", "spectrum") in sites
-    assert sites <= {("vn", "spectrum"), ("complexes", "hodge")}
+    assert ("kernel", "spectrum") in sites
+    assert sites <= {("kernel", "spectrum"), ("complexes", "hodge")}
     assert all(name in ("eigh", "eigvalsh") for name, *_ in calls)
     assert all(len(shape) == 3 and shape[0] == m and shape[-1] <= 2
                for *_, shape in calls)
@@ -379,7 +379,7 @@ def test_eigensolver_calls_stay_in_the_kernel(monkeypatch):
 #: The only function with phase code (``pi``): the exact-phase kernel, which
 #: evaluates Laurent operators (``LaurentMatrix.symbol``) and cell words over
 #: Z/m at exp(2 pi i k / n).
-PHASE_CALLERS = {("vn", "symbol_at_roots")}
+PHASE_CALLERS = {("kernel", "symbol_at_roots")}
 
 
 def test_phase_code_stays_in_the_kernel():
