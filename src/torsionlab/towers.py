@@ -40,6 +40,7 @@ from .errors import DataValidationError, NumericalError, QuadratureError
 from .kernel import (
     MAX_ROOT_ORDER,
     SpectralDistribution,
+    is_integer,
     laurent_terms,
     noise_floor,
     symbol_at_roots,
@@ -53,6 +54,9 @@ DEFAULT_LEVELS = tuple(2 ** k for k in range(1, 13))
 LEVEL_AGREEMENT_TOL = 1e-9
 QUAD_TOL = 1e-8
 MAX_REFINEMENT = 22
+#: The deepest midpoint grid, of the quadrature and of ``fourier_counting``:
+#: 2^30 points, at angles over 2^31 (MAX_ROOT_ORDER).
+MAX_GRID_DEPTH = 30
 #: The quadrature budget of ``lueck``'s second route: 2^16 points.
 LUECK_MAX_REFINEMENT = 16
 SELFADJOINT_TOL = 1e-10
@@ -60,6 +64,10 @@ INTEGER_DET_CAP = 2.0 ** 26
 #: The largest determinant polynomial degree that ``jensen_log_det``
 #: factors exactly (about 0.1 s; the cost grows like degree^4).
 EXACT_DEGREE_CAP = 128
+#: Symbol entries (angles x n^2) that a streamed grid evaluates at once:
+#: chunks of 2^14 angles for a scalar symbol, 256 for an 8 x 8 one.  Much
+#: smaller chunks make each numpy call too short to pay for itself.
+_CHUNK_ENTRIES = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +325,9 @@ def _level_eigenvalues(op: LaurentMatrix, m: int,
 
     The level-m specialization is block-circulant, so its spectrum is the
     union of the symbol's eigenvalues at the m-th roots of unity: O(m n^3)
-    time and O(m n) memory.  A ``specializer`` instead builds the dense
-    finite-quotient matrix and diagonalizes it, the reference route.
+    time and, the grid streamed in chunks, O(m n) memory.  A
+    ``specializer`` instead builds the dense finite-quotient matrix and
+    diagonalizes it, the reference route.
 
     The spectrum provably sits in [0, norm_bound]; eigensolver roundoff a
     few ulps past the bound is clamped back so counting functions evaluated
@@ -328,7 +337,8 @@ def _level_eigenvalues(op: LaurentMatrix, m: int,
     """
     scale = op.norm_bound()
     if specializer is None:
-        w = np.sort(_symbol_eigenvalues(op, np.arange(m), m), axis=None)
+        w = _grid_eigenvalues(op, m).ravel()
+        w.sort()
         dim = op.shape[0]
     else:
         mat = specializer(op, m).matrix
@@ -471,12 +481,65 @@ def _symbol_eigenvalues(op: LaurentMatrix, k: np.ndarray, n: int) -> np.ndarray:
     return np.linalg.eigvalsh(0.5 * (sym + np.conj(np.swapaxes(sym, -1, -2))))
 
 
-def _require_semidefinite(w: np.ndarray, mat: LaurentMatrix) -> None:
-    """Symbol eigenvalues ``w`` may dip below zero by roundoff only."""
-    if float(w.min()) < -1e-8 * mat.norm_bound():
+def _grid_chunks(op: LaurentMatrix, points: int, midpoints: bool = False):
+    """The symbol eigenvalues on a grid of ``points`` angles, chunk by chunk.
+
+    The grid is the points-th roots of unity j / points, or with
+    ``midpoints`` the angles (2j + 1) / (2 points).  A chunk is a power of
+    two of at least 16 consecutive angles (the last may be shorter) holding
+    at most _CHUNK_ENTRIES symbol entries, so a grid of any size is
+    evaluated in bounded memory.  Each chunk is the ``_symbol_eigenvalues``
+    of its angles, the values a whole-grid evaluation gives.
+    """
+    size = max(16, _CHUNK_ENTRIES >> 2 * (op.shape[0] - 1).bit_length())
+    for start in range(0, points, size):
+        j = np.arange(start, min(start + size, points))
+        if midpoints:
+            yield _symbol_eigenvalues(op, 2 * j + 1, 2 * points)
+        else:
+            yield _symbol_eigenvalues(op, j, points)
+
+
+def _grid_eigenvalues(op: LaurentMatrix, points: int) -> np.ndarray:
+    """The symbol eigenvalues at the points-th roots of unity, shape
+    (points, n), filled chunk by chunk: no symbol stack of the whole grid."""
+    w = np.empty((points, op.shape[0]))
+    start = 0
+    for chunk in _grid_chunks(op, points):
+        w[start:start + len(chunk)] = chunk
+        start += len(chunk)
+    return w
+
+
+def _pairwise_sum(sums: list):
+    """The sum of chunk sums by halves.
+
+    numpy sums a contiguous array pairwise: it splits it in halves (rounded
+    down to a multiple of 8) down to blocks of at most 128.  A power-of-two
+    count of chunks, each of more than 64 elements and a multiple of 8, is
+    split exactly at chunk boundaries, so this equals one ``sum`` of the
+    whole grid, bit for bit.
+    """
+    if len(sums) == 1:
+        return sums[0]
+    half = len(sums) // 2
+    return _pairwise_sum(sums[:half]) + _pairwise_sum(sums[half:])
+
+
+def _require_semidefinite(low: float, mat: LaurentMatrix) -> None:
+    """The smallest symbol eigenvalue ``low`` of a grid may dip below zero
+    by roundoff only."""
+    if low < -1e-8 * mat.norm_bound():
         raise DataValidationError(
             "symbol is not positive-semidefinite on the circle "
-            f"(eigenvalue {float(w.min()):.3e})")
+            f"(eigenvalue {low:.3e})")
+
+
+def _require_integer(name: str, value, low: int, high: int) -> None:
+    """Refuse an integer argument outside low..high, naming it."""
+    if not (is_integer(value) and low <= value <= high):
+        raise DataValidationError(
+            f"{name} must be an integer from {low} to {high}, got {value!r}")
 
 
 def fourier_log_det(op, tol: float = QUAD_TOL,
@@ -500,16 +563,27 @@ def fourier_quadrature(op, tol: float = QUAD_TOL,
                        max_refinement: int = MAX_REFINEMENT
                        ) -> tuple[float, int, float]:
     """``fourier_log_det`` with its depth (log2 of the finest grid) and its
-    last increment; raises QuadratureError with the last bracket."""
+    last increment; raises QuadratureError with the last bracket.
+
+    Each grid is streamed: one log-sum per chunk, combined by halves, so
+    memory does not grow with the depth and every estimate is the one a
+    single sum over the whole grid gives.  The depth runs from 4 to
+    ``max_refinement``, at least 6 (the first extrapolated increment) and
+    at most 30 (midpoints over 2^31, the phase kernel's largest order).
+    """
+    _require_integer("max_refinement", max_refinement, 6, MAX_GRID_DEPTH)
     mat = _checked(op)
     floor = noise_floor(mat.norm_bound(), mat.shape[0])
 
     def estimate(k: int) -> float:
         points = 1 << k
-        w = _symbol_eigenvalues(mat, 2 * np.arange(points) + 1, 2 * points)
-        _require_semidefinite(w, mat)
-        logs = np.where(w > floor, np.log(np.where(w > floor, w, 1.0)), 0.0)
-        return float(logs.sum() / points)
+        sums, low = [], np.inf
+        for w in _grid_chunks(mat, points, midpoints=True):
+            low = np.minimum(low, w.min())
+            logs = np.where(w > floor, np.log(np.where(w > floor, w, 1.0)), 0.0)
+            sums.append(logs.sum())
+        _require_semidefinite(float(low), mat)
+        return float(_pairwise_sum(sums) / points)
 
     previous_est = estimate(4)
     current_est = estimate(5)
@@ -584,8 +658,8 @@ def jensen_log_det(op) -> JensenLogDet:
     top = rank * max(abs(e) for row in mat.rows for poly in row
                      for e, _ in poly.terms)
     points = max(8, 1 << int(np.ceil(np.log2(4 * top + 2))))
-    w = _symbol_eigenvalues(mat, np.arange(points), points)
-    _require_semidefinite(w, mat)
+    w = _grid_eigenvalues(mat, points)
+    _require_semidefinite(float(w.min()), mat)
     values = _elementary_symmetric(w, rank)
     # evaluation error of e_r: r relative eigenvalue errors of n eps each,
     # on at most C(n, r) products of size scale^r, plus the FFT's roundoff
@@ -774,10 +848,12 @@ def _cluster_disc(roots: np.ndarray, members: list[int], lead: float,
 def fourier_counting(op, lam: float, points: int = 1 << 15) -> float:
     """Oracle spectral distribution: measure of the set of circle angles
     where the symbol has an eigenvalue at most lam, counted with
-    multiplicity (vn-normalized, totals the matrix size)."""
+    multiplicity (vn-normalized, totals the matrix size), on a grid of
+    ``points`` midpoints, 1 to 2^30, counted chunk by chunk."""
+    _require_integer("points", points, 1, 1 << MAX_GRID_DEPTH)
     mat = _checked(op)
-    w = _symbol_eigenvalues(mat, 2 * np.arange(points) + 1, 2 * points)
-    return float(np.sum(w <= lam) / points)
+    count = sum(int(np.sum(w <= lam)) for w in _grid_chunks(mat, points, midpoints=True))
+    return float(count / points)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Finite-quotient towers over the integer line and their circle oracle."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from torsionlab import towers
 from torsionlab.cells import (
     InfiniteCyclic,
     RegularRepresentation,
@@ -37,6 +39,10 @@ from torsionlab.vn import cyclic_group
 FLAGSHIP = parse_laurent("2 - t - t^-1")
 ONE_BY_TWO = LaurentMatrix.from_lists([[FLAGSHIP, FLAGSHIP]])
 TWO_BY_ONE = LaurentMatrix.from_lists([[FLAGSHIP], [FLAGSHIP]])
+
+
+def _no_evaluation(*args):
+    raise AssertionError("the symbol was evaluated")
 
 
 def _seeded_operators(count=10, seed=17):
@@ -508,6 +514,22 @@ class TestFourierQuadrature:
         assert value == fourier_log_det(FLAGSHIP, tol=1e-8)
         assert 6 <= depth <= 22 and increment < 1e-8
 
+    @pytest.mark.parametrize("depth", [5, 0, -3, 31, 6.0, True, "8"])
+    def test_refuses_a_depth_outside_six_to_thirty(self, depth, monkeypatch):
+        # below 6 the loop never ran and the bracket had equal ends, which
+        # read as a converged value; above 30 the grid leaves the kernel
+        monkeypatch.setattr(towers, "_symbol_eigenvalues", _no_evaluation)
+        for route in (fourier_quadrature, fourier_log_det):
+            with pytest.raises(DataValidationError,
+                               match="max_refinement must be an integer from 6 to 30"):
+                route(parse_laurent("3 - t - t^-1"), max_refinement=depth)
+
+    def test_depth_six_is_the_shallowest(self):
+        with pytest.raises(QuadratureError) as info:
+            fourier_quadrature(parse_laurent("3 - t - t^-1"), tol=0.0, max_refinement=6)
+        low, high = info.value.bracket
+        assert low != high
+
 
 class TestFourierCounting:
     def test_flagship_half_mass_at_two(self):
@@ -533,6 +555,133 @@ class TestFourierCounting:
         # (2j + 1) pi / 4
         with pytest.raises(DataValidationError, match="not selfadjoint"):
             fourier_counting(parse_laurent("2 + t^4 - t^-4"), 1.0, points=4)
+
+    @pytest.mark.parametrize("points", [0, -1, 2 ** 30 + 1, 2 ** 31, 4.0, False])
+    def test_refuses_points_outside_one_to_two_to_the_thirty(self, points, monkeypatch):
+        # 0 got the kernel's message about angles, 2^31 a 16 GiB MemoryError
+        monkeypatch.setattr(towers, "_symbol_eigenvalues", _no_evaluation)
+        with pytest.raises(DataValidationError,
+                           match="points must be an integer from 1 to 1073741824"):
+            fourier_counting(FLAGSHIP, 1.0, points=points)
+
+
+def _block_diagonal(poly, n):
+    zero = LaurentPoly()
+    return LaurentMatrix.from_lists([[poly if i == j else zero for j in range(n)]
+                                     for i in range(n)])
+
+
+def _complex_three_by_three():
+    rng = np.random.default_rng(7)
+    a = LaurentMatrix.from_lists(
+        [[LaurentPoly(tuple((e, complex(*rng.integers(-2, 3, size=2))) for e in (-1, 0, 1)))
+          for _ in range(3)] for _ in range(3)])
+    return a.adjoint() @ a
+
+
+SQUARED_CUBIC = parse_laurent("2 - 3t + 2t^2") * parse_laurent("2 - 3t + 2t^2").adjoint()
+
+
+def _peak_bytes(call) -> int:
+    tracemalloc.start()
+    try:
+        try:
+            call()
+        except QuadratureError:
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamedGrids:
+    """Grids are evaluated in chunks, with the values and the sums of one
+    whole-grid evaluation, and in memory that does not grow with the grid."""
+
+    @pytest.fixture
+    def chunk_sizes(self, monkeypatch):
+        sizes = []
+        evaluate = towers._symbol_eigenvalues
+
+        def spy(op, k, n):
+            sizes.append((np.size(k), n))
+            return evaluate(op, k, n)
+        monkeypatch.setattr(towers, "_symbol_eigenvalues", spy)
+        return sizes
+
+    @pytest.mark.parametrize("op, depth", [(SQUARED_CUBIC, 18),
+                                           (_complex_three_by_three(), 14)],
+                             ids=["scalar", "complex-3x3"])
+    def test_every_value_is_the_whole_grid_one(self, op, depth, chunk_sizes):
+        mat = towers._checked(op)
+        floor = towers.noise_floor(mat.norm_bound(), mat.shape[0])
+
+        def whole(points):
+            return towers._symbol_eigenvalues(mat, 2 * np.arange(points) + 1, 2 * points)
+
+        estimates = {}
+        for k in range(4, depth + 1):
+            w = whole(1 << k)
+            logs = np.where(w > floor, np.log(np.where(w > floor, w, 1.0)), 0.0)
+            estimates[k] = float(logs.sum() / (1 << k))
+        extrapolated = [2.0 * estimates[k] - estimates[k - 1] for k in (depth - 1, depth)]
+        chunk_sizes.clear()
+        with pytest.raises(QuadratureError) as info:
+            fourier_quadrature(op, tol=0.0, max_refinement=depth)
+        assert info.value.bracket == tuple(extrapolated)
+        # the deepest grid took more than one chunk
+        assert max(size for size, n in chunk_sizes if n == 2 << depth) < 1 << depth
+
+        points = 1 << depth
+        for lam in (0.5, 2.0, 9.0):
+            count = np.sum(whole(points) <= lam)
+            assert fourier_counting(op, lam, points) == float(count / points)
+        m = 3 << (depth - 2)
+        reference = np.sort(towers._symbol_eigenvalues(mat, np.arange(m), m), axis=None)
+        streamed, _ = towers._level_eigenvalues(mat, m)
+        top = mat.norm_bound()
+        reference = np.minimum(reference, top)
+        reference = np.where(reference > floor, reference, 0.0)
+        assert np.array_equal(streamed, reference)
+
+    def test_semidefinite_check_reads_the_whole_grid(self, chunk_sizes):
+        # 2 - 1e-7 + t + t^-1 dips below zero only in a narrow window around
+        # angle 1/2, which a grid first resolves in a middle chunk; the
+        # message holds the grid's minimum, as a whole-grid evaluation states it
+        dip = parse_laurent("2 + t + t^-1") - LaurentPoly.constant(1e-7)
+        op = towers._checked(_block_diagonal(dip, 4))
+        for depth in range(4, 17):
+            points = 1 << depth
+            low = towers._symbol_eigenvalues(op, 2 * np.arange(points) + 1, 2 * points).min()
+            if low < -1e-8 * op.norm_bound():
+                break
+        chunk_sizes.clear()
+        with pytest.raises(DataValidationError, match="not positive-semidefinite") as info:
+            fourier_quadrature(op, 0.0, max_refinement=16)
+        assert str(info.value).endswith(f"(eigenvalue {low:.3e})")
+        assert len([n for _, n in chunk_sizes if n == 2 * points]) > 2
+
+    # Peaks of the whole-grid evaluation: 20.0, 34.5, 17.3 and 34.5 MB.
+    # The bounds are twice the streamed peaks.
+    def test_quadrature_memory_does_not_grow_with_depth(self):
+        peak = _peak_bytes(lambda: fourier_quadrature(SQUARED_CUBIC, 0.0, max_refinement=18))
+        assert peak < 4.3 * 2 ** 20
+
+    def test_matrix_quadrature_memory_is_bounded(self):
+        op = _block_diagonal(SQUARED_CUBIC, 4)
+        peak = _peak_bytes(lambda: fourier_quadrature(op, 0.0, max_refinement=16))
+        assert peak < 1.6 * 2 ** 20
+
+    def test_counting_memory_is_bounded(self):
+        op = _block_diagonal(SQUARED_CUBIC, 4)
+        peak = _peak_bytes(lambda: fourier_counting(op, 1.0, 1 << 15))
+        assert peak < 1.6 * 2 ** 20
+
+    def test_level_memory_is_linear_in_the_order(self):
+        # the m n eigenvalues are 2 MiB; the symbol stack was 16 MiB
+        op = _block_diagonal(SQUARED_CUBIC, 4)
+        peak = _peak_bytes(lambda: level_log_det(op, 1 << 16))
+        assert peak < 15 * 2 ** 20
 
 
 class TestLimitDistribution:
