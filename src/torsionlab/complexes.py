@@ -25,15 +25,15 @@ direct sums (no coupling), mapping cones (coupled by f), the random
 sequences of ``generators`` (a coboundary twist) and, through
 ``extension_maps``, the gluing sequences of ``cells``.
 
-The Hodge decomposition comes in two stages, each computed once per
-complex and cutoff.  ``hodge_spectra`` takes one eigvalsh per differential:
-ranks, harmonic dimensions, rank warnings and route one read only it.
-``hodge`` adds the bases (one eigh per differential and one per module with
-harmonic part) for the callers that read a harmonic basis, a reduced
-differential or a harmonic map, with the ranks of the first stage.  Each
-differential's spectrum and range bases are kept with the morphism, so
-shifted, padded and suspended complexes reuse those of the complex they
-wrap.
+The Hodge decomposition comes in two stages, each built once per complex
+and cutoff and returned as that object on every call.  ``hodge_spectra``
+takes one eigvalsh per differential and keeps the log-volumes: ranks,
+harmonic dimensions, rank warnings and route one read only it.  ``hodge``
+adds the bases (one eigh per differential and one per module with harmonic
+part) for the callers that read them.  What the stages derive is kept with
+the differentials: a spectrum and range bases with each morphism, a
+harmonic basis with the module's neighbouring differentials.  So shifted,
+padded and suspended complexes reuse those of the complex they wrap.
 
 Complexes in character coordinates (cell complexes over the regular
 representation of ``cyclic_group(m)``, see ``vn.HilbertModule``) are
@@ -169,16 +169,14 @@ class CochainComplex:
     def module(self, q: int) -> HilbertModule:
         """Module at true degree q (zero module outside the stored window)."""
         i = q - self.offset
-        if 0 <= i < len(self.modules):
-            return self.modules[i]
-        return HilbertModule(self.context, 0, characters=self.modules[0].characters)
+        return (self.modules[i] if 0 <= i < len(self.modules) else
+                HilbertModule(self.context, 0, characters=self.modules[0].characters))
 
     def differential(self, q: int) -> Morphism:
         """d_q : C_q -> C_{q+1} at true degree q (zero outside the window)."""
         i = q - self.offset
-        if 0 <= i < len(self.differentials):
-            return self.differentials[i]
-        return Morphism.zero(self.module(q), self.module(q + 1))
+        return (self.differentials[i] if 0 <= i < len(self.differentials) else
+                Morphism.zero(self.module(q), self.module(q + 1)))
 
     def euler_characteristic(self) -> float:
         """Sum of (-1)^q vn_dim(C_q) over true degrees."""
@@ -203,19 +201,28 @@ def pad_complex(c: CochainComplex, lo: int, hi: int) -> CochainComplex:
 # Hodge decomposition: a spectral stage and a basis stage
 
 
-#: What the Hodge stages computed from each differential, by (stage,
-#: cutoff): its Gram spectrum and its range bases.  Keyed on the morphism,
-#: so a complex made of another's differentials (``shifted``,
-#: ``pad_complex``) reads them as they are, and ``suspension`` shares them
-#: with its negated differentials, which have the same Gram matrix bit for
-#: bit, and so the same spectrum and phase-normalized bases.
+class _Derived(dict):
+    """A weakly referable dict, hashed and compared by identity, so that one
+    can key another."""
+
+    __slots__ = ("__weakref__",)
+    __hash__, __eq__, __ne__ = object.__hash__, object.__eq__, object.__ne__
+
+
+#: What the Hodge stages derived from each differential, by (stage,
+#: cutoff): spectrum, rank, log-volume, range bases and the harmonic bases
+#: of the modules next to it (see ``hodge``).  Keyed on the morphism, so a
+#: complex made of another's differentials (``shifted``, ``pad_complex``)
+#: reads them as they are, and ``suspension`` shares them with its negated
+#: differentials, which have the same Gram matrix bit for bit, and so the
+#: same spectrum and phase-normalized bases.
 _DIFFERENTIAL_DATA: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _differential_data(d: Morphism) -> dict:
+def _differential_data(d: Morphism | HilbertModule) -> _Derived:
     data = _DIFFERENTIAL_DATA.get(d)
     if data is None:
-        data = _DIFFERENTIAL_DATA[d] = {}
+        data = _DIFFERENTIAL_DATA[d] = _Derived()
     return data
 
 
@@ -224,14 +231,22 @@ def differential_spectrum(d: Morphism, rank_tol: float | None = None) -> Spectru
     singular values and rank decision, computed once per cutoff.  An empty
     map has none: every empty map with its number of blocks, size and
     cutoff shares one read-only spectrum."""
+    return _spectral_stage(d, rank_tol)[0]
+
+
+def _spectral_stage(d: Morphism, rank_tol: float | None) -> tuple:
+    """(``differential_spectrum``, rank per block for a stack, log-volume) of
+    d, kept with d; an empty map has rank 0 and log-volume 0.0."""
     dim = max(d.shape + (1,))
     if not d.array.size:
-        return _empty_spectrum(d.array.shape[:-2], dim, rank_tol)
+        return _empty_spectrum(d.array.shape[:-2], dim, rank_tol), 0, 0.0
     data = _differential_data(d)
-    s = data.get(("spectrum", rank_tol))
-    if s is None:
-        s = data["spectrum", rank_tol] = gram_spectrum(d.array, rank_tol, dim=dim)
-    return s
+    stage = data.get(("spectrum", rank_tol))
+    if stage is None:
+        s = gram_spectrum(d.array, rank_tol, dim=dim)
+        stage = data["spectrum", rank_tol] = (
+            s, s.keep.sum(-1), float(d.context.kappa * np.log(s.sigma[s.keep]).sum()))
+    return stage
 
 
 @functools.lru_cache(maxsize=256)
@@ -243,17 +258,11 @@ def _empty_spectrum(blocks: tuple[int, ...], dim: int, rank_tol: float | None) -
 
 
 class _HarmonicDims:
-    """Harmonic dimensions by true degree, from ``complex`` and ``harmonic_dims``."""
-
-    @property
-    def offset(self) -> int:
-        return self.complex.offset
+    """Harmonic dimensions by true degree, from ``offset`` and ``harmonic_dims``."""
 
     def harmonic_dim(self, q: int) -> int:
         i = q - self.offset
-        if 0 <= i < len(self.harmonic_dims):
-            return self.harmonic_dims[i]
-        return 0
+        return self.harmonic_dims[i] if 0 <= i < len(self.harmonic_dims) else 0
 
     def is_acyclic(self) -> bool:
         return not any(self.harmonic_dims)
@@ -267,15 +276,17 @@ class HodgeSpectra(_HarmonicDims):
 
     * ``spectra[i]``       -- ``differential_spectrum`` of d_i, whose kept
                               singular values are those of the reduced
-                              differential at i (so its log-volume),
+                              differential at i, and ``log_vols[i]`` its
+                              log-volume (kappa times their summed logs),
     * ``harmonic_dims[i]`` -- dim C_i - rank d_{i-1} - rank d_i, the
                               dimension of the harmonic space,
     * ``block_dims[i]``    -- the same per character block (a number in the
                               standard basis).
     """
 
-    complex: CochainComplex
+    offset: int
     spectra: tuple[Spectrum, ...]
+    log_vols: tuple[float, ...]
     harmonic_dims: tuple[int, ...]
     block_dims: np.ndarray
 
@@ -288,49 +299,37 @@ class HodgeSpectra(_HarmonicDims):
             f"{RANK_AMBIGUITY_FACTOR:g} of the rank tolerance {s.tol:.3e}"
             for i, s in enumerate(self.spectra) if s.ambiguous)
 
-    def log_vol(self, q: int) -> float:
-        """``log_vol`` of the reduced differential at true degree q: kappa
-        times the sum of log kept singular values of d_q."""
-        i = q - self.offset
-        if not 0 <= i < len(self.spectra):
-            return 0.0
-        s = self.spectra[i]
-        if not s.sigma.size:  # an empty map
-            return 0.0
-        return float(self.complex.context.kappa * np.log(s.sigma[s.keep]).sum())
-
 
 def hodge_spectra(c: CochainComplex, rank_tol: float | None = None) -> HodgeSpectra:
     """Ranks, harmonic dimensions and rank warnings of every degree, from one
     eigvalsh per differential; ``hodge`` adds the bases.
 
     In character coordinates ranks are counted block by block, with the
-    rank decisions of the dense direct sum.  Computed once per complex and
+    rank decisions of the dense direct sum.  Built once per complex and
     cutoff, and reads each differential's spectrum once per cutoff.
     """
-    cached = c._hodge.get(("spectra", rank_tol))
-    if cached is not None:
-        return HodgeSpectra(c, *cached)
-    spectra = tuple(differential_spectrum(d, rank_tol) for d in c.differentials)
+    hs = c._hodge.get(("spectra", rank_tol))
+    if hs is not None:
+        return hs
+    stages = [_spectral_stage(d, rank_tol) for d in c.differentials]
     n = len(c.modules)
     blocks = np.empty((n, c.context.size) if c.modules[0].characters else n, int)
     for i, module in enumerate(c.modules):
         mask = module.block_mask  # the coordinates each block has, if not all
         blocks[i] = module.width if mask is None else mask.sum(-1)
-    for i, s in enumerate(spectra):
-        if s.keep.size:  # an empty map has rank 0
-            rank = s.keep.sum(-1)  # per block for a stack
-            blocks[i] -= rank
-            blocks[i + 1] -= rank
+    for i, (_, rank, _) in enumerate(stages):
+        blocks[i] -= rank
+        blocks[i + 1] -= rank
     if (blocks < 0).any():
         short = np.flatnonzero((blocks < 0).reshape(n, -1).any(1))
         raise DataValidationError(
             "rank bookkeeping failed (image + coimage exceed the module)",
             location=f"degree {c.offset + short[0]}")
     blocks.setflags(write=False)
-    parts = (spectra, tuple(blocks.reshape(n, -1).sum(1).tolist()), blocks)
-    c._hodge["spectra", rank_tol] = parts
-    return HodgeSpectra(c, *parts)
+    hs = c._hodge["spectra", rank_tol] = HodgeSpectra(
+        c.offset, tuple(s[0] for s in stages), tuple(s[2] for s in stages),
+        tuple(blocks.reshape(n, -1).sum(1).tolist()), blocks)
+    return hs
 
 
 @dataclass(frozen=True, eq=False)
@@ -349,46 +348,45 @@ class HodgeData(_HarmonicDims):
     * ``harmonic_modules[i]`` -- the carrier module of the harmonic space.
 
     Bases are deterministic: eigensolver order (ascending) plus fixed-phase
-    normalization, so repeated runs agree bitwise.  Every field is a tuple
-    of read-only arrays (or ints, strings, modules): the complex keeps its data.
+    normalization, so repeated runs agree bitwise.  Besides the ``offset``
+    and ``context`` of its complex (not the complex, which keeps it), every
+    field is a tuple of read-only arrays (or ints, strings, modules).
     Dimensions and warnings are those of ``hodge_spectra``.
     """
 
-    complex: CochainComplex
+    offset: int
+    context: TraceContext
     harmonic_bases: tuple[np.ndarray, ...]
     harmonic_dims: tuple[int, ...]
     plus_bases: tuple[np.ndarray, ...]
     minus_bases: tuple[np.ndarray, ...]
     reduced: tuple[np.ndarray, ...]
-    warnings: tuple[str, ...] = ()
-    harmonic_modules: tuple[HilbertModule, ...] = ()
+    warnings: tuple[str, ...]
+    harmonic_modules: tuple[HilbertModule, ...]
 
     def harmonic_basis(self, q: int) -> np.ndarray:
         """Orthonormal columns spanning the harmonic space; in character
         coordinates a stack of per-block columns, dropped ones zero."""
         i = q - self.offset
-        if 0 <= i < len(self.harmonic_bases):
-            return self.harmonic_bases[i]
-        module = self.complex.module(q)
-        return np.zeros(array_shape(module, module)[:-1] + (0,), np.complex128)
+        return (self.harmonic_bases[i] if 0 <= i < len(self.harmonic_bases) else
+                np.zeros(self.harmonic_bases[0].shape[:-2] + (0, 0), np.complex128))
 
     def harmonic_module(self, q: int) -> HilbertModule:
-        """The carrier of the harmonic space: one object per complex, cutoff
-        and degree of the window."""
+        """The carrier of the harmonic space: one object per cutoff and
+        degree of the window."""
         i = q - self.offset
-        if 0 <= i < len(self.harmonic_modules):
-            return self.harmonic_modules[i]
-        return _carrier(self.complex.context, self.harmonic_basis(q))
+        return (self.harmonic_modules[i] if 0 <= i < len(self.harmonic_modules) else
+                _carrier(self.context, self.harmonic_basis(q)))
 
     def reduced_morphism(self, q: int) -> Morphism:
         """Reduced differential at true degree q as a morphism of carriers."""
         i = q - self.offset
         if not 0 <= i < len(self.reduced):
-            zero = HilbertModule(self.complex.context, 0, free=False,
-                                 characters=self.complex.modules[0].characters)
+            zero = HilbertModule(self.context, 0, free=False,
+                                 characters=self.harmonic_bases[0].ndim == 3)
             return Morphism.zero(zero, zero)
-        return Morphism(_carrier(self.complex.context, self.minus_bases[i]),
-                        _carrier(self.complex.context, self.plus_bases[i + 1]), self.reduced[i])
+        return Morphism(_carrier(self.context, self.minus_bases[i]),
+                        _carrier(self.context, self.plus_bases[i + 1]), self.reduced[i])
 
 
 def _carrier(context: TraceContext, basis: np.ndarray) -> HilbertModule:
@@ -451,26 +449,38 @@ def hodge(c: CochainComplex, rank_tol: float | None = None) -> HodgeData:
     range; the degree-q harmonic space is the kernel of d_q intersected
     with the kernel of d_{q-1}^*, realized as the orthogonal complement of
     range(d_{q-1}) + range(d_q^*).  In character coordinates every step runs
-    block by block, in batched eigensolves.  Computed once per complex and
-    cutoff: the complex keeps the read-only parts, and later calls return
-    them (it holds no HodgeData, which refers back to it: no cycle).
+    block by block, in batched eigensolves.  Built once per complex and
+    cutoff; the range and harmonic bases are kept with the differentials,
+    so padded, shifted and suspended complexes read them.
     """
-    cached = c._hodge.get(("bases", rank_tol))
-    if cached is not None:
-        return HodgeData(c, *cached)
+    hd = c._hodge.get(("bases", rank_tol))
+    if hd is not None:
+        return hd
     spectra = hodge_spectra(c, rank_tol)
     ranges = [_range_basis(d, s, rank_tol) for d, s in zip(c.differentials, spectra.spectra)]
-    harmonic_bases, plus_bases, minus_bases = [], [], []
+    # an empty map has no range: it adds nothing to a harmonic basis or its key
+    maps = [None] + [d if d.array.size else None for d in c.differentials] + [None]
+    harmonic, plus_bases, minus_bases = [], [], []
     for i, (module, h_dim) in enumerate(zip(c.modules, spectra.block_dims)):
         shape = array_shape(module, module)
         dim = shape[-1]
         none = np.zeros(shape[:-1] + (0,), np.complex128)
-        plus = ranges[i - 1][1] if i >= 1 else none
-        mnus = ranges[i][0] if i < len(ranges) else none
-        if spectra.harmonic_dims[i] == 0 or dim == 0:
-            harm = none
-        else:
-            span = np.concatenate([plus, mnus], axis=-1)
+        plus_bases.append(ranges[i - 1][1] if i >= 1 else none)
+        minus_bases.append(ranges[i][0] if i < len(ranges) else none)
+        if spectra.harmonic_dims[i] == 0:  # so is every empty module
+            harmonic.append((none, _carrier(c.context, none)))
+            continue
+        # kept per cutoff with d_{i-1}, weakly keyed on the data of d_i when
+        # both have entries, else with the one that has, else with the module
+        below, above = maps[i], maps[i + 1]
+        store = _differential_data(below or above or module)
+        key = ("domain" if below is None else "codomain", rank_tol)
+        if below is not None and above is not None:
+            store = store.setdefault(("pair", rank_tol), weakref.WeakKeyDictionary())
+            key = _differential_data(above)
+        found = store.get(key)
+        if found is None:
+            span = np.concatenate([plus_bases[i], minus_bases[i]], axis=-1)
             ident = np.eye(dim, dtype=np.complex128)
             if module.block_mask is not None:
                 ident = ident * module.block_mask[:, None, :]
@@ -481,18 +491,16 @@ def hodge(c: CochainComplex, rank_tol: float | None = None) -> HodgeData:
                 harm = vecs[:, dim - h_dim:]
             else:  # the top h_dim eigenvectors of each block
                 harm = vecs * (np.arange(dim) >= (dim - h_dim)[:, None])[:, None, :]
-            harm = _phase_normalize(harm)
-        harmonic_bases.append(harm)
-        plus_bases.append(plus)
-        minus_bases.append(mnus)
+            harm = _phase_normalize(harm)  # read-only with the HodgeData below
+            found = store[key] = (harm, _carrier(c.context, harm))
+        harmonic.append(found)
     reduced = [u.conj().swapaxes(-1, -2) @ d.array @ v
                for d, (v, u) in zip(c.differentials, ranges)]
-    harmonic_bases = _frozen(harmonic_bases)
-    parts = (harmonic_bases, spectra.harmonic_dims, _frozen(plus_bases),
-             _frozen(minus_bases), _frozen(reduced), spectra.warnings,
-             tuple(_carrier(c.context, b) for b in harmonic_bases))
-    c._hodge["bases", rank_tol] = parts
-    return HodgeData(c, *parts)
+    bases, carriers = zip(*harmonic)
+    hd = c._hodge["bases", rank_tol] = HodgeData(
+        c.offset, c.context, _frozen(list(bases)), spectra.harmonic_dims, _frozen(plus_bases),
+        _frozen(minus_bases), _frozen(reduced), spectra.warnings, carriers)
+    return hd
 
 
 # ---------------------------------------------------------------------------
@@ -501,12 +509,11 @@ def hodge(c: CochainComplex, rank_tol: float | None = None) -> HodgeData:
 
 def torsion(c: CochainComplex, rank_tol: float | None = None) -> float:
     """Alternating sum over true degrees q of (-1)^q log-volume of the
-    reduced differential at q, read from ``hodge_spectra``: its singular
-    values are the kept singular values of d_q."""
-    s = hodge_spectra(c, rank_tol)
+    reduced differential at q: the log-volumes ``hodge_spectra`` keeps, of
+    the kept singular values of d_q."""
     total = 0.0
-    for q in range(c.offset, c.top_degree):
-        total += (-1) ** q * s.log_vol(q)
+    for q, v in enumerate(hodge_spectra(c, rank_tol).log_vols, c.offset):
+        total += (-1) ** q * v
     return float(total)
 
 
@@ -633,7 +640,6 @@ def suspension(c: CochainComplex) -> CochainComplex:
     return CochainComplex(c.modules, negated, c.offset - 1, validate=False)
 
 
-@dataclass(eq=False)
 class ComplexMorphism:
     """A degreewise morphism commuting with the differentials.
 
@@ -641,10 +647,6 @@ class ComplexMorphism:
     to align); the chain rule d_target f_i = f_{i+1} d_source is validated
     numerically.
     """
-
-    source: CochainComplex
-    target: CochainComplex
-    components: list[Morphism]
 
     def __init__(self, source: CochainComplex, target: CochainComplex,
                  components: Sequence[Morphism], validate: bool = True):
@@ -685,9 +687,8 @@ class ComplexMorphism:
 
     def component(self, q: int) -> Morphism:
         i = q - self.offset
-        if 0 <= i < len(self.components):
-            return self.components[i]
-        return Morphism.zero(self.source.module(q), self.target.module(q))
+        return (self.components[i] if 0 <= i < len(self.components) else
+                Morphism.zero(self.source.module(q), self.target.module(q)))
 
 
 def extension_maps(sub: CochainComplex, middle: CochainComplex,
@@ -790,8 +791,7 @@ def torsion_transfer_residual(f: ComplexMorphism, rank_tol: float | None = None)
     """
     t_source = torsion(f.source, rank_tol)
     t_target = torsion(f.target, rank_tol)
-    vol_sum = 0.0
-    harm_sum = 0.0
+    vol_sum = harm_sum = 0.0
     for q in f.source.degrees():
         comp = f.component(q)
         if min(comp.shape) > 0:

@@ -230,13 +230,16 @@ def symbol_at_roots(entries: Sequence[Sequence[tuple[tuple[int, complex], ...]]]
     out = np.zeros(k.shape + (len(entries), len(entries[0])), np.complex128)
     phase, power = np.empty(k.shape, np.int64), np.empty(k.shape, np.complex128)
     for e in sorted(terms):
-        np.multiply(k, e % n, out=phase)
-        phase %= n
-        if table is None:
-            np.exp(2j * np.pi * phase / n, out=power)
+        if not e % n:  # every phase is 0, and exp(0) is exactly 1
+            power.fill(1.0)
         else:
-            # phase is in range; "clip" spares the copy "raise" makes of out
-            np.take(table, phase, out=power, mode="clip")
+            np.multiply(k, e % n, out=phase)
+            phase %= n
+            if table is None:
+                np.exp(2j * np.pi * phase / n, out=power)
+            else:
+                # phase is in range; "clip" spares the copy "raise" makes of out
+                np.take(table, phase, out=power, mode="clip")
         # the last entry with this exponent scales the powers in place
         *shared, (i, j, c) = terms[e]
         for i2, j2, c2 in shared:

@@ -275,6 +275,70 @@ def test_shifted_padded_and_suspended_complexes_reuse_the_hodge_data():
         assert np.array_equal(a, -b)
 
 
+@pytest.mark.parametrize("ctx", [CF, cyclic_group(3)], ids=["C", "Z/3"])
+def test_padded_shifted_and_suspended_complexes_read_the_harmonic_bases(ctx, monkeypatch):
+    # harmonic dims (1, 1, 0): projecting each wrapper's two harmonic
+    # modules again took 6 eigh; the bases are kept with the differentials
+    c, _ = random_cochain_complex(np.random.default_rng(9), ctx, length=3,
+                                  shape=([1, 1, 0], [1, 1]))
+    h = hodge(c)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda *args, **kwargs: calls.append(1) or eigh(*args, **kwargs))
+    for other, inner in ((pad_complex(c, c.offset - 1, c.top_degree + 1), slice(1, -1)),
+                         (c.shifted(2), slice(None)), (suspension(c), slice(None))):
+        got = hodge(other)
+        assert got.harmonic_dims[inner] == h.harmonic_dims == (ctx.size, ctx.size, 0)
+        for a, b in zip(got.harmonic_bases[inner][:2] + got.harmonic_modules[inner][:2],
+                        h.harmonic_bases[:2] + h.harmonic_modules[:2]):
+            assert a is b
+    assert calls == []
+
+
+def test_hodge_returns_one_object_per_complex_and_cutoff():
+    c, _ = random_cochain_complex(np.random.default_rng(10), CF, length=3, max_rank=2)
+    assert hodge(c) is hodge(c)
+    assert hodge_spectra(c) is hodge_spectra(c)
+    assert hodge(c, 1e-3) is hodge(c, 1e-3) and hodge(c, 1e-3) is not hodge(c)
+    # torsion sums the kept log-volumes, those of the reduced differentials
+    h = hodge(c)
+    assert hodge_spectra(c).log_vols == pytest.approx(
+        [log_vol(h.reduced_morphism(q)) if min(h.reduced[q - h.offset].shape) else 0.0
+         for q in range(c.offset, c.top_degree)], abs=1e-12)
+
+
+def test_hodge_data_answer_after_their_complex_is_dropped():
+    c, _ = random_cochain_complex(np.random.default_rng(11), cyclic_group(2), length=3,
+                                  shape=([1, 1, 0], [1, 1]))
+    h, degrees = hodge(c), range(c.offset - 1, c.top_degree + 2)
+    want = [(h.harmonic_dim(q), h.harmonic_basis(q).shape, h.harmonic_module(q).ambient_dim,
+             h.reduced_morphism(q).shape) for q in degrees]
+    probe = weakref.ref(c)
+    del c
+    assert probe() is None
+    assert [(h.harmonic_dim(q), h.harmonic_basis(q).shape, h.harmonic_module(q).ambient_dim,
+             h.reduced_morphism(q).shape) for q in degrees] == want
+    assert not h.is_acyclic() and h.warnings == ()
+
+
+def test_kept_harmonic_bases_do_not_keep_a_dropped_neighbour():
+    # the middle module's basis is kept with d_0, weakly keyed on d_1's data
+    c, _ = random_cochain_complex(np.random.default_rng(12), CF, length=3,
+                                  shape=([0, 1, 0], [1, 1]))
+    h = hodge(c)
+    d_0, d_1 = c.differentials
+    probes = [weakref.ref(x) for x in (d_1, d_1.array, h.minus_bases[1], h.plus_bases[2],
+                                       h.harmonic_bases[1], h.harmonic_modules[1])]
+    assert h.harmonic_dims == (0, 1, 0)
+    # d_0 stays, and so does the basis of its codomain with no second neighbour
+    head = CochainComplex(c.modules[:2], [d_0], c.offset)
+    assert hodge(head).harmonic_dims == (0, 2)
+    del c, h, d_1
+    assert [p() for p in probes] == [None] * len(probes)
+    assert hodge(head).harmonic_dims == (0, 2) and d_0.array.size
+
+
 def test_laplacian_examples():
     circle = _circle_complex(-1.0)
     assert_allclose(laplacian(circle, 0).matrix, [[4.0]], atol=1e-12)

@@ -27,6 +27,7 @@ from torsionlab.complexes import CochainComplex, hodge, torsion, torsion_via_lap
 from torsionlab.exact import milnor_check
 from torsionlab.errors import DataValidationError, NumericalError
 from torsionlab.generators import random_alinear_unitary, random_cochain_complex
+from torsionlab.kernel import laurent_terms, symbol_at_roots
 from torsionlab.towers import nonnegativity_check, parse_laurent
 from torsionlab.vn import (
     COMPOSITION_TOL,
@@ -388,6 +389,42 @@ def test_phase_code_stays_in_the_kernel():
         sites |= {(stem, owner.get(node, "<module>"))
                   for node in ast.walk(tree) if _name(node) == "pi"}
     assert sites == PHASE_CALLERS
+
+
+def _symbol_by_phases(entries, k, n):
+    """``symbol_at_roots`` with every power read from its phase, the constant
+    term's too: from the table of the n-th roots where the kernel builds
+    one, as exp(2 pi i phase / n) elsewhere."""
+    k = np.asarray(k, np.int64) % n
+    terms = {}
+    for i, row in enumerate(entries):
+        for j, poly in enumerate(row):
+            for e, c in poly:
+                terms.setdefault(e, []).append((i, j, c))
+    table = np.exp(2j * np.pi * np.arange(n) / n) if n <= k.size * len(terms) else None
+    out = np.zeros(k.shape + (len(entries), len(entries[0])), np.complex128)
+    for e in sorted(terms):
+        phase = k * (e % n) % n
+        power = np.exp(2j * np.pi * phase / n) if table is None else table[phase]
+        for i, j, c in terms[e]:
+            out[..., i, j] += c * power
+    return out
+
+
+@pytest.mark.parametrize("n, k", [
+    (1, [0, 0]), (2, [0, 1]), (3, [[0, 1, 2], [2, 1, 0]]), (5, [-7, 3]), (8, np.arange(8)),
+    (64, [1, 5]), (2 ** 20, [3, 2 ** 19]),
+])
+def test_constant_term_powers_are_the_phases_ones(n, k):
+    # exponents 0, +-n and 3n are 0 mod n: the kernel fills their powers with
+    # ones, bit for bit what their phases give, on both the table route and
+    # the direct one
+    entries = [[laurent_terms([(0, 2.0 - 1j), (n, 0.5), (1, -1.0)]),
+                laurent_terms([(-n, 1j), (2, 3.0)])],
+               [laurent_terms([(0, -0.25)]),
+                laurent_terms([(-1, 1.5), (n, -2.0 + 0.5j), (3 * n, 1.0)])]]
+    got = symbol_at_roots(entries, np.asarray(k), n)
+    assert got.tobytes() == _symbol_by_phases(entries, k, n).tobytes()
 
 
 def test_svd_detector_sees_every_spelling():
