@@ -18,16 +18,27 @@ and only takes effect if numpy has not been loaded yet).
 import os as _os
 from importlib import import_module as _import_module
 
-if "TORSIONLAB_THREADS" in _os.environ:
+
+def _thread_cap() -> int | None:
+    """TORSIONLAB_THREADS as an int >= 1; 0 if it is set to anything else
+    (ignored here, refused by the CLI), None if it is unset."""
+    raw = _os.environ.get("TORSIONLAB_THREADS")
+    if raw is None:
+        return None
     try:
-        _cap = int(_os.environ["TORSIONLAB_THREADS"])
+        cap = int(raw)
     except ValueError:
-        _cap = 0
-    if _cap >= 1:
-        for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                     "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
-                     "NUMEXPR_NUM_THREADS"):
-            _os.environ.setdefault(_var, str(_cap))
+        return 0
+    return cap if cap >= 1 else 0
+
+
+_cap = _thread_cap()
+if _cap:
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                 "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+                 "NUMEXPR_NUM_THREADS"):
+        _os.environ.setdefault(_var, str(_cap))
+
 
 #: The public names, by the module that defines them.
 _EXPORTS = {

@@ -22,21 +22,6 @@ import sys
 from typing import NamedTuple
 
 
-def _validate_thread_cap() -> None:
-    raw = os.environ.get("TORSIONLAB_THREADS")
-    if raw is None:
-        return
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        from .errors import DataValidationError
-        raise DataValidationError(
-            f"TORSIONLAB_THREADS must be a positive integer, got {raw!r}",
-            location="environment")
-
-
 class JobSpec(NamedTuple):
     """One CLI invocation: a command, its inputs, and its knobs."""
 
@@ -408,10 +393,13 @@ def run(job: JobSpec) -> dict:
 def main(argv=None) -> int:
     import numpy as np
 
-    from . import formats
+    from . import _thread_cap, formats
     from .errors import DataValidationError, NumericalError
     try:
-        _validate_thread_cap()
+        if _thread_cap() == 0:
+            raise DataValidationError(
+                "TORSIONLAB_THREADS must be a positive integer, got "
+                f"{os.environ['TORSIONLAB_THREADS']!r}", location="environment")
         args = build_parser().parse_args(argv)
         job = _job_from_args(args)
         # An overflow is reported once, as the kernels' NumericalError.

@@ -30,10 +30,10 @@ and cutoff and returned as that object on every call.  ``hodge_spectra``
 takes one eigvalsh per differential and keeps the log-volumes: ranks,
 harmonic dimensions, rank warnings and route one read only it.  ``hodge``
 adds the bases (one eigh per differential and one per module with harmonic
-part) for the callers that read them.  What the stages derive is kept with
-the differentials: a spectrum and range bases with each morphism, a
-harmonic basis with the module's neighbouring differentials.  So shifted,
-padded and suspended complexes reuse those of the complex they wrap.
+part) for the callers that read them.  Spectra and range bases are kept
+per differential, so shifted, padded and suspended complexes reuse those of
+the complex they wrap; harmonic bases and their carriers are kept per
+complex, with its ``hodge``.
 
 Complexes in character coordinates (cell complexes over the regular
 representation of ``cyclic_group(m)``, see ``vn.HilbertModule``) are
@@ -201,29 +201,14 @@ def pad_complex(c: CochainComplex, lo: int, hi: int) -> CochainComplex:
 # Hodge decomposition: a spectral stage and a basis stage
 
 
-class _Derived(dict):
-    """A weakly referable dict, hashed and compared by identity, so that one
-    can key another."""
-
-    __slots__ = ("__weakref__",)
-    __hash__, __eq__, __ne__ = object.__hash__, object.__eq__, object.__ne__
-
-
 #: What the Hodge stages derived from each differential, by (stage,
-#: cutoff): spectrum, rank, log-volume, range bases and the harmonic bases
-#: of the modules next to it (see ``hodge``).  Keyed on the morphism, so a
-#: complex made of another's differentials (``shifted``, ``pad_complex``)
-#: reads them as they are, and ``suspension`` shares them with its negated
-#: differentials, which have the same Gram matrix bit for bit, and so the
-#: same spectrum and phase-normalized bases.
+#: cutoff): its spectrum, rank and log-volume, and its range bases.  Keyed
+#: on the morphism, so a complex made of another's differentials
+#: (``shifted``, ``pad_complex``) reads them as they are, and
+#: ``suspension`` shares them with its negated differentials, which have
+#: the same Gram matrix bit for bit, and so the same spectrum and
+#: phase-normalized bases.
 _DIFFERENTIAL_DATA: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _differential_data(d: Morphism | HilbertModule) -> _Derived:
-    data = _DIFFERENTIAL_DATA.get(d)
-    if data is None:
-        data = _DIFFERENTIAL_DATA[d] = _Derived()
-    return data
 
 
 def differential_spectrum(d: Morphism, rank_tol: float | None = None) -> Spectrum:
@@ -240,7 +225,7 @@ def _spectral_stage(d: Morphism, rank_tol: float | None) -> tuple:
     dim = max(d.shape + (1,))
     if not d.array.size:
         return _empty_spectrum(d.array.shape[:-2], dim, rank_tol), 0, 0.0
-    data = _differential_data(d)
+    data = _DIFFERENTIAL_DATA.setdefault(d, {})
     stage = data.get(("spectrum", rank_tol))
     if stage is None:
         s = gram_spectrum(d.array, rank_tol, dim=dim)
@@ -372,8 +357,8 @@ class HodgeData(_HarmonicDims):
                 np.zeros(self.harmonic_bases[0].shape[:-2] + (0, 0), np.complex128))
 
     def harmonic_module(self, q: int) -> HilbertModule:
-        """The carrier of the harmonic space: one object per cutoff and
-        degree of the window."""
+        """The carrier of the harmonic space: one object per complex, cutoff
+        and degree of the window."""
         i = q - self.offset
         return (self.harmonic_modules[i] if 0 <= i < len(self.harmonic_modules) else
                 _carrier(self.context, self.harmonic_basis(q)))
@@ -407,7 +392,7 @@ def _frozen(arrays: list[np.ndarray]) -> tuple[np.ndarray, ...]:
 def _range_basis(d: Morphism, s: Spectrum, rank_tol: float | None
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal bases (V of the coimage, U of the range) of d, computed
-    once per cutoff.
+    once per cutoff and kept with d.
 
     Both come from one Hermitian eigendecomposition of d* d: V is its top
     eigenvectors, as many (per block) as the spectral stage ``s`` keeps, so
@@ -415,7 +400,7 @@ def _range_basis(d: Morphism, s: Spectrum, rank_tol: float | None
     descending singular value and phase-normalized; a stack of character
     blocks keeps every column, the dropped ones set to zero.
     """
-    data = _differential_data(d)
+    data = _DIFFERENTIAL_DATA.setdefault(d, {})
     bases = data.get(("bases", rank_tol))
     if bases is not None:
         return bases
@@ -450,16 +435,14 @@ def hodge(c: CochainComplex, rank_tol: float | None = None) -> HodgeData:
     with the kernel of d_{q-1}^*, realized as the orthogonal complement of
     range(d_{q-1}) + range(d_q^*).  In character coordinates every step runs
     block by block, in batched eigensolves.  Built once per complex and
-    cutoff; the range and harmonic bases are kept with the differentials,
-    so padded, shifted and suspended complexes read them.
+    cutoff: the range bases are those kept with each differential, and the
+    harmonic bases and carriers are kept only with this HodgeData.
     """
     hd = c._hodge.get(("bases", rank_tol))
     if hd is not None:
         return hd
     spectra = hodge_spectra(c, rank_tol)
     ranges = [_range_basis(d, s, rank_tol) for d, s in zip(c.differentials, spectra.spectra)]
-    # an empty map has no range: it adds nothing to a harmonic basis or its key
-    maps = [None] + [d if d.array.size else None for d in c.differentials] + [None]
     harmonic, plus_bases, minus_bases = [], [], []
     for i, (module, h_dim) in enumerate(zip(c.modules, spectra.block_dims)):
         shape = array_shape(module, module)
@@ -468,38 +451,27 @@ def hodge(c: CochainComplex, rank_tol: float | None = None) -> HodgeData:
         plus_bases.append(ranges[i - 1][1] if i >= 1 else none)
         minus_bases.append(ranges[i][0] if i < len(ranges) else none)
         if spectra.harmonic_dims[i] == 0:  # so is every empty module
-            harmonic.append((none, _carrier(c.context, none)))
+            harmonic.append(none)
             continue
-        # kept per cutoff with d_{i-1}, weakly keyed on the data of d_i when
-        # both have entries, else with the one that has, else with the module
-        below, above = maps[i], maps[i + 1]
-        store = _differential_data(below or above or module)
-        key = ("domain" if below is None else "codomain", rank_tol)
-        if below is not None and above is not None:
-            store = store.setdefault(("pair", rank_tol), weakref.WeakKeyDictionary())
-            key = _differential_data(above)
-        found = store.get(key)
-        if found is None:
-            span = np.concatenate([plus_bases[i], minus_bases[i]], axis=-1)
-            ident = np.eye(dim, dtype=np.complex128)
-            if module.block_mask is not None:
-                ident = ident * module.block_mask[:, None, :]
-            proj = ident - span @ span.conj().swapaxes(-1, -2)
-            proj = 0.5 * (proj + proj.conj().swapaxes(-1, -2))
-            w, vecs = np.linalg.eigh(proj)
-            if vecs.ndim == 2:
-                harm = vecs[:, dim - h_dim:]
-            else:  # the top h_dim eigenvectors of each block
-                harm = vecs * (np.arange(dim) >= (dim - h_dim)[:, None])[:, None, :]
-            harm = _phase_normalize(harm)  # read-only with the HodgeData below
-            found = store[key] = (harm, _carrier(c.context, harm))
-        harmonic.append(found)
+        span = np.concatenate([plus_bases[i], minus_bases[i]], axis=-1)
+        ident = np.eye(dim, dtype=np.complex128)
+        if module.block_mask is not None:
+            ident = ident * module.block_mask[:, None, :]
+        proj = ident - span @ span.conj().swapaxes(-1, -2)
+        proj = 0.5 * (proj + proj.conj().swapaxes(-1, -2))
+        w, vecs = np.linalg.eigh(proj)
+        if vecs.ndim == 2:
+            harm = vecs[:, dim - h_dim:]
+        else:  # the top h_dim eigenvectors of each block
+            harm = vecs * (np.arange(dim) >= (dim - h_dim)[:, None])[:, None, :]
+        harmonic.append(_phase_normalize(harm))
     reduced = [u.conj().swapaxes(-1, -2) @ d.array @ v
                for d, (v, u) in zip(c.differentials, ranges)]
-    bases, carriers = zip(*harmonic)
+    bases = _frozen(harmonic)
     hd = c._hodge["bases", rank_tol] = HodgeData(
-        c.offset, c.context, _frozen(list(bases)), spectra.harmonic_dims, _frozen(plus_bases),
-        _frozen(minus_bases), _frozen(reduced), spectra.warnings, carriers)
+        c.offset, c.context, bases, spectra.harmonic_dims, _frozen(plus_bases),
+        _frozen(minus_bases), _frozen(reduced), spectra.warnings,
+        tuple(_carrier(c.context, b) for b in bases))
     return hd
 
 
@@ -631,12 +603,12 @@ def tensor_product(c1: CochainComplex, c2: CochainComplex) -> CochainComplex:
 
 
 def suspension(c: CochainComplex) -> CochainComplex:
-    """(SC)_i = C_{i+1} with differentials negated; each shares the Hodge
-    stages' data of the differential it negates."""
+    """(SC)_i = C_{i+1} with differentials negated; each shares the
+    spectrum and range bases of the differential it negates."""
     negated = []
     for d in c.differentials:
         negated.append(-d)
-        _DIFFERENTIAL_DATA[negated[-1]] = _differential_data(d)
+        _DIFFERENTIAL_DATA[negated[-1]] = _DIFFERENTIAL_DATA.setdefault(d, {})
     return CochainComplex(c.modules, negated, c.offset - 1, validate=False)
 
 

@@ -1,5 +1,6 @@
 """Tests for cochain complexes, Hodge decompositions and torsion."""
 
+import sys
 import weakref
 
 import numpy as np
@@ -275,25 +276,36 @@ def test_shifted_padded_and_suspended_complexes_reuse_the_hodge_data():
         assert np.array_equal(a, -b)
 
 
+def _spy_eigensolvers(monkeypatch):
+    """The module that called each eigvalsh and eigh, by solver name."""
+    callers = {"eigvalsh": [], "eigh": []}
+    for name, seen in callers.items():
+        def spy(*args, _seen=seen, _solve=getattr(np.linalg, name), **kwargs):
+            _seen.append(sys._getframe(1).f_globals["__name__"])
+            return _solve(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    return callers
+
+
 @pytest.mark.parametrize("ctx", [CF, cyclic_group(3)], ids=["C", "Z/3"])
 def test_padded_shifted_and_suspended_complexes_read_the_harmonic_bases(ctx, monkeypatch):
-    # harmonic dims (1, 1, 0): projecting each wrapper's two harmonic
-    # modules again took 6 eigh; the bases are kept with the differentials
+    # harmonic dims (1, 1, 0): each wrapper reads the spectra and range
+    # bases kept with the differentials it wraps (no eigvalsh, no range eigh
+    # in kernel) and projects its own two harmonic modules, 6 eigh in all;
+    # its harmonic bases are those of hodge(c), bit for bit
     c, _ = random_cochain_complex(np.random.default_rng(9), ctx, length=3,
                                   shape=([1, 1, 0], [1, 1]))
     h = hodge(c)
-    calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh",
-                        lambda *args, **kwargs: calls.append(1) or eigh(*args, **kwargs))
+    callers = _spy_eigensolvers(monkeypatch)
     for other, inner in ((pad_complex(c, c.offset - 1, c.top_degree + 1), slice(1, -1)),
                          (c.shifted(2), slice(None)), (suspension(c), slice(None))):
         got = hodge(other)
         assert got.harmonic_dims[inner] == h.harmonic_dims == (ctx.size, ctx.size, 0)
-        for a, b in zip(got.harmonic_bases[inner][:2] + got.harmonic_modules[inner][:2],
-                        h.harmonic_bases[:2] + h.harmonic_modules[:2]):
-            assert a is b
-    assert calls == []
+        for a, b in zip(got.harmonic_bases[inner], h.harmonic_bases):
+            assert np.array_equal(a, b)
+        assert [m.ambient_dim for m in got.harmonic_modules[inner]] == [
+            m.ambient_dim for m in h.harmonic_modules]
+    assert callers == {"eigvalsh": [], "eigh": ["torsionlab.complexes"] * 6}
 
 
 def test_hodge_returns_one_object_per_complex_and_cutoff():
@@ -323,7 +335,9 @@ def test_hodge_data_answer_after_their_complex_is_dropped():
 
 
 def test_kept_harmonic_bases_do_not_keep_a_dropped_neighbour():
-    # the middle module's basis is kept with d_0, weakly keyed on d_1's data
+    # d_1's spectrum and range bases are kept with d_1, and the middle
+    # module's harmonic basis and carrier with h: dropping c, h and d_1
+    # frees them, while a complex that shares d_0 keeps its own Hodge data
     c, _ = random_cochain_complex(np.random.default_rng(12), CF, length=3,
                                   shape=([0, 1, 0], [1, 1]))
     h = hodge(c)
@@ -331,7 +345,6 @@ def test_kept_harmonic_bases_do_not_keep_a_dropped_neighbour():
     probes = [weakref.ref(x) for x in (d_1, d_1.array, h.minus_bases[1], h.plus_bases[2],
                                        h.harmonic_bases[1], h.harmonic_modules[1])]
     assert h.harmonic_dims == (0, 1, 0)
-    # d_0 stays, and so does the basis of its codomain with no second neighbour
     head = CochainComplex(c.modules[:2], [d_0], c.offset)
     assert hodge(head).harmonic_dims == (0, 2)
     del c, h, d_1

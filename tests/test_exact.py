@@ -12,6 +12,7 @@ from torsionlab.complexes import (
     hodge,
     induced_harmonic_map,
     mapping_cone,
+    pad_complex,
     suspension,
     torsion,
 )
@@ -286,28 +287,73 @@ def test_milnor_check_decomposes_every_complex_once(case, eigvalsh, eigh, monkey
 
 @pytest.mark.parametrize("ctx", [CF, cyclic_group(3)], ids=["C", "Z/3"])
 def test_cone_sequence_reads_the_harmonic_bases_of_its_factors(ctx, monkeypatch):
-    # The outer complexes of the cone sequence are C2 padded and SC1 padded:
-    # after hodge(C1) and hodge(C2) their harmonic bases are known, and the
-    # cone is acyclic here.  Projecting them again took 4 eigh.
+    # The outer complexes of the cone sequence are C2 padded and SC1 padded.
+    # After hodge(C1) and hodge(C2) they read the spectra and range bases
+    # kept with those differentials, and project their own harmonic
+    # modules: 4 eigh from complexes, as the cone is acyclic here.  Their
+    # harmonic bases are those of hodge(C2) and hodge(C1), bit for bit.
+    import torsionlab.complexes as complexes
     rng = np.random.default_rng(46)
     c, shape = random_cochain_complex(rng, ctx, length=3, max_rank=2)
     f, _, _ = random_chain_morphism(rng, c, shape, invertible=False)
-    hodge(f.source)
-    hodge(f.target)
-    projections = []
-    eigh = np.linalg.eigh
+    h1, h2 = hodge(f.source), hodge(f.target)
+    projections, measured = [], []
+    eigh, gram_spectrum = np.linalg.eigh, complexes.gram_spectrum
 
     def spy(*args, **kwargs):
         if sys._getframe(1).f_globals["__name__"] == "torsionlab.complexes":
             projections.append(1)  # range bases come from kernel.spectrum
         return eigh(*args, **kwargs)
 
+    def spy_gram(matrix, *args, **kwargs):
+        measured.append(matrix)
+        return gram_spectrum(matrix, *args, **kwargs)
+
     monkeypatch.setattr(np.linalg, "eigh", spy)
+    monkeypatch.setattr(complexes, "gram_spectrum", spy_gram)
     ses = cone_ses(f)
     report = milnor_check(ses)
-    assert projections == []
+    assert len(projections) == 4
+    wrapped = [d.array for d in ses.first.differentials + ses.last.differentials]
+    assert not [a for a in wrapped for m in measured if a is m]  # no eigvalsh, no range eigh
+    for got, want in ((hodge(ses.first).harmonic_bases[1:], h2.harmonic_bases),
+                      (hodge(ses.last).harmonic_bases[:-1], h1.harmonic_bases)):
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
     assert ses.hodge(2).is_acyclic() and not ses.hodge(1).is_acyclic()
     assert report.residual < MILNOR_TOL * (1.0 + abs(report.t2))
+
+
+def _hodge_bytes(h):
+    return [(a.shape, a.tobytes()) for arrays in
+            (h.harmonic_bases, h.plus_bases, h.minus_bases, h.reduced) for a in arrays]
+
+
+@pytest.mark.parametrize("ctx", [CF, cyclic_group(3)], ids=["C", "Z/3"])
+def test_cone_and_padded_results_do_not_depend_on_call_order(ctx):
+    # Each result is computed on a fresh copy of one chain map f : C1 -> C2,
+    # cold and after hodge(C1) and hodge(C2): the kept spectra and range
+    # bases change no bit of a report or a basis.
+    def cone(f):
+        ses = cone_ses(f)
+        report = milnor_check(ses)
+        return repr(report), [_hodge_bytes(ses.hodge(k)) for k in (1, 2, 3)]
+
+    def padded(f):
+        c = f.source
+        return _hodge_bytes(hodge(pad_complex(c, c.offset - 1, c.top_degree + 1)))
+
+    for compute in (cone, padded):
+        results = []
+        for warm in (False, True):
+            rng = np.random.default_rng(46)
+            c, shape = random_cochain_complex(rng, ctx, length=3, max_rank=2)
+            f, _, _ = random_chain_morphism(rng, c, shape, invertible=False)
+            if warm:
+                hodge(f.source)
+                hodge(f.target)
+            results.append(compute(f))
+        assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("case", ["Z/3", "cone"])
