@@ -30,10 +30,11 @@ and cutoff and returned as that object on every call.  ``hodge_spectra``
 takes one eigvalsh per differential and keeps the log-volumes: ranks,
 harmonic dimensions, rank warnings and route one read only it.  ``hodge``
 adds the bases (one eigh per differential and one per module with harmonic
-part) for the callers that read them.  Spectra and range bases are kept
-per differential, so shifted, padded and suspended complexes reuse those of
-the complex they wrap; harmonic bases and their carriers are kept per
-complex, with its ``hodge``.
+part) for the callers that read them.  Spectra and range bases live on the
+differential (``Morphism.derived``), as does its norm bound
+(``Morphism.norm_bound``, read by every structural check), so shifted,
+padded and suspended complexes reuse those of the complex they wrap;
+harmonic bases and their carriers are kept per complex, with its ``hodge``.
 
 Complexes in character coordinates (cell complexes over the regular
 representation of ``cyclic_group(m)``, see ``vn.HilbertModule``) are
@@ -51,7 +52,6 @@ in a tensor product the field factor's index is outermost.
 from __future__ import annotations
 
 import functools
-import weakref
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -67,7 +67,6 @@ from .vn import (
     assemble_blocks,
     direct_sum_modules,
     log_vol,
-    norm_lower_bound,
     vanishes,
 )
 
@@ -148,7 +147,7 @@ class CochainComplex:
     def first_nonzero_square(self) -> int | None:
         """Stored index i of the first d_{i+1} o d_i that does not vanish, or None."""
         for i, (b, a) in enumerate(zip(self.differentials, self.differentials[1:])):
-            scale = norm_lower_bound(a.array) * norm_lower_bound(b.array)
+            scale = a.norm_bound * b.norm_bound
             if not vanishes(a.array @ b.array, scale):
                 return i
         return None
@@ -201,14 +200,12 @@ def pad_complex(c: CochainComplex, lo: int, hi: int) -> CochainComplex:
 # Hodge decomposition: a spectral stage and a basis stage
 
 
-#: What the Hodge stages derived from each differential, by (stage,
-#: cutoff): its spectrum, rank and log-volume, and its range bases.  Keyed
-#: on the morphism, so a complex made of another's differentials
-#: (``shifted``, ``pad_complex``) reads them as they are, and
-#: ``suspension`` shares them with its negated differentials, which have
-#: the same Gram matrix bit for bit, and so the same spectrum and
-#: phase-normalized bases.
-_DIFFERENTIAL_DATA: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# What the Hodge stages derive from a differential lives on it, in its
+# ``derived`` store, by (stage, cutoff): its spectrum, rank and log-volume,
+# and its range bases.  A complex made of another's differentials
+# (``shifted``, ``pad_complex``) reads them as they are, and ``suspension``
+# hands its negated differentials the store of the ones they negate: same
+# Gram matrix bit for bit, so the same spectrum and phase-normalized bases.
 
 
 def differential_spectrum(d: Morphism, rank_tol: float | None = None) -> Spectrum:
@@ -221,11 +218,12 @@ def differential_spectrum(d: Morphism, rank_tol: float | None = None) -> Spectru
 
 def _spectral_stage(d: Morphism, rank_tol: float | None) -> tuple:
     """(``differential_spectrum``, rank per block for a stack, log-volume) of
-    d, kept with d; an empty map has rank 0 and log-volume 0.0."""
+    d, kept in d's ``derived`` store; an empty map has rank 0 and
+    log-volume 0.0."""
     dim = max(d.shape + (1,))
     if not d.array.size:
         return _empty_spectrum(d.array.shape[:-2], dim, rank_tol), 0, 0.0
-    data = _DIFFERENTIAL_DATA.setdefault(d, {})
+    data = d.derived
     stage = data.get(("spectrum", rank_tol))
     if stage is None:
         s = gram_spectrum(d.array, rank_tol, dim=dim)
@@ -392,7 +390,7 @@ def _frozen(arrays: list[np.ndarray]) -> tuple[np.ndarray, ...]:
 def _range_basis(d: Morphism, s: Spectrum, rank_tol: float | None
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal bases (V of the coimage, U of the range) of d, computed
-    once per cutoff and kept with d.
+    once per cutoff and kept in d's ``derived`` store.
 
     Both come from one Hermitian eigendecomposition of d* d: V is its top
     eigenvectors, as many (per block) as the spectral stage ``s`` keeps, so
@@ -400,7 +398,7 @@ def _range_basis(d: Morphism, s: Spectrum, rank_tol: float | None
     descending singular value and phase-normalized; a stack of character
     blocks keeps every column, the dropped ones set to zero.
     """
-    data = _DIFFERENTIAL_DATA.setdefault(d, {})
+    data = d.derived
     bases = data.get(("bases", rank_tol))
     if bases is not None:
         return bases
@@ -603,12 +601,13 @@ def tensor_product(c1: CochainComplex, c2: CochainComplex) -> CochainComplex:
 
 
 def suspension(c: CochainComplex) -> CochainComplex:
-    """(SC)_i = C_{i+1} with differentials negated; each shares the
-    spectrum and range bases of the differential it negates."""
+    """(SC)_i = C_{i+1} with differentials negated; each gets the
+    ``derived`` store of the differential it negates, so the two share
+    spectra and range bases."""
     negated = []
     for d in c.differentials:
         negated.append(-d)
-        _DIFFERENTIAL_DATA[negated[-1]] = _DIFFERENTIAL_DATA.setdefault(d, {})
+        object.__setattr__(negated[-1], "derived", d.derived)
     return CochainComplex(c.modules, negated, c.offset - 1, validate=False)
 
 
@@ -641,12 +640,13 @@ class ComplexMorphism:
 
     def validate(self) -> None:
         """Check that d_target f_i - f_{i+1} d_source vanishes at every degree."""
-        bounds = [norm_lower_bound(c.array) for c in self.components]
+        bounds = [c.norm_bound for c in self.components]
         for i in range(len(self.components) - 1):
-            d_s = self.source.differentials[i].array
-            d_t = self.target.differentials[i].array
-            defect = d_t @ self.components[i].array - self.components[i + 1].array @ d_s
-            scale = (max(norm_lower_bound(d_t), norm_lower_bound(d_s))
+            d_s = self.source.differentials[i]
+            d_t = self.target.differentials[i]
+            defect = (d_t.array @ self.components[i].array
+                      - self.components[i + 1].array @ d_s.array)
+            scale = (max(d_t.norm_bound, d_s.norm_bound)
                      * max(bounds[i], bounds[i + 1], 1.0))
             if not vanishes(defect, scale):
                 raise DataValidationError(

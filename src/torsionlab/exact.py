@@ -38,7 +38,7 @@ from .complexes import (
 )
 from .errors import DataValidationError
 from .kernel import Spectrum, gram_spectrum, rank_cutoff
-from .vn import Morphism, norm_lower_bound, vanishes
+from .vn import Morphism, vanishes
 
 CONNECTING_STRATEGIES = ("pinv", "complement")
 
@@ -99,8 +99,8 @@ class ComplexSES:
 
     def validate(self) -> None:
         for i, stage in zip(self.degrees(), self.stages):
-            fm, gm = (d.array for d in stage.differentials)
-            if not vanishes(gm @ fm, max(norm_lower_bound(fm) * norm_lower_bound(gm), 1.0)):
+            fm, gm = stage.differentials
+            if not vanishes(gm.array @ fm.array, max(fm.norm_bound * gm.norm_bound, 1.0)):
                 raise DataValidationError("composition g o f is not zero",
                                           location=f"degree {i}")
             try:
@@ -190,9 +190,11 @@ def long_sequence(ses: ComplexSES, strategy: str = "pinv",
     # scale of the whole sequence (or below the sequence's cutoff) to zeros.
     # One eigvalsh per map gives its norm here and its spectrum in the
     # sequence's Hodge stage (a snapped map is zero: it needs none).  An empty
-    # map stays as it is; a zero map with entries is re-wrapped all the same,
-    # so that its signed zeros become the +0 of ``Morphism.zero``.
-    norms = [differential_spectrum(d, ses.rank_tol).sigma.max(initial=0.0) for d in diffs]
+    # map has norm 0.0 and stays as it is; a zero map with entries is
+    # re-wrapped all the same, so that its signed zeros become the +0 of
+    # ``Morphism.zero``.
+    norms = [differential_spectrum(d, ses.rank_tol).sigma.max(initial=0.0)
+             if d.array.size else 0.0 for d in diffs]
     scale = max(norms + [1.0])
     dim = max(m.ambient_dim for m in modules) if modules else 1
     snap = rank_cutoff(scale, max(dim, 2), ses.rank_tol)

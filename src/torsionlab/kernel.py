@@ -31,6 +31,9 @@ RANK_TOL_SCALE = 2.0 ** -22
 #: ``noise_floor`` in units of dimension x machine epsilon x the top eigenvalue.
 NOISE_FLOOR_SLACK = 8.0
 
+#: Machine epsilon of float64, 2^-52.
+_EPS = float(np.finfo(float).eps)
+
 #: Factor-of-ten window around the rank tolerance that flags an ambiguous rank call.
 RANK_AMBIGUITY_FACTOR = 10.0
 
@@ -75,7 +78,7 @@ def noise_floor(top: float, dim: int) -> float:
     value below that must not survive a square root, where it would pass
     for a singular value of about sqrt(eps) x norm.
     """
-    return top * dim * np.finfo(float).eps * NOISE_FLOOR_SLACK
+    return top * dim * _EPS * NOISE_FLOOR_SLACK
 
 
 def rank_cutoff(top_sigma: float, dim: int, rank_tol: float | None = None) -> float:
@@ -101,20 +104,21 @@ def spectrum(a: np.ndarray, rank_tol: float | None = None, vectors: bool = False
     for.  A clearly negative eigenvalue raises ``DataValidationError``, a
     non-finite entry (an overflow, say in f* f) ``NumericalError``.
     """
-    if not np.isfinite(a).all():
+    if not np.logical_and.reduce(np.isfinite(a), None):
         raise NumericalError("non-finite matrix entries in the spectral kernel (overflow)")
     dim = math.prod(a.shape[:-1]) if dim is None else dim
-    if a.shape[-1] == 0 or not (vectors or a.any()):
+    if a.shape[-1] == 0 or not (vectors or np.logical_or.reduce(a, None)):
         empty = np.zeros(a.shape[:-1])
         return Spectrum(empty, empty, rank_cutoff(0.0, dim, rank_tol), empty > 0,
                         np.zeros(a.shape, np.complex128) if vectors else None)
     a = 0.5 * (a + a.conj().swapaxes(-1, -2))
     w, v = np.linalg.eigh(a) if vectors else (np.linalg.eigvalsh(a), None)
-    low, high = (w[0], w[-1]) if w.ndim == 1 else (w[:, 0].min(), w[:, -1].max())
+    low, high = ((w[0], w[-1]) if w.ndim == 1 else
+                 (np.minimum.reduce(w[:, 0]), np.maximum.reduce(w[:, -1])))
     top, bottom = max(float(high), 0.0), float(low)
     if bottom < -1e-10 * max(top, -bottom):
         raise DataValidationError("operator is not nonnegative")
-    w = np.where(w > noise_floor(top, dim), w, 0.0)
+    w[~(w > noise_floor(top, dim))] = 0.0  # w is the solver's own array
     sigma = np.sqrt(w)
     tol = rank_cutoff(math.sqrt(top), dim, rank_tol)
     return Spectrum(w, sigma, tol, sigma > tol, v)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
@@ -391,7 +392,12 @@ def assemble_blocks(blocks: Mapping[tuple[int, int], np.ndarray],
 class Morphism:
     """A module map.  ``array`` is its dense complex matrix (codomain x
     domain), or, between modules in character coordinates, the stack of its
-    m blocks (rows and columns outside a block mask are zero)."""
+    m blocks (rows and columns outside a block mask are zero).
+
+    The array is a read-only copy, so what it determines is kept with the
+    morphism, each computed on first use: ``norm_bound`` and the ``derived``
+    store of other layers.
+    """
 
     domain: HilbertModule
     codomain: HilbertModule
@@ -426,6 +432,18 @@ class Morphism:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.codomain.ambient_dim, self.domain.ambient_dim)
+
+    @cached_property
+    def norm_bound(self) -> float:
+        """``norm_lower_bound`` of the array, computed once."""
+        return norm_lower_bound(self.array)
+
+    @cached_property
+    def derived(self) -> dict:
+        """A store for what other layers compute from the array, by key: the
+        Hodge stages keep a differential's spectra and range bases here, per
+        cutoff."""
+        return {}
 
     @property
     def matrix(self) -> np.ndarray:

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from torsionlab.complexes import (
     CochainComplex,
     ComplexMorphism,
+    differential_spectrum,
     direct_sum,
     extension,
     hodge,
@@ -308,6 +309,18 @@ def test_padded_shifted_and_suspended_complexes_read_the_harmonic_bases(ctx, mon
     assert callers == {"eigvalsh": [], "eigh": ["torsionlab.complexes"] * 6}
 
 
+@pytest.mark.parametrize("ctx", [CF, cyclic_group(3)], ids=["C", "Z/3"])
+def test_suspension_shares_the_store_of_the_differentials_it_negates(ctx):
+    c, _ = random_cochain_complex(np.random.default_rng(9), ctx, length=3,
+                                  shape=([1, 1, 0], [1, 1]))
+    s = suspension(c)
+    for d, negated in zip(c.differentials, s.differentials, strict=True):
+        assert negated.derived is d.derived and negated is not d
+        assert np.array_equal(negated.array, -d.array)
+    hodge(s)  # fills the store of c's differentials
+    assert all(d.derived for d in c.differentials)
+
+
 def test_hodge_returns_one_object_per_complex_and_cutoff():
     c, _ = random_cochain_complex(np.random.default_rng(10), CF, length=3, max_rank=2)
     assert hodge(c) is hodge(c)
@@ -335,19 +348,21 @@ def test_hodge_data_answer_after_their_complex_is_dropped():
 
 
 def test_kept_harmonic_bases_do_not_keep_a_dropped_neighbour():
-    # d_1's spectrum and range bases are kept with d_1, and the middle
-    # module's harmonic basis and carrier with h: dropping c, h and d_1
-    # frees them, while a complex that shares d_0 keeps its own Hodge data
+    # d_1's spectrum and range bases live on d_1, and the middle module's
+    # harmonic basis and carrier with h: dropping c, h and d_1 frees them,
+    # while a complex that shares d_0 keeps its own Hodge data
     c, _ = random_cochain_complex(np.random.default_rng(12), CF, length=3,
                                   shape=([0, 1, 0], [1, 1]))
     h = hodge(c)
     d_0, d_1 = c.differentials
-    probes = [weakref.ref(x) for x in (d_1, d_1.array, h.minus_bases[1], h.plus_bases[2],
+    s = differential_spectrum(d_1)
+    probes = [weakref.ref(x) for x in (d_1, d_1.array, s.lam, s.sigma, s.keep,
+                                       h.minus_bases[1], h.plus_bases[2],
                                        h.harmonic_bases[1], h.harmonic_modules[1])]
     assert h.harmonic_dims == (0, 1, 0)
     head = CochainComplex(c.modules[:2], [d_0], c.offset)
     assert hodge(head).harmonic_dims == (0, 2)
-    del c, h, d_1
+    del c, h, d_1, s
     assert [p() for p in probes] == [None] * len(probes)
     assert hodge(head).harmonic_dims == (0, 2) and d_0.array.size
 

@@ -356,6 +356,35 @@ def test_cone_and_padded_results_do_not_depend_on_call_order(ctx):
         assert results[0] == results[1]
 
 
+@pytest.mark.parametrize("ctx", [CF, cyclic_group(3)], ids=["C", "Z/3"])
+def test_structural_checks_bound_each_morphism_once(ctx, monkeypatch):
+    # d o d = 0, the chain rule and g o f = 0 read the norm bound kept on
+    # each morphism: building the instances, milnor_check of a cone sequence
+    # and a ComplexSES built twice over one f and g bound each array once.
+    import torsionlab.complexes as complexes
+    import torsionlab.exact as exact
+    import torsionlab.vn as vn
+    bounded = []
+    original = vn.norm_lower_bound
+
+    def spy(a):
+        bounded.append(a)  # kept alive, so no two ids coincide
+        return original(a)
+
+    for module in (vn, complexes, exact):
+        monkeypatch.setattr(module, "norm_lower_bound", spy, raising=False)
+    rng = np.random.default_rng(46)
+    c, shape = random_cochain_complex(rng, ctx, length=3, max_rank=2)
+    f, _, _ = random_chain_morphism(rng, c, shape, invertible=False)
+    milnor_check(cone_ses(f))
+    ses = random_ses(np.random.default_rng(44), ctx, length=4, max_rank=2)
+    built = len(bounded)
+    for _ in range(2):
+        milnor_check(ComplexSES(ses.f, ses.g))
+    assert built > 0 and len(bounded) == built
+    assert len({id(a) for a in bounded}) == len(bounded)
+
+
 @pytest.mark.parametrize("case", ["Z/3", "cone"])
 def test_repeated_milnor_check_measures_no_empty_map(case, monkeypatch):
     import torsionlab.complexes as complexes
