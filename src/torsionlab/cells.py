@@ -457,8 +457,7 @@ def glue(spec: GluingSpec, rank_tol: float | None = None) -> tuple[TwistedCellCo
     return glued, ses
 
 
-def glue_check(spec: GluingSpec, representation=None,
-               rank_tol: float | None = None) -> dict:
+def glue_check(spec: GluingSpec, rank_tol: float | None = None) -> dict:
     """Evaluate the gluing formula: T_comb of the whole against the pieces.
 
     Returns t_comb (glued), t_comb_upper, t_comb_lower, t_h (torsion of the
@@ -466,13 +465,6 @@ def glue_check(spec: GluingSpec, representation=None,
     |t_comb - t_comb_upper - t_comb_lower - t_h|.
     """
     from .exact import long_sequence
-    if representation is not None:
-        spec = GluingSpec(
-            lower=TwistedCellComplex(representation, spec.lower.cells,
-                                     spec.lower.incidences, spec.lower.top_degree),
-            upper=TwistedCellComplex(representation, spec.upper.cells,
-                                     spec.upper.incidences, spec.upper.top_degree),
-            coupling=spec.coupling)
     _, ses = glue(spec, rank_tol)
     total, upper, lower = (torsion_via_laplacians(c, rank_tol)
                            for c in (ses.middle, ses.first, ses.last))

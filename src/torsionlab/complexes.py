@@ -27,14 +27,16 @@ sequences of ``generators`` (a coboundary twist) and, through
 
 The Hodge decomposition comes in two stages, each built once per complex
 and cutoff and returned as that object on every call.  ``hodge_spectra``
-takes one eigvalsh per differential and keeps the log-volumes: ranks,
+reads each differential's ``vn.spectral_stage`` (one eigvalsh, kept on the
+morphism, as ``vn.log_vol`` and ``vn.singular_values`` read it): ranks,
 harmonic dimensions, rank warnings and route one read only it.  ``hodge``
 adds the bases (one eigh per differential and one per module with harmonic
 part) for the callers that read them.  Spectra and range bases live on the
-differential (``Morphism.derived``), as does its norm bound
-(``Morphism.norm_bound``, read by every structural check), so shifted,
-padded and suspended complexes reuse those of the complex they wrap;
-harmonic bases and their carriers are kept per complex, with its ``hodge``.
+differential (``Morphism.derived``, which a negation shares), as does its
+norm bound (``Morphism.norm_bound``, read by every structural check), so
+shifted, padded and suspended complexes reuse those of the complex they
+wrap; harmonic bases and their carriers are kept per complex, with its
+``hodge``.
 
 Complexes in character coordinates (cell complexes over the regular
 representation of ``cyclic_group(m)``, see ``vn.HilbertModule``) are
@@ -51,7 +53,7 @@ in a tensor product the field factor's index is outermost.
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -67,6 +69,7 @@ from .vn import (
     assemble_blocks,
     direct_sum_modules,
     log_vol,
+    spectral_stage,
     vanishes,
 )
 
@@ -201,43 +204,10 @@ def pad_complex(c: CochainComplex, lo: int, hi: int) -> CochainComplex:
 
 
 # What the Hodge stages derive from a differential lives on it, in its
-# ``derived`` store, by (stage, cutoff): its spectrum, rank and log-volume,
-# and its range bases.  A complex made of another's differentials
-# (``shifted``, ``pad_complex``) reads them as they are, and ``suspension``
-# hands its negated differentials the store of the ones they negate: same
-# Gram matrix bit for bit, so the same spectrum and phase-normalized bases.
-
-
-def differential_spectrum(d: Morphism, rank_tol: float | None = None) -> Spectrum:
-    """``gram_spectrum`` of d sized by its larger side, one eigvalsh: its
-    singular values and rank decision, computed once per cutoff.  An empty
-    map has none: every empty map with its number of blocks, size and
-    cutoff shares one read-only spectrum."""
-    return _spectral_stage(d, rank_tol)[0]
-
-
-def _spectral_stage(d: Morphism, rank_tol: float | None) -> tuple:
-    """(``differential_spectrum``, rank per block for a stack, log-volume) of
-    d, kept in d's ``derived`` store; an empty map has rank 0 and
-    log-volume 0.0."""
-    dim = max(d.shape + (1,))
-    if not d.array.size:
-        return _empty_spectrum(d.array.shape[:-2], dim, rank_tol), 0, 0.0
-    data = d.derived
-    stage = data.get(("spectrum", rank_tol))
-    if stage is None:
-        s = gram_spectrum(d.array, rank_tol, dim=dim)
-        stage = data["spectrum", rank_tol] = (
-            s, s.keep.sum(-1), float(d.context.kappa * np.log(s.sigma[s.keep]).sum()))
-    return stage
-
-
-@functools.lru_cache(maxsize=256)
-def _empty_spectrum(blocks: tuple[int, ...], dim: int, rank_tol: float | None) -> Spectrum:
-    s = gram_spectrum(np.zeros(blocks + (0, 0), np.complex128), rank_tol, dim=dim)
-    for a in (s.lam, s.sigma, s.keep):
-        a.setflags(write=False)
-    return s
+# ``derived`` store, by (stage, cutoff): its spectral stage and its range
+# bases.  A complex made of another's differentials (``shifted``,
+# ``pad_complex``) reads them as they are, and ``suspension``'s negated
+# differentials share the store of the ones they negate.
 
 
 class _HarmonicDims:
@@ -257,9 +227,9 @@ class HodgeSpectra(_HarmonicDims):
 
     Per stored index i (true degree offset + i):
 
-    * ``spectra[i]``       -- ``differential_spectrum`` of d_i, whose kept
-                              singular values are those of the reduced
-                              differential at i, and ``log_vols[i]`` its
+    * ``spectra[i]``       -- the spectrum of d_i (``vn.spectral_stage``),
+                              whose kept singular values are those of the
+                              reduced differential at i, and ``log_vols[i]`` its
                               log-volume (kappa times their summed logs),
     * ``harmonic_dims[i]`` -- dim C_i - rank d_{i-1} - rank d_i, the
                               dimension of the harmonic space,
@@ -276,11 +246,21 @@ class HodgeSpectra(_HarmonicDims):
     @property
     def warnings(self) -> tuple[str, ...]:
         """One per differential with a singular value within a factor
-        RANK_AMBIGUITY_FACTOR of its cutoff."""
-        return tuple(
-            f"d at degree {self.offset + i}: singular value within a factor "
-            f"{RANK_AMBIGUITY_FACTOR:g} of the rank tolerance {s.tol:.3e}"
-            for i, s in enumerate(self.spectra) if s.ambiguous)
+        RANK_AMBIGUITY_FACTOR of its cutoff, and one per differential whose
+        cutoff lies below the noise floor on singular values and which has
+        a value at or below that floor: there the floor, not the cutoff,
+        decided the rank."""
+        lines = []
+        for q, s in enumerate(self.spectra, self.offset):
+            if s.ambiguous:
+                lines.append(f"d at degree {q}: singular value within a factor "
+                             f"{RANK_AMBIGUITY_FACTOR:g} of the rank tolerance {s.tol:.3e}")
+            floor = math.sqrt(s.noise_floor)
+            if s.tol < floor and not s.lam.all():
+                lines.append(f"d at degree {q}: the rank tolerance {s.tol:.3e} lies below "
+                             f"the noise floor {floor:.3e} on singular values, and a value "
+                             "at or below the floor counts as zero")
+        return tuple(lines)
 
 
 def hodge_spectra(c: CochainComplex, rank_tol: float | None = None) -> HodgeSpectra:
@@ -294,7 +274,7 @@ def hodge_spectra(c: CochainComplex, rank_tol: float | None = None) -> HodgeSpec
     hs = c._hodge.get(("spectra", rank_tol))
     if hs is not None:
         return hs
-    stages = [_spectral_stage(d, rank_tol) for d in c.differentials]
+    stages = [spectral_stage(d, rank_tol) for d in c.differentials]
     n = len(c.modules)
     blocks = np.empty((n, c.context.size) if c.modules[0].characters else n, int)
     for i, module in enumerate(c.modules):
@@ -601,14 +581,10 @@ def tensor_product(c1: CochainComplex, c2: CochainComplex) -> CochainComplex:
 
 
 def suspension(c: CochainComplex) -> CochainComplex:
-    """(SC)_i = C_{i+1} with differentials negated; each gets the
-    ``derived`` store of the differential it negates, so the two share
-    spectra and range bases."""
-    negated = []
-    for d in c.differentials:
-        negated.append(-d)
-        object.__setattr__(negated[-1], "derived", d.derived)
-    return CochainComplex(c.modules, negated, c.offset - 1, validate=False)
+    """(SC)_i = C_{i+1} with differentials negated; a negation shares the
+    spectra and range bases of the differential it negates."""
+    return CochainComplex(c.modules, [-d for d in c.differentials], c.offset - 1,
+                          validate=False)
 
 
 class ComplexMorphism:
@@ -620,7 +596,7 @@ class ComplexMorphism:
     """
 
     def __init__(self, source: CochainComplex, target: CochainComplex,
-                 components: Sequence[Morphism], validate: bool = True):
+                 components: Sequence[Morphism]):
         if source.offset != target.offset or len(source.modules) != len(target.modules):
             raise DataValidationError(
                 "source and target must cover the same degree window "
@@ -635,8 +611,7 @@ class ComplexMorphism:
         self.source = source
         self.target = target
         self.components = list(components)
-        if validate:
-            self.validate()
+        self.validate()
 
     def validate(self) -> None:
         """Check that d_target f_i - f_{i+1} d_source vanishes at every degree."""

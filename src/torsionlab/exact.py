@@ -9,9 +9,8 @@ single residual:
                 - sum_i (-1)^i log T(0 -> C1_i -> C2_i -> C3_i -> 0).
 
 The connecting map is computed by the usual zig-zag (lift along g, apply
-the middle differential, pull back along f, project to harmonics); two
-independent lifting strategies are provided so the choice can be checked
-rather than trusted.
+the middle differential, pull back along f, project to harmonics), each
+lift a minimal-norm least-squares solve.
 
 Exactness of each degree, the degreewise torsions and the acyclicity of
 the long sequence read ranks and singular values only (``hodge_spectra``);
@@ -29,7 +28,6 @@ from .complexes import (
     CochainComplex,
     ComplexMorphism,
     HodgeData,
-    differential_spectrum,
     hodge,
     hodge_spectra,
     induced_harmonic_map,
@@ -38,9 +36,7 @@ from .complexes import (
 )
 from .errors import DataValidationError
 from .kernel import Spectrum, gram_spectrum, rank_cutoff
-from .vn import Morphism, vanishes
-
-CONNECTING_STRATEGIES = ("pinv", "complement")
+from .vn import Morphism, spectral_stage, vanishes
 
 
 def _kept_vectors(s: Spectrum) -> tuple[np.ndarray, np.ndarray]:
@@ -79,7 +75,7 @@ class ComplexSES:
     """
 
     def __init__(self, f: ComplexMorphism, g: ComplexMorphism,
-                 validate: bool = True, rank_tol: float | None = None):
+                 rank_tol: float | None = None):
         if f.target is not g.source:
             raise DataValidationError("the two morphisms do not share a middle complex")
         self.f = f
@@ -94,8 +90,7 @@ class ComplexSES:
             CochainComplex([self.first.module(i), self.middle.module(i), self.last.module(i)],
                            [f.component(i), g.component(i)], 0, validate=False)
             for i in self.degrees())
-        if validate:
-            self.validate()
+        self.validate()
 
     def validate(self) -> None:
         for i, stage in zip(self.degrees(), self.stages):
@@ -128,17 +123,13 @@ class ComplexSES:
         return hodge((self.first, self.middle, self.last)[which - 1], self.rank_tol)
 
 
-def connecting_hom(ses: ComplexSES, i: int, strategy: str = "pinv") -> Morphism:
+def connecting_hom(ses: ComplexSES, i: int) -> Morphism:
     """Connecting map on harmonic spaces, H^i(C3) -> H^(i+1)(C1).
 
-    strategy "pinv" lifts along g with a minimal-norm solve; "complement"
-    restricts g to the orthogonal complement of its kernel and inverts
-    there.  Both land in (ker g)^perp, and any other lift differs by an
-    image element that the final harmonic projection kills.
+    The harmonic basis of C3 is lifted along g by a minimal-norm solve, into
+    (ker g)^perp; any other lift differs by an element of ker g = im f,
+    which the final harmonic projection kills.
     """
-    if strategy not in CONNECTING_STRATEGIES:
-        raise DataValidationError(
-            f"unknown strategy {strategy!r}; expected one of {CONNECTING_STRATEGIES}")
     tol = ses.rank_tol
     h1 = ses.hodge(1)
     h3 = ses.hodge(3)
@@ -147,26 +138,14 @@ def connecting_hom(ses: ComplexSES, i: int, strategy: str = "pinv") -> Morphism:
     if dom.ambient_dim == 0 or cod.ambient_dim == 0:
         return Morphism.zero(dom, cod)
     hbasis = h3.harmonic_basis(i)
-    gm = ses.g.component(i).array
-    if strategy == "pinv":
-        u = _least_squares(gm, hbasis, tol)
-    else:
-        s = gram_spectrum(gm, tol, vectors=True)
-        if np.any(s.keep.sum(-1) != gm.shape[-2]):
-            raise DataValidationError("map is not surjective",
-                                      location=f"degree {i}")
-        # every block keeps as many vectors as it has rows
-        basis = s.vectors.swapaxes(-1, -2)[s.keep].reshape(
-            gm.shape[:-1] + (gm.shape[-1],)).swapaxes(-1, -2)
-        u = basis @ np.linalg.solve(gm @ basis, hbasis)
+    u = _least_squares(ses.g.component(i).array, hbasis, tol)
     v_mid = ses.middle.differential(i).array @ u
     w_back = _least_squares(ses.f.component(i + 1).array, v_mid, tol)
     mat = h1.harmonic_basis(i + 1).conj().swapaxes(-1, -2) @ w_back
     return Morphism(dom, cod, mat)
 
 
-def long_sequence(ses: ComplexSES, strategy: str = "pinv",
-                  validate: bool = True) -> CochainComplex:
+def long_sequence(ses: ComplexSES) -> CochainComplex:
     """The long sequence on harmonic spaces as one acyclic complex.
 
     Degree i of the three complexes lands at degrees 3i, 3i+1, 3i+2 (so the
@@ -183,7 +162,7 @@ def long_sequence(ses: ComplexSES, strategy: str = "pinv",
         diffs.append(induced_harmonic_map(ses.f, i, ses.rank_tol))
         diffs.append(induced_harmonic_map(ses.g, i, ses.rank_tol))
         if i < top:
-            diffs.append(connecting_hom(ses, i, strategy))
+            diffs.append(connecting_hom(ses, i))
     # A map that is zero in exact arithmetic comes out of the zig-zag with
     # tiny nonzero entries; relative-to-itself rank decisions would promote
     # that noise to full rank, so snap maps that are negligible against the
@@ -193,7 +172,7 @@ def long_sequence(ses: ComplexSES, strategy: str = "pinv",
     # map has norm 0.0 and stays as it is; a zero map with entries is
     # re-wrapped all the same, so that its signed zeros become the +0 of
     # ``Morphism.zero``.
-    norms = [differential_spectrum(d, ses.rank_tol).sigma.max(initial=0.0)
+    norms = [spectral_stage(d, ses.rank_tol)[0].sigma.max(initial=0.0)
              if d.array.size else 0.0 for d in diffs]
     scale = max(norms + [1.0])
     dim = max(m.ambient_dim for m in modules) if modules else 1
@@ -201,24 +180,23 @@ def long_sequence(ses: ComplexSES, strategy: str = "pinv",
     diffs = [d if n > snap or not d.array.size else Morphism.zero(d.domain, d.codomain)
              for d, n in zip(diffs, norms)]
     seq = CochainComplex(modules, diffs, 3 * ses.offset, validate=False)
-    if validate:
-        # A cutoff above genuine singular values leaves harmonic spaces that
-        # are not kernels; the error then names the cutoff, not the input.
-        hint = ("" if ses.rank_tol is None else
-                f" at rank cutoff {ses.rank_tol:g} (a cutoff above genuine singular "
-                "values truncates the harmonic spaces)")
-        # Composites vanish only up to the scale of the zig-zag inputs, so
-        # check against the overall data scale rather than per-factor norms
-        # (a mathematically zero harmonic map has tiny, noisy norm):
-        # ``scale``, the largest norm before the snap.  A composite through
-        # an empty map is zero.
-        for k, (b, a) in enumerate(zip(diffs, diffs[1:])):
-            if a.array.size and b.array.size and not vanishes(a.array @ b.array, scale * scale):
-                raise DataValidationError(
-                    "long sequence maps do not compose to zero" + hint,
-                    location=f"positions {k} -> {k + 2}")
-        if not hodge_spectra(seq, ses.rank_tol).is_acyclic():
-            raise DataValidationError("long sequence is not exact" + hint)
+    # A cutoff above genuine singular values leaves harmonic spaces that
+    # are not kernels; the error then names the cutoff, not the input.
+    hint = ("" if ses.rank_tol is None else
+            f" at rank cutoff {ses.rank_tol:g} (a cutoff above genuine singular "
+            "values truncates the harmonic spaces)")
+    # Composites vanish only up to the scale of the zig-zag inputs, so
+    # check against the overall data scale rather than per-factor norms
+    # (a mathematically zero harmonic map has tiny, noisy norm):
+    # ``scale``, the largest norm before the snap.  A composite through
+    # an empty map is zero.
+    for k, (b, a) in enumerate(zip(diffs, diffs[1:])):
+        if a.array.size and b.array.size and not vanishes(a.array @ b.array, scale * scale):
+            raise DataValidationError(
+                "long sequence maps do not compose to zero" + hint,
+                location=f"positions {k} -> {k + 2}")
+    if not hodge_spectra(seq, ses.rank_tol).is_acyclic():
+        raise DataValidationError("long sequence is not exact" + hint)
     return seq
 
 

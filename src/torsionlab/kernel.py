@@ -52,8 +52,10 @@ class Spectrum(NamedTuple):
     ``lam`` are the ascending eigenvalues with everything at or below the
     noise floor set to 0, ``sigma`` their square roots (the singular values
     when the matrix is a Gram matrix f*f), ``tol`` the cutoff on ``sigma``,
-    ``keep`` the mask sigma > tol of values that count as nonzero and
-    ``vectors`` the matching orthonormal eigenvectors (or None).
+    ``keep`` the mask sigma > tol of values that count as nonzero,
+    ``vectors`` the matching orthonormal eigenvectors (or None) and
+    ``noise_floor`` the floor applied to the eigenvalues (0.0 when no
+    eigensolve ran).
     """
 
     lam: np.ndarray
@@ -61,6 +63,7 @@ class Spectrum(NamedTuple):
     tol: float
     keep: np.ndarray
     vectors: np.ndarray | None
+    noise_floor: float
 
     @property
     def ambiguous(self) -> bool:
@@ -110,7 +113,7 @@ def spectrum(a: np.ndarray, rank_tol: float | None = None, vectors: bool = False
     if a.shape[-1] == 0 or not (vectors or np.logical_or.reduce(a, None)):
         empty = np.zeros(a.shape[:-1])
         return Spectrum(empty, empty, rank_cutoff(0.0, dim, rank_tol), empty > 0,
-                        np.zeros(a.shape, np.complex128) if vectors else None)
+                        np.zeros(a.shape, np.complex128) if vectors else None, 0.0)
     a = 0.5 * (a + a.conj().swapaxes(-1, -2))
     w, v = np.linalg.eigh(a) if vectors else (np.linalg.eigvalsh(a), None)
     low, high = ((w[0], w[-1]) if w.ndim == 1 else
@@ -118,10 +121,11 @@ def spectrum(a: np.ndarray, rank_tol: float | None = None, vectors: bool = False
     top, bottom = max(float(high), 0.0), float(low)
     if bottom < -1e-10 * max(top, -bottom):
         raise DataValidationError("operator is not nonnegative")
-    w[~(w > noise_floor(top, dim))] = 0.0  # w is the solver's own array
+    floor = noise_floor(top, dim)
+    w[~(w > floor)] = 0.0  # w is the solver's own array
     sigma = np.sqrt(w)
     tol = rank_cutoff(math.sqrt(top), dim, rank_tol)
-    return Spectrum(w, sigma, tol, sigma > tol, v)
+    return Spectrum(w, sigma, tol, sigma > tol, v, floor)
 
 
 def gram_spectrum(matrix: np.ndarray, rank_tol: float | None = None,

@@ -395,8 +395,9 @@ class Morphism:
     m blocks (rows and columns outside a block mask are zero).
 
     The array is a read-only copy, so what it determines is kept with the
-    morphism, each computed on first use: ``norm_bound`` and the ``derived``
-    store of other layers.
+    morphism, each computed on first use: ``norm_bound``, and in the
+    ``derived`` store the spectral stage (``spectral_stage``) and the range
+    bases of the Hodge stages.  A negation shares that store.
     """
 
     domain: HilbertModule
@@ -440,9 +441,10 @@ class Morphism:
 
     @cached_property
     def derived(self) -> dict:
-        """A store for what other layers compute from the array, by key: the
-        Hodge stages keep a differential's spectra and range bases here, per
-        cutoff."""
+        """What is computed from the Gram matrix of the array, by key and
+        cutoff: ``spectral_stage`` keeps the spectrum, rank and log-volume
+        here, and the Hodge stages the phase-normalized range bases.  Each is
+        the same for f and -f, which share the store."""
         return {}
 
     @property
@@ -492,7 +494,11 @@ class Morphism:
         return Morphism(self.domain, self.codomain, self.array - other.array)
 
     def __neg__(self) -> "Morphism":
-        return Morphism(self.domain, self.codomain, -self.array)
+        """-f, handed the ``derived`` store of f: (-a)* (-a) is a* a bit for
+        bit, so the two have the same spectra and range bases."""
+        neg = Morphism(self.domain, self.codomain, -self.array)
+        vars(neg)["derived"] = self.derived
+        return neg
 
     def __mul__(self, scalar) -> "Morphism":
         return Morphism(self.domain, self.codomain, self.array * complex(scalar))
@@ -546,13 +552,38 @@ def vanishes(x: np.ndarray, scale: float) -> bool:
     return norm <= COMPOSITION_TOL * scale
 
 
-def _domain_spectrum(f: Morphism, rank_tol: float | None = None,
-                     vectors: bool = False) -> tuple[Spectrum, np.ndarray]:
-    """``gram_spectrum`` of the stored array of f, sized by the larger of its
-    dimensions, and the mask of the values that belong to coordinates of the
+def spectral_stage(f: Morphism, rank_tol: float | None = None) -> tuple:
+    """(spectrum, rank per block for a stack, log-volume) of f, computed once
+    per cutoff and kept in f's ``derived`` store.
+
+    The spectrum is ``gram_spectrum`` of the stored array sized by its
+    larger side, one eigvalsh: its singular values and rank decision.  An
+    empty map has no values, rank 0 and log-volume 0.0, and needs no
+    eigensolve.
+    """
+    data = f.derived
+    stage = data.get(("spectrum", rank_tol))
+    if stage is None:
+        dim = max(f.shape + (1,))
+        if f.array.size:
+            s = gram_spectrum(f.array, rank_tol, dim=dim)
+            stage = (s, s.keep.sum(-1), float(f.context.kappa * np.log(s.sigma[s.keep]).sum()))
+        else:
+            empty = np.zeros(f.array.shape[:-2] + (0,))
+            stage = (Spectrum(empty, empty, rank_cutoff(0.0, dim, rank_tol), empty > 0,
+                              None, 0.0), 0, 0.0)
+        data["spectrum", rank_tol] = stage
+    return stage
+
+
+def _domain_spectrum(f: Morphism, rank_tol: float | None = None
+                     ) -> tuple[Spectrum, np.ndarray]:
+    """The kept spectrum of f (``spectral_stage``; an empty map's domain-many
+    zeros) and the mask of the values that belong to coordinates of the
     domain: all of them, except that a block with fewer coordinates than its
     width (``block_mask``) adds an exact zero per absent one, sorted first."""
-    s = gram_spectrum(f.array, rank_tol, vectors, dim=max(f.shape + (1,)))
+    s = (spectral_stage(f, rank_tol)[0] if f.array.size else
+         gram_spectrum(f.array, rank_tol, dim=max(f.shape + (1,))))
     mask = f.domain.block_mask
     if mask is None:
         return s, np.ones(s.sigma.shape, bool)
@@ -581,8 +612,7 @@ def log_vol(f: Morphism, rank_tol: float | None = None) -> float:
     Zero morphisms (and empty matrices) give 0.0 by the empty-product
     convention; rank truncation keeps the value finite always.
     """
-    s = _domain_spectrum(f, rank_tol)[0]
-    return float(f.context.kappa * np.log(s.sigma[s.keep]).sum())
+    return spectral_stage(f, rank_tol)[2]
 
 
 def polar_decompose(f: Morphism, rank_tol: float | None = None) -> tuple[Morphism, Morphism]:
@@ -593,7 +623,7 @@ def polar_decompose(f: Morphism, rank_tol: float | None = None) -> tuple[Morphis
     partial isometry, isometric on the closure of the range of f_wiso.  Both
     come from one Hermitian eigendecomposition of f*f.
     """
-    s = _domain_spectrum(f, rank_tol, vectors=True)[0]
+    s = gram_spectrum(f.array, rank_tol, vectors=True, dim=max(f.shape + (1,)))
     v, sv, keep = s.vectors, s.sigma, s.keep
     vh = v.conj().swapaxes(-1, -2)
     wiso = (v * sv[..., None, :]) @ vh

@@ -374,12 +374,6 @@ class TestGluing:
             glue(GluingSpec(lower=lower, upper=upper,
                             coupling={("p1", "a2"): (("e", 1.0),)}))
 
-    def test_representation_override(self):
-        rep = RegularRepresentation(vn.cyclic_group(4))
-        base = glue_check(circle_from_arcs(rep))
-        swapped = glue_check(circle_from_arcs(TRIVIAL), representation=rep)
-        assert swapped == base
-
 
 class TestProducts:
     def test_circle_times_interval(self):

@@ -489,20 +489,20 @@ def test_ses_check_rank_tol_is_the_sequence_cutoff(tmp_path):
     assert report["torsion_long_sequence"] == pytest.approx(expected.t_h, abs=1e-12)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 11: an explicit --rank-tol below the Gram noise floor "
-    "sigma_max sqrt(8 dim eps) is not applied, and nothing says so"))
 def test_rank_tol_below_the_gram_floor_is_applied_or_reported(tmp_path):
     # The shear d = [[1, 1e4], [0, 1]] has singular values 1e4 and 1e-4 and
     # |det| = 1: at --rank-tol 1e-6 both count, and the torsion is log 1 = 0.
     # Its Gram matrix's floor (about 3.6e-7) lies above lambda = 1e-8, which
-    # is zeroed: the report reads 9.21 (log 1e4) with no warning.
+    # is zeroed: the report reads 9.21 (log 1e4), and says that the floor
+    # decided.  At the default cutoff (above the floor) no such line appears.
     path = tmp_path / "shear.json"
     path.write_text(json.dumps({
         "kind": "complex", "context": {"type": "complex_field"}, "offset": 0,
         "modules": [2, 2], "differentials": [_matrix_json([[1.0, 1e4], [0.0, 1.0]])]}))
     report, _ = run_json("torsion", str(path), "--rank-tol", "1e-6")
     assert abs(report["torsion"]) <= 1e-9 or report["warnings"]
+    default, _ = run_json("torsion", str(path))
+    assert not [w for w in default["warnings"] if "noise floor" in w]
 
 
 @pytest.mark.parametrize("element", [2.5, ["t", 1.5], [1, 2], ["t", 1, 2], None])

@@ -10,7 +10,6 @@ from numpy.testing import assert_allclose
 from torsionlab.complexes import (
     CochainComplex,
     ComplexMorphism,
-    differential_spectrum,
     direct_sum,
     extension,
     hodge,
@@ -35,10 +34,13 @@ from torsionlab.vn import (
     a_linearity_residual,
     complex_field,
     cyclic_group,
+    default_rank_tol,
     group_ring_matrix,
     log_vol,
     regular_module,
     singular_values,
+    spectral_distribution,
+    spectral_stage,
 )
 
 ROUTE_AGREEMENT_TOL = 1e-8
@@ -315,10 +317,29 @@ def test_suspension_shares_the_store_of_the_differentials_it_negates(ctx):
                                   shape=([1, 1, 0], [1, 1]))
     s = suspension(c)
     for d, negated in zip(c.differentials, s.differentials, strict=True):
+        assert (-d).derived is d.derived
         assert negated.derived is d.derived and negated is not d
         assert np.array_equal(negated.array, -d.array)
     hodge(s)  # fills the store of c's differentials
     assert all(d.derived for d in c.differentials)
+
+
+@pytest.mark.parametrize("ctx, rank_tol", [(CF, None), (cyclic_group(3), None), (CF, 1e-3)],
+                         ids=["C", "Z/3", "C-1e-3"])
+def test_trace_algebra_reads_the_spectra_hodge_keeps(ctx, rank_tol, monkeypatch):
+    # log_vol, singular_values and the other spectral readers of vn read the
+    # spectral stage hodge keeps on each differential: no eigensolve, and
+    # the values of that stage
+    c, _ = random_cochain_complex(np.random.default_rng(13), ctx, length=3, max_rank=2)
+    spectra = hodge(c, rank_tol) and hodge_spectra(c, rank_tol)
+    callers = _spy_eigensolvers(monkeypatch)
+    for d, s, v in zip(c.differentials, spectra.spectra, spectra.log_vols, strict=True):
+        assert log_vol(d, rank_tol) == v
+        assert spectral_distribution(d, rank_tol).total == d.domain.vn_dim
+        if rank_tol is None:  # these two read the default cutoff
+            assert np.array_equal(singular_values(d), np.sort(s.sigma.ravel()))
+            assert default_rank_tol(d) == s.tol
+    assert callers == {"eigvalsh": [], "eigh": []}
 
 
 def test_hodge_returns_one_object_per_complex_and_cutoff():
@@ -355,7 +376,7 @@ def test_kept_harmonic_bases_do_not_keep_a_dropped_neighbour():
                                   shape=([0, 1, 0], [1, 1]))
     h = hodge(c)
     d_0, d_1 = c.differentials
-    s = differential_spectrum(d_1)
+    s = spectral_stage(d_1)[0]
     probes = [weakref.ref(x) for x in (d_1, d_1.array, s.lam, s.sigma, s.keep,
                                        h.minus_bases[1], h.plus_bases[2],
                                        h.harmonic_bases[1], h.harmonic_modules[1])]

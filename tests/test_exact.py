@@ -27,6 +27,7 @@ from torsionlab.exact import (
     three_stage_torsion,
 )
 from torsionlab.generators import (
+    random_alinear_unitary,
     random_chain_morphism,
     random_cochain_complex,
     random_ses,
@@ -122,47 +123,59 @@ def test_split_sequence_has_zero_connecting_maps():
             assert np.linalg.norm(delta.matrix, 2) < CONNECTING_TOL
 
 
-def test_connecting_strategies_agree():
-    rng = np.random.default_rng(32)
-    for ctx in [CF, cyclic_group(2)]:
-        for _ in range(5):
-            ses = random_ses(rng, ctx, length=3, max_rank=2)
-            for i in list(ses.degrees())[:-1]:
-                a = connecting_hom(ses, i, strategy="pinv")
-                b = connecting_hom(ses, i, strategy="complement")
-                assert a.shape == b.shape
-                if min(a.shape):
-                    assert np.linalg.norm(a.matrix - b.matrix, 2) < 1e-10
-
-
-def test_connecting_rejects_unknown_strategy():
-    rng = np.random.default_rng(33)
-    ses = random_ses(rng, CF, length=2, max_rank=1)
-    with pytest.raises(DataValidationError, match="strategy"):
-        connecting_hom(ses, ses.offset, strategy="magic")
+def _pinv_zig_zag(ses, i, rng):
+    """The connecting map at degree i by numpy's pinv, with the lift along g
+    shifted by a random element of ker g = im f, which the harmonic
+    projection at the end must kill."""
+    hbasis = ses.hodge(3).harmonic_basis(i)
+    u = np.linalg.pinv(ses.g.component(i).matrix) @ hbasis
+    kernel_shift = ses.f.component(i).matrix @ (
+        rng.standard_normal((ses.first.module(i).ambient_dim, hbasis.shape[1]))
+        + 1j * rng.standard_normal((ses.first.module(i).ambient_dim, hbasis.shape[1])))
+    v = ses.middle.differential(i).matrix @ (u + kernel_shift)
+    w = np.linalg.pinv(ses.f.component(i + 1).matrix) @ v
+    return ses.hodge(1).harmonic_basis(i + 1).conj().T @ w
 
 
 def test_connecting_is_independent_of_the_lift():
-    # perturb the canonical lift by an element of ker g = im f; the harmonic
-    # projection at the end must kill the difference
     rng = np.random.default_rng(34)
     ses = random_ses(rng, CF, length=3, max_rank=2)
     h1, h3 = ses.hodge(1), ses.hodge(3)
     for i in list(ses.degrees())[:-1]:
-        hbasis = h3.harmonic_basis(i)
-        if hbasis.shape[1] == 0 or h1.harmonic_dim(i + 1) == 0:
+        if h3.harmonic_dim(i) == 0 or h1.harmonic_dim(i + 1) == 0:
             continue
-        gm = ses.g.component(i).matrix
-        u = np.linalg.pinv(gm) @ hbasis
-        kernel_shift = ses.f.component(i).matrix @ (
-            rng.standard_normal((ses.first.module(i).ambient_dim, hbasis.shape[1]))
-            + 1j * rng.standard_normal((ses.first.module(i).ambient_dim,
-                                        hbasis.shape[1])))
-        v = ses.middle.differential(i).matrix @ (u + kernel_shift)
-        w = np.linalg.pinv(ses.f.component(i + 1).matrix) @ v
-        perturbed = h1.harmonic_basis(i + 1).conj().T @ w
-        reference = connecting_hom(ses, i).matrix
-        assert_allclose(perturbed, reference, atol=1e-9)
+        assert_allclose(_pinv_zig_zag(ses, i, rng), connecting_hom(ses, i).matrix, atol=1e-9)
+
+
+@pytest.mark.parametrize("ctx", [CF, cyclic_group(3)], ids=["C", "Z/3"])
+def test_connecting_matches_a_pinv_zig_zag_on_conjugated_cones(ctx):
+    # The connecting maps of random sequences vanish (coboundary twists),
+    # and a cone sequence's f and g are coordinate maps.  Conjugating the
+    # cone by random algebra-linear unitaries U_i (d -> U d U*, f -> U f,
+    # g -> g U*) keeps the sequence and its connecting maps, which are
+    # nonzero here, while f and g stop being coordinate maps.
+    rng = np.random.default_rng(45)
+    c, shape = random_cochain_complex(rng, ctx, length=3, max_rank=2)
+    f, _, _ = random_chain_morphism(rng, c, shape, invertible=True)
+    cone, include, project = mapping_cone(f)
+    frames = [random_alinear_unitary(rng, ctx, m.ambient_dim // ctx.size) for m in cone.modules]
+    turned = CochainComplex(cone.modules, [
+        Morphism(d.domain, d.codomain, frames[k + 1] @ d.array @ frames[k].conj().T)
+        for k, d in enumerate(cone.differentials)], cone.offset)
+    ses = ComplexSES(
+        ComplexMorphism(include.source, turned, [
+            Morphism(j.domain, j.codomain, u @ j.array)
+            for j, u in zip(include.components, frames)]),
+        ComplexMorphism(turned, project.target, [
+            Morphism(p.domain, p.codomain, p.array @ u.conj().T)
+            for p, u in zip(project.components, frames)]))
+    largest = 0.0
+    for i in list(ses.degrees())[:-1]:
+        delta = connecting_hom(ses, i).matrix
+        if delta.size:
+            assert_allclose(_pinv_zig_zag(ses, i, rng), delta, atol=1e-9)
+            largest = max(largest, np.abs(delta).max())
+    assert largest > 0.1
 
 
 def test_long_sequence_is_acyclic_with_tripled_offset():
