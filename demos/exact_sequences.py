@@ -17,7 +17,7 @@ import numpy as np
 
 from torsionlab.complexes import (
     ComplexMorphism,
-    hodge_spectra,
+    hodge,
     induced_harmonic_map,
     mapping_cone,
     torsion,
@@ -62,7 +62,7 @@ def main():
     print("cone of the identity map")
     ident = ComplexMorphism(c, c, [Morphism.identity(m) for m in c.modules])
     cone, _, _ = mapping_cone(ident)
-    data = hodge_spectra(cone)
+    data = hodge(cone)
     print(f"  acyclic: {data.is_acyclic()}")
     print(f"  torsion: {torsion(cone):+.2e}")
 

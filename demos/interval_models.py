@@ -12,7 +12,7 @@ side from the cell complexes and checks every identity bit for bit.
 import math
 
 from torsionlab.cells import UnitaryRepresentation, build_complex, interval_tau1, interval_tau2, t_comb
-from torsionlab.complexes import hodge_spectra
+from torsionlab.complexes import hodge
 from torsionlab.models import (
     boundary_ratio,
     cylinder_ratio,
@@ -45,7 +45,7 @@ def main():
         print(f"  {name}: {cells} cell(s), t_comb = {value:+.12f}")
         assert value == 0.0
 
-    data = hodge_spectra(build_complex(tau2))
+    data = hodge(build_complex(tau2))
     print(f"  interior-minimum harmonic dimension in degree 0: "
           f"{data.harmonic_dim(0)}")
 

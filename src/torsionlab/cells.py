@@ -227,7 +227,7 @@ class TwistedCellComplex:
         raise DataValidationError(f"unknown cell {label!r}")
 
 
-def build_complex(cw: TwistedCellComplex, validate: bool = True) -> CochainComplex:
+def build_complex(cw: TwistedCellComplex) -> CochainComplex:
     """Assemble the cochain complex of a cell complex under its representation.
 
     Over the regular representation of ``cyclic_group(m)`` each differential
@@ -256,7 +256,7 @@ def build_complex(cw: TwistedCellComplex, validate: bool = True) -> CochainCompl
         diffs.append(Morphism(modules[q], modules[q + 1],
                               assemble_blocks(blocks, parts[q + 1], parts[q])))
     c = CochainComplex(modules, diffs, 0, validate=False)
-    q = c.first_nonzero_square() if validate else None
+    q = c.first_nonzero_square()
     if q is not None:
         raise _worst_cell_pair(c, q, layers, cell.width)
     return c
@@ -282,10 +282,6 @@ def _worst_cell_pair(c: CochainComplex, q: int, layers, block: int) -> DataValid
 def t_comb(cw: TwistedCellComplex, rank_tol: float | None = None) -> float:
     """Combinatorial torsion: alternating weighted log det' of the Laplacians."""
     return torsion_via_laplacians(build_complex(cw), rank_tol)
-
-
-def euler_characteristic(cw: TwistedCellComplex) -> float:
-    return build_complex(cw, validate=False).euler_characteristic()
 
 
 # ---------------------------------------------------------------------------

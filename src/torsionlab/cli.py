@@ -185,7 +185,7 @@ def _load_complex(job: JobSpec, index: int = 0):
 
 
 def _run_torsion(job: JobSpec) -> dict:
-    from .complexes import hodge_spectra, torsion, torsion_via_laplacians
+    from .complexes import hodge, torsion, torsion_via_laplacians
     c = _load_complex(job)
     value = torsion(c, job.rank_tol)
     via = torsion_via_laplacians(c, job.rank_tol)
@@ -200,15 +200,15 @@ def _run_torsion(job: JobSpec) -> dict:
         "degrees": [c.offset, c.top_degree],
         "vn_dims": [c.module(q).vn_dim for q in c.degrees()],
         "passed": bool(residual <= tol * (1.0 + abs(value))),
-        "warnings": list(hodge_spectra(c, job.rank_tol).warnings),
+        "warnings": list(hodge(c, job.rank_tol).warnings),
     }
 
 
 def _run_hodge(job: JobSpec) -> dict:
-    from .complexes import hodge_spectra, laplacian, log_det_prime
+    from .complexes import hodge, laplacian, log_det_prime
     from .errors import DataValidationError
     c = _load_complex(job)
-    data = hodge_spectra(c, job.rank_tol)
+    data = hodge(c, job.rank_tol)
     degrees = list(c.degrees())
     if job.degree is not None:
         if job.degree not in degrees:

@@ -25,18 +25,18 @@ direct sums (no coupling), mapping cones (coupled by f), the random
 sequences of ``generators`` (a coboundary twist) and, through
 ``extension_maps``, the gluing sequences of ``cells``.
 
-The Hodge decomposition comes in two stages, each built once per complex
-and cutoff and returned as that object on every call.  ``hodge_spectra``
+The Hodge decomposition of a complex at a cutoff is one ``HodgeData``,
+which ``hodge`` builds once and returns as that object on every call.  It
 reads each differential's ``vn.spectral_stage`` (one eigvalsh, kept on the
 morphism, as ``vn.log_vol`` and ``vn.singular_values`` read it): ranks,
-harmonic dimensions, rank warnings and route one read only it.  ``hodge``
-adds the bases (one eigh per differential and one per module with harmonic
-part) for the callers that read them.  Spectra and range bases live on the
-differential (``Morphism.derived``, which a negation shares), as does its
-norm bound (``Morphism.norm_bound``, read by every structural check), so
-shifted, padded and suspended complexes reuse those of the complex they
-wrap; harmonic bases and their carriers are kept per complex, with its
-``hodge``.
+harmonic dimensions, rank warnings and route one read only that.  Its bases
+(one eigh per differential and one per module with harmonic part) are
+computed together on the first read of any of them.  Spectra and range
+bases live on the differential (``Morphism.derived``, which a negation
+shares), as does its norm bound (``Morphism.norm_bound``, read by every
+structural check), so shifted, padded and suspended complexes reuse those
+of the complex they wrap; harmonic bases and their carriers are kept per
+complex, with its ``HodgeData``.
 
 Complexes in character coordinates (cell complexes over the regular
 representation of ``cyclic_group(m)``, see ``vn.HilbertModule``) are
@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -200,18 +201,61 @@ def pad_complex(c: CochainComplex, lo: int, hi: int) -> CochainComplex:
 
 
 # ---------------------------------------------------------------------------
-# Hodge decomposition: a spectral stage and a basis stage
+# Hodge decomposition
 
 
-# What the Hodge stages derive from a differential lives on it, in its
-# ``derived`` store, by (stage, cutoff): its spectral stage and its range
+# What the Hodge data derive from a differential lives on it, in its
+# ``derived`` store, by (kind, cutoff): its spectral stage and its range
 # bases.  A complex made of another's differentials (``shifted``,
 # ``pad_complex``) reads them as they are, and ``suspension``'s negated
 # differentials share the store of the ones they negate.
 
 
-class _HarmonicDims:
-    """Harmonic dimensions by true degree, from ``offset`` and ``harmonic_dims``."""
+@dataclass(frozen=True, eq=False)
+class HodgeData:
+    """Orthogonal decomposition C_i = harmonic + image(d_{i-1}) + image(d_i^*).
+
+    Per stored index i (true degree offset + i), from the spectral stage of
+    each differential (``vn.spectral_stage``):
+
+    * ``spectra[i]``       -- the spectrum of d_i, whose kept singular values
+                              are those of the reduced differential at i, and
+                              ``log_vols[i]`` its log-volume (kappa times
+                              their summed logs),
+    * ``harmonic_dims[i]`` -- dim C_i - rank d_{i-1} - rank d_i, the
+                              dimension of the harmonic space,
+    * ``block_dims[i]``    -- the same per character block (a number in the
+                              standard basis);
+
+    and, computed together on the first read of any of them and kept:
+
+    * ``plus_bases[i]``  -- orthonormal columns spanning image(d_{i-1}),
+    * ``minus_bases[i]`` -- orthonormal columns spanning image(d_i^*),
+    * ``harmonic_bases[i]`` -- orthonormal columns spanning the complement,
+    * ``reduced[i]``     -- the invertible matrix of d_i from the minus
+                            subspace at i to the plus subspace at i+1, in
+                            those bases,
+    * ``harmonic_modules[i]`` -- the carrier module of the harmonic space.
+
+    Bases are deterministic: eigensolver order (ascending) plus fixed-phase
+    normalization, so repeated runs agree bitwise.  Besides the ``offset``,
+    ``modules`` and ``differentials`` of its complex (not the complex, which
+    keeps it) and the cutoff, every field is a read-only array or a tuple of
+    them (or of spectra, floats, ints, modules).
+    """
+
+    offset: int
+    modules: tuple[HilbertModule, ...]
+    differentials: tuple[Morphism, ...]
+    rank_tol: float | None
+    spectra: tuple[Spectrum, ...]
+    log_vols: tuple[float, ...]
+    harmonic_dims: tuple[int, ...]
+    block_dims: np.ndarray
+
+    @property
+    def context(self) -> TraceContext:
+        return self.modules[0].context
 
     def harmonic_dim(self, q: int) -> int:
         i = q - self.offset
@@ -219,29 +263,6 @@ class _HarmonicDims:
 
     def is_acyclic(self) -> bool:
         return not any(self.harmonic_dims)
-
-
-@dataclass(frozen=True, eq=False)
-class HodgeSpectra(_HarmonicDims):
-    """The spectral stage of the Hodge decomposition: ranks without bases.
-
-    Per stored index i (true degree offset + i):
-
-    * ``spectra[i]``       -- the spectrum of d_i (``vn.spectral_stage``),
-                              whose kept singular values are those of the
-                              reduced differential at i, and ``log_vols[i]`` its
-                              log-volume (kappa times their summed logs),
-    * ``harmonic_dims[i]`` -- dim C_i - rank d_{i-1} - rank d_i, the
-                              dimension of the harmonic space,
-    * ``block_dims[i]``    -- the same per character block (a number in the
-                              standard basis).
-    """
-
-    offset: int
-    spectra: tuple[Spectrum, ...]
-    log_vols: tuple[float, ...]
-    harmonic_dims: tuple[int, ...]
-    block_dims: np.ndarray
 
     @property
     def warnings(self) -> tuple[str, ...]:
@@ -262,70 +283,52 @@ class HodgeSpectra(_HarmonicDims):
                              "at or below the floor counts as zero")
         return tuple(lines)
 
+    @cached_property
+    def _decomposition(self) -> tuple:
+        """(harmonic_bases, plus_bases, minus_bases, reduced, harmonic_modules).
 
-def hodge_spectra(c: CochainComplex, rank_tol: float | None = None) -> HodgeSpectra:
-    """Ranks, harmonic dimensions and rank warnings of every degree, from one
-    eigvalsh per differential; ``hodge`` adds the bases.
+        The range bases are those kept with each differential
+        (``_range_basis``).  The degree-i harmonic space is the kernel of
+        d_i intersected with the kernel of d_{i-1}^*, realized as the
+        orthogonal complement of range(d_{i-1}) + range(d_i^*): one eigh of
+        its projector per module with harmonic part, block by block in
+        character coordinates.
+        """
+        ranges = [_range_basis(d, s, self.rank_tol)
+                  for d, s in zip(self.differentials, self.spectra)]
+        harmonic, plus_bases, minus_bases = [], [], []
+        for i, (module, h_dim) in enumerate(zip(self.modules, self.block_dims)):
+            shape = array_shape(module, module)
+            dim = shape[-1]
+            none = np.zeros(shape[:-1] + (0,), np.complex128)
+            plus_bases.append(ranges[i - 1][1] if i >= 1 else none)
+            minus_bases.append(ranges[i][0] if i < len(ranges) else none)
+            if self.harmonic_dims[i] == 0:  # so is every empty module
+                harmonic.append(none)
+                continue
+            span = np.concatenate([plus_bases[i], minus_bases[i]], axis=-1)
+            ident = np.eye(dim, dtype=np.complex128)
+            if module.block_mask is not None:
+                ident = ident * module.block_mask[:, None, :]
+            proj = ident - span @ span.conj().swapaxes(-1, -2)
+            proj = 0.5 * (proj + proj.conj().swapaxes(-1, -2))
+            w, vecs = np.linalg.eigh(proj)
+            if vecs.ndim == 2:
+                harm = vecs[:, dim - h_dim:]
+            else:  # the top h_dim eigenvectors of each block
+                harm = vecs * (np.arange(dim) >= (dim - h_dim)[:, None])[:, None, :]
+            harmonic.append(_phase_normalize(harm))
+        reduced = [u.conj().swapaxes(-1, -2) @ d.array @ v
+                   for d, (v, u) in zip(self.differentials, ranges)]
+        bases = _frozen(harmonic)
+        return (bases, _frozen(plus_bases), _frozen(minus_bases), _frozen(reduced),
+                tuple(_carrier(self.context, b) for b in bases))
 
-    In character coordinates ranks are counted block by block, with the
-    rank decisions of the dense direct sum.  Built once per complex and
-    cutoff, and reads each differential's spectrum once per cutoff.
-    """
-    hs = c._hodge.get(("spectra", rank_tol))
-    if hs is not None:
-        return hs
-    stages = [spectral_stage(d, rank_tol) for d in c.differentials]
-    n = len(c.modules)
-    blocks = np.empty((n, c.context.size) if c.modules[0].characters else n, int)
-    for i, module in enumerate(c.modules):
-        mask = module.block_mask  # the coordinates each block has, if not all
-        blocks[i] = module.width if mask is None else mask.sum(-1)
-    for i, (_, rank, _) in enumerate(stages):
-        blocks[i] -= rank
-        blocks[i + 1] -= rank
-    if (blocks < 0).any():
-        short = np.flatnonzero((blocks < 0).reshape(n, -1).any(1))
-        raise DataValidationError(
-            "rank bookkeeping failed (image + coimage exceed the module)",
-            location=f"degree {c.offset + short[0]}")
-    blocks.setflags(write=False)
-    hs = c._hodge["spectra", rank_tol] = HodgeSpectra(
-        c.offset, tuple(s[0] for s in stages), tuple(s[2] for s in stages),
-        tuple(blocks.reshape(n, -1).sum(1).tolist()), blocks)
-    return hs
-
-
-@dataclass(frozen=True, eq=False)
-class HodgeData(_HarmonicDims):
-    """Orthogonal decomposition C_i = harmonic + image(d_{i-1}) + image(d_i^*).
-
-    Per stored index i (true degree offset + i):
-
-    * ``plus_bases[i]``  -- orthonormal columns spanning image(d_{i-1}),
-    * ``minus_bases[i]`` -- orthonormal columns spanning image(d_i^*),
-    * ``harmonic_bases[i]`` -- orthonormal columns spanning the complement,
-    * ``harmonic_dims[i]`` -- their number,
-    * ``reduced[i]``     -- the invertible matrix of d_i from the minus
-                            subspace at i to the plus subspace at i+1, in
-                            those bases,
-    * ``harmonic_modules[i]`` -- the carrier module of the harmonic space.
-
-    Bases are deterministic: eigensolver order (ascending) plus fixed-phase
-    normalization, so repeated runs agree bitwise.  Besides the ``offset``
-    and ``context`` of its complex (not the complex, which keeps it), every
-    field is a tuple of read-only arrays (or ints, strings, modules).
-    Dimensions and warnings are those of ``hodge_spectra``.
-    """
-
-    offset: int
-    context: TraceContext
-    harmonic_bases: tuple[np.ndarray, ...]
-    harmonic_dims: tuple[int, ...]
-    plus_bases: tuple[np.ndarray, ...]
-    minus_bases: tuple[np.ndarray, ...]
-    reduced: tuple[np.ndarray, ...]
-    warnings: tuple[str, ...]
-    harmonic_modules: tuple[HilbertModule, ...]
+    harmonic_bases = property(lambda self: self._decomposition[0])
+    plus_bases = property(lambda self: self._decomposition[1])
+    minus_bases = property(lambda self: self._decomposition[2])
+    reduced = property(lambda self: self._decomposition[3])
+    harmonic_modules = property(lambda self: self._decomposition[4])
 
     def harmonic_basis(self, q: int) -> np.ndarray:
         """Orthonormal columns spanning the harmonic space; in character
@@ -404,52 +407,36 @@ def _range_basis(d: Morphism, s: Spectrum, rank_tol: float | None
 
 
 def hodge(c: CochainComplex, rank_tol: float | None = None) -> HodgeData:
-    """Orthogonal decomposition of every module and the reduced differentials.
+    """The Hodge decomposition of c at a cutoff, built once per complex and
+    cutoff and returned as that object on every call.
 
-    The basis stage on top of ``hodge_spectra``, for callers that read a
-    harmonic basis, a reduced differential or a harmonic map.  The reduced
-    differential at degree q is invertible from the coimage of d_q onto its
-    range; the degree-q harmonic space is the kernel of d_q intersected
-    with the kernel of d_{q-1}^*, realized as the orthogonal complement of
-    range(d_{q-1}) + range(d_q^*).  In character coordinates every step runs
-    block by block, in batched eigensolves.  Built once per complex and
-    cutoff: the range bases are those kept with each differential, and the
-    harmonic bases and carriers are kept only with this HodgeData.
+    Ranks, harmonic dimensions, log-volumes and rank warnings come from one
+    eigvalsh per differential (``vn.spectral_stage``, kept on it); the bases
+    and reduced differentials only on first read.  In character coordinates
+    ranks are counted block by block, with the rank decisions of the dense
+    direct sum.
     """
-    hd = c._hodge.get(("bases", rank_tol))
+    hd = c._hodge.get(rank_tol)
     if hd is not None:
         return hd
-    spectra = hodge_spectra(c, rank_tol)
-    ranges = [_range_basis(d, s, rank_tol) for d, s in zip(c.differentials, spectra.spectra)]
-    harmonic, plus_bases, minus_bases = [], [], []
-    for i, (module, h_dim) in enumerate(zip(c.modules, spectra.block_dims)):
-        shape = array_shape(module, module)
-        dim = shape[-1]
-        none = np.zeros(shape[:-1] + (0,), np.complex128)
-        plus_bases.append(ranges[i - 1][1] if i >= 1 else none)
-        minus_bases.append(ranges[i][0] if i < len(ranges) else none)
-        if spectra.harmonic_dims[i] == 0:  # so is every empty module
-            harmonic.append(none)
-            continue
-        span = np.concatenate([plus_bases[i], minus_bases[i]], axis=-1)
-        ident = np.eye(dim, dtype=np.complex128)
-        if module.block_mask is not None:
-            ident = ident * module.block_mask[:, None, :]
-        proj = ident - span @ span.conj().swapaxes(-1, -2)
-        proj = 0.5 * (proj + proj.conj().swapaxes(-1, -2))
-        w, vecs = np.linalg.eigh(proj)
-        if vecs.ndim == 2:
-            harm = vecs[:, dim - h_dim:]
-        else:  # the top h_dim eigenvectors of each block
-            harm = vecs * (np.arange(dim) >= (dim - h_dim)[:, None])[:, None, :]
-        harmonic.append(_phase_normalize(harm))
-    reduced = [u.conj().swapaxes(-1, -2) @ d.array @ v
-               for d, (v, u) in zip(c.differentials, ranges)]
-    bases = _frozen(harmonic)
-    hd = c._hodge["bases", rank_tol] = HodgeData(
-        c.offset, c.context, bases, spectra.harmonic_dims, _frozen(plus_bases),
-        _frozen(minus_bases), _frozen(reduced), spectra.warnings,
-        tuple(_carrier(c.context, b) for b in bases))
+    stages = [spectral_stage(d, rank_tol) for d in c.differentials]
+    n = len(c.modules)
+    blocks = np.empty((n, c.context.size) if c.modules[0].characters else n, int)
+    for i, module in enumerate(c.modules):
+        mask = module.block_mask  # the coordinates each block has, if not all
+        blocks[i] = module.width if mask is None else mask.sum(-1)
+    for i, (_, rank, _) in enumerate(stages):
+        blocks[i] -= rank
+        blocks[i + 1] -= rank
+    if (blocks < 0).any():
+        short = np.flatnonzero((blocks < 0).reshape(n, -1).any(1))
+        raise DataValidationError(
+            "rank bookkeeping failed (image + coimage exceed the module)",
+            location=f"degree {c.offset + short[0]}")
+    blocks.setflags(write=False)
+    hd = c._hodge[rank_tol] = HodgeData(
+        c.offset, c.modules, c.differentials, rank_tol, tuple(s[0] for s in stages),
+        tuple(s[2] for s in stages), tuple(blocks.reshape(n, -1).sum(1).tolist()), blocks)
     return hd
 
 
@@ -459,10 +446,10 @@ def hodge(c: CochainComplex, rank_tol: float | None = None) -> HodgeData:
 
 def torsion(c: CochainComplex, rank_tol: float | None = None) -> float:
     """Alternating sum over true degrees q of (-1)^q log-volume of the
-    reduced differential at q: the log-volumes ``hodge_spectra`` keeps, of
-    the kept singular values of d_q."""
+    reduced differential at q: the ``log_vols`` of ``hodge``, from the kept
+    singular values of d_q, so no basis is computed."""
     total = 0.0
-    for q, v in enumerate(hodge_spectra(c, rank_tol).log_vols, c.offset):
+    for q, v in enumerate(hodge(c, rank_tol).log_vols, c.offset):
         total += (-1) ** q * v
     return float(total)
 

@@ -13,9 +13,9 @@ the middle differential, pull back along f, project to harmonics), each
 lift a minimal-norm least-squares solve.
 
 Exactness of each degree, the degreewise torsions and the acyclicity of
-the long sequence read ranks and singular values only (``hodge_spectra``);
-harmonic bases are computed for the three complexes alone, when the long
-sequence needs them.
+the long sequence read ranks and singular values only (``hodge`` computes
+no basis until one is read); harmonic bases are computed for the three
+complexes alone, when the long sequence needs them.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .complexes import (
     ComplexMorphism,
     HodgeData,
     hodge,
-    hodge_spectra,
     induced_harmonic_map,
     mapping_cone,
     torsion,
@@ -99,7 +98,7 @@ class ComplexSES:
                 raise DataValidationError("composition g o f is not zero",
                                           location=f"degree {i}")
             try:
-                dims = hodge_spectra(stage, self.rank_tol).harmonic_dims
+                dims = hodge(stage, self.rank_tol).harmonic_dims
             except DataValidationError as exc:  # rank f + rank g exceed dim C2_i
                 raise DataValidationError("sequence is not exact in the middle",
                                           location=f"degree {i}") from exc
@@ -195,7 +194,7 @@ def long_sequence(ses: ComplexSES) -> CochainComplex:
             raise DataValidationError(
                 "long sequence maps do not compose to zero" + hint,
                 location=f"positions {k} -> {k + 2}")
-    if not hodge_spectra(seq, ses.rank_tol).is_acyclic():
+    if not hodge(seq, ses.rank_tol).is_acyclic():
         raise DataValidationError("long sequence is not exact" + hint)
     return seq
 

@@ -29,24 +29,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DataValidationError, NumericalError
-
-# The rank policy, spectra, the phase kernel and SpectralDistribution are
-# defined in ``kernel``; the trace algebra re-exports them.
-from .kernel import (  # noqa: F401
-    NOISE_FLOOR_SLACK,
-    RANK_AMBIGUITY_FACTOR,
-    RANK_TOL_SCALE,
-    SpectralDistribution,
-    Spectrum,
-    gram_spectrum,
-    is_integer,
-    laurent_terms,
-    noise_floor,
-    rank_cutoff,
-    spectrum,
-    symbol_at_roots,
-    word_element,
-)
+from .kernel import SpectralDistribution, Spectrum, gram_spectrum, rank_cutoff
 
 #: Tolerance of ``vanishes``, relative to the scale of the check.
 COMPOSITION_TOL = 1e-10

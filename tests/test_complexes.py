@@ -13,7 +13,6 @@ from torsionlab.complexes import (
     direct_sum,
     extension,
     hodge,
-    hodge_spectra,
     induced_harmonic_map,
     laplacian,
     log_det_prime,
@@ -265,11 +264,11 @@ def test_suspension_negates_torsion():
 
 def test_shifted_padded_and_suspended_complexes_reuse_the_hodge_data():
     c, _ = random_cochain_complex(np.random.default_rng(9), CF, length=3, max_rank=2)
-    h, spectra = hodge(c), hodge_spectra(c).spectra
+    h = hodge(c)
     padded = pad_complex(c, c.offset - 1, c.top_degree + 1)
     for other, inner in ((c.shifted(2), slice(None)), (padded, slice(1, -1)),
                          (suspension(c), slice(None))):
-        assert all(a is b for a, b in zip(hodge_spectra(other).spectra[inner], spectra))
+        assert all(a is b for a, b in zip(hodge(other).spectra[inner], h.spectra))
     # negating the differentials keeps the bases and negates the reduced maps
     s = hodge(suspension(c))
     for a, b in zip(s.harmonic_bases + s.plus_bases + s.minus_bases,
@@ -299,6 +298,7 @@ def test_padded_shifted_and_suspended_complexes_read_the_harmonic_bases(ctx, mon
     c, _ = random_cochain_complex(np.random.default_rng(9), ctx, length=3,
                                   shape=([1, 1, 0], [1, 1]))
     h = hodge(c)
+    h.harmonic_bases  # completes the bases of c before counting
     callers = _spy_eigensolvers(monkeypatch)
     for other, inner in ((pad_complex(c, c.offset - 1, c.top_degree + 1), slice(1, -1)),
                          (c.shifted(2), slice(None)), (suspension(c), slice(None))):
@@ -331,7 +331,7 @@ def test_trace_algebra_reads_the_spectra_hodge_keeps(ctx, rank_tol, monkeypatch)
     # spectral stage hodge keeps on each differential: no eigensolve, and
     # the values of that stage
     c, _ = random_cochain_complex(np.random.default_rng(13), ctx, length=3, max_rank=2)
-    spectra = hodge(c, rank_tol) and hodge_spectra(c, rank_tol)
+    spectra = hodge(c, rank_tol)
     callers = _spy_eigensolvers(monkeypatch)
     for d, s, v in zip(c.differentials, spectra.spectra, spectra.log_vols, strict=True):
         assert log_vol(d, rank_tol) == v
@@ -345,27 +345,63 @@ def test_trace_algebra_reads_the_spectra_hodge_keeps(ctx, rank_tol, monkeypatch)
 def test_hodge_returns_one_object_per_complex_and_cutoff():
     c, _ = random_cochain_complex(np.random.default_rng(10), CF, length=3, max_rank=2)
     assert hodge(c) is hodge(c)
-    assert hodge_spectra(c) is hodge_spectra(c)
     assert hodge(c, 1e-3) is hodge(c, 1e-3) and hodge(c, 1e-3) is not hodge(c)
     # torsion sums the kept log-volumes, those of the reduced differentials
     h = hodge(c)
-    assert hodge_spectra(c).log_vols == pytest.approx(
+    assert h.log_vols == pytest.approx(
         [log_vol(h.reduced_morphism(q)) if min(h.reduced[q - h.offset].shape) else 0.0
          for q in range(c.offset, c.top_degree)], abs=1e-12)
 
 
 def test_hodge_data_answer_after_their_complex_is_dropped():
-    c, _ = random_cochain_complex(np.random.default_rng(11), cyclic_group(2), length=3,
-                                  shape=([1, 1, 0], [1, 1]))
-    h, degrees = hodge(c), range(c.offset - 1, c.top_degree + 2)
-    want = [(h.harmonic_dim(q), h.harmonic_basis(q).shape, h.harmonic_module(q).ambient_dim,
-             h.reduced_morphism(q).shape) for q in degrees]
+    def complex_():
+        c, _ = random_cochain_complex(np.random.default_rng(11), cyclic_group(2), length=3,
+                                      shape=([1, 1, 0], [1, 1]))
+        return c
+
+    def answers(h):
+        return [(h.harmonic_dim(q), h.harmonic_basis(q).shape,
+                 h.harmonic_module(q).ambient_dim, h.reduced_morphism(q).shape)
+                for q in range(h.offset - 1, h.offset + len(h.modules) + 1)]
+
+    c = complex_()
+    h = hodge(c)
+    want = answers(h)
     probe = weakref.ref(c)
     del c
     assert probe() is None
-    assert [(h.harmonic_dim(q), h.harmonic_basis(q).shape, h.harmonic_module(q).ambient_dim,
-             h.reduced_morphism(q).shape) for q in degrees] == want
+    assert answers(h) == want
     assert not h.is_acyclic() and h.warnings == ()
+    # the first basis read after the complex is gone: the bases need only
+    # the modules and differentials the Hodge data keep
+    c = complex_()
+    lazy = hodge(c)
+    probe = weakref.ref(c)
+    del c
+    assert probe() is None
+    assert answers(lazy) == want
+    assert all(np.array_equal(a, b) for a, b in zip(lazy.harmonic_bases, h.harmonic_bases))
+
+
+@pytest.mark.parametrize("read", ["harmonic_bases", "plus_bases", "minus_bases", "reduced",
+                                  "harmonic_modules"])
+@pytest.mark.parametrize("ctx", [CF, cyclic_group(3)], ids=["C", "Z/3"])
+def test_hodge_computes_its_bases_on_first_read(ctx, read, monkeypatch):
+    # hodge(c) takes one eigvalsh per nonempty differential and no eigh; the
+    # first read of any basis field makes the eigh of an eager build (a
+    # range basis per differential, a projector per module with harmonic
+    # part: dims (1, 1, 0)) and fills every field, and a second read none
+    c, _ = random_cochain_complex(np.random.default_rng(9), ctx, length=3,
+                                  shape=([1, 1, 0], [1, 1]))
+    callers = _spy_eigensolvers(monkeypatch)
+    h = hodge(c)
+    assert callers == {"eigvalsh": ["torsionlab.kernel"] * 2, "eigh": []}
+    first = getattr(h, read)
+    assert callers["eigh"] == ["torsionlab.kernel"] * 2 + ["torsionlab.complexes"] * 2
+    fields = [getattr(h, name) for name in ("harmonic_bases", "plus_bases", "minus_bases",
+                                            "reduced", "harmonic_modules")]
+    assert getattr(h, read) is first and [len(f) for f in fields] == [3, 3, 3, 2, 3]
+    assert len(callers["eigvalsh"]) == 2 and len(callers["eigh"]) == 4
 
 
 def test_kept_harmonic_bases_do_not_keep_a_dropped_neighbour():

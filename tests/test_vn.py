@@ -257,7 +257,7 @@ EIGENSOLVER_CALLERS = {
     ("kernel", "spectrum"),
     ("towers", "_symbol_eigenvalues"),
     ("towers", "_level_eigenvalues"),
-    ("complexes", "hodge"),
+    ("complexes", "_decomposition"),
 }
 
 
@@ -360,7 +360,7 @@ def test_eigensolver_calls_stay_in_the_kernel(monkeypatch):
     milnor_check(glue(circle_from_arcs(rep))[1])
     sites = {(module, function) for _, module, function, _ in calls}
     assert ("kernel", "spectrum") in sites
-    assert sites <= {("kernel", "spectrum"), ("complexes", "hodge")}
+    assert sites <= {("kernel", "spectrum"), ("complexes", "_decomposition")}
     assert all(name in ("eigh", "eigvalsh") for name, *_ in calls)
     assert all(len(shape) == 3 and shape[0] == m and shape[-1] <= 2
                for *_, shape in calls)
@@ -375,6 +375,53 @@ def test_eigensolver_calls_stay_in_the_kernel(monkeypatch):
              if name in ROOT_NAMES]
     assert roots and set(roots) == ROOT_CALLERS
     assert all(name != "svd" for name, *_ in calls)
+
+
+#: The only code allowed to touch each memo layer, by qualified name (a class
+#: covers its methods): the per-complex Hodge memo ``_hodge``, which
+#: ``CochainComplex`` creates and ``hodge`` fills, and the per-morphism store
+#: ``derived`` of spectral stages and range bases, which a negation shares.
+MEMO_OWNERS = {
+    "_hodge": {("complexes", "CochainComplex"), ("complexes", "hodge")},
+    "derived": {("vn", "spectral_stage"), ("vn", "Morphism.__neg__"),
+                ("complexes", "_range_basis")},
+}
+
+
+def _qualified_owners(tree):
+    """node -> dotted name of the classes and functions containing it."""
+    owner = {}
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            inner = name
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{name}.{child.name}" if name else child.name
+            owner[child] = inner or "<module>"
+            visit(child, inner)
+
+    visit(tree, "")
+    return owner
+
+
+@pytest.mark.parametrize("attr", sorted(MEMO_OWNERS))
+def test_memo_layers_are_touched_only_by_their_owners(attr):
+    # an access is the attribute, or its name as a string (setattr, vars)
+    allowed = MEMO_OWNERS[attr]
+
+    def covering(site):
+        stem, name = site
+        return next((a for a in allowed
+                     if a[0] == stem and (name == a[1] or name.startswith(a[1] + "."))), None)
+
+    sites = set()
+    for stem, tree, _ in _package_sources():
+        owner = _qualified_owners(tree)
+        sites |= {(stem, owner[node]) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == attr
+                  or isinstance(node, ast.Constant) and node.value == attr}
+    assert {s for s in sites if covering(s) is None} == set()
+    assert {covering(s) for s in sites} == allowed
 
 
 #: The only function with phase code (``pi``): the exact-phase kernel, which
