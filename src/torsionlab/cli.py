@@ -8,14 +8,21 @@ runs the computation, and writes either a human-readable listing or (with
 function of the job.
 
 Exit codes: 0 on success, 2 when the input fails validation (the message
-names the offending location), 1 when a computation fails numerically.
+names the offending location), 1 when a computation fails numerically, and
+(from :func:`process_main`) 141 when the reader of stdout has gone away.
 The environment variable ``TORSIONLAB_THREADS`` caps the linear-algebra
 thread pools; it is honored at package import time.
+
+:func:`main` is the in-process API (tests and library callers run it);
+it leaves the cyclic collector as it finds it.  :func:`process_main` runs
+it as a whole process, with the collector off: ``python -m torsionlab``
+and the installed ``torsionlab`` script call it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -419,5 +426,28 @@ def main(argv=None) -> int:
     return 0
 
 
+def process_main() -> int:
+    """:func:`main` as a one-shot process, which then exits.
+
+    A command makes no reference cycles (``tests/test_process.py`` pins
+    this), so the cyclic collector would walk numpy's import heap and free
+    nothing: it is off before ``main`` imports numpy, and once the report
+    is flushed ``gc.freeze()`` moves the heap out of reach of the full
+    collections that interpreter shutdown runs.  A reader of stdout that
+    went away ends the process with 141, the shell's code for a writer
+    killed by SIGPIPE, and no traceback.
+    """
+    gc.disable()
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the flush at exit would raise again, so what is left goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(process_main())
