@@ -3,21 +3,21 @@
 A cell complex here is combinatorial input: ordered cell labels per degree
 and, for each ((q+1)-cell, q-cell) pair, a group-ring word describing how
 the attaching data winds through the symmetry group.  A representation
-turns each word into a matrix block on a fiber, the blocks assemble into
-differentials, and everything downstream (torsion, duality, gluing) is the
-machinery of the complexes/exact modules applied to the result.
+turns each word into its stack of blocks (``word_blocks``), these assemble
+into the stacks of the differentials (see ``vn.HilbertModule``), and
+everything downstream (torsion, duality, gluing) is the machinery of the
+complexes/exact modules applied to the result.
 
 Over ``cyclic_group(m)`` the regular representation works by characters:
 a word is its Laurent polynomial at the m-th roots of unity, from the one
-phase kernel ``kernel.symbol_at_roots``, each differential is the stack of its m
-character blocks, and torsion, Hodge data, duality and gluing are computed
-block by block, with the rank decisions of the dense matrix (the cutoff is
-sized by m n, so over Z/2^16 the circle's characters j = +-1 fall under
-the default cutoff and ``hodge`` warns).  A product with a cell complex
-over the complex field stays blockwise, the field factor's index
-outermost; a product of two group factors is refused.  Every other
-representation, including a regular one over a ``finite_group`` table,
-builds dense matrices.
+phase kernel ``kernel.symbol_at_roots``, one block per character, and
+torsion, Hodge data, duality and gluing are computed block by block, with
+the rank decisions of the dense matrix (the cutoff is sized by m n, so
+over Z/2^16 the circle's characters j = +-1 fall under the default cutoff
+and ``hodge`` warns).  A product with a cell complex over the complex
+field keeps the blocks, the field factor's index outermost; a product of
+two group factors is refused.  Every other representation, including a
+regular one over a ``finite_group`` table, has one dense block.
 
 Words are lists of (element, coefficient) pairs.  Every representation
 reads an element as (label, power) (``kernel.word_element``): a label
@@ -67,10 +67,11 @@ class RegularRepresentation:
 
     One cell contributes an l^2(Gamma) (x) C^fiber block; incidence words
     act by right-regular permutation blocks and therefore commute with the
-    left algebra action.  Over ``cyclic_group(m)`` the cells live in
-    character coordinates: a word is its Laurent polynomial in t at
-    exp(2 pi i j / m) at the character j, one (fiber x fiber) block per
-    character instead of a dense m x m block.
+    left algebra action.  Over ``cyclic_group(m)``, which has no table, the
+    cells have one block per character: a word is its Laurent polynomial
+    in t at exp(2 pi i j / m) at the character j, one (fiber x fiber) block
+    per character instead of a dense m x m block.  This is where a module
+    gets its number of blocks.
     """
 
     def __init__(self, context: TraceContext, fiber_dim: int = 1):
@@ -82,10 +83,11 @@ class RegularRepresentation:
         self.context = context
         self.fiber_dim = int(fiber_dim)
         self.block_dim = context.size * self.fiber_dim
+        self.blocks = 1 if context.table is not None else context.size
 
     def module(self, ncells: int) -> HilbertModule:
         return HilbertModule(self.context, ncells * self.block_dim,
-                             fiber_dim=self.fiber_dim, characters=self.context.is_cyclic)
+                             fiber_dim=self.fiber_dim, blocks=self.blocks)
 
     def element(self, spec) -> int:
         """The group index of a word element (an unknown label raises)."""
@@ -93,14 +95,14 @@ class RegularRepresentation:
         ctx = self.context
         return ctx.power(ctx.element_index(label), power)
 
-    def word_matrix(self, word: Word) -> np.ndarray:
-        resolved = [(self.element(e), complex(c)) for e, c in word]
-        return group_ring_matrix(resolved, self.context, self.fiber_dim).matrix
-
     def word_blocks(self, word: Word) -> np.ndarray:
-        """The (m, fiber, fiber) character blocks of a word over Z/m: its
+        """The stack of a word: over a table, its one dense right-regular
+        block; over Z/m, its (fiber x fiber) blocks at the m characters, the
         Laurent polynomial at the m-th roots of unity."""
-        m = self.context.size
+        if self.context.table is not None:
+            resolved = [(self.element(e), complex(c)) for e, c in word]
+            return group_ring_matrix(resolved, self.context, self.fiber_dim).array
+        m = self.blocks
         poly = laurent_terms((self.element(e), c) for e, c in word)
         return symbol_at_roots([[poly]], np.arange(m), m) * np.eye(self.fiber_dim)
 
@@ -136,6 +138,13 @@ class UnitaryRepresentation:
     def module(self, ncells: int) -> HilbertModule:
         return HilbertModule(self.context, ncells * self.block_dim)
 
+    def word_blocks(self, word: Word) -> np.ndarray:
+        """The one (fiber x fiber) block of a word: sum of coeff x U^power."""
+        total = np.zeros((1, self.fiber_dim, self.fiber_dim), np.complex128)
+        for elem, coeff in word:
+            total += complex(coeff) * self._elem_matrix(elem)
+        return total
+
     def element(self, spec) -> tuple[str, int]:
         """A word element as (label, power); the label must be "e" or a generator."""
         label, power = word_element(spec)
@@ -152,11 +161,6 @@ class UnitaryRepresentation:
             base, power = base.conj().T, -power
         return np.linalg.matrix_power(base, power)
 
-    def word_matrix(self, word: Word) -> np.ndarray:
-        total = np.zeros((self.fiber_dim, self.fiber_dim), np.complex128)
-        for elem, coeff in word:
-            total += complex(coeff) * self._elem_matrix(elem)
-        return total
 
 
 class InfiniteCyclic:
@@ -230,9 +234,9 @@ class TwistedCellComplex:
 def build_complex(cw: TwistedCellComplex) -> CochainComplex:
     """Assemble the cochain complex of a cell complex under its representation.
 
-    Over the regular representation of ``cyclic_group(m)`` each differential
-    is the (m, rows x fiber, cols x fiber) stack of its character blocks;
-    every other representation gives dense matrices.
+    Each differential is the stack of the representation's word blocks:
+    (m, rows x fiber, cols x fiber) over the regular representation of
+    ``cyclic_group(m)``, one dense block for every other representation.
 
     Raises DataValidationError naming the offending ((q+2)-cell, q-cell)
     pair if the incidence words do not compose to zero.
@@ -243,7 +247,6 @@ def build_complex(cw: TwistedCellComplex) -> CochainComplex:
             "infinite-cyclic twists have no finite matrices; convert with "
             "the tower module (cw_to_laurent) instead")
     cell = rep.module(1)
-    word_array = rep.word_blocks if cell.characters else rep.word_matrix
     layers = [cw.degree_cells(q) for q in range(cw.top_degree + 1)]
     modules = [rep.module(len(layer)) for layer in layers]
     # one summand per cell; an empty layer is its (zero) module
@@ -251,7 +254,7 @@ def build_complex(cw: TwistedCellComplex) -> CochainComplex:
     diffs = []
     for q in range(cw.top_degree):
         cols, rows = layers[q], layers[q + 1]
-        blocks = {(rows.index(y), cols.index(x)): word_array(word)
+        blocks = {(rows.index(y), cols.index(x)): rep.word_blocks(word)
                   for (y, x), word in cw.incidences.items() if x in cols and y in rows}
         diffs.append(Morphism(modules[q], modules[q + 1],
                               assemble_blocks(blocks, parts[q + 1], parts[q])))

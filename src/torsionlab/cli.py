@@ -435,11 +435,15 @@ def process_main() -> int:
     is flushed ``gc.freeze()`` moves the heap out of reach of the full
     collections that interpreter shutdown runs.  A reader of stdout that
     went away ends the process with 141, the shell's code for a writer
-    killed by SIGPIPE, and no traceback.
+    killed by SIGPIPE, and no traceback; argparse's exits (help, usage)
+    flush stdout here too.
     """
     gc.disable()
     try:
-        code = main()
+        try:
+            code = main()
+        except SystemExit as exc:
+            code = exc.code
         sys.stdout.flush()
     except BrokenPipeError:
         # the flush at exit would raise again, so what is left goes to devnull

@@ -38,17 +38,18 @@ structural check), so shifted, padded and suspended complexes reuse those
 of the complex they wrap; harmonic bases and their carriers are kept per
 complex, with its ``HodgeData``.
 
-Complexes in character coordinates (cell complexes over the regular
-representation of ``cyclic_group(m)``, see ``vn.HilbertModule``) are
-computed by characters: every step below runs block by block on the
-(m, rows, cols) stacks of their differentials, in batched eigensolves.
-Rank decisions are those of the dense direct sum, since ``kernel.spectrum``
-sizes the floor and the cutoff by the full dimension m n; over Z/2^16 the
-circle's characters j = +-1 (sigma ~ 9.6e-5) fall under the default cutoff
-(~1.2e-4), and ``hodge`` warns.  Direct sums, mapping cones and tensor
-products with a complex-field factor stay in the coordinates of their
-inputs: ``vn.assemble_blocks`` builds dense matrices and stacks alike, and
-in a tensor product the field factor's index is outermost.
+Every step below runs block by block on the (blocks, rows, cols) stacks of
+the differentials (see ``vn.HilbertModule``), in batched eigensolves: one
+block in the standard basis, or the m character blocks of a cell complex
+over the regular representation of ``cyclic_group(m)``.  Rank decisions
+are those of the dense direct sum, since ``kernel.spectrum`` sizes the
+floor and the cutoff by the full dimension m n; over Z/2^16 the circle's
+characters j = +-1 (sigma ~ 9.6e-5) fall under the default cutoff
+(~1.2e-4), and ``hodge`` warns.  Bases keep their columns by the one rule
+of ``vn.kept_columns``.  Direct sums, mapping cones and tensor products
+with a complex-field factor keep the blocks of their inputs
+(``vn.assemble_blocks``), and in a tensor product the field factor's index
+is outermost.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ from .vn import (
     array_shape,
     assemble_blocks,
     direct_sum_modules,
+    kept_columns,
     log_vol,
     spectral_stage,
     vanishes,
@@ -76,7 +78,7 @@ from .vn import (
 
 
 def _phase_normalize(columns: np.ndarray) -> np.ndarray:
-    """Rotate each column (of each block of a stack) so that its first entry
+    """Rotate each column of each block of a stack so that its first entry
     above 1e-12 x max(1, largest magnitude in the column) is positive real."""
     if 0 in columns.shape[-2:]:
         return columns.copy()
@@ -87,22 +89,15 @@ def _phase_normalize(columns: np.ndarray) -> np.ndarray:
     if above[..., 0, :].all():  # every pivot in the first row: six calls fewer
         pivot = columns[..., :1, :]
         return columns * (np.conj(pivot) / np.hypot(pivot.real, pivot.imag))
-    first = (above.argmax(axis=-2), np.arange(columns.shape[-1]))
-    if columns.ndim == 3:
-        first = (np.arange(columns.shape[0])[:, None],) + first
+    first = (np.arange(len(columns))[:, None], above.argmax(axis=-2),
+             np.arange(columns.shape[-1]))
     pivot, found = columns[first], above[first]
     size = np.where(found, np.hypot(pivot.real, pivot.imag), 1.0)
     rotated = columns * (np.conj(pivot) / size)[..., None, :]
     return np.where(found[..., None, :], rotated, columns)
 
 
-def _kept(stack: np.ndarray) -> np.ndarray:
-    """Mask of the present columns of a stack of character blocks (the
-    dropped ones are exact zeros)."""
-    return np.any(stack != 0, axis=-2)
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class CochainComplex:
     """Modules C_offset, ..., C_{offset+n} with differentials between them.
 
@@ -173,7 +168,7 @@ class CochainComplex:
         """Module at true degree q (zero module outside the stored window)."""
         i = q - self.offset
         return (self.modules[i] if 0 <= i < len(self.modules) else
-                HilbertModule(self.context, 0, characters=self.modules[0].characters))
+                HilbertModule(self.context, 0, blocks=self.modules[0].blocks))
 
     def differential(self, q: int) -> Morphism:
         """d_q : C_q -> C_{q+1} at true degree q (zero outside the window)."""
@@ -224,8 +219,7 @@ class HodgeData:
                               their summed logs),
     * ``harmonic_dims[i]`` -- dim C_i - rank d_{i-1} - rank d_i, the
                               dimension of the harmonic space,
-    * ``block_dims[i]``    -- the same per character block (a number in the
-                              standard basis);
+    * ``block_dims[i]``    -- the same per block;
 
     and, computed together on the first read of any of them and kept:
 
@@ -290,12 +284,11 @@ class HodgeData:
         The range bases are those kept with each differential
         (``_range_basis``).  The degree-i harmonic space is the kernel of
         d_i intersected with the kernel of d_{i-1}^*, realized as the
-        orthogonal complement of range(d_{i-1}) + range(d_i^*): one eigh of
-        its projector per module with harmonic part, block by block in
-        character coordinates.
+        orthogonal complement of range(d_{i-1}) + range(d_i^*): one
+        batched eigh of its projector per module with harmonic part, whose
+        top eigenvectors in each block (``vn.kept_columns``) span it.
         """
-        ranges = [_range_basis(d, s, self.rank_tol)
-                  for d, s in zip(self.differentials, self.spectra)]
+        ranges = [_range_basis(d, self.rank_tol) for d in self.differentials]
         harmonic, plus_bases, minus_bases = [], [], []
         for i, (module, h_dim) in enumerate(zip(self.modules, self.block_dims)):
             shape = array_shape(module, module)
@@ -313,10 +306,7 @@ class HodgeData:
             proj = ident - span @ span.conj().swapaxes(-1, -2)
             proj = 0.5 * (proj + proj.conj().swapaxes(-1, -2))
             w, vecs = np.linalg.eigh(proj)
-            if vecs.ndim == 2:
-                harm = vecs[:, dim - h_dim:]
-            else:  # the top h_dim eigenvectors of each block
-                harm = vecs * (np.arange(dim) >= (dim - h_dim)[:, None])[:, None, :]
+            harm = kept_columns(vecs, h_dim)
             harmonic.append(_phase_normalize(harm))
         reduced = [u.conj().swapaxes(-1, -2) @ d.array @ v
                    for d, (v, u) in zip(self.differentials, ranges)]
@@ -331,8 +321,8 @@ class HodgeData:
     harmonic_modules = property(lambda self: self._decomposition[4])
 
     def harmonic_basis(self, q: int) -> np.ndarray:
-        """Orthonormal columns spanning the harmonic space; in character
-        coordinates a stack of per-block columns, dropped ones zero."""
+        """Orthonormal columns spanning the harmonic space, a stack of
+        per-block columns (``vn.kept_columns``)."""
         i = q - self.offset
         return (self.harmonic_bases[i] if 0 <= i < len(self.harmonic_bases) else
                 np.zeros(self.harmonic_bases[0].shape[:-2] + (0, 0), np.complex128))
@@ -348,20 +338,20 @@ class HodgeData:
         """Reduced differential at true degree q as a morphism of carriers."""
         i = q - self.offset
         if not 0 <= i < len(self.reduced):
-            zero = HilbertModule(self.context, 0, free=False,
-                                 characters=self.harmonic_bases[0].ndim == 3)
+            zero = HilbertModule(self.context, 0, free=False, blocks=self.modules[0].blocks)
             return Morphism.zero(zero, zero)
         return Morphism(_carrier(self.context, self.minus_bases[i]),
                         _carrier(self.context, self.plus_bases[i + 1]), self.reduced[i])
 
 
 def _carrier(context: TraceContext, basis: np.ndarray) -> HilbertModule:
-    """The subspace carrier spanned by the present columns of ``basis``."""
-    if basis.ndim == 2:
-        return HilbertModule(context, basis.shape[1], free=False)
-    kept = _kept(basis)
-    return HilbertModule(context, int(kept.sum()), free=False,
-                         characters=True, block_mask=kept)
+    """The subspace carrier spanned by the present columns of ``basis`` (the
+    dropped ones are exact zeros); it needs a block mask only where a column
+    was dropped."""
+    kept = basis.any(axis=-2)
+    dim = np.count_nonzero(kept)
+    return HilbertModule(context, dim, free=False, blocks=len(basis),
+                         block_mask=None if dim == kept.size else kept)
 
 
 def _frozen(arrays: list[np.ndarray]) -> tuple[np.ndarray, ...]:
@@ -370,37 +360,32 @@ def _frozen(arrays: list[np.ndarray]) -> tuple[np.ndarray, ...]:
     return tuple(arrays)
 
 
-def _range_basis(d: Morphism, s: Spectrum, rank_tol: float | None
-                 ) -> tuple[np.ndarray, np.ndarray]:
+def _range_basis(d: Morphism, rank_tol: float | None) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal bases (V of the coimage, U of the range) of d, computed
     once per cutoff and kept in d's ``derived`` store.
 
     Both come from one Hermitian eigendecomposition of d* d: V is its top
-    eigenvectors, as many (per block) as the spectral stage ``s`` keeps, so
-    the two stages make one rank decision.  Columns are ordered by
-    descending singular value and phase-normalized; a stack of character
-    blocks keeps every column, the dropped ones set to zero.
+    eigenvectors, as many per block as the rank of d's spectral stage, so
+    the two stages make one rank decision.  Columns are phase-normalized and
+    kept by ``vn.kept_columns``: by descending singular value for a single
+    block, every one, the dropped ones zero, for more.
     """
     data = d.derived
     bases = data.get(("bases", rank_tol))
     if bases is not None:
         return bases
     matrix = d.array
-    rows, cols = matrix.shape[-2:]
+    blocks, rows, cols = matrix.shape
     if rows == 0 or cols == 0:
-        v_kept = np.zeros(matrix.shape[:-2] + (cols, 0), np.complex128)
-        u = np.zeros(matrix.shape[:-2] + (rows, 0), np.complex128)
+        v_kept = np.zeros((blocks, cols, 0), np.complex128)
+        u = np.zeros((blocks, rows, 0), np.complex128)
     else:
         e = gram_spectrum(matrix, rank_tol, vectors=True, dim=max(d.shape + (1,)))
-        if matrix.ndim == 2:
-            order = np.argsort(-e.sigma[s.keep])
-            v_kept = _phase_normalize(e.vectors[:, s.keep][:, order])
-            u = matrix @ v_kept
-            u /= np.linalg.norm(u, axis=0, keepdims=True)
-        else:  # the dropped columns stay, as zeros
-            v_kept = _phase_normalize(e.vectors * s.keep[..., None, :])
-            u = matrix @ v_kept
-            u /= np.maximum(np.linalg.norm(u, axis=-2, keepdims=True), np.finfo(float).tiny)
+        rank = spectral_stage(d, rank_tol)[1]
+        v_kept = _phase_normalize(kept_columns(e.vectors, rank, sigma=e.sigma))
+        u = matrix @ v_kept
+        # a dropped column of a stack is zero: it stays zero
+        u /= np.maximum(np.linalg.norm(u, axis=-2, keepdims=True), np.finfo(float).tiny)
         u = _phase_normalize(u)
     bases = data["bases", rank_tol] = _frozen([v_kept, u])
     return bases
@@ -412,31 +397,28 @@ def hodge(c: CochainComplex, rank_tol: float | None = None) -> HodgeData:
 
     Ranks, harmonic dimensions, log-volumes and rank warnings come from one
     eigvalsh per differential (``vn.spectral_stage``, kept on it); the bases
-    and reduced differentials only on first read.  In character coordinates
-    ranks are counted block by block, with the rank decisions of the dense
-    direct sum.
+    and reduced differentials only on first read.  Ranks are counted block
+    by block, with the rank decisions of the dense direct sum.
     """
     hd = c._hodge.get(rank_tol)
     if hd is not None:
         return hd
     stages = [spectral_stage(d, rank_tol) for d in c.differentials]
-    n = len(c.modules)
-    blocks = np.empty((n, c.context.size) if c.modules[0].characters else n, int)
-    for i, module in enumerate(c.modules):
-        mask = module.block_mask  # the coordinates each block has, if not all
-        blocks[i] = module.width if mask is None else mask.sum(-1)
-    for i, (_, rank, _) in enumerate(stages):
-        blocks[i] -= rank
-        blocks[i + 1] -= rank
-    if (blocks < 0).any():
-        short = np.flatnonzero((blocks < 0).reshape(n, -1).any(1))
+    none = np.zeros(c.modules[0].blocks, int)
+    ranks = np.array([none, *(rank for _, rank, _ in stages), none])  # of d_{i-1} at i
+    dims = np.array([m.width for m in c.modules])[:, None] - ranks[:-1] - ranks[1:]
+    for i, m in enumerate(c.modules):  # a carrier's blocks may have fewer coordinates
+        if m.block_mask is not None:
+            dims[i] -= m.width - m.block_mask.sum(-1)
+    if (dims < 0).any():
+        short = np.flatnonzero((dims < 0).any(1))
         raise DataValidationError(
             "rank bookkeeping failed (image + coimage exceed the module)",
             location=f"degree {c.offset + short[0]}")
-    blocks.setflags(write=False)
+    dims.setflags(write=False)
     hd = c._hodge[rank_tol] = HodgeData(
         c.offset, c.modules, c.differentials, rank_tol, tuple(s[0] for s in stages),
-        tuple(s[2] for s in stages), tuple(blocks.reshape(n, -1).sum(1).tolist()), blocks)
+        tuple(s[2] for s in stages), tuple(dims.sum(1).tolist()), dims)
     return hd
 
 
@@ -507,19 +489,20 @@ def torsion_via_laplacians(c: CochainComplex, rank_tol: float | None = None) -> 
 
 def _tensor_modules(a: HilbertModule, b: HilbertModule) -> HilbertModule:
     """C^n (x) M with the field index outermost keeps the group factor M's
-    context, fiber and coordinates."""
+    context, fiber and blocks."""
     group = b if b.context.is_group else a
     return HilbertModule(group.context, a.ambient_dim * b.ambient_dim, free=a.free and b.free,
-                         fiber_dim=group.fiber_dim, characters=group.characters)
+                         fiber_dim=group.fiber_dim, blocks=group.blocks)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.kron(a, b)`` of a matrix and a matrix or a stack of matrices, as
-    one broadcast product and a reshape: each entry is the same one product
-    a[i, j] b[k, l], so the arrays are bit for bit those of ``np.kron``."""
+    """``np.kron(a, b)`` block by block of two stacks (or a stack and a
+    matrix, which every block shares), as one broadcast product and a
+    reshape: each entry is the same one product a[i, j] b[k, l], so the
+    blocks are bit for bit those of ``np.kron``."""
     (p, q), (r, s) = a.shape[-2:], b.shape[-2:]
-    lead = a.shape[:-2] or b.shape[:-2]
-    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(lead + (p * r, q * s))
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (p * r, q * s))
 
 
 def tensor_product(c1: CochainComplex, c2: CochainComplex) -> CochainComplex:
@@ -531,9 +514,8 @@ def tensor_product(c1: CochainComplex, c2: CochainComplex) -> CochainComplex:
     complex field; the product inherits the group context of the other.
     The field factor's index is outermost on every summand, in both factor
     orders (the first factor's when both are over the field), so each
-    summand keeps the group factor's (copies, group, fiber) layout and a
-    factor in character coordinates stays blockwise: kron(B, A_j) per
-    character j.
+    summand keeps the group factor's (copies, group, fiber) layout and its
+    blocks: kron(B, A_j) per block j.
     """
     if c1.context.is_group and c2.context.is_group:
         raise DataValidationError("tensor products need at least one factor over the complex field")
@@ -642,7 +624,8 @@ def extension(sub: CochainComplex, quot: CochainComplex,
     """The extension 0 -> sub -> E -> quot -> 0 with its inclusion and projection.
 
     E_i = sub_i + quot_i with differential [[d_sub, theta_i], [0, d_quot]],
-    where theta_i : quot_i -> sub_{i+1} is the array ``couplings[i]``; it
+    where theta_i : quot_i -> sub_{i+1} is the array ``couplings[i]`` (a
+    stack, or one block for every block, as ``vn.Morphism`` reads it); it
     must satisfy d_sub theta_i + theta_{i+1} d_quot = 0, which E's
     validation checks.  No couplings give the split sum.  ``sub`` and
     ``quot`` must share a trace context and a degree window.  Returns
@@ -670,7 +653,7 @@ def _extension_middle(sub: CochainComplex, quot: CochainComplex,
         blocks = {(0, 0): d_sub.array, (1, 1): d_quot.array}
         if couplings is not None:
             want = array_shape(sub.modules[i + 1], quot.modules[i])
-            if np.shape(couplings[i]) != want:
+            if np.shape(couplings[i]) not in (want, want[1:]):
                 raise DataValidationError(
                     f"coupling has shape {np.shape(couplings[i])}, expected {want}",
                     location=f"degree {sub.offset + i}")

@@ -35,31 +35,31 @@ from .complexes import (
 )
 from .errors import DataValidationError
 from .kernel import Spectrum, gram_spectrum, rank_cutoff
-from .vn import Morphism, spectral_stage, vanishes
+from .vn import Morphism, kept_columns, spectral_stage, vanishes
 
 
 def _kept_vectors(s: Spectrum) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvectors and eigenvalues of the kept part of a spectrum; a stack
-    of blocks keeps its shape, with dropped vectors zero and their
-    eigenvalues 1."""
-    if s.vectors.ndim == 2:
-        return s.vectors[:, s.keep], s.lam[s.keep]
-    return s.vectors * s.keep[..., None, :], np.where(s.keep, s.lam, 1.0)
+    """Eigenvectors and eigenvalues (as a column of each block) of the kept
+    part of a spectrum, by ``vn.kept_columns``: where a stack keeps a
+    dropped vector as zeros, its eigenvalue is 1."""
+    counts = s.keep.sum(-1)
+    lam = kept_columns(s.lam[:, None, :], counts, fill=1.0)
+    return kept_columns(s.vectors, counts), lam.swapaxes(-1, -2)
 
 
 def _least_squares(mat: np.ndarray, rhs: np.ndarray,
                    rank_tol: float | None) -> np.ndarray:
-    """Minimal-norm least-squares solve through the Gram spectrum of mat
-    (block by block for a stack)."""
-    rows, cols = mat.shape[-2:]
+    """Minimal-norm least-squares solve through the Gram spectrum of mat,
+    block by block."""
+    blocks, rows, cols = mat.shape
     if rows == 0 or cols == 0:
-        return np.zeros(mat.shape[:-2] + (cols, rhs.shape[-1]), np.complex128)
+        return np.zeros((blocks, cols, rhs.shape[-1]), np.complex128)
     star = mat.conj().swapaxes(-1, -2)
     if rows >= cols:
         v, lam = _kept_vectors(gram_spectrum(mat, rank_tol, vectors=True))
-        return v @ ((v.conj().swapaxes(-1, -2) @ (star @ rhs)) / lam[..., :, None])
+        return v @ ((v.conj().swapaxes(-1, -2) @ (star @ rhs)) / lam)
     v, lam = _kept_vectors(gram_spectrum(star, rank_tol, vectors=True))
-    return star @ (v @ ((v.conj().swapaxes(-1, -2) @ rhs) / lam[..., :, None]))
+    return star @ (v @ ((v.conj().swapaxes(-1, -2) @ rhs) / lam))
 
 
 class ComplexSES:

@@ -71,8 +71,9 @@ def random_alinear_unitary(rng: np.random.Generator, ctx: TraceContext,
     if rank == 0:
         return np.zeros((0, 0), np.complex128)
     m = random_alinear_invertible(rng, ctx, rank, max_cond=1e6)
-    s = gram_spectrum(m, vectors=True)
-    return m @ ((s.vectors / s.sigma) @ s.vectors.conj().T)
+    s = gram_spectrum(m[None], vectors=True)
+    v = s.vectors[0]
+    return m @ ((v / s.sigma[0]) @ v.conj().T)
 
 
 @dataclass(eq=False)

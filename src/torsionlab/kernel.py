@@ -99,11 +99,11 @@ def spectrum(a: np.ndarray, rank_tol: float | None = None, vectors: bool = False
     values at or below ``noise_floor`` are exactly zero, and a value counts
     as nonzero when sigma = sqrt(lambda) exceeds ``rank_cutoff``, so
     ``rank_tol`` cuts singular values for Gram matrices and Laplacians
-    alike.  A stack (m, n, n) is read as the direct sum of its blocks, in
-    one batched eigensolve: the top eigenvalue is the largest of all
-    blocks, and ``dim`` (default: the size of ``a``, m n for a stack) sizes
-    floor and cutoff, so every decision is the one the dense direct sum
-    gets.  A zero matrix needs no eigensolve unless eigenvectors are asked
+    alike.  ``a`` is a stack (b, n, n), read as the direct sum of its
+    blocks, in one batched eigensolve: the top eigenvalue is the largest of
+    all blocks, and ``dim`` (default: the size b n of the sum) sizes floor
+    and cutoff, so every decision is the one the dense direct sum gets.  A
+    zero matrix needs no eigensolve unless eigenvectors are asked
     for.  A clearly negative eigenvalue raises ``DataValidationError``, a
     non-finite entry (an overflow, say in f* f) ``NumericalError``.
     """
@@ -116,9 +116,7 @@ def spectrum(a: np.ndarray, rank_tol: float | None = None, vectors: bool = False
                         np.zeros(a.shape, np.complex128) if vectors else None, 0.0)
     a = 0.5 * (a + a.conj().swapaxes(-1, -2))
     w, v = np.linalg.eigh(a) if vectors else (np.linalg.eigvalsh(a), None)
-    low, high = ((w[0], w[-1]) if w.ndim == 1 else
-                 (np.minimum.reduce(w[:, 0]), np.maximum.reduce(w[:, -1])))
-    top, bottom = max(float(high), 0.0), float(low)
+    top, bottom = max(max(w[:, -1].tolist()), 0.0), min(w[:, 0].tolist())
     if bottom < -1e-10 * max(top, -bottom):
         raise DataValidationError("operator is not nonnegative")
     floor = noise_floor(top, dim)
@@ -130,10 +128,11 @@ def spectrum(a: np.ndarray, rank_tol: float | None = None, vectors: bool = False
 
 def gram_spectrum(matrix: np.ndarray, rank_tol: float | None = None,
                   vectors: bool = False, dim: int | None = None) -> Spectrum:
-    """``spectrum`` of m* m: the singular values of m, sized by ``dim``
-    (default: the larger side of m, times the number of blocks of a stack)."""
+    """``spectrum`` of m* m for a stack m: the singular values of m, sized by
+    ``dim`` (default: the larger side of a block, times the number of
+    blocks)."""
     if dim is None:
-        dim = math.prod(matrix.shape[:-2]) * max(matrix.shape[-2:] + (1,))
+        dim = len(matrix) * max(matrix.shape[-2:] + (1,))
     return spectrum(matrix.conj().swapaxes(-1, -2) @ matrix, rank_tol, vectors, dim)
 
 

@@ -2,10 +2,11 @@
 
 The objects here are finite-dimensional Hilbert modules over either the
 complex numbers or the group algebra of a finite group Gamma, carrying the
-normalized trace (kappa = 1 or 1/|Gamma|).  Morphisms are dense complex
-matrices; the quantities of interest are trace-normalized:
+normalized trace (kappa = 1 or 1/|Gamma|).  Morphisms are stacks of complex
+blocks (see ``HilbertModule``); the quantities of interest are
+trace-normalized:
 
-* ``vn_trace``   -- kappa times the matrix trace,
+* ``vn_trace``   -- kappa times the trace summed over the blocks,
 * ``log_vol``    -- kappa times the sum of log singular values over the
                     numerical rank (a log-scale Fuglede-Kadison determinant
                     of the induced map coimage -> range),
@@ -35,18 +36,11 @@ from .kernel import SpectralDistribution, Spectrum, gram_spectrum, rank_cutoff
 COMPOSITION_TOL = 1e-10
 
 
-def _as_matrix(matrix) -> np.ndarray:
-    a = np.asarray(matrix, dtype=np.complex128)
-    if a.ndim != 2:
-        raise DataValidationError(f"expected a 2-d matrix, got array of shape {a.shape}")
-    return a
-
-
 # ---------------------------------------------------------------------------
 # trace contexts
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class TraceContext:
     """The algebra a computation is linear over, with its normalized trace.
 
@@ -211,9 +205,10 @@ def cyclic_group(m: int) -> TraceContext:
     """Z/m with labels e, t, t^2, ..., t^(m-1).
 
     Products, powers, inverses and labels are arithmetic mod m, so the
-    context holds no table and any order is affordable.  Cell complexes
-    over its regular representation are computed by characters (see
-    ``HilbertModule.characters``).
+    context holds no table and any order is affordable.  Its regular
+    representation is the sum of its m characters: a module over it may
+    have m blocks, one per character (see ``HilbertModule``), where a table
+    group's modules have one dense block.
     """
     if m < 1:
         raise DataValidationError("cyclic group order must be >= 1")
@@ -226,7 +221,8 @@ def cyclic_group(m: int) -> TraceContext:
 
 @dataclass(frozen=True, eq=False)
 class HilbertModule:
-    """A finitely generated Hilbert module over a trace context.
+    """A finitely generated Hilbert module over a trace context, stored as
+    ``blocks`` blocks of ``width`` coordinates.
 
     ``vn_dim`` is kappa * ambient_dim.  Over a group context a free module
     l^2(Gamma)^k (x) C^fiber has ambient dimension a multiple of |Gamma|;
@@ -234,29 +230,30 @@ class HilbertModule:
     (harmonic spaces, coimages of reduced differentials) are genuinely
     non-free submodules and are created with ``free=False``.
 
-    ``fiber_dim`` is a layout hint for free group modules: coordinates are
-    ordered (copy index, group index, fiber index) with the fiber innermost,
-    so the algebra acts by I_copies (x) lambda(g) (x) I_fiber.  It has no
-    meaning over the complex field or for non-free carriers.
+    Most modules have one block: the standard basis, with coordinates
+    ordered (copy index, group index, fiber index), the fiber innermost, so
+    the algebra acts by I_copies (x) lambda(g) (x) I_fiber; ``fiber_dim``
+    is that layout hint (it has no meaning over the complex field or for
+    non-free carriers).  A module over ``cyclic_group(m)`` may instead have
+    m blocks, one per character: Z/m is abelian, so l^2(Z/m) is the
+    orthogonal sum of its m characters, and the module is the sum over them
+    of C^width (width = ambient_dim / m, ordered copy index then fiber
+    index).  Either way a morphism commutes with the algebra and is stored
+    as the (blocks, rows, cols) stack of its blocks.
 
-    ``characters`` (cyclic contexts only) puts the module in character
-    coordinates instead: Z/m is abelian, so l^2(Z/m) is the orthogonal sum
-    of its m characters, and the module is the sum over them of C^width
-    (width = ambient_dim / m, ordered copy index then fiber index).  A
-    morphism between such modules commutes with the algebra, so it is
-    block diagonal there and is stored as the (m, rows, cols) stack of its
-    blocks; ``Morphism.matrix`` converts it back to the standard basis.
-    A non-free carrier in character coordinates may have a different
-    dimension in each block: ``block_mask`` (m, width) marks the
-    coordinates each block has, and ambient_dim is their number.
+    A non-free carrier may have a different dimension in each block:
+    ``block_mask`` (blocks, width) marks the coordinates each block has, and
+    ambient_dim is their number.  Without a mask every block has them all.
     """
 
     context: TraceContext
     ambient_dim: int
     free: bool = True
     fiber_dim: int = 1
-    characters: bool = False
+    blocks: int = 1
     block_mask: np.ndarray | None = field(default=None, repr=False)
+    #: Size of one block (ambient_dim for a single block), set from the above.
+    width: int = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.ambient_dim < 0:
@@ -269,47 +266,56 @@ class HilbertModule:
                 f"free module over a group of order {self.context.size} with fiber "
                 f"{self.fiber_dim} needs ambient dimension divisible by "
                 f"{self.context.size * self.fiber_dim}, got {self.ambient_dim}")
-        if self.characters and not self.context.is_cyclic:
-            raise DataValidationError("character coordinates need a cyclic group context")
+        if self.blocks != 1 and (self.blocks != self.context.size
+                                 or self.context.table is not None):
+            raise DataValidationError("a module has one block, or one per character "
+                                      "of a cyclic group")
         mask = self.block_mask
         if mask is None:
-            if self.characters and self.ambient_dim % self.context.size:
+            if self.ambient_dim % self.blocks:
                 raise DataValidationError(
-                    "a module in character coordinates without a block mask needs "
-                    "ambient dimension divisible by the group order")
-        elif not (self.characters and not self.free and mask.ndim == 2
-                  and mask.shape[0] == self.context.size and mask.sum() == self.ambient_dim):
+                    "a module without a block mask needs ambient dimension divisible "
+                    "by its number of blocks")
+            object.__setattr__(self, "width", self.ambient_dim // self.blocks)
+        elif not (not self.free and np.shape(mask)[:-1] == (self.blocks,)
+                  and mask.sum() == self.ambient_dim):
             raise DataValidationError(
-                "a block mask marks the coordinates of a non-free carrier in character "
-                "coordinates, one row per character, as many as the ambient dimension")
+                "a block mask marks the coordinates of a non-free carrier, one row "
+                "per block, as many as the ambient dimension")
+        else:
+            object.__setattr__(self, "width", mask.shape[1])
 
     @property
     def vn_dim(self) -> float:
         return self.context.kappa * self.ambient_dim
 
-    @property
-    def width(self) -> int:
-        """Size of one character block (ambient_dim in the standard basis)."""
-        if self.block_mask is not None:
-            return self.block_mask.shape[1]
-        if self.characters:
-            return self.ambient_dim // self.context.size
-        return self.ambient_dim
-
     def matches(self, other: "HilbertModule") -> bool:
         if other is self:
             return True
         a, b = self.block_mask, other.block_mask
-        return (self.ambient_dim == other.ambient_dim and self.characters == other.characters
+        return (self.ambient_dim == other.ambient_dim and self.blocks == other.blocks
                 and self.context.matches(other.context)
                 and (a is b or (a is not None and b is not None and np.array_equal(a, b))))
 
 
-def array_shape(codomain: HilbertModule, domain: HilbertModule) -> tuple[int, ...]:
-    """Shape of the stored array of a morphism domain -> codomain."""
-    if domain.characters:
-        return (domain.context.size, codomain.width, domain.width)
-    return (codomain.ambient_dim, domain.ambient_dim)
+def array_shape(codomain: HilbertModule, domain: HilbertModule) -> tuple[int, int, int]:
+    """Shape (blocks, rows, cols) of the stored array of a morphism domain -> codomain."""
+    return (domain.blocks, codomain.width, domain.width)
+
+
+def kept_columns(stack: np.ndarray, counts: np.ndarray, sigma: np.ndarray | None = None,
+                 fill: float | None = None) -> np.ndarray:
+    """The last ``counts[j]`` columns of block j of a (blocks, n, k) stack
+    (the ones an ascending spectrum keeps), by the one rule for bases: a
+    single block is sliced to them, in descending ``sigma`` if given; more
+    blocks keep one width and eigensolver order, the other columns set to
+    zero (or ``fill``)."""
+    k = stack.shape[-1]
+    if len(stack) == 1:
+        kept = stack[..., k - counts[0]:]
+        return kept if sigma is None else kept[..., np.argsort(-sigma[0, k - counts[0]:])]
+    mask = (np.arange(k) >= (k - counts)[:, None])[:, None, :]
+    return stack * mask if fill is None else np.where(mask, stack, fill)
 
 
 def regular_module(context: TraceContext, rank: int = 1, fiber_dim: int = 1) -> HilbertModule:
@@ -320,23 +326,24 @@ def regular_module(context: TraceContext, rank: int = 1, fiber_dim: int = 1) -> 
 
 
 def direct_sum_modules(modules: Sequence[HilbertModule]) -> HilbertModule:
-    """Orthogonal direct sum; keeps a common fiber layout when there is one,
-    and the coordinates (with the block masks side by side) of the summands.
-    In the standard basis, summands with different fibers have no one
-    (copies, group, fiber) layout: their sum is not free, so
-    ``a_linearity_residual`` refuses it."""
+    """Orthogonal direct sum, block by block: keeps a common fiber layout
+    when there is one, and the coordinates (with the block masks side by
+    side) of the summands.  Where a block holds a group index (one block
+    over a group), summands with different fibers have no one (copies,
+    group, fiber) layout: their sum is not free, so ``a_linearity_residual``
+    refuses it."""
     if not modules:
         raise DataValidationError("direct sum needs at least one module")
     first = modules[0]
-    ctx, characters = first.context, first.characters
+    ctx, blocks = first.context, first.blocks
     for m in modules[1:]:
-        if not m.context.matches(ctx) or m.characters != characters:
+        if not m.context.matches(ctx) or m.blocks != blocks:
             raise DataValidationError("direct sum of modules over different contexts "
-                                      "or in different coordinates")
+                                      "or with different blocks")
     ambient = sum(m.ambient_dim for m in modules)
     free = all(m.free for m in modules)
     fibers = {m.fiber_dim for m in modules if m.ambient_dim > 0}
-    if len(fibers) > 1 and not characters:
+    if len(fibers) > 1 and blocks < ctx.size:
         free = False
     fiber = fibers.pop() if len(fibers) == 1 else 1
     if free and ctx.is_group and ambient % (ctx.size * fiber):
@@ -345,27 +352,26 @@ def direct_sum_modules(modules: Sequence[HilbertModule]) -> HilbertModule:
         free = False
     mask = None
     if any(m.block_mask is not None for m in modules):
-        mask = np.concatenate([np.ones((ctx.size, m.width), bool) if m.block_mask is None
+        mask = np.concatenate([np.ones((blocks, m.width), bool) if m.block_mask is None
                                else m.block_mask for m in modules], axis=1)
-    return HilbertModule(ctx, ambient, free=free, fiber_dim=fiber, characters=characters,
+    return HilbertModule(ctx, ambient, free=free, fiber_dim=fiber, blocks=blocks,
                          block_mask=mask)
 
 
 def assemble_blocks(blocks: Mapping[tuple[int, int], np.ndarray],
                     rows: Sequence[HilbertModule], cols: Sequence[HilbertModule]) -> np.ndarray:
-    """The stored array of the map from the sum of ``cols`` to the sum of
-    ``rows`` whose block from cols[j] to rows[i] is ``blocks[i, j]`` (zero
-    where absent): a dense matrix, or the stack of its character blocks.
+    """The stored stack of the map from the sum of ``cols`` to the sum of
+    ``rows`` whose part from cols[j] to rows[i] is ``blocks[i, j]`` (zero
+    where absent).
 
-    One preallocated array, filled by slicing on ``...``, so a 2-d block
-    placed in a stack is the same in every character (an identity, say).
+    One preallocated array, filled by slicing on ``...``, so a 2-d part
+    placed in a stack is the same in every block (an identity, say).
     ``rows`` and ``cols`` must not both be empty.
     """
     r = list(accumulate((m.width for m in rows), initial=0))
     c = list(accumulate((m.width for m in cols), initial=0))
     first = (*rows, *cols)[0]
-    out = np.zeros(((first.context.size,) if first.characters else ()) + (r[-1], c[-1]),
-                   np.complex128)
+    out = np.zeros((first.blocks, r[-1], c[-1]), np.complex128)
     for (i, j), block in blocks.items():
         out[..., r[i]:r[i + 1], c[j]:c[j + 1]] = block
     return out
@@ -373,9 +379,10 @@ def assemble_blocks(blocks: Mapping[tuple[int, int], np.ndarray],
 
 @dataclass(frozen=True, eq=False)
 class Morphism:
-    """A module map.  ``array`` is its dense complex matrix (codomain x
-    domain), or, between modules in character coordinates, the stack of its
-    m blocks (rows and columns outside a block mask are zero).
+    """A module map, stored as the (blocks, rows, cols) stack ``array`` of
+    its blocks (rows and columns outside a block mask are zero).  It may be
+    given one (rows, cols) block that every block gets: for a single block,
+    the standard-basis matrix, which ``matrix`` returns for any stack.
 
     The array is a read-only copy, so what it determines is kept with the
     morphism, each computed on first use: ``norm_bound``, and in the
@@ -388,21 +395,15 @@ class Morphism:
     array: np.ndarray
 
     def __post_init__(self):
-        if self.domain.characters != self.codomain.characters:
-            raise DataValidationError("domain and codomain use different coordinates")
-        if self.domain.characters:
-            a = np.asarray(self.array, dtype=np.complex128)
-            want = array_shape(self.codomain, self.domain)
-            if a.shape != want:
-                raise DataValidationError(
-                    f"block stack shape {a.shape} does not match codomain x domain "
-                    f"blocks {want}")
-        else:
-            a = _as_matrix(self.array)
-            if a.shape != (self.codomain.ambient_dim, self.domain.ambient_dim):
-                raise DataValidationError(
-                    f"matrix shape {a.shape} does not match codomain x domain "
-                    f"({self.codomain.ambient_dim}, {self.domain.ambient_dim})")
+        if self.domain.blocks != self.codomain.blocks:
+            raise DataValidationError("domain and codomain have different blocks")
+        want = array_shape(self.codomain, self.domain)
+        a = np.asarray(self.array, dtype=np.complex128)
+        if a.shape != want:
+            if a.shape != want[1:]:
+                raise DataValidationError(f"array shape {a.shape} is neither the stack "
+                                          f"{want} nor its block {want[1:]}")
+            a = np.broadcast_to(a, want)
         if not self.domain.context.matches(self.codomain.context):
             raise DataValidationError("domain and codomain live over different contexts")
         a = a.copy()
@@ -432,18 +433,17 @@ class Morphism:
 
     @property
     def matrix(self) -> np.ndarray:
-        """The dense matrix in the standard basis (computed for a block stack)."""
-        if not self.domain.characters:
-            return self.array
-        if not (self.domain.free and self.codomain.free):
-            raise DataValidationError("a non-free carrier in character coordinates "
-                                      "has no standard-basis matrix")
+        """The dense matrix in the standard basis (none for a block mask)."""
+        if self.domain.block_mask is not None or self.codomain.block_mask is not None:
+            raise DataValidationError("a carrier with a block mask has no standard-basis "
+                                      "matrix")
         # Block j is the value at the character h -> exp(2 pi i j h / m), so
-        # entry (g, h) of the dense matrix is (1/m) sum_j B_j exp(-2 pi i j (g - h) / m).
-        m = self.context.size
+        # entry (g, h) of the dense matrix is (1/m) sum_j B_j exp(-2 pi i j (g - h) / m),
+        # and one block is that matrix, bit for bit.
+        m = self.domain.blocks
         fr, fc = self.codomain.fiber_dim, self.domain.fiber_dim
         rows, cols = self.codomain.width // fr, self.domain.width // fc
-        c = (np.fft.fft(self.array, axis=0) / m).reshape(m, rows, fr, cols, fc)
+        c = np.fft.fft(self.array, axis=0, norm="forward").reshape(m, rows, fr, cols, fc)
         g = np.arange(m)
         dense = c[(g[:, None] - g[None, :]) % m].transpose(2, 0, 3, 4, 1, 5)
         return dense.reshape(self.shape)
@@ -536,8 +536,8 @@ def vanishes(x: np.ndarray, scale: float) -> bool:
 
 
 def spectral_stage(f: Morphism, rank_tol: float | None = None) -> tuple:
-    """(spectrum, rank per block for a stack, log-volume) of f, computed once
-    per cutoff and kept in f's ``derived`` store.
+    """(spectrum, rank per block, log-volume) of f, computed once per cutoff
+    and kept in f's ``derived`` store.
 
     The spectrum is ``gram_spectrum`` of the stored array sized by its
     larger side, one eigvalsh: its singular values and rank decision.  An
@@ -553,8 +553,8 @@ def spectral_stage(f: Morphism, rank_tol: float | None = None) -> tuple:
             stage = (s, s.keep.sum(-1), float(f.context.kappa * np.log(s.sigma[s.keep]).sum()))
         else:
             empty = np.zeros(f.array.shape[:-2] + (0,))
-            stage = (Spectrum(empty, empty, rank_cutoff(0.0, dim, rank_tol), empty > 0,
-                              None, 0.0), 0, 0.0)
+            s = Spectrum(empty, empty, rank_cutoff(0.0, dim, rank_tol), empty > 0, None, 0.0)
+            stage = (s, np.zeros(len(empty), int), 0.0)
         data["spectrum", rank_tol] = stage
     return stage
 

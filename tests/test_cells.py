@@ -44,6 +44,12 @@ def _random_unitary(rng, n):
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
+def _word_matrix(rep, word):
+    """The dense standard-basis matrix of a word: its blocks on one cell."""
+    cell = rep.module(1)
+    return vn.Morphism(cell, cell, rep.word_blocks(word)).matrix
+
+
 def _some_representations(rng):
     yield RegularRepresentation(vn.cyclic_group(2))
     yield RegularRepresentation(vn.cyclic_group(5))
@@ -66,7 +72,7 @@ class TestRepresentations:
     def test_unitary_word_matrix_powers(self):
         lam = np.exp(0.7j)
         rep = UnitaryRepresentation({"t": [[lam]]})
-        got = rep.word_matrix([(("t", -2), 1.0), ("e", 0.5), (3, 2.0)])
+        got = _word_matrix(rep, [(("t", -2), 1.0), ("e", 0.5), (3, 2.0)])
         expect = lam ** -2 + 0.5 + 2.0 * lam ** 3
         np.testing.assert_allclose(got, [[expect]], atol=1e-14)
 
@@ -76,7 +82,7 @@ class TestRepresentations:
 
     def test_regular_word_matrix_is_unitary_for_single_element(self):
         rep = RegularRepresentation(vn.cyclic_group(4))
-        mat = rep.word_matrix([(("t", 3), 1.0)])
+        mat = _word_matrix(rep, [(("t", 3), 1.0)])
         np.testing.assert_allclose(mat @ mat.conj().T, np.eye(4), atol=1e-14)
 
     def test_infinite_cyclic_refuses_to_build(self):
@@ -400,7 +406,7 @@ class TestAdjointWords:
         rep = RegularRepresentation(vn.cyclic_group(5))
         word = [(("t", 2), 1.0 + 2.0j), ("e", -0.5)]
         twice = adjoint_word(adjoint_word(word))
-        np.testing.assert_allclose(rep.word_matrix(twice), rep.word_matrix(word),
+        np.testing.assert_allclose(_word_matrix(rep, twice), _word_matrix(rep, word),
                                    atol=1e-14)
 
     def test_every_element_form_round_trips_on_every_representation(self):
@@ -418,9 +424,9 @@ class TestAdjointWords:
                                         "s": _random_unitary(rng, 2)}), unitary)]
         for rep, word in reps:
             twice = adjoint_word(adjoint_word(word))
-            np.testing.assert_array_equal(rep.word_matrix(twice), rep.word_matrix(word))
-            np.testing.assert_allclose(rep.word_matrix(adjoint_word(word)),
-                                       rep.word_matrix(word).conj().T, atol=1e-12)
+            np.testing.assert_array_equal(_word_matrix(rep, twice), _word_matrix(rep, word))
+            np.testing.assert_allclose(_word_matrix(rep, adjoint_word(word)),
+                                       _word_matrix(rep, word).conj().T, atol=1e-12)
         rep, word = reps[0]
         np.testing.assert_array_equal(rep.word_blocks(adjoint_word(adjoint_word(word))),
                                       rep.word_blocks(word))
@@ -435,5 +441,5 @@ class TestAdjointWords:
         rng = np.random.default_rng(7)
         for rep in _some_representations(rng):
             word = [(1, 0.5 - 0.25j), (("t", -1), 1.5j), ("e", 2.0)]
-            np.testing.assert_allclose(rep.word_matrix(adjoint_word(word)),
-                                       rep.word_matrix(word).conj().T, atol=1e-12)
+            np.testing.assert_allclose(_word_matrix(rep, adjoint_word(word)),
+                                       _word_matrix(rep, word).conj().T, atol=1e-12)

@@ -106,7 +106,7 @@ def _assert_same(got, want):
 def _assert_matches_oracle(cw, m, fiber_dim=1, rank_tol=None):
     fast, dense = _contexts(m)
     got = _on(cw, fast, fiber_dim)
-    assert build_complex(got).modules[0].characters
+    assert build_complex(got).modules[0].blocks == m
     _assert_same(_report(got, rank_tol), _report(_on(cw, dense, fiber_dim), rank_tol))
 
 
@@ -146,7 +146,7 @@ def test_blocks_convert_to_the_dense_matrices(m):
 
 def _assert_same_matrices(got, want):
     """``got`` is in character coordinates and converts to ``want``."""
-    assert all(module.characters for module in got.modules)
+    assert all(module.blocks == module.context.size for module in got.modules)
     assert len(got.differentials) == len(want.differentials)
     for a, b in zip(got.differentials, want.differentials):
         np.testing.assert_allclose(a.matrix, b.matrix, rtol=0, atol=AGREE)
@@ -198,11 +198,12 @@ def test_mapping_cone_keeps_character_coordinates():
         c = build_complex(_on(_circle(m), ctx))
         # multiplication by t - 1: a chain map, since Z/m is abelian
         word = ((_labels(m)[1], 1.0), ("e", -1.0))
-        blocks = rep.word_blocks(word) if ctx.is_cyclic else rep.word_matrix(word)
+        blocks = rep.word_blocks(word)
         f = ComplexMorphism(c, c, [Morphism(module, module, blocks) for module in c.modules])
         cone, include, project = mapping_cone(f)
         for g in (include, project):
-            assert all(part.domain.characters == ctx.is_cyclic for part in g.components)
+            assert all(part.domain.blocks == (m if ctx.is_cyclic else 1)
+                       for part in g.components)
         r = milnor_check(cone_ses(f))
         reports.append([r.t1, r.t2, r.t3, r.t_h, r.residual, *r.degreewise.values()])
         cones.append(cone)
@@ -224,7 +225,7 @@ def test_coupled_extension_keeps_character_coordinates():
               for i, (d_sub, d_quot) in enumerate(zip(sub.differentials, quot.differentials))]
     middle, include, project = extension(sub, quot, thetas)
     for i, d in enumerate(middle.differentials):
-        assert d.domain.characters and d.array.shape == (8, d.codomain.width, d.domain.width)
+        assert d.domain.blocks == 8 and d.array.shape == (8, d.codomain.width, d.domain.width)
         assert np.array_equal(d.array[:, :sub.modules[i + 1].width, sub.modules[i].width:],
                               thetas[i])
     assert np.abs(thetas[0]).max() > 0.1

@@ -127,14 +127,14 @@ def _pinv_zig_zag(ses, i, rng):
     """The connecting map at degree i by numpy's pinv, with the lift along g
     shifted by a random element of ker g = im f, which the harmonic
     projection at the end must kill."""
-    hbasis = ses.hodge(3).harmonic_basis(i)
+    hbasis = ses.hodge(3).harmonic_basis(i)[0]
     u = np.linalg.pinv(ses.g.component(i).matrix) @ hbasis
     kernel_shift = ses.f.component(i).matrix @ (
         rng.standard_normal((ses.first.module(i).ambient_dim, hbasis.shape[1]))
         + 1j * rng.standard_normal((ses.first.module(i).ambient_dim, hbasis.shape[1])))
     v = ses.middle.differential(i).matrix @ (u + kernel_shift)
     w = np.linalg.pinv(ses.f.component(i + 1).matrix) @ v
-    return ses.hodge(1).harmonic_basis(i + 1).conj().T @ w
+    return ses.hodge(1).harmonic_basis(i + 1)[0].conj().T @ w
 
 
 def test_connecting_is_independent_of_the_lift():

@@ -111,22 +111,43 @@ def test_in_process_main_leaves_the_collector_as_it_was(enabled):
     assert code == 0
 
 
+def _into_a_closed_pipe(argv, unbuffered):
+    """Exit code and stderr of ``python -m torsionlab <argv>`` whose stdout
+    is a pipe with its read end closed."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "torsionlab", *argv],
+            stdout=write, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONUNBUFFERED": unbuffered})
+    finally:
+        os.close(write)
+    return proc.returncode, proc.stderr
+
+
 @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
 @pytest.mark.parametrize("form", [[], ["--json"]], ids=["text", "json"])
 def test_a_closed_stdout_exits_141_without_a_traceback(unbuffered, form):
     # an unbuffered stdout fails at the report's write, a buffered one at the
     # flush; neither is a numerical failure (exit 1)
-    read, write = os.pipe()
-    os.close(read)
-    try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "torsionlab", "torsion",
-             str(DATA / "circle_z3.json"), *form],
-            stdout=write, stderr=subprocess.PIPE, text=True,
-            env={**os.environ, "PYTHONUNBUFFERED": unbuffered})
-    finally:
-        os.close(write)
-    assert (proc.returncode, proc.stderr) == (141, "")
+    argv = ["torsion", str(DATA / "circle_z3.json"), *form]
+    assert _into_a_closed_pipe(argv, unbuffered) == (141, "")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["torsion", "--help"]], ids=["main", "command"])
+def test_help_into_a_closed_stdout_exits_141_without_a_traceback(argv):
+    # argparse prints help and raises SystemExit(0); a buffered stdout then
+    # failed only at interpreter exit, which reported the BrokenPipeError
+    # and exited 120.  (Unbuffered, argparse itself ignores the failed write.)
+    assert _into_a_closed_pipe(argv, "") == (141, "")
+
+
+def test_usage_errors_keep_their_exit_code():
+    proc = subprocess.run([sys.executable, "-m", "torsionlab", "no-such-command"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("usage:")
 
 
 def test_the_installed_script_runs_what_python_m_runs():

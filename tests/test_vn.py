@@ -146,10 +146,10 @@ def test_powers_over_a_table_take_logarithmic_steps(monkeypatch):
 
     monkeypatch.setattr(TraceContext, "multiply", counted)
     rep = RegularRepresentation(ctx)
-    assert np.array_equal(rep.word_matrix([(("t", 10 ** 9), 1.0)]),
-                          rep.word_matrix([("t", 1.0)]))
-    assert np.array_equal(rep.word_matrix([(("t", -10 ** 9), 1.0)]),
-                          rep.word_matrix([("t^2", 1.0)]))
+    assert np.array_equal(rep.word_blocks([(("t", 10 ** 9), 1.0)]),
+                          rep.word_blocks([("t", 1.0)]))
+    assert np.array_equal(rep.word_blocks([(("t", -10 ** 9), 1.0)]),
+                          rep.word_blocks([("t^2", 1.0)]))
     assert ctx.power(2, 0) == ctx.identity
     assert [ctx.power(1, n) for n in range(-4, 5)] == [n % 3 for n in range(-4, 5)]
 
@@ -422,6 +422,63 @@ def test_memo_layers_are_touched_only_by_their_owners(attr):
                   or isinstance(node, ast.Constant) and node.value == attr}
     assert {s for s in sites if covering(s) is None} == set()
     assert {covering(s) for s in sites} == allowed
+
+
+#: The only code that may read the layout to choose a path (a class covers
+#: its methods): the cyclic group's own arithmetic, the one rule by which a
+#: stack keeps columns, and checks of the arrays a caller hands in.  Every
+#: morphism array, basis and spectrum is a (blocks, rows, cols) stack.
+LAYOUT_READERS = {
+    ("vn", "TraceContext"),
+    ("vn", "kept_columns"),
+    ("vn", "finite_group"),
+    ("vn", "HilbertModule.__post_init__"),
+    ("kernel", "SpectralDistribution.__post_init__"),
+    ("cells", "UnitaryRepresentation.__init__"),
+}
+
+
+#: Names of the arrays whose leading axis is the block axis.
+STACK_NAMES = {"array", "basis", "columns", "keep", "lam", "matrix", "sigma", "stack",
+               "vecs", "vectors"}
+
+
+def _block_count(node) -> bool:
+    """``x.blocks``, or ``len(s)`` or ``s.shape[0]`` of a stack ``s``."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "blocks"
+    if isinstance(node, ast.Call) and _name(node.func) == "len" and node.args:
+        return _name(node.args[0]) in STACK_NAMES
+    return (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "shape" and _name(node.value.value) in STACK_NAMES
+            and isinstance(node.slice, ast.Constant) and node.slice.value == 0)
+
+
+def _reads_layout(node) -> bool:
+    """A read of ``characters``, ``is_cyclic`` or ``ndim``, or a comparison
+    of a block count with 1."""
+    if isinstance(node, ast.Attribute):
+        return node.attr in ("characters", "is_cyclic", "ndim")
+    if isinstance(node, ast.Compare):
+        sides = [node.left, *node.comparators]
+        return (any(_block_count(s) for s in sides)
+                and any(isinstance(s, ast.Constant) and s.value == 1 for s in sides))
+    return False
+
+
+def test_no_module_branches_on_the_block_layout():
+    sites = set()
+    for stem, tree, _ in _package_sources():
+        owner = _qualified_owners(tree)
+        sites |= {(stem, owner[node]) for node in ast.walk(tree) if _reads_layout(node)}
+
+    def covering(site):
+        stem, name = site
+        return next((a for a in LAYOUT_READERS
+                     if a[0] == stem and (name == a[1] or name.startswith(a[1] + "."))), None)
+
+    assert {s for s in sites if covering(s) is None} == set()
+    assert {covering(s) for s in sites} == LAYOUT_READERS
 
 
 #: The only function with phase code (``pi``): the exact-phase kernel, which
