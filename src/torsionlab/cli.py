@@ -130,6 +130,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("inputs", nargs=2)
     common(p)
 
+    # argparse's print_help ignores a failed write, which loses help into a
+    # closed stdout silently; set per parser, not by a subclass, so that the
+    # parser (the one cyclic garbage a command leaves) stays argparse's type
+    for p in (parser, *sub.choices.values()):
+        p.print_help = lambda file=None, p=p: (file or sys.stdout).write(p.format_help())
     return parser
 
 

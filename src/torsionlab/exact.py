@@ -9,8 +9,10 @@ single residual:
                 - sum_i (-1)^i log T(0 -> C1_i -> C2_i -> C3_i -> 0).
 
 The connecting map is computed by the usual zig-zag (lift along g, apply
-the middle differential, pull back along f, project to harmonics), each
-lift a minimal-norm least-squares solve.
+the middle differential, pull back along f, project to harmonics).  Its
+two lifts are the exact inverses g* (g g*)^-1 and (f* f)^-1 f* of maps that
+validation showed surjective and injective at the sequence's cutoff: one
+solve each, with no eigensolve and no rank decision of their own.
 
 Exactness of each degree, the degreewise torsions and the acyclicity of
 the long sequence read ranks and singular values only (``hodge`` computes
@@ -34,32 +36,8 @@ from .complexes import (
     torsion,
 )
 from .errors import DataValidationError
-from .kernel import Spectrum, gram_spectrum, rank_cutoff
-from .vn import Morphism, kept_columns, spectral_stage, vanishes
-
-
-def _kept_vectors(s: Spectrum) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvectors and eigenvalues (as a column of each block) of the kept
-    part of a spectrum, by ``vn.kept_columns``: where a stack keeps a
-    dropped vector as zeros, its eigenvalue is 1."""
-    counts = s.keep.sum(-1)
-    lam = kept_columns(s.lam[:, None, :], counts, fill=1.0)
-    return kept_columns(s.vectors, counts), lam.swapaxes(-1, -2)
-
-
-def _least_squares(mat: np.ndarray, rhs: np.ndarray,
-                   rank_tol: float | None) -> np.ndarray:
-    """Minimal-norm least-squares solve through the Gram spectrum of mat,
-    block by block."""
-    blocks, rows, cols = mat.shape
-    if rows == 0 or cols == 0:
-        return np.zeros((blocks, cols, rhs.shape[-1]), np.complex128)
-    star = mat.conj().swapaxes(-1, -2)
-    if rows >= cols:
-        v, lam = _kept_vectors(gram_spectrum(mat, rank_tol, vectors=True))
-        return v @ ((v.conj().swapaxes(-1, -2) @ (star @ rhs)) / lam)
-    v, lam = _kept_vectors(gram_spectrum(star, rank_tol, vectors=True))
-    return star @ (v @ ((v.conj().swapaxes(-1, -2) @ rhs) / lam))
+from .kernel import rank_cutoff
+from .vn import HilbertModule, Morphism, spectral_stage, vanishes
 
 
 class ComplexSES:
@@ -122,24 +100,38 @@ class ComplexSES:
         return hodge((self.first, self.middle, self.last)[which - 1], self.rank_tol)
 
 
+def _gram(a: np.ndarray, module: HilbertModule) -> np.ndarray:
+    """a a* for a stack whose rows are the coordinates of ``module``, with 1
+    on the diagonal where a block lacks a coordinate (``block_mask``): a's
+    row is zero there, and so is the solve's."""
+    gram = a @ a.conj().swapaxes(-1, -2)
+    if module.block_mask is not None:
+        gram += np.eye(module.width) * ~module.block_mask[:, None, :]
+    return gram
+
+
 def connecting_hom(ses: ComplexSES, i: int) -> Morphism:
     """Connecting map on harmonic spaces, H^i(C3) -> H^(i+1)(C1).
 
-    The harmonic basis of C3 is lifted along g by a minimal-norm solve, into
-    (ker g)^perp; any other lift differs by an element of ker g = im f,
-    which the final harmonic projection kills.
+    The harmonic basis of C3 is lifted along g by g* (g g*)^-1, into
+    (ker g)^perp (any other lift differs by an element of ker g = im f,
+    which the final harmonic projection kills), and pulled back along f by
+    (f* f)^-1 f*.  Validation showed g surjective and f injective in every
+    block at the sequence's cutoff, so each lift is one exact solve on an
+    invertible Gram stack (``_gram``), with no rank decision of its own.
     """
-    tol = ses.rank_tol
     h1 = ses.hodge(1)
     h3 = ses.hodge(3)
     dom = h3.harmonic_module(i)
     cod = h1.harmonic_module(i + 1)
     if dom.ambient_dim == 0 or cod.ambient_dim == 0:
         return Morphism.zero(dom, cod)
-    hbasis = h3.harmonic_basis(i)
-    u = _least_squares(ses.g.component(i).array, hbasis, tol)
+    g = ses.g.component(i).array
+    g_star = g.conj().swapaxes(-1, -2)
+    f_star = ses.f.component(i + 1).array.conj().swapaxes(-1, -2)
+    u = g_star @ np.linalg.solve(_gram(g, ses.last.module(i)), h3.harmonic_basis(i))
     v_mid = ses.middle.differential(i).array @ u
-    w_back = _least_squares(ses.f.component(i + 1).array, v_mid, tol)
+    w_back = np.linalg.solve(_gram(f_star, ses.first.module(i + 1)), f_star @ v_mid)
     mat = h1.harmonic_basis(i + 1).conj().swapaxes(-1, -2) @ w_back
     return Morphism(dom, cod, mat)
 

@@ -443,12 +443,11 @@ def _format_value(value):
 
 
 def _text_lines(value, indent: int, lines: list) -> None:
-    value = _coerce(value)
-    pad = "  " * indent
+    pad = "  " * indent  # value is coerced; each item is coerced once, here
     if isinstance(value, dict):
+        items = {str(k): _coerce(v) for k, v in value.items()}
         for key in sorted(str(k) for k in value):
-            item = {str(k): v for k, v in value.items()}[key]
-            item = _coerce(item)
+            item = items[key]
             if isinstance(item, (dict, list, tuple)) and item:
                 lines.append(f"{pad}{key}:")
                 _text_lines(item, indent + 1, lines)
@@ -457,8 +456,7 @@ def _text_lines(value, indent: int, lines: list) -> None:
                     "{}" if isinstance(item, dict) else _format_value(item)
                 lines.append(f"{pad}{key}: {shown}")
     elif isinstance(value, (list, tuple)):
-        for item in value:
-            item = _coerce(item)
+        for item in map(_coerce, value):
             if isinstance(item, dict) and item and \
                     all(not isinstance(_coerce(v), (dict, list, tuple))
                         for v in item.values()):
@@ -478,5 +476,5 @@ def _text_lines(value, indent: int, lines: list) -> None:
 def report_text(report) -> str:
     """Human-oriented rendering: one aligned key/value line per entry."""
     lines: list = []
-    _text_lines(report, 0, lines)
+    _text_lines(_coerce(report), 0, lines)
     return "\n".join(lines) + "\n"

@@ -303,19 +303,19 @@ def array_shape(codomain: HilbertModule, domain: HilbertModule) -> tuple[int, in
     return (domain.blocks, codomain.width, domain.width)
 
 
-def kept_columns(stack: np.ndarray, counts: np.ndarray, sigma: np.ndarray | None = None,
-                 fill: float | None = None) -> np.ndarray:
+def kept_columns(stack: np.ndarray, counts: np.ndarray,
+                 sigma: np.ndarray | None = None) -> np.ndarray:
     """The last ``counts[j]`` columns of block j of a (blocks, n, k) stack
     (the ones an ascending spectrum keeps), by the one rule for bases: a
     single block is sliced to them, in descending ``sigma`` if given; more
     blocks keep one width and eigensolver order, the other columns set to
-    zero (or ``fill``)."""
+    zero."""
     k = stack.shape[-1]
     if len(stack) == 1:
         kept = stack[..., k - counts[0]:]
         return kept if sigma is None else kept[..., np.argsort(-sigma[0, k - counts[0]:])]
     mask = (np.arange(k) >= (k - counts)[:, None])[:, None, :]
-    return stack * mask if fill is None else np.where(mask, stack, fill)
+    return stack * mask
 
 
 def regular_module(context: TraceContext, rank: int = 1, fiber_dim: int = 1) -> HilbertModule:
