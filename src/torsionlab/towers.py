@@ -21,9 +21,9 @@ rational angles k/n through one phase kernel, ``kernel.symbol_at_roots``
 The level-m specialization is block-circulant, so its spectrum is the
 union of the symbol's eigenvalues at the m-th roots of unity: a level is
 the left-endpoint rule on the circle, the quadrature the midpoint rule.
-``specialize`` builds the dense nm x nm matrix and is kept as the
-reference route.  ``cw_to_laurent`` turns a cell complex over the
-integers into Laurent matrices, reading word elements by
+``specialize`` builds the dense nm x nm matrix from the Laurent terms, the
+reference the tests diagonalize.  ``cw_to_laurent`` turns a cell complex
+over the integers into Laurent matrices, reading word elements by
 ``kernel.word_element``.
 """
 
@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from math import comb, gcd
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,9 +47,6 @@ from .kernel import (
     word_element,
 )
 
-if TYPE_CHECKING:
-    from .vn import Morphism
-
 DEFAULT_LEVELS = tuple(2 ** k for k in range(1, 13))
 LEVEL_AGREEMENT_TOL = 1e-9
 QUAD_TOL = 1e-8
@@ -60,6 +57,9 @@ MAX_GRID_DEPTH = 30
 #: The quadrature budget of ``lueck``'s second route: 2^16 points.
 LUECK_MAX_REFINEMENT = 16
 SELFADJOINT_TOL = 1e-10
+#: How far below zero, relative to the norm bound, a symbol or level
+#: eigenvalue may dip by roundoff before the operator counts as indefinite.
+SEMIDEFINITE_TOL = 1e-10
 INTEGER_DET_CAP = 2.0 ** 26
 #: The largest determinant polynomial degree that ``jensen_log_det``
 #: factors exactly (about 0.1 s; the cost grows like degree^4).
@@ -301,61 +301,47 @@ def _checked(op) -> LaurentMatrix:
 # finite quotients
 
 
-def specialize(op, m: int) -> Morphism:
-    """Reduce mod m: the shift becomes the cyclic shift on l^2(Z/m), and each
-    entry the group-ring matrix of its terms."""
-    from .vn import Morphism, assemble_blocks, cyclic_group, group_ring_matrix, regular_module
+def specialize(op, m: int) -> np.ndarray:
+    """Reduce mod m: the dense (nm) x (km) complex matrix in which the shift
+    is the cyclic shift on l^2(Z/m), and each entry the group-ring matrix of
+    its terms (the group index inner).  The levels never build it; it is the
+    reference the tests diagonalize."""
     mat = _as_laurent_matrix(op)
     if m < 1:
         raise DataValidationError("quotient order must be >= 1")
-    ctx = cyclic_group(m)
     n, k = mat.shape
-    one = regular_module(ctx)
-    # the blocks die once assembled, before the Morphism copies the result
-    array = assemble_blocks(
-        {(i, j): group_ring_matrix([(e % m, c) for e, c in poly.terms], ctx).array
-         for i, row in enumerate(mat.rows) for j, poly in enumerate(row) if not poly.is_zero()},
-        [one] * n, [one] * k)
-    return Morphism(regular_module(ctx, rank=k), regular_module(ctx, rank=n), array)
+    out = np.zeros((n * m, k * m), np.complex128)
+    h = np.arange(m)
+    for i, row in enumerate(mat.rows):
+        for j, poly in enumerate(row):
+            for e, c in poly.terms:
+                out[i * m + (h + e % m) % m, j * m + h] += c
+    return out
 
 
-def _level_eigenvalues(op: LaurentMatrix, m: int,
-                       specializer=None) -> tuple[np.ndarray, float]:
+def _level_eigenvalues(op: LaurentMatrix, m: int) -> tuple[np.ndarray, float]:
     """Eigenvalues of the level-m specialization, clamped at the noise floor.
 
     The level-m specialization is block-circulant, so its spectrum is the
     union of the symbol's eigenvalues at the m-th roots of unity: O(m n^3)
-    time and, the grid streamed in chunks, O(m n) memory.  A
-    ``specializer`` instead builds the dense finite-quotient matrix and
-    diagonalizes it, the reference route.
+    time and, the grid streamed in chunks, O(m n) memory.
 
     The spectrum provably sits in [0, norm_bound]; eigensolver roundoff a
     few ulps past the bound is clamped back so counting functions evaluated
     exactly at the bound see the whole spectrum.  Values at or below the
-    ``noise_floor`` of the matrices actually diagonalized (n x n symbols,
-    or the dense nm x nm matrix) count as zero.
+    ``noise_floor`` of the n x n symbols count as zero.
     """
     scale = op.norm_bound()
-    if specializer is None:
-        w = _grid_eigenvalues(op, m).ravel()
-        w.sort()
-        dim = op.shape[0]
-    else:
-        mat = specializer(op, m).matrix
-        herm = 0.5 * (mat + mat.conj().T)
-        if np.abs(herm.imag).max() == 0.0:
-            w = np.linalg.eigvalsh(herm.real)
-        else:
-            w = np.linalg.eigvalsh(herm)
-        dim = mat.shape[0]
-    if float(w[0]) < -1e-10 * scale:
+    w = _grid_eigenvalues(op, m).ravel()
+    w.sort()
+    if float(w[0]) < -SEMIDEFINITE_TOL * scale:
         raise DataValidationError(
             f"operator is not nonnegative (eigenvalue {float(w[0]):.3e} at level {m})")
     if float(w[-1]) > scale * (1 + 1e-10):
         raise NumericalError(
             f"level {m} exceeds the uniform spectral bound {scale!r}")
     w = np.minimum(w, scale)
-    return np.where(w > noise_floor(scale, dim), w, 0.0), scale
+    return np.where(w > noise_floor(scale, op.shape[0]), w, 0.0), scale
 
 
 class TowerLevel(NamedTuple):
@@ -374,8 +360,8 @@ class TowerLevel(NamedTuple):
     largest: float
 
 
-def _make_level(op: LaurentMatrix, m: int, specializer=None) -> TowerLevel:
-    w, scale = _level_eigenvalues(op, m, specializer)
+def _make_level(op: LaurentMatrix, m: int) -> TowerLevel:
+    w, scale = _level_eigenvalues(op, m)
     positive = w[w > 0.0]
     log_det = float(np.sum(np.log(positive)) / m) if positive.size else 0.0
     uniq, counts = np.unique(w, return_counts=True)
@@ -411,7 +397,9 @@ def _integrate_by_parts(dist: SpectralDistribution, b: float) -> float:
 
 def level_log_det(op, m: int) -> float:
     """Normalized log det' of the level-m quotient (two internal routes)."""
-    return _make_level(_checked(op), m).log_det
+    mat = _checked(op)
+    (m,) = tower_levels((m,))
+    return _make_level(mat, m).log_det
 
 
 class ApproxTower(NamedTuple):
@@ -425,20 +413,13 @@ class ApproxTower(NamedTuple):
         return [(level.m, level.log_det) for level in self.levels]
 
 
-def approx_tower(op, levels: Iterable[int] = DEFAULT_LEVELS,
-                 specializer=None) -> ApproxTower:
-    """Build the tower, validating selfadjointness and level nesting.
-
-    Each level's spectrum is read off the symbol at the m-th roots of
-    unity.  ``specializer`` is the dense reference hook: it maps (operator,
-    level) to the finite-quotient Morphism (``specialize`` for the
-    integer-line reduction), whose matrix is diagonalized densely and then
-    runs through the same checks and clamp, with the noise floor of its size.
-    """
+def approx_tower(op, levels: Iterable[int] = DEFAULT_LEVELS) -> ApproxTower:
+    """Build the tower, validating selfadjointness and level nesting; each
+    level's spectrum is read off the symbol at the m-th roots of unity."""
     mat = _checked(op)
     ms = tower_levels(levels)
     bound = mat.norm_bound()
-    built = [_make_level(mat, m, specializer) for m in ms]
+    built = [_make_level(mat, m) for m in ms]
     return ApproxTower(mat, tuple(built), bound)
 
 
@@ -529,7 +510,7 @@ def _pairwise_sum(sums: list):
 def _require_semidefinite(low: float, mat: LaurentMatrix) -> None:
     """The smallest symbol eigenvalue ``low`` of a grid may dip below zero
     by roundoff only."""
-    if low < -1e-8 * mat.norm_bound():
+    if low < -SEMIDEFINITE_TOL * mat.norm_bound():
         raise DataValidationError(
             "symbol is not positive-semidefinite on the circle "
             f"(eigenvalue {low:.3e})")

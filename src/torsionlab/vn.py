@@ -575,7 +575,8 @@ def _domain_spectrum(f: Morphism, rank_tol: float | None = None
 
 
 def singular_values(f: Morphism) -> np.ndarray:
-    """Singular values in ascending order, from eigh applied to f*f.
+    """Singular values in ascending order, read off the kept
+    ``spectral_stage`` (one eigvalsh of a Gram matrix).
 
     Values below the eigensolver's noise floor are exactly zero; the domain
     dimension many values are returned (zeros included).

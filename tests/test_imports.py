@@ -130,6 +130,16 @@ def test_cyclic_regular_cell_complexes_load_no_towers(tmp_path, command):
     assert "towers" not in loaded
 
 
+def test_the_dense_tower_reference_loads_no_vn():
+    # specialize builds its matrix from the Laurent terms alone
+    script = ("import json, sys; import torsionlab.towers as t; "
+              "a = t.specialize(t.parse_laurent('2 - t - t^-1'), 8); "
+              "print(json.dumps([a.shape, 'torsionlab.vn' in sys.modules]))")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout) == [[8, 8], False]
+
+
 def test_public_names_are_unchanged():
     script = ("import json, torsionlab; "
               "listed = [n for n in dir(torsionlab) if not n.startswith('_')]; "

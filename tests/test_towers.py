@@ -132,22 +132,22 @@ class TestLaurentAlgebra:
 class TestSpecialize:
     def test_flagship_circulant_first_row(self):
         f = specialize(FLAGSHIP, 4)
-        assert_allclose(f.matrix[0], [2.0, -1.0, 0.0, -1.0], atol=0)
+        assert_allclose(f[0], [2.0, -1.0, 0.0, -1.0], atol=0)
 
     def test_identity_specializes_to_identity(self):
         for m in (1, 2, 7):
             f = specialize(LaurentPoly.constant(1.0), m)
-            assert_allclose(f.matrix, np.eye(m), atol=0)
+            assert_allclose(f, np.eye(m), atol=0)
 
     def test_adjoint_product_matches_explicit_form(self):
         one_minus_t = LaurentPoly([(0, 1.0), (1, -1.0)])
-        lhs = specialize(one_minus_t.adjoint() * one_minus_t, 8).matrix
-        rhs = specialize(FLAGSHIP, 8).matrix
+        lhs = specialize(one_minus_t.adjoint() * one_minus_t, 8)
+        rhs = specialize(FLAGSHIP, 8)
         assert_allclose(lhs, rhs, atol=0)
 
     def test_level_one_wraps_all_shifts(self):
         f = specialize(FLAGSHIP, 1)
-        assert_allclose(f.matrix, [[0.0]], atol=0)
+        assert_allclose(f, [[0.0]], atol=0)
 
     def test_rejects_nonpositive_level(self):
         with pytest.raises(DataValidationError, match=">= 1"):
@@ -186,6 +186,11 @@ class TestLevelLogDet:
     def test_rejects_non_selfadjoint(self):
         with pytest.raises(DataValidationError, match="selfadjoint"):
             level_log_det(LaurentPoly.shift(1), 4)
+
+    @pytest.mark.parametrize("m", [0, -3, 2 ** 31 + 1])
+    def test_rejects_a_level_the_tower_refuses(self, m):
+        with pytest.raises(DataValidationError, match="level"):
+            level_log_det(FLAGSHIP, m)
 
     @pytest.mark.parametrize("op", [ONE_BY_TWO, TWO_BY_ONE], ids=["1x2", "2x1"])
     def test_rejects_non_square(self, op):
@@ -246,17 +251,6 @@ class TestApproxTower:
             assert b < a
         assert values[-1] < 0.02
 
-    def test_custom_specializer_hook(self):
-        calls = []
-
-        def tracing(op, m):
-            calls.append(m)
-            return specialize(op, m)
-
-        tower = approx_tower(FLAGSHIP, [2, 4], specializer=tracing)
-        assert calls == [2, 4]
-        assert_allclose(tower.levels[1].log_det, np.log(2.0), atol=1e-12)
-
     def test_deep_tower_matches_closed_form(self):
         levels = [2 ** k for k in range(1, 21)]
         start = time.perf_counter()
@@ -292,6 +286,21 @@ def _eigenvalues(level):
     return np.repeat(lam, np.rint(mass * level.m).astype(int))
 
 
+def _dense_eigenvalues(op, m):
+    """Ascending eigenvalues of the symmetrized dense ``specialize(op, m)``."""
+    a = specialize(op, m)
+    return np.linalg.eigvalsh(0.5 * (a + a.conj().T))
+
+
+def _dense_level(op, m):
+    """The dense reference of a level's eigenvalues: clamped at the norm
+    bound and floored at the noise floor of the nm x nm matrix."""
+    mat = towers._as_laurent_matrix(op)
+    bound = mat.norm_bound()
+    w = np.minimum(_dense_eigenvalues(op, m), bound)
+    return np.where(w > towers.noise_floor(bound, mat.shape[0] * m), w, 0.0)
+
+
 class TestSymbolRouteMatchesDense:
     """Levels from the symbol at roots of unity against dense specialize."""
 
@@ -311,29 +320,42 @@ class TestSymbolRouteMatchesDense:
     @pytest.mark.parametrize("op", OPERATORS.values(), ids=OPERATORS.keys())
     def test_levels_agree(self, op, levels):
         fast = approx_tower(op, levels)
-        dense = approx_tower(op, levels, specializer=specialize)
-        assert fast.norm_bound == dense.norm_bound
-        for a, b in zip(fast.levels, dense.levels):
-            assert a.m == b.m
-            assert_allclose(a.log_det, b.log_det, rtol=0, atol=1e-10)
-            assert_allclose(a.smallest_positive, b.smallest_positive,
-                            rtol=1e-7, atol=0)
-            assert_allclose(a.largest, b.largest, rtol=0, atol=1e-12)
-            assert a.distribution.total == b.distribution.total
-            assert a.distribution.values[-1] == b.distribution.values[-1]
-            assert a.distribution.value_at(0.0) == b.distribution.value_at(0.0)
-            assert_allclose(_eigenvalues(a), _eigenvalues(b),
-                            rtol=0, atol=1e-12)
+        for level in fast.levels:
+            m = level.m
+            w = _dense_level(op, m)
+            positive = w[w > 0.0]
+            assert_allclose(level.log_det, np.sum(np.log(positive)) / m,
+                            rtol=0, atol=1e-10)
+            assert_allclose(level.smallest_positive,
+                            positive[0] if positive.size else 0.0, rtol=1e-7, atol=0)
+            assert_allclose(level.largest, w[-1], rtol=0, atol=1e-12)
+            assert level.distribution.total == w.size / m
+            assert level.distribution.values[-1] == w.size / m
+            assert level.distribution.value_at(0.0) == np.count_nonzero(w <= 0.0) / m
+            assert_allclose(_eigenvalues(level), w, rtol=0, atol=1e-12)
 
     def test_same_error_on_indefinite_operator(self):
+        # t + t^-1 is 2 at level 1 and first goes negative at level 2
         op = parse_laurent("t + t^-1")
-        messages = []
-        for specializer in (None, specialize):
-            with pytest.raises(DataValidationError,
-                               match="not nonnegative") as info:
-                approx_tower(op, [1, 2, 4], specializer=specializer)
-            messages.append(str(info.value))
-        assert messages[0] == messages[1]
+        with pytest.raises(DataValidationError, match="not nonnegative") as info:
+            approx_tower(op, [1, 2, 4])
+        low = _dense_eigenvalues(op, 2)[0]
+        assert str(info.value) == (
+            f"operator is not nonnegative (eigenvalue {low:.3e} at level 2)")
+
+
+def test_every_route_refuses_a_symbol_below_the_rounding_margin():
+    # 1.99999998 - t - t^-1 is -2e-8 at angle 0, far past roundoff on a
+    # symbol of norm bound 4, and every route refuses it at one threshold.
+    # The midpoint grids first go below zero at depth 15 (-1.08e-8), which
+    # the default tolerance reaches; a loose one settles at depth 6 first.
+    op = parse_laurent("1.99999998 - t - t^-1")
+    with pytest.raises(DataValidationError, match="not nonnegative"):
+        approx_tower(op, [2])
+    with pytest.raises(DataValidationError, match="positive-semidefinite"):
+        jensen_log_det(op)
+    with pytest.raises(DataValidationError, match=r"positive-semidefinite .*-1\.081e-08"):
+        fourier_log_det(op)
 
 
 class TestFourierLogDet:
@@ -653,7 +675,7 @@ class TestStreamedGrids:
         for depth in range(4, 17):
             points = 1 << depth
             low = towers._symbol_eigenvalues(op, 2 * np.arange(points) + 1, 2 * points).min()
-            if low < -1e-8 * op.norm_bound():
+            if low < -towers.SEMIDEFINITE_TOL * op.norm_bound():
                 break
         chunk_sizes.clear()
         with pytest.raises(DataValidationError, match="not positive-semidefinite") as info:

@@ -251,12 +251,11 @@ def test_log_vol_conventions():
 
 
 #: The only functions allowed to call a Hermitian eigensolver: the spectral
-#: kernel, the tower symbol kernel, the dense tower reference route and the
-#: harmonic projector (which makes no rank decision).
+#: kernel, the tower symbol kernel and the harmonic projector (which makes no
+#: rank decision).
 EIGENSOLVER_CALLERS = {
     ("kernel", "spectrum"),
     ("towers", "_symbol_eigenvalues"),
-    ("towers", "_level_eigenvalues"),
     ("complexes", "_decomposition"),
 }
 
