@@ -7,7 +7,8 @@
   polynomials (``laurent_terms``) at exact rational angles, for tower
   levels, both limit routes and cell words over Z/m, and ``word_element``
   is the one reading of a cell-word element;
-* ``SpectralDistribution``, the counting function of a spectrum.
+* ``SpectralDistribution``, the counting function of a spectrum (which
+  ``vn.spectral_distribution`` builds).
 
 It needs nothing from the trace algebra (``vn``), so the tower of Laurent
 operators runs without loading it.

@@ -21,6 +21,8 @@ rational angles k/n through one phase kernel, ``kernel.symbol_at_roots``
 The level-m specialization is block-circulant, so its spectrum is the
 union of the symbol's eigenvalues at the m-th roots of unity: a level is
 the left-endpoint rule on the circle, the quadrature the midpoint rule.
+A tower evaluates that grid once, at its top level, and reads each level
+off it by stride.
 ``specialize`` builds the dense nm x nm matrix from the Laurent terms, the
 reference the tests diagonalize.  ``cw_to_laurent`` turns a cell complex
 over the integers into Laurent matrices, reading word elements by
@@ -39,7 +41,6 @@ import numpy as np
 from .errors import DataValidationError, NumericalError, QuadratureError
 from .kernel import (
     MAX_ROOT_ORDER,
-    SpectralDistribution,
     is_integer,
     laurent_terms,
     noise_floor,
@@ -48,7 +49,6 @@ from .kernel import (
 )
 
 DEFAULT_LEVELS = tuple(2 ** k for k in range(1, 13))
-LEVEL_AGREEMENT_TOL = 1e-9
 QUAD_TOL = 1e-8
 MAX_REFINEMENT = 22
 #: The deepest midpoint grid, of the quadrature and of ``fourier_counting``:
@@ -319,87 +319,71 @@ def specialize(op, m: int) -> np.ndarray:
     return out
 
 
-def _level_eigenvalues(op: LaurentMatrix, m: int) -> tuple[np.ndarray, float]:
-    """Eigenvalues of the level-m specialization, clamped at the noise floor.
+def _level_eigenvalues(op: LaurentMatrix, m: int, grid: np.ndarray | None = None) -> np.ndarray:
+    """Ascending eigenvalues of the level-m specialization, clamped at the
+    noise floor.
 
     The level-m specialization is block-circulant, so its spectrum is the
-    union of the symbol's eigenvalues at the m-th roots of unity: O(m n^3)
-    time and, the grid streamed in chunks, O(m n) memory.
+    union of the symbol's eigenvalues at the m-th roots of unity: every
+    (M/m)-th row of ``grid``, the ``_grid_eigenvalues`` of a multiple M of
+    m, by default of m itself (O(m n^3) time and O(m n) memory).
 
     The spectrum provably sits in [0, norm_bound]; eigensolver roundoff a
     few ulps past the bound is clamped back so counting functions evaluated
     exactly at the bound see the whole spectrum.  Values at or below the
     ``noise_floor`` of the n x n symbols count as zero.
     """
+    if grid is None:
+        grid = _grid_eigenvalues(op, m)
     scale = op.norm_bound()
-    w = _grid_eigenvalues(op, m).ravel()
-    w.sort()
+    w = np.sort(grid[::len(grid) // m], axis=None)  # a copy: the grid stays
     if float(w[0]) < -SEMIDEFINITE_TOL * scale:
         raise DataValidationError(
             f"operator is not nonnegative (eigenvalue {float(w[0]):.3e} at level {m})")
     if float(w[-1]) > scale * (1 + 1e-10):
         raise NumericalError(
             f"level {m} exceeds the uniform spectral bound {scale!r}")
-    w = np.minimum(w, scale)
-    return np.where(w > noise_floor(scale, op.shape[0]), w, 0.0), scale
+    np.minimum(w, scale, out=w)
+    w[~(w > noise_floor(scale, op.shape[0]))] = 0.0
+    return w
 
 
 class TowerLevel(NamedTuple):
-    """One finite quotient: spectral data of the level-m specialization.
-
-    ``distribution`` is the (1/m)-normalized eigenvalue counting function;
-    ``log_det`` the normalized log-determinant (1/m) sum of log of nonzero
-    eigenvalues; ``smallest_positive`` / ``largest`` bracket the nonzero
-    spectrum.
-    """
+    """One finite quotient: the normalized log-determinant (1/m) sum of log
+    of the level-m specialization's nonzero eigenvalues, and the bracket
+    ``smallest_positive`` / ``largest`` of its nonzero spectrum.  The
+    eigenvalues are not kept: ``_level_eigenvalues`` gives them again."""
 
     m: int
-    distribution: SpectralDistribution
     log_det: float
     smallest_positive: float
     largest: float
 
 
-def _make_level(op: LaurentMatrix, m: int) -> TowerLevel:
-    w, scale = _level_eigenvalues(op, m)
-    positive = w[w > 0.0]
-    log_det = float(np.sum(np.log(positive)) / m) if positive.size else 0.0
-    uniq, counts = np.unique(w, return_counts=True)
-    dist = SpectralDistribution(uniq, np.cumsum(counts) / m,
-                                float(w.size / m))
-    smallest = float(positive[0]) if positive.size else 0.0
-    largest = float(w[-1]) if w.size else 0.0
-    ibp = _integrate_by_parts(dist, max(scale, largest))
-    if abs(ibp - log_det) > LEVEL_AGREEMENT_TOL * max(1.0, abs(log_det)):
-        raise NumericalError(
-            f"eigenvalue sum and Stieltjes routes disagree at level {m}: "
-            f"{log_det!r} vs {ibp!r}")
-    return TowerLevel(m, dist, log_det, smallest, largest)
+def _make_level(op: LaurentMatrix, m: int, grid: np.ndarray) -> TowerLevel:
+    """Level m read off ``grid`` (see ``_level_eigenvalues``): its log-sum
+    and bracket.
 
-
-def _integrate_by_parts(dist: SpectralDistribution, b: float) -> float:
-    """(log b)(N(b) - N(0)) minus the exact step integral of (N - N(0))/lambda.
-
-    The counting function is a step function, so the integral is a finite
-    sum of plateau heights times log-length of the plateaus.
+    The value is the one sum of the logs of the sorted nonzero eigenvalues.
+    Summing the counting function by parts is Abel summation of the same
+    eigenvalues in another order: it agrees to rounding whenever the sum
+    does, and so checks nothing.  The independent checks of a level are
+    the dense ``specialize`` reference, the closed-form levels, and the
+    limits of ``jensen_log_det`` and ``fourier_log_det``.
     """
-    lam, mass = dist.masses()
-    keep = lam > 0.0
-    lam, mass = lam[keep], mass[keep]
-    if lam.size == 0:
-        return 0.0
-    top_mass = float(np.sum(mass))
-    cum = np.cumsum(mass)
-    edges = np.concatenate((lam, [b]))
-    integral = float(np.sum(cum * (np.log(edges[1:]) - np.log(edges[:-1]))))
-    return float(np.log(b) * top_mass - integral)
+    w = _level_eigenvalues(op, m, grid)
+    positive = w[w > 0.0]
+    smallest = float(positive[0]) if positive.size else 0.0
+    log_det = float(np.sum(np.log(positive, out=positive)) / m)
+    return TowerLevel(m, log_det, smallest, float(w[-1]))
 
 
 def level_log_det(op, m: int) -> float:
-    """Normalized log det' of the level-m quotient (two internal routes)."""
+    """Normalized log det' of the level-m quotient, from the symbol at the
+    m-th roots of unity: the value ``approx_tower`` gives level m."""
     mat = _checked(op)
     (m,) = tower_levels((m,))
-    return _make_level(mat, m).log_det
+    return _make_level(mat, m, _grid_eigenvalues(mat, m)).log_det
 
 
 class ApproxTower(NamedTuple):
@@ -414,22 +398,33 @@ class ApproxTower(NamedTuple):
 
 
 def approx_tower(op, levels: Iterable[int] = DEFAULT_LEVELS) -> ApproxTower:
-    """Build the tower, validating selfadjointness and level nesting; each
-    level's spectrum is read off the symbol at the m-th roots of unity."""
+    """Build the tower, validating selfadjointness and level nesting.
+
+    The symbol is evaluated once, at the top level M's roots of unity, and
+    every level m is read off that grid at stride M/m: O(M n^3) time for
+    the whole tower and the memory of one grid, M n eigenvalues.  The
+    angle (j M/m)/M rounds as j/m does when M/m is a power of two, so there
+    each level is bit for bit the one ``level_log_det`` computes on its own
+    grid; other ratios may differ in the last bits.
+    """
     mat = _checked(op)
     ms = tower_levels(levels)
-    bound = mat.norm_bound()
-    built = [_make_level(mat, m) for m in ms]
-    return ApproxTower(mat, tuple(built), bound)
+    grid = _grid_eigenvalues(mat, ms[-1])
+    built = tuple(_make_level(mat, m, grid) for m in ms)
+    return ApproxTower(mat, built, mat.norm_bound())
 
 
 def tower_levels(levels: Iterable[int]) -> tuple[int, ...]:
     """The levels of a tower, checked before any is built: at least one,
-    each positive and at most the phase kernel's largest order 2^31, and
-    divisibility-nested."""
-    ms = tuple(int(m) for m in levels)
+    each an integer (a numpy integer too, but no bool), positive and at
+    most the phase kernel's largest order 2^31, and divisibility-nested."""
+    ms = tuple(levels)
     if not ms:
         raise DataValidationError("a tower needs at least one level")
+    for m in ms:
+        if not is_integer(m):
+            raise DataValidationError(f"levels must be integers, got {m!r}")
+    ms = tuple(int(m) for m in ms)
     if any(m < 1 for m in ms):
         raise DataValidationError("levels must be positive")
     for m in ms:
@@ -790,8 +785,8 @@ def _jensen_sum(coeffs: np.ndarray, noise: float
     low, high = np.log(lead - noise / coeffs.size), np.log(lead + noise / coeffs.size)
     noise += np.finfo(float).eps * coeffs.size * float(np.sum(np.abs(coeffs)))
     clusters = [[j] for j in range(roots.size)]
+    discs = [_cluster_disc(roots, members, lead, noise) for members in clusters]
     while True:
-        discs = [_cluster_disc(roots, members, lead, noise) for members in clusters]
         centers = np.array([center for center, _ in discs])
         radii = np.array([radius for _, radius in discs])
         distance = np.abs(centers[:, None] - centers[None, :])
@@ -802,7 +797,10 @@ def _jensen_sum(coeffs: np.ndarray, noise: float
         # an infinite radius, and overlaps everything
         a, b = np.unravel_index(np.argmin(np.where(overlap, distance, np.inf)),
                                 distance.shape)
+        # a disc depends on its own members only: the merged one is new
         clusters[a] += clusters.pop(b)
+        discs.pop(b)
+        discs[a] = _cluster_disc(roots, clusters[a], lead, noise)
     value = float(np.log(lead))
     near = 0
     for members, (center, radius) in zip(clusters, discs):
@@ -853,10 +851,11 @@ def limit_distribution_check(tower: ApproxTower, lam: float,
     eps = sorted(float(e) for e in epsilons)
     if any(e < 0 for e in eps):
         raise DataValidationError("epsilon offsets must be nonnegative")
+    spectra = {level.m: _level_eigenvalues(tower.operator, level.m) for level in tower.levels}
     rows = []
     for e in eps:
-        values = {level.m: level.distribution.value_at(lam + e)
-                  for level in tower.levels}
+        values = {m: float(np.searchsorted(w, lam + e, side="right") / m)
+                  for m, w in spectra.items()}
         tail = [values[level.m] for level in tower.levels[len(tower.levels) // 2:]]
         rows.append({"epsilon": e, "values": values,
                      "liminf": min(tail) if tail else 0.0})
@@ -887,20 +886,19 @@ def _non_integer_entry(mat: LaurentMatrix) -> tuple[int, int, complex] | None:
     return None
 
 
-def _det_error_bound(tower: ApproxTower, level: TowerLevel) -> float:
-    """First-order bound on the floating-point error of the level's det'.
+def _det_error_bound(tower: ApproxTower, level: TowerLevel, grid: np.ndarray) -> float:
+    """First-order bound on the floating-point error of the level's det' on ``grid``.
 
     Each eigenvalue carries an absolute solver error around the clamping
     floor, so its log is off by floor/lambda; the determinant's relative
     error is that sum, plus accumulation ulps, times det' itself.
     """
-    lam, mass = level.distribution.masses()
-    keep = lam > 0.0
-    if not np.any(keep):
+    w = _level_eigenvalues(tower.operator, level.m, grid)
+    positive = w[w > 0.0]
+    if not positive.size:
         return 0.0
     n = tower.operator.shape[0]
-    relative = float(np.sum(mass[keep] * level.m / lam[keep]))
-    relative *= noise_floor(tower.norm_bound, n)
+    relative = float(np.sum(1.0 / positive)) * noise_floor(tower.norm_bound, n)
     relative += level.m * n * np.finfo(float).eps * 16.0
     return float(np.exp(level.log_det * level.m)) * relative
 
@@ -926,12 +924,13 @@ def nonnegativity_check(op, levels: Iterable[int] = tuple(2 ** k for k in range(
             "nonnegativity certificates need integer coefficients "
             f"(entry ({i}, {j}) has {c!r})")
     tower = approx_tower(mat, levels)
+    grid = _grid_eigenvalues(tower.operator, tower.levels[-1].m)
     level_rows = []
     offending = []
     for level in tower.levels:
         log_det_full = level.log_det * level.m
         row = {"m": level.m, "log_det_prime": log_det_full}
-        det_error = _det_error_bound(tower, level)
+        det_error = _det_error_bound(tower, level, grid)
         if log_det_full < np.log(INTEGER_DET_CAP) and det_error < 0.25 * tol:
             det = float(np.exp(log_det_full))
             row["det_prime"] = det

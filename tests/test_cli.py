@@ -437,9 +437,9 @@ class TestFailureModes:
         from torsionlab import towers
 
         def reached(*args, **kwargs):
-            raise AssertionError("a tower level was built")
+            raise AssertionError("a tower grid was evaluated")
 
-        monkeypatch.setattr(towers, "_make_level", reached)
+        monkeypatch.setattr(towers, "_grid_eigenvalues", reached)
         argv = ["lueck", "--op", "2 - t - t^-1", "--levels", "2,4294967296"]
         assert cli.main(argv) == 2
         err = capsys.readouterr().err

@@ -171,13 +171,13 @@ class TestLevelLogDet:
         assert_allclose(level_log_det(LaurentPoly.constant(3.0), 10),
                         np.log(3.0), atol=1e-14)
 
-    def test_stieltjes_route_hand_check(self):
-        # eigenvalues {0, 2, 4, 2} at m = 4: integration by parts gives
-        # log(4) * 3/4 - [1/2 * (log 4 - log 2)] = log 2, same as the sum.
-        from torsionlab.towers import _integrate_by_parts, _make_level
-        level = _make_level(LaurentMatrix.from_scalar(FLAGSHIP), 4)
-        assert_allclose(_integrate_by_parts(level.distribution, 4.0),
-                        np.log(2.0), atol=1e-12)
+    def test_level_four_hand_check(self):
+        # the symbol 2 - 2 cos(2 pi j / 4) is {0, 2, 4, 2} at m = 4, and the
+        # level is the log-sum of the nonzero ones over m: 4 log 2 / 4
+        w = towers._level_eigenvalues(LaurentMatrix.from_scalar(FLAGSHIP), 4)
+        assert_allclose(w, [0.0, 2.0, 2.0, 4.0], rtol=0, atol=1e-15)
+        assert w[0] == 0.0
+        assert_allclose(level_log_det(FLAGSHIP, 4), np.log(2.0), atol=1e-12)
 
     def test_rejects_negative_operator(self):
         with pytest.raises(DataValidationError, match="nonnegative"):
@@ -218,6 +218,21 @@ class TestApproxTower:
         with pytest.raises(DataValidationError, match="nested"):
             approx_tower(FLAGSHIP, [4, 2])
 
+    @pytest.mark.parametrize("levels", [[4.7], [2, 4.0], [True], [2, "4"]],
+                             ids=["fraction", "float", "bool", "text"])
+    def test_levels_must_be_integers(self, levels):
+        # int() would truncate 4.7 to level 4 and read True as level 1
+        with pytest.raises(DataValidationError, match="integer"):
+            approx_tower(FLAGSHIP, levels)
+        with pytest.raises(DataValidationError, match="integer"):
+            level_log_det(FLAGSHIP, levels[-1])
+
+    def test_numpy_integer_levels_are_levels(self):
+        tower = approx_tower(FLAGSHIP, np.array([2, 4, 8]))
+        assert tower.level_values() == approx_tower(FLAGSHIP, [2, 4, 8]).level_values()
+        assert all(type(level.m) is int for level in tower.levels)
+        assert level_log_det(FLAGSHIP, np.int64(4)) == level_log_det(FLAGSHIP, 4)
+
     def test_levels_must_be_positive_and_nonempty(self):
         with pytest.raises(DataValidationError, match="at least one"):
             approx_tower(FLAGSHIP, [])
@@ -237,8 +252,8 @@ class TestApproxTower:
             [LaurentPoly(), LaurentPoly.constant(2.0)],
         ])
         tower = approx_tower(op, [2, 4, 8])
-        for level in tower.levels:
-            assert_allclose(level.distribution.total, 2.0, atol=0)
+        report = limit_distribution_check(tower, tower.norm_bound, [0.0])
+        assert report["rows"][0]["values"] == {2: 2.0, 4: 2.0, 8: 2.0}
 
     def test_flagship_values_decrease_to_zero(self):
         tower = approx_tower(FLAGSHIP, [2 ** k for k in range(1, 11)])
@@ -278,12 +293,6 @@ def _two_by_two_laplacian():
     m = LaurentMatrix.from_lists([[LaurentPoly.constant(1.0) - t,
                                    LaurentPoly.constant(2.0) - t]])
     return m.adjoint() @ m
-
-
-def _eigenvalues(level):
-    """The level's eigenvalue multiset, read back from its distribution."""
-    lam, mass = level.distribution.masses()
-    return np.repeat(lam, np.rint(mass * level.m).astype(int))
 
 
 def _dense_eigenvalues(op, m):
@@ -329,10 +338,10 @@ class TestSymbolRouteMatchesDense:
             assert_allclose(level.smallest_positive,
                             positive[0] if positive.size else 0.0, rtol=1e-7, atol=0)
             assert_allclose(level.largest, w[-1], rtol=0, atol=1e-12)
-            assert level.distribution.total == w.size / m
-            assert level.distribution.values[-1] == w.size / m
-            assert level.distribution.value_at(0.0) == np.count_nonzero(w <= 0.0) / m
-            assert_allclose(_eigenvalues(level), w, rtol=0, atol=1e-12)
+            spectrum = towers._level_eigenvalues(fast.operator, m)
+            assert spectrum.size == w.size
+            assert np.count_nonzero(spectrum <= 0.0) == np.count_nonzero(w <= 0.0)
+            assert_allclose(spectrum, w, rtol=0, atol=1e-12)
 
     def test_same_error_on_indefinite_operator(self):
         # t + t^-1 is 2 at level 1 and first goes negative at level 2
@@ -342,6 +351,60 @@ class TestSymbolRouteMatchesDense:
         low = _dense_eigenvalues(op, 2)[0]
         assert str(info.value) == (
             f"operator is not nonnegative (eigenvalue {low:.3e} at level 2)")
+
+
+class TestOneGrid:
+    """A tower evaluates the symbol once, at its top level M's roots of
+    unity, and reads level m off that grid at stride M/m."""
+
+    OPERATORS = {
+        "flagship": FLAGSHIP,
+        "golden": FLAGSHIP + LaurentPoly.constant(1.0),
+        "squared": FLAGSHIP * FLAGSHIP,
+        "laplacian": _two_by_two_laplacian(),
+    }
+
+    @staticmethod
+    def _own_grid(op, m):
+        """Level m from its own grid, as ``level_log_det`` builds it."""
+        mat = towers._checked(op)
+        return towers._make_level(mat, m, towers._grid_eigenvalues(mat, m))
+
+    def test_a_tower_evaluates_only_its_top_grid(self, monkeypatch):
+        points = []
+        symbol = LaurentMatrix.symbol
+
+        def spy(mat, k, n):
+            points.append(np.size(k))
+            return symbol(mat, k, n)
+        monkeypatch.setattr(LaurentMatrix, "symbol", spy)
+        approx_tower(FLAGSHIP, [2 ** k for k in range(1, 13)])
+        assert sum(points) == 4096
+
+    @pytest.mark.parametrize("op", OPERATORS.values(), ids=OPERATORS.keys())
+    def test_power_of_two_levels_are_their_own_grids_bit_for_bit(self, op):
+        # the angles 2 pi j / m scale exactly by powers of two
+        levels = [2 ** k for k in range(15)]
+        assert approx_tower(op, levels).levels == tuple(
+            self._own_grid(op, m) for m in levels)
+
+    @pytest.mark.parametrize("op", OPERATORS.values(), ids=OPERATORS.keys())
+    def test_a_triadic_tower_agrees_to_rounding(self, op):
+        # 2 pi (3 j) / (3 m) may round apart from 2 pi j / m; each
+        # eigenvalue's rounding, a few eps of the norm bound, then moves
+        # its log by that over lambda
+        tower = approx_tower(op, [3 ** k for k in range(1, 8)])
+        for level in tower.levels:
+            positive = towers._level_eigenvalues(tower.operator, level.m)
+            positive = positive[positive > 0.0]
+            tol = 4.0 * np.finfo(float).eps * tower.norm_bound * np.sum(1.0 / positive)
+            assert abs(level.log_det - self._own_grid(op, level.m).log_det) <= tol / level.m
+
+    def test_tower_memory_is_a_few_grids(self):
+        # the top grid of 2^18 eigenvalues is 2 MiB; a grid per level, each
+        # level's counting function kept, peaked at 18 MiB
+        peak = _peak_bytes(lambda: approx_tower(FLAGSHIP, [2 ** k for k in range(1, 19)]))
+        assert peak < 8 * 2 ** 20
 
 
 def test_every_route_refuses_a_symbol_below_the_rounding_margin():
@@ -505,6 +568,24 @@ class TestJensenLogDet:
         assert abs(value - np.log(5.0)) < 1e-12
         assert low <= np.log(5.0) <= high and near == 2
 
+    def test_a_merge_recomputes_only_the_merged_disc(self, monkeypatch):
+        # -(z^70 - 1)^2 / z^70, past the exact route's degree cap: 140
+        # roots, 70 double roots on the circle, each pair merged once.  The
+        # value and bracket are those of the loop that recomputed every disc
+        # after each merge (7455 discs).
+        sizes = []
+        disc = towers._cluster_disc
+
+        def spy(roots, members, lead, noise):
+            sizes.append(len(members))
+            return disc(roots, members, lead, noise)
+        monkeypatch.setattr(towers, "_cluster_disc", spy)
+        result = jensen_log_det(parse_laurent("2 - t^70 - t^-70"))
+        assert (result.degree, result.near_circle, result.integer) == (140, 140, False)
+        assert sizes == [1] * 140 + [2] * 70
+        assert result.value == 8.260059303211157e-14
+        assert result.bracket == (-3.1263880373449295e-13, 5.319084917926738e-05)
+
     def test_square_free_factors(self):
         from torsionlab.towers import _square_free_factors
         # -3 (z - 1)^4 (2z^2 + z + 1) (z - 2)^2, lowest power first
@@ -660,7 +741,7 @@ class TestStreamedGrids:
             assert fourier_counting(op, lam, points) == float(count / points)
         m = 3 << (depth - 2)
         reference = np.sort(towers._symbol_eigenvalues(mat, np.arange(m), m), axis=None)
-        streamed, _ = towers._level_eigenvalues(mat, m)
+        streamed = towers._level_eigenvalues(mat, m)
         top = mat.norm_bound()
         reference = np.minimum(reference, top)
         reference = np.where(reference > floor, reference, 0.0)
@@ -776,9 +857,8 @@ class TestSemicontinuity:
     @staticmethod
     def _level_integral(tower, level):
         # rearranged Stieltjes form: int (N_m - N_m(0)) / lam d lam
-        b = tower.norm_bound
-        dist = level.distribution
-        return (np.log(b) * (dist.value_at(b) - dist.value_at(0.0))
+        positive = towers._level_eigenvalues(tower.operator, level.m) > 0.0
+        return (np.log(tower.norm_bound) * np.count_nonzero(positive) / level.m
                 - level.log_det)
 
     def _oracle_integral(self, op, bound, limit):
