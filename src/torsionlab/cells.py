@@ -363,9 +363,7 @@ def circle_holonomy(lam: complex) -> TwistedCellComplex:
 
 
 def disjoint_union(a: TwistedCellComplex, b: TwistedCellComplex) -> TwistedCellComplex:
-    if a.representation is not b.representation and not _compatible_reps(
-            a.representation, b.representation):
-        raise DataValidationError("factors use different representations")
+    check_representations(a, b)
     overlap = ({x for ls in a.cells.values() for x in ls}
                & {x for ls in b.cells.values() for x in ls})
     if overlap:
@@ -387,6 +385,13 @@ def relabel(cw: TwistedCellComplex, prefix: str) -> TwistedCellComplex:
                   for (y, x), word in cw.incidences.items()}
     return TwistedCellComplex(cw.representation, cells, incidences,
                               cw.top_degree)
+
+
+def check_representations(a: TwistedCellComplex, b: TwistedCellComplex) -> None:
+    """Two factors must carry one representation."""
+    if a.representation is not b.representation and not _compatible_reps(
+            a.representation, b.representation):
+        raise DataValidationError("factors use different representations")
 
 
 def _compatible_reps(a, b) -> bool:

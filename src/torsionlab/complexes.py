@@ -406,10 +406,7 @@ def hodge(c: CochainComplex, rank_tol: float | None = None) -> HodgeData:
     stages = [spectral_stage(d, rank_tol) for d in c.differentials]
     none = np.zeros(c.modules[0].blocks, int)
     ranks = np.array([none, *(rank for _, rank, _ in stages), none])  # of d_{i-1} at i
-    dims = np.array([m.width for m in c.modules])[:, None] - ranks[:-1] - ranks[1:]
-    for i, m in enumerate(c.modules):  # a carrier's blocks may have fewer coordinates
-        if m.block_mask is not None:
-            dims[i] -= m.width - m.block_mask.sum(-1)
+    dims = np.array([m.block_dims for m in c.modules]) - ranks[:-1] - ranks[1:]
     if (dims < 0).any():
         short = np.flatnonzero((dims < 0).any(1))
         raise DataValidationError(

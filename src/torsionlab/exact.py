@@ -14,10 +14,10 @@ two lifts are the exact inverses g* (g g*)^-1 and (f* f)^-1 f* of maps that
 validation showed surjective and injective at the sequence's cutoff: one
 solve each, with no eigensolve and no rank decision of their own.
 
-Exactness of each degree, the degreewise torsions and the acyclicity of
-the long sequence read ranks and singular values only (``hodge`` computes
-no basis until one is read); harmonic bases are computed for the three
-complexes alone, when the long sequence needs them.
+Exactness and torsion of each degree read the ranks and log-volumes kept
+on f_i and g_i (``vn.spectral_stage``), the long sequence's acyclicity
+ranks and singular values only (``hodge`` computes no basis until one is
+read); harmonic bases are computed for the three complexes alone.
 """
 
 from __future__ import annotations
@@ -37,17 +37,16 @@ from .complexes import (
 )
 from .errors import DataValidationError
 from .kernel import rank_cutoff
-from .vn import HilbertModule, Morphism, spectral_stage, vanishes
+from .vn import HilbertModule, Morphism, log_vol, spectral_stage, vanishes
 
 
 class ComplexSES:
     """Degreewise short exact sequence 0 -> C1 -f-> C2 -g-> C3 -> 0.
 
-    ``stages`` holds each degree i as the complex 0 -> C1_i -> C2_i -> C3_i
-    -> 0 at positions 0, 1, 2.  Validation checks at every degree that g o f
-    vanishes and that the stage is acyclic (its harmonic spaces are ker f,
-    ker g / im f and coker g); a failure raises DataValidationError naming
-    the degree.  ``rank_tol`` is the sequence's one rank cutoff: validation,
+    Validation checks at every degree i that g o f vanishes and, block by
+    block, that rank f_i = dim C1_i, rank g_i = dim C3_i and rank f_i +
+    rank g_i = dim C2_i; a failure raises DataValidationError naming the
+    degree.  ``rank_tol`` is the sequence's one rank cutoff: validation,
     the Hodge data and every function of this module use it.
     """
 
@@ -63,27 +62,25 @@ class ComplexSES:
         self.rank_tol = rank_tol
         if not self.first.context.matches(self.last.context):
             raise DataValidationError("complexes live over different contexts")
-        self.stages = tuple(
-            CochainComplex([self.first.module(i), self.middle.module(i), self.last.module(i)],
-                           [f.component(i), g.component(i)], 0, validate=False)
-            for i in self.degrees())
         self.validate()
 
     def validate(self) -> None:
-        for i, stage in zip(self.degrees(), self.stages):
-            fm, gm = stage.differentials
+        for i in self.degrees():
+            fm, gm = self.f.component(i), self.g.component(i)
             if not vanishes(gm.array @ fm.array, max(fm.norm_bound * gm.norm_bound, 1.0)):
                 raise DataValidationError("composition g o f is not zero",
                                           location=f"degree {i}")
-            try:
-                dims = hodge(stage, self.rank_tol).harmonic_dims
-            except DataValidationError as exc:  # rank f + rank g exceed dim C2_i
+            rank_f, rank_g = (spectral_stage(m, self.rank_tol)[1] for m in (fm, gm))
+            # per block, the dimensions of ker f, ker g / im f and coker g
+            dims = (fm.domain.block_dims - rank_f, gm.domain.block_dims - rank_f - rank_g,
+                    gm.codomain.block_dims - rank_g)
+            if any((d < 0).any() for d in dims):  # rank f + rank g exceed dim C2_i
                 raise DataValidationError("sequence is not exact in the middle",
-                                          location=f"degree {i}") from exc
+                                          location=f"degree {i}")
             for dim, message in ((dims[0], "first map is not injective"),
                                  (dims[2], "last map is not surjective"),
                                  (dims[1], "sequence is not exact in the middle")):
-                if dim:
+                if dim.any():
                     raise DataValidationError(message, location=f"degree {i}")
 
     @property
@@ -229,8 +226,8 @@ def milnor_check(ses: ComplexSES) -> MilnorReport:
     t2 = torsion(ses.middle, tol)
     t3 = torsion(ses.last, tol)
     t_h = torsion(long_sequence(ses), tol)
-    degreewise = {i: three_stage_torsion(stage, tol)
-                  for i, stage in zip(ses.degrees(), ses.stages)}
+    degreewise = {i: log_vol(ses.f.component(i), tol) - log_vol(ses.g.component(i), tol)
+                  for i in ses.degrees()}
     correction = sum((-1) ** i * v for i, v in degreewise.items())
     lhs = t2
     rhs = t1 + t3 + t_h - correction

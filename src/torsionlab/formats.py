@@ -4,7 +4,8 @@ One JSON-compatible input grammar covers every job input, selected by the
 top-level "kind" field:
 
 * ``complex`` -- trace context, ambient dimensions per degree, dense
-  differentials; complex numbers are written as ``[re, im]`` pairs.
+  differentials (linear over a group context); complex numbers are
+  written as ``[re, im]`` pairs.
 * ``cw``      -- a representation, cells per degree as label lists, and
   incidence records ``{"from": .., "to": .., "word": [[elem, coeff], ..]}``.
 * ``gluing``  -- embedded lower/upper ``cw`` objects plus coupling records
@@ -142,7 +143,7 @@ def _context(obj):
 
 def parse_complex(obj, where: str = "complex") -> CochainComplex:
     from .complexes import CochainComplex
-    from .vn import HilbertModule, Morphism
+    from .vn import HilbertModule
     ctx = parse_context(obj.get("context", {"type": "complex_field"}),
                         f"{where}.context")
     dims = obj.get("modules")
@@ -165,10 +166,31 @@ def parse_complex(obj, where: str = "complex") -> CochainComplex:
         raise DataValidationError(
             f"{len(modules)} modules need {max(0, len(modules) - 1)} "
             f"differentials, got {len(raw_diffs)}", location=where)
-    diffs = [Morphism(modules[i], modules[i + 1], parse_shaped_matrix(
-                 raw, (dims[i + 1], dims[i]), f"{where}.differentials[{i}]"))
-             for i, raw in enumerate(raw_diffs)]
+    diffs = []
+    for i, raw in enumerate(raw_diffs):
+        spot = f"{where}.differentials[{i}]"
+        diffs.append(_linear_map(modules[i], modules[i + 1], parse_shaped_matrix(
+            raw, (dims[i + 1], dims[i]), spot), spot))
     return CochainComplex(modules, diffs, offset)
+
+
+def _linear_map(domain, codomain, matrix: np.ndarray, where: str):
+    """The dense map ``matrix`` between free modules, which must commute with
+    the algebra: its (copies, group) matrix is unchanged when both group
+    axes are re-indexed by h -> g h, for the generator t of a cyclic group
+    or every element g of a table.  That is |G| gathers of the matrix, not
+    the dense products of ``vn.a_linearity_residual``."""
+    from .vn import Morphism, vanishes
+    f = Morphism(domain, codomain, matrix)
+    ctx = f.context
+    if ctx.is_group and matrix.size:
+        n = ctx.size
+        a = matrix.reshape(len(matrix) // n, n, -1, n)
+        actions = [np.roll(np.arange(n), -1)] if ctx.table is None else ctx.table
+        for g in actions:
+            if not vanishes(a[:, g][..., g] - a, f.norm_bound):
+                raise DataValidationError("map is not linear over the group", location=where)
+    return f
 
 
 def parse_word(value, where: str) -> tuple:
@@ -290,7 +312,7 @@ def parse_cw(obj, where: str = "cw") -> TwistedCellComplex:
 def parse_gluing(obj, where: str = "gluing") -> GluingSpec:
     """The gluing of a ``gluing`` input; a window mismatch names ``where``
     and a coupling between the wrong cells names its record."""
-    from .cells import GluingSpec, check_coupling, check_windows
+    from .cells import GluingSpec, check_coupling, check_representations, check_windows
     for part in ("lower", "upper"):
         if not isinstance(obj.get(part), Mapping):
             raise DataValidationError(f"gluing needs an embedded '{part}' complex",
@@ -305,6 +327,8 @@ def parse_gluing(obj, where: str = "gluing") -> GluingSpec:
         for i, (to_cell, from_cell) in enumerate(coupling):
             spot = f"{where}.coupling[{i}]"
             check_coupling(lower, upper, to_cell, from_cell)
+        spot = f"{where}.upper.representation"
+        check_representations(lower, upper)
     except DataValidationError as exc:
         raise DataValidationError(str(exc), location=spot) from None
     return GluingSpec(lower=lower, upper=upper, coupling=coupling)
@@ -314,7 +338,6 @@ def parse_ses(obj, where: str = "ses", rank_tol: float | None = None) -> Complex
     """The sequence of a ``ses`` input, with ``rank_tol`` as its rank cutoff."""
     from .complexes import ComplexMorphism
     from .exact import ComplexSES
-    from .vn import Morphism
     parts = {}
     for part in ("sub", "middle", "quotient"):
         if not isinstance(obj.get(part), Mapping):
@@ -322,6 +345,10 @@ def parse_ses(obj, where: str = "ses", rank_tol: float | None = None) -> Complex
                                       location=where)
         parts[part] = parse_complex(obj[part], f"{where}.{part}")
     sub, middle, quotient = parts["sub"], parts["middle"], parts["quotient"]
+    for part in ("middle", "quotient"):
+        if not parts[part].context.matches(sub.context):
+            raise DataValidationError("complexes live over different contexts",
+                                      location=f"{where}.{part}.context")
 
     def _morphism(source, target, key):
         raw = obj.get(key)
@@ -332,9 +359,9 @@ def parse_ses(obj, where: str = "ses", rank_tol: float | None = None) -> Complex
         comps = []
         for i, entry in enumerate(raw):
             dom, cod = source.modules[i], target.modules[i]
-            matrix = parse_shaped_matrix(entry, (cod.ambient_dim, dom.ambient_dim),
-                                         f"{where}.{key}[{i}]")
-            comps.append(Morphism(dom, cod, matrix))
+            spot = f"{where}.{key}[{i}]"
+            matrix = parse_shaped_matrix(entry, (cod.ambient_dim, dom.ambient_dim), spot)
+            comps.append(_linear_map(dom, cod, matrix, spot))
         return ComplexMorphism(source, target, comps)
 
     include = _morphism(sub, middle, "include")

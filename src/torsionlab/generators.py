@@ -219,7 +219,7 @@ def coboundary_twist(rng: np.random.Generator, c1: CochainComplex,
          for i in range(len(c1.modules))]
     thetas = []
     for i in range(len(c1.modules) - 1):
-        theta = c1.differentials[i].matrix @ u[i] - u[i + 1] @ c3.differentials[i].matrix
+        theta = c1.differentials[i].array @ u[i] - u[i + 1] @ c3.differentials[i].array
         thetas.append(theta)
     return thetas
 

@@ -35,6 +35,11 @@ NOISE_FLOOR_SLACK = 8.0
 #: Machine epsilon of float64, 2^-52.
 _EPS = float(np.finfo(float).eps)
 
+#: How far below zero, relative to the scale of a spectrum (its top
+#: eigenvalue, or a symbol's norm bound), an eigenvalue may dip by roundoff
+#: before the operator counts as indefinite.
+SEMIDEFINITE_TOL = 1e-10
+
 #: Factor-of-ten window around the rank tolerance that flags an ambiguous rank call.
 RANK_AMBIGUITY_FACTOR = 10.0
 
@@ -118,7 +123,7 @@ def spectrum(a: np.ndarray, rank_tol: float | None = None, vectors: bool = False
     a = 0.5 * (a + a.conj().swapaxes(-1, -2))
     w, v = np.linalg.eigh(a) if vectors else (np.linalg.eigvalsh(a), None)
     top, bottom = max(max(w[:, -1].tolist()), 0.0), min(w[:, 0].tolist())
-    if bottom < -1e-10 * max(top, -bottom):
+    if bottom < -SEMIDEFINITE_TOL * top:
         raise DataValidationError("operator is not nonnegative")
     floor = noise_floor(top, dim)
     w[~(w > floor)] = 0.0  # w is the solver's own array

@@ -41,6 +41,7 @@ import numpy as np
 from .errors import DataValidationError, NumericalError, QuadratureError
 from .kernel import (
     MAX_ROOT_ORDER,
+    SEMIDEFINITE_TOL,
     is_integer,
     laurent_terms,
     noise_floor,
@@ -57,9 +58,6 @@ MAX_GRID_DEPTH = 30
 #: The quadrature budget of ``lueck``'s second route: 2^16 points.
 LUECK_MAX_REFINEMENT = 16
 SELFADJOINT_TOL = 1e-10
-#: How far below zero, relative to the norm bound, a symbol or level
-#: eigenvalue may dip by roundoff before the operator counts as indefinite.
-SEMIDEFINITE_TOL = 1e-10
 INTEGER_DET_CAP = 2.0 ** 26
 #: The largest determinant polynomial degree that ``jensen_log_det``
 #: factors exactly (about 0.1 s; the cost grows like degree^4).
@@ -786,24 +784,35 @@ def _jensen_sum(coeffs: np.ndarray, noise: float
     noise += np.finfo(float).eps * coeffs.size * float(np.sum(np.abs(coeffs)))
     clusters = [[j] for j in range(roots.size)]
     discs = [_cluster_disc(roots, members, lead, noise) for members in clusters]
-    while True:
-        centers = np.array([center for center, _ in discs])
-        radii = np.array([radius for _, radius in discs])
-        distance = np.abs(centers[:, None] - centers[None, :])
-        overlap = np.triu(distance <= radii[:, None] + radii[None, :], 1)
-        if not overlap.any():
+    centers = np.array([center for center, _ in discs])
+    radii = np.array([radius for _, radius in discs])
+    # gap[a, b] (a < b) is the distance of two overlapping discs, inf for
+    # discs apart or merged away; a merge recomputes one row and column
+    distance = np.abs(centers[:, None] - centers[None, :])
+    gap = np.where(np.triu(distance <= radii[:, None] + radii[None, :], 1), distance, np.inf)
+    alive = np.ones(roots.size, bool)
+    while gap.size:
+        # the closest overlapping pair first, the first in row order on a
+        # tie: a coincident pair has gap 0, an infinite radius, and overlaps
+        # everything
+        a, b = np.unravel_index(np.argmin(gap), gap.shape)
+        if gap[a, b] == np.inf:
             break
-        # the closest overlapping pair first: a coincident pair has gap 0,
-        # an infinite radius, and overlaps everything
-        a, b = np.unravel_index(np.argmin(np.where(overlap, distance, np.inf)),
-                                distance.shape)
         # a disc depends on its own members only: the merged one is new
-        clusters[a] += clusters.pop(b)
-        discs.pop(b)
+        clusters[a] += clusters[b]
+        clusters[b], alive[b] = [], False
+        gap[b], gap[:, b] = np.inf, np.inf
         discs[a] = _cluster_disc(roots, clusters[a], lead, noise)
+        centers[a], radii[a] = discs[a]
+        row = np.abs(centers[a] - centers[a + 1:])
+        gap[a, a + 1:] = np.where(alive[a + 1:] & (row <= radii[a] + radii[a + 1:]), row, np.inf)
+        col = np.abs(centers[:a] - centers[a])
+        gap[:a, a] = np.where(alive[:a] & (col <= radii[:a] + radii[a]), col, np.inf)
     value = float(np.log(lead))
     near = 0
     for members, (center, radius) in zip(clusters, discs):
+        if not members:
+            continue
         k = len(members)
         value += k * np.log(max(1.0, abs(center)))
         low += k * np.log(max(1.0, abs(center) - radius))

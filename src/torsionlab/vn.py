@@ -252,8 +252,10 @@ class HilbertModule:
     fiber_dim: int = 1
     blocks: int = 1
     block_mask: np.ndarray | None = field(default=None, repr=False)
-    #: Size of one block (ambient_dim for a single block), set from the above.
+    #: Size of one block (ambient_dim for a single block) and the number of
+    #: coordinates in each block (read-only), set from the above.
     width: int = field(init=False, repr=False)
+    block_dims: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.ambient_dim < 0:
@@ -284,6 +286,9 @@ class HilbertModule:
                 "per block, as many as the ambient dimension")
         else:
             object.__setattr__(self, "width", mask.shape[1])
+        dims = np.full(self.blocks, self.width) if mask is None else mask.sum(1)
+        dims.setflags(write=False)
+        object.__setattr__(self, "block_dims", dims)
 
     @property
     def vn_dim(self) -> float:
@@ -564,14 +569,11 @@ def _domain_spectrum(f: Morphism, rank_tol: float | None = None
     """The kept spectrum of f (``spectral_stage``; an empty map's domain-many
     zeros) and the mask of the values that belong to coordinates of the
     domain: all of them, except that a block with fewer coordinates than its
-    width (``block_mask``) adds an exact zero per absent one, sorted first."""
+    width (``block_dims``) adds an exact zero per absent one, sorted first."""
     s = (spectral_stage(f, rank_tol)[0] if f.array.size else
          gram_spectrum(f.array, rank_tol, dim=max(f.shape + (1,))))
-    mask = f.domain.block_mask
-    if mask is None:
-        return s, np.ones(s.sigma.shape, bool)
-    width = mask.shape[1]
-    return s, np.arange(width) >= width - mask.sum(1)[:, None]
+    width = f.domain.width
+    return s, np.arange(width) >= width - f.domain.block_dims[:, None]
 
 
 def singular_values(f: Morphism) -> np.ndarray:

@@ -14,7 +14,7 @@ from torsionlab import cli, formats
 from torsionlab.errors import DataValidationError
 from torsionlab.exact import ComplexSES, milnor_check
 from torsionlab.generators import random_ses
-from torsionlab.vn import complex_field
+from torsionlab.vn import complex_field, cyclic_group, finite_group
 
 DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
 
@@ -603,3 +603,82 @@ def test_rank_reports_compute_no_eigenvectors(tmp_path, monkeypatch, command, so
                         lambda *args, **kwargs: calls.append(1) or eigh(*args, **kwargs))
     cli.run(cli.JobSpec(command, (path,)))
     assert calls == []
+
+
+_Z2 = {"type": "cyclic", "order": 2}
+_Z4_TABLE = {"type": "finite_group",
+             "table": [[(i + j) % 4 for j in range(4)] for i in range(4)]}
+
+
+def _refused_at(tmp_path, command, data, where):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    proc = run_cli(command, str(path), "--json")
+    assert proc.returncode == 2, proc.stdout
+    assert f"[at {path}.{where}]" in proc.stderr, proc.stderr
+    assert "Traceback" not in proc.stderr
+    return proc.stderr
+
+
+@pytest.mark.parametrize("context", [_Z2, {"type": "finite_group", "table": [[0, 1], [1, 0]]}],
+                         ids=["cyclic", "table"])
+def test_a_dense_map_that_is_not_linear_over_the_group_is_refused(tmp_path, context):
+    # d = diag(1, 3) over Z/2 does not commute with t, which swaps the two
+    # coordinates: its L2 torsion is not defined, yet it was reported
+    diag = [[[1, 0], [0, 0]], [[0, 0], [3, 0]]]
+    complex_ = {"kind": "complex", "context": context, "modules": [2, 2],
+                "differentials": [diag]}
+    message = _refused_at(tmp_path, "torsion", complex_, "differentials[0]")
+    assert "not linear over the group" in message
+    swap = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
+    part = {"context": context, "modules": [2], "differentials": []}
+    ses = {"kind": "ses", "sub": part, "middle": part, "quotient": {**part, "modules": [0]},
+           "include": [diag], "project": [[]]}
+    _refused_at(tmp_path, "ses-check", ses, "include[0]")
+    ok = {**complex_, "differentials": [swap]}  # t itself commutes with t
+    path = tmp_path / "linear.json"
+    path.write_text(json.dumps(ok))
+    assert run_cli("torsion", str(path)).returncode == 0
+
+
+def _grouped(c, context):
+    return {**_complex_json(c), "context": context}
+
+
+@pytest.mark.parametrize("ctx, context", [
+    (cyclic_group(3), {"type": "cyclic", "order": 3}),
+    (finite_group(_Z4_TABLE["table"]), _Z4_TABLE),
+], ids=["Z/3", "Z/4-table"])
+def test_generated_complexes_and_sequences_over_groups_are_accepted(ctx, context):
+    rng = np.random.default_rng(5)
+    for _ in range(6):
+        ses = random_ses(rng, ctx, length=3, max_rank=2)
+        data = {**_ses_json(ses), "sub": _grouped(ses.first, context),
+                "middle": _grouped(ses.middle, context),
+                "quotient": _grouped(ses.last, context)}
+        parsed = formats.parse_ses(data)
+        for part in ("sub", "middle", "quotient"):
+            formats.parse_complex(data[part])
+        assert milnor_check(parsed).residual < 1e-7
+
+
+def test_gluing_factors_with_different_representations_name_the_upper_one(tmp_path):
+    other = {"type": "unitary", "generators": {"t": [[[0, 1]]]}}
+    data = {"kind": "gluing",
+            "lower": {"representation": _UNITARY, "top_degree": 1, "cells": {"0": ["lo"]}},
+            "upper": {"representation": other, "top_degree": 1, "cells": {"1": ["up"]}},
+            "coupling": [{"from": "lo", "to": "up", "word": [["t", 1]]}]}
+    message = _refused_at(tmp_path, "glue-check", data, "upper.representation")
+    assert "factors use different representations" in message
+
+
+@pytest.mark.parametrize("part", ["middle", "quotient"])
+def test_ses_parts_over_different_contexts_name_the_part(tmp_path, part):
+    # Z/2 parts of dimension 2, and the named one over the complex field
+    z2 = {"context": _Z2, "modules": [2], "differentials": []}
+    eye = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+    data = {"kind": "ses", "sub": z2, "middle": z2, "quotient": {**z2, "modules": [0]},
+            "include": [eye], "project": [[]]}
+    data[part] = {**data[part], "context": {"type": "complex_field"}}
+    message = _refused_at(tmp_path, "ses-check", data, f"{part}.context")
+    assert "different contexts" in message

@@ -365,9 +365,42 @@ def test_milnor_check_decomposes_every_complex_once(case, eigvalsh, eigh, monkey
     # of the complex it wraps, a stage complex gets no bases, and a
     # connecting map no eigensolve.
     assert solves == {"eigvalsh": eigvalsh, "eigh": eigh}
-    stage_maps = {id(d) for stage in ses.stages for d in stage.differentials}
+    stage_maps = {id(m) for i in ses.degrees() for m in (ses.f.component(i), ses.g.component(i))}
     assert not stage_maps & {id(d) for d in bases}
     assert len(bases) == sum(len(c.differentials) for c in (ses.first, ses.middle, ses.last))
+
+
+@pytest.mark.parametrize("case", ["C", "Z/3", "cone"])
+def test_a_sequence_is_validated_without_stage_complexes(case, monkeypatch):
+    # Exactness reads the ranks that spectral_stage keeps on f_i and g_i and
+    # the block dimensions of the three modules: constructing a sequence
+    # builds no complex and asks for no Hodge data.
+    import torsionlab.complexes as complexes
+    import torsionlab.exact as exact
+    ses = _sequence(case)
+    built, decomposed = [], []
+
+    def counted(calls, original):
+        return lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs)
+    monkeypatch.setattr(CochainComplex, "__init__", counted(built, CochainComplex.__init__))
+    for module in (complexes, exact):
+        monkeypatch.setattr(module, "hodge", counted(decomposed, module.hodge))
+    again = ComplexSES(ses.f, ses.g, rank_tol=1e-9)
+    assert (built, decomposed) == ([], [])
+    assert not hasattr(again, "stages")
+
+
+@pytest.mark.parametrize("case", ["C", "Z/3", "cone"])
+def test_degreewise_torsions_are_those_of_the_stage_complexes(case):
+    # log Vol f_i - log Vol g_i, bit for bit the torsion of the three-term
+    # complex 0 -> C1_i -> C2_i -> C3_i -> 0 that earlier versions built
+    ses = _sequence(case)
+    want = {}
+    for i in ses.degrees():
+        stage = CochainComplex([ses.first.module(i), ses.middle.module(i), ses.last.module(i)],
+                               [ses.f.component(i), ses.g.component(i)], 0, validate=False)
+        want[i] = three_stage_torsion(stage, ses.rank_tol).hex()
+    assert {i: v.hex() for i, v in milnor_check(ses).degreewise.items()} == want
 
 
 @pytest.mark.parametrize("ctx", [CF, cyclic_group(3)], ids=["C", "Z/3"])

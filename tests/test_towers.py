@@ -586,6 +586,48 @@ class TestJensenLogDet:
         assert result.value == 8.260059303211157e-14
         assert result.bracket == (-3.1263880373449295e-13, 5.319084917926738e-05)
 
+    def test_merges_are_those_of_the_rebuilt_overlap_matrix(self):
+        # The merge loop updates only the merged cluster's row and column of
+        # the overlap matrix; the reference rebuilds the whole matrix after
+        # every merge.  Both pick the same pairs, so the sums are bit-equal.
+        def rebuilt(coeffs, noise):
+            roots = np.roots(coeffs)
+            lead = abs(coeffs[0])
+            low, high = np.log(lead - noise / coeffs.size), np.log(lead + noise / coeffs.size)
+            noise += np.finfo(float).eps * coeffs.size * float(np.sum(np.abs(coeffs)))
+            clusters = [[j] for j in range(roots.size)]
+            discs = [towers._cluster_disc(roots, c, lead, noise) for c in clusters]
+            while True:
+                centers = np.array([c for c, _ in discs])
+                radii = np.array([r for _, r in discs])
+                distance = np.abs(centers[:, None] - centers[None, :])
+                overlap = np.triu(distance <= radii[:, None] + radii[None, :], 1)
+                if not overlap.any():
+                    break
+                a, b = np.unravel_index(np.argmin(np.where(overlap, distance, np.inf)),
+                                        distance.shape)
+                clusters[a] += clusters.pop(b)
+                discs.pop(b)
+                discs[a] = towers._cluster_disc(roots, clusters[a], lead, noise)
+            value, near = float(np.log(lead)), 0
+            for members, (center, radius) in zip(clusters, discs):
+                k = len(members)
+                value += k * np.log(max(1.0, abs(center)))
+                low += k * np.log(max(1.0, abs(center) - radius))
+                high += k * np.log(max(1.0, abs(center) + radius))
+                near += k if abs(abs(center) - 1.0) <= radius else 0
+            return float(value), (float(low), float(high)), near
+
+        rng = np.random.default_rng(9)
+        unity = np.exp(2j * np.pi * np.arange(8) / 8)
+        cases = [np.poly([5.0, 1.0, 1.0]), np.poly(unity),
+                 np.polymul(np.poly([1.0] * 4 + [-1.0] * 3), [1.0, 0.5, 2.0])]
+        cases += [np.polymul(np.poly(rng.choice(unity, 9)), rng.standard_normal(3))
+                  for _ in range(4)]
+        for coeffs in cases:
+            for noise in (0.0, 1e-12, 1e-6):
+                assert towers._jensen_sum(coeffs, noise) == rebuilt(coeffs, noise)
+
     def test_square_free_factors(self):
         from torsionlab.towers import _square_free_factors
         # -3 (z - 1)^4 (2z^2 + z + 1) (z - 2)^2, lowest power first

@@ -163,6 +163,19 @@ def test_free_module_dimension_rule():
     assert regular_module(ctx, 2).ambient_dim == 6
 
 
+def test_block_dims_count_the_coordinates_of_each_block():
+    ctx = cyclic_group(4)
+    assert HilbertModule(ctx, 8, blocks=4).block_dims.tolist() == [2, 2, 2, 2]
+    assert regular_module(ctx, 2).block_dims.tolist() == [8]
+    # the circle t - e is harmonic in the trivial character only
+    carrier = hodge(build_complex(circle(RegularRepresentation(ctx)))).harmonic_module(0)
+    assert carrier.block_mask is not None
+    assert np.array_equal(carrier.block_dims, carrier.block_mask.sum(1))
+    assert carrier.block_dims.tolist() == [1, 0, 0, 0]
+    with pytest.raises(ValueError):
+        carrier.block_dims[1] = 1
+
+
 def test_vn_trace():
     ctx = cyclic_group(3)
     ident = Morphism.identity(regular_module(ctx))
@@ -478,6 +491,19 @@ def test_no_module_branches_on_the_block_layout():
 
     assert {s for s in sites if covering(s) is None} == set()
     assert {covering(s) for s in sites} == LAYOUT_READERS
+
+
+def test_only_the_module_counts_the_coordinates_of_a_mask():
+    # hodge, the spectra of a carrier's maps and the exactness of a sequence
+    # read HilbertModule.block_dims, which the module counts where it
+    # validates its mask
+    sites = set()
+    for stem, tree, _ in _package_sources():
+        owner = _qualified_owners(tree)
+        sites |= {(stem, owner[node]) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and "mask" in ast.unparse(node) and node.func.attr in ("sum", "count_nonzero")}
+    assert sites == {("vn", "HilbertModule.__post_init__")}
 
 
 #: The only function with phase code (``pi``): the exact-phase kernel, which
