@@ -23,7 +23,11 @@ Every short exact sequence the package builds is an ``extension``
 [[d_sub, theta_i], [0, d_quot]], inclusion (id, 0) and projection (0, id):
 direct sums (no coupling), mapping cones (coupled by f), the random
 sequences of ``generators`` (a coboundary twist) and, through
-``extension_maps``, the gluing sequences of ``cells``.
+``extension_maps``, the gluing sequences of ``cells``.  Such a pair is
+exact by construction, and ``exact.ComplexSES`` knows it from a record the
+two maps share; where E is assembled from the arrays of sub and quot, the
+maps' chain rule holds bit for bit and is not checked either (a glued
+complex comes from cell assembly and keeps its check).
 
 The Hodge decomposition of a complex at a cutoff is one ``HodgeData``,
 which ``hodge`` builds once and returns as that object on every call.  It
@@ -34,9 +38,12 @@ harmonic dimensions, rank warnings and route one read only that.  Its bases
 computed together on the first read of any of them.  Spectra and range
 bases live on the differential (``Morphism.derived``, which a negation
 shares), as does its norm bound (``Morphism.norm_bound``, read by every
-structural check), so shifted, padded and suspended complexes reuse those
-of the complex they wrap; harmonic bases and their carriers are kept per
-complex, with its ``HodgeData``.
+structural check; ``Morphism.zero`` is built with its 0.0); harmonic bases
+and their carriers are kept per complex, with its ``HodgeData``.  A
+shifted, padded or suspended complex builds its ``HodgeData`` from that of
+the complex it wraps: the same spectra, bases and carriers, empty entries
+at padded degrees, and a suspension's reduced maps for its negated
+differentials, with no eigensolve.
 
 Every step below runs block by block on the (blocks, rows, cols) stacks of
 the differentials (see ``vn.HilbertModule``), in batched eigensolves: one
@@ -109,6 +116,9 @@ class CochainComplex:
     differentials: tuple[Morphism, ...]
     offset: int = 0
     _hodge: dict = field(default_factory=dict, repr=False)
+    # (source, before, negated) of a complex made of another's data by
+    # ``_wrapping``: ``hodge`` builds its Hodge data from the source's
+    _wraps: tuple | None = field(default=None, repr=False)
 
     def __init__(self, modules: Sequence[HilbertModule], differentials: Sequence[Morphism],
                  offset: int = 0, validate: bool = True):
@@ -116,6 +126,7 @@ class CochainComplex:
         object.__setattr__(self, "differentials", tuple(differentials))
         object.__setattr__(self, "offset", int(offset))
         object.__setattr__(self, "_hodge", {})
+        object.__setattr__(self, "_wraps", None)
         if not self.modules:
             raise DataValidationError("a complex needs at least one module")
         if len(self.differentials) != len(self.modules) - 1:
@@ -182,8 +193,19 @@ class CochainComplex:
 
     def shifted(self, by: int) -> "CochainComplex":
         """Same data placed ``by`` degrees higher."""
-        return CochainComplex(self.modules, self.differentials, self.offset + by,
-                              validate=False)
+        return _wrapping(self, self.modules, self.differentials, self.offset + by)
+
+
+def _wrapping(source: CochainComplex, modules: Sequence[HilbertModule],
+              differentials: Sequence[Morphism], offset: int, before: int = 0,
+              negated: bool = False) -> CochainComplex:
+    """A complex holding the modules and differentials of ``source`` from
+    stored index ``before`` on, between zero modules, its differentials
+    negated if ``negated``; ``hodge`` builds its Hodge data from the
+    source's."""
+    c = CochainComplex(modules, differentials, offset, validate=False)
+    object.__setattr__(c, "_wraps", (source, before, negated))
+    return c
 
 
 def pad_complex(c: CochainComplex, lo: int, hi: int) -> CochainComplex:
@@ -192,7 +214,7 @@ def pad_complex(c: CochainComplex, lo: int, hi: int) -> CochainComplex:
         raise DataValidationError("padding window must contain the complex")
     modules = [c.module(q) for q in range(lo, hi + 1)]
     diffs = [c.differential(q) for q in range(lo, hi)]
-    return CochainComplex(modules, diffs, lo, validate=False)
+    return _wrapping(c, modules, diffs, lo, before=c.offset - lo)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +225,8 @@ def pad_complex(c: CochainComplex, lo: int, hi: int) -> CochainComplex:
 # ``derived`` store, by (kind, cutoff): its spectral stage and its range
 # bases.  A complex made of another's differentials (``shifted``,
 # ``pad_complex``) reads them as they are, and ``suspension``'s negated
-# differentials share the store of the ones they negate.
+# differentials share the store of the ones they negate.  Such a wrapper's
+# Hodge data are those of the complex it wraps (``HodgeData._wrapped``).
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,8 +257,15 @@ class HodgeData:
     Bases are deterministic: eigensolver order (ascending) plus fixed-phase
     normalization, so repeated runs agree bitwise.  Besides the ``offset``,
     ``modules`` and ``differentials`` of its complex (not the complex, which
-    keeps it) and the cutoff, every field is a read-only array or a tuple of
-    them (or of spectra, floats, ints, modules).
+    keeps it), the cutoff and ``wraps``, every field is a read-only array or
+    a tuple of them (or of spectra, floats, ints, modules).
+
+    The Hodge data of a shifted, padded or suspended complex are those of
+    the complex it wraps, bit for bit what a fresh decomposition gives:
+    ``wraps`` is (the wrapped complex's data, the number of zero modules
+    before it, whether the differentials are negated), and its bases and
+    carriers are the wrapped ones, with the empty entries of a zero module
+    at padded degrees.
     """
 
     offset: int
@@ -246,6 +276,7 @@ class HodgeData:
     log_vols: tuple[float, ...]
     harmonic_dims: tuple[int, ...]
     block_dims: np.ndarray
+    wraps: tuple | None = None
 
     @property
     def context(self) -> TraceContext:
@@ -277,6 +308,23 @@ class HodgeData:
                              "at or below the floor counts as zero")
         return tuple(lines)
 
+    def _wrapped(self, c: "CochainComplex", before: int, negated: bool) -> "HodgeData":
+        """The Hodge data of a complex c holding this one's modules and
+        differentials (negated if ``negated``) from stored index ``before``
+        on, between zero modules: these spectra and dimensions, with the
+        empty stages of c's own maps at its padded degrees."""
+        after = len(c.modules) - before - len(self.modules)
+        head, tail = ([spectral_stage(d, self.rank_tol) for d in part] for part in (
+            c.differentials[:before], c.differentials[len(c.differentials) - after:]))
+        dims = np.zeros((len(c.modules), self.block_dims.shape[1]), self.block_dims.dtype)
+        dims[before:before + len(self.modules)] = self.block_dims
+        dims.setflags(write=False)
+        return HodgeData(
+            c.offset, c.modules, c.differentials, self.rank_tol,
+            tuple(s[0] for s in head) + self.spectra + tuple(s[0] for s in tail),
+            tuple(s[2] for s in head) + self.log_vols + tuple(s[2] for s in tail),
+            (0,) * before + self.harmonic_dims + (0,) * after, dims, (self, before, negated))
+
     @cached_property
     def _decomposition(self) -> tuple:
         """(harmonic_bases, plus_bases, minus_bases, reduced, harmonic_modules).
@@ -287,7 +335,10 @@ class HodgeData:
         orthogonal complement of range(d_{i-1}) + range(d_i^*): one
         batched eigh of its projector per module with harmonic part, whose
         top eigenvectors in each block (``vn.kept_columns``) span it.
+        Wrapped data take every field from the data they wrap instead.
         """
+        if self.wraps is not None:
+            return self._wrapped_decomposition()
         ranges = [_range_basis(d, self.rank_tol) for d in self.differentials]
         harmonic, plus_bases, minus_bases = [], [], []
         for i, (module, h_dim) in enumerate(zip(self.modules, self.block_dims)):
@@ -308,11 +359,25 @@ class HodgeData:
             w, vecs = np.linalg.eigh(proj)
             harm = kept_columns(vecs, h_dim)
             harmonic.append(_phase_normalize(harm))
-        reduced = [u.conj().swapaxes(-1, -2) @ d.array @ v
-                   for d, (v, u) in zip(self.differentials, ranges)]
         bases = _frozen(harmonic)
-        return (bases, _frozen(plus_bases), _frozen(minus_bases), _frozen(reduced),
+        return (bases, _frozen(plus_bases), _frozen(minus_bases),
+                _frozen(_reduced(self.differentials, minus_bases, plus_bases)),
                 tuple(_carrier(self.context, b) for b in bases))
+
+    def _wrapped_decomposition(self) -> tuple:
+        """The wrapped data's fields, with an empty basis, reduced map and
+        carrier at each padded degree.  A negation's range bases are those of
+        the map it negates, and its reduced maps u* (-d) v are computed as a
+        fresh decomposition computes them."""
+        source, before, negated = self.wraps
+        after = len(self.modules) - before - len(source.modules)
+        harmonic, plus, minus, reduced, carriers = source._decomposition
+        if negated:
+            reduced = _frozen(_reduced(self.differentials, minus, plus))
+        empty = _frozen([np.zeros((self.modules[0].blocks, 0, 0), np.complex128)])
+        padded = [empty * before + f + empty * after for f in (harmonic, plus, minus, reduced)]
+        carrier = (_carrier(self.context, empty[0]),)
+        return (*padded, carrier * before + carriers + carrier * after)
 
     harmonic_bases = property(lambda self: self._decomposition[0])
     plus_bases = property(lambda self: self._decomposition[1])
@@ -352,6 +417,14 @@ def _carrier(context: TraceContext, basis: np.ndarray) -> HilbertModule:
     dim = np.count_nonzero(kept)
     return HilbertModule(context, dim, free=False, blocks=len(basis),
                          block_mask=None if dim == kept.size else kept)
+
+
+def _reduced(differentials: Sequence[Morphism], minus_bases: Sequence[np.ndarray],
+             plus_bases: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """u* d v for each d, on its coimage basis v (the minus basis at its
+    domain) and its range basis u (the plus basis at its codomain)."""
+    return [u.conj().swapaxes(-1, -2) @ d.array @ v
+            for d, v, u in zip(differentials, minus_bases, plus_bases[1:])]
 
 
 def _frozen(arrays: list[np.ndarray]) -> tuple[np.ndarray, ...]:
@@ -402,6 +475,10 @@ def hodge(c: CochainComplex, rank_tol: float | None = None) -> HodgeData:
     """
     hd = c._hodge.get(rank_tol)
     if hd is not None:
+        return hd
+    if c._wraps is not None:
+        source, before, negated = c._wraps
+        hd = c._hodge[rank_tol] = hodge(source, rank_tol)._wrapped(c, before, negated)
         return hd
     stages = [spectral_stage(d, rank_tol) for d in c.differentials]
     none = np.zeros(c.modules[0].blocks, int)
@@ -549,8 +626,8 @@ def tensor_product(c1: CochainComplex, c2: CochainComplex) -> CochainComplex:
 def suspension(c: CochainComplex) -> CochainComplex:
     """(SC)_i = C_{i+1} with differentials negated; a negation shares the
     spectra and range bases of the differential it negates."""
-    return CochainComplex(c.modules, [-d for d in c.differentials], c.offset - 1,
-                          validate=False)
+    return _wrapping(c, c.modules, [-d for d in c.differentials], c.offset - 1,
+                     negated=True)
 
 
 class ComplexMorphism:
@@ -560,6 +637,11 @@ class ComplexMorphism:
     to align); the chain rule d_target f_i = f_{i+1} d_source is validated
     numerically.
     """
+
+    # (record, "include" or "project") on the maps of ``extension_maps``
+    # whose modules have no block mask: the record marks the two maps of
+    # one call, which ``exact.ComplexSES`` knows to be exact
+    _split: tuple | None = None
 
     def __init__(self, source: CochainComplex, target: CochainComplex,
                  components: Sequence[Morphism]):
@@ -604,15 +686,44 @@ class ComplexMorphism:
                 Morphism.zero(self.source.module(q), self.target.module(q)))
 
 
+class _Split:
+    """What the inclusion and the projection of one ``extension_maps`` call
+    share: with no block mask, (id, 0) and (0, id) are exact at every
+    degree, g o f is zero bit for bit, and every singular value of either
+    is 1.  It refers to neither map, so the two make no reference cycle."""
+
+    __slots__ = ()
+
+
 def extension_maps(sub: CochainComplex, middle: CochainComplex,
                    quot: CochainComplex) -> tuple[ComplexMorphism, ComplexMorphism]:
     """The inclusion (id, 0) : sub -> middle and the projection (0, id) :
     middle -> quot of a middle complex whose modules are sub_i + quot_i."""
+    return _extension_maps(sub, middle, quot, assembled=False)
+
+
+def _extension_maps(sub: CochainComplex, middle: CochainComplex, quot: CochainComplex,
+                    assembled: bool) -> tuple[ComplexMorphism, ComplexMorphism]:
+    """``extension_maps``; for a middle ``assembled`` by ``_extension_middle``
+    from the arrays of sub and quot, d_E (id, 0) = (id, 0) d_sub and
+    (0, id) d_E = d_quot (0, id) hold bit for bit, and the chain rule is
+    not checked again."""
     include, project = [], []
     for a, m, b in zip(sub.modules, middle.modules, quot.modules):
         include.append(Morphism(a, m, assemble_blocks({(0, 0): np.eye(a.width)}, [a, b], [a])))
         project.append(Morphism(m, b, assemble_blocks({(0, 1): np.eye(b.width)}, [b], [a, b])))
-    return ComplexMorphism(sub, middle, include), ComplexMorphism(middle, quot, project)
+    maps = []
+    for source, target, components in ((sub, middle, include), (middle, quot, project)):
+        if assembled:
+            f = ComplexMorphism.__new__(ComplexMorphism)
+            f.source, f.target, f.components = source, target, components
+        else:
+            f = ComplexMorphism(source, target, components)
+        maps.append(f)
+    if all(x.block_mask is None for c in (sub, middle, quot) for x in c.modules):
+        split = _Split()
+        maps[0]._split, maps[1]._split = (split, "include"), (split, "project")
+    return maps[0], maps[1]
 
 
 def extension(sub: CochainComplex, quot: CochainComplex,
@@ -629,7 +740,7 @@ def extension(sub: CochainComplex, quot: CochainComplex,
     (E, include, project) with the maps of ``extension_maps``.
     """
     middle = _extension_middle(sub, quot, couplings)
-    return (middle, *extension_maps(sub, middle, quot))
+    return (middle, *_extension_maps(sub, middle, quot, assembled=True))
 
 
 def _extension_middle(sub: CochainComplex, quot: CochainComplex,

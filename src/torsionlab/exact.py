@@ -17,7 +17,11 @@ solve each, with no eigensolve and no rank decision of their own.
 Exactness and torsion of each degree read the ranks and log-volumes kept
 on f_i and g_i (``vn.spectral_stage``), the long sequence's acyclicity
 ranks and singular values only (``hodge`` computes no basis until one is
-read); harmonic bases are computed for the three complexes alone.
+read); harmonic bases are computed for the three complexes alone.  The
+inclusion and projection of an extension (``complexes.extension_maps``)
+are exact by construction, with every singular value 1: their sequence
+is not validated, and its degreewise torsions are 0.0.  Sequences read
+from files, or built from any other maps, are validated in full.
 """
 
 from __future__ import annotations
@@ -48,6 +52,11 @@ class ComplexSES:
     rank g_i = dim C2_i; a failure raises DataValidationError naming the
     degree.  ``rank_tol`` is the sequence's one rank cutoff: validation,
     the Hodge data and every function of this module use it.
+
+    The inclusion and projection of one ``complexes.extension_maps`` call
+    (``extension``, ``mapping_cone``, ``cells.glue``, ``generators``) are
+    exact by construction: ``by_construction`` is then true, and validation
+    checks nothing.
     """
 
     def __init__(self, f: ComplexMorphism, g: ComplexMorphism,
@@ -62,9 +71,14 @@ class ComplexSES:
         self.rank_tol = rank_tol
         if not self.first.context.matches(self.last.context):
             raise DataValidationError("complexes live over different contexts")
+        split = f._split
+        self.by_construction = (split is not None and split[1] == "include"
+                                and g._split == (split[0], "project"))
         self.validate()
 
     def validate(self) -> None:
+        if self.by_construction:
+            return
         for i in self.degrees():
             fm, gm = self.f.component(i), self.g.component(i)
             if not vanishes(gm.array @ fm.array, max(fm.norm_bound * gm.norm_bound, 1.0)):
@@ -226,7 +240,10 @@ def milnor_check(ses: ComplexSES) -> MilnorReport:
     t2 = torsion(ses.middle, tol)
     t3 = torsion(ses.last, tol)
     t_h = torsion(long_sequence(ses), tol)
-    degreewise = {i: log_vol(ses.f.component(i), tol) - log_vol(ses.g.component(i), tol)
+    # every singular value of an extension's (id, 0) and (0, id) is exactly 1,
+    # so each log-volume is 0.0 at any cutoff
+    degreewise = {i: 0.0 if ses.by_construction else
+                  log_vol(ses.f.component(i), tol) - log_vol(ses.g.component(i), tol)
                   for i in ses.degrees()}
     correction = sum((-1) ** i * v for i, v in degreewise.items())
     lhs = t2

@@ -349,6 +349,15 @@ def parse_ses(obj, where: str = "ses", rank_tol: float | None = None) -> Complex
         if not parts[part].context.matches(sub.context):
             raise DataValidationError("complexes live over different contexts",
                                       location=f"{where}.{part}.context")
+    # the window two parts share (sub's if all differ) names the odd part out
+    windows = [(c.offset, len(c.modules)) for c in parts.values()]
+    common = max(windows, key=windows.count)
+    for part, (offset, length) in zip(parts, windows):
+        if (offset, length) != common:
+            raise DataValidationError(
+                "complexes must cover the same degree window (got offset "
+                f"{offset} and {length} modules, expected offset {common[0]} and "
+                f"{common[1]} modules)", location=f"{where}.{part}")
 
     def _morphism(source, target, key):
         raw = obj.get(key)

@@ -503,7 +503,10 @@ class Morphism:
 
     @staticmethod
     def zero(domain: HilbertModule, codomain: HilbertModule) -> "Morphism":
-        return Morphism(domain, codomain, np.zeros(array_shape(codomain, domain), np.complex128))
+        """The zero map, whose norm bound 0.0 is known without reading its array."""
+        zero = Morphism(domain, codomain, np.zeros(array_shape(codomain, domain), np.complex128))
+        vars(zero)["norm_bound"] = 0.0
+        return zero
 
 
 # ---------------------------------------------------------------------------

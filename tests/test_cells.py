@@ -275,6 +275,19 @@ class TestGluing:
         report = glue_check(circle_from_arcs(rep), rank_tol=0.5)
         assert report["residual"] < RESIDUAL_TOL
 
+    def test_a_gluing_sequence_is_exact_by_construction_and_keeps_its_chain_check(
+            self, monkeypatch):
+        # the glued complex comes from cell assembly, not from the pieces'
+        # arrays, so its inclusion and restriction are checked against the
+        # differentials; their exactness holds by construction
+        from torsionlab.complexes import ComplexMorphism
+        checked = []
+        original = ComplexMorphism.validate
+        monkeypatch.setattr(ComplexMorphism, "validate",
+                            lambda self: checked.append(self) or original(self))
+        _, ses = glue(circle_from_arcs(RegularRepresentation(vn.cyclic_group(5))))
+        assert checked == [ses.f, ses.g] and ses.by_construction
+
     def test_glue_check_builds_each_cell_complex_once(self, monkeypatch):
         import torsionlab.cells as cells
         built = []

@@ -579,6 +579,46 @@ def test_glue_check_failure_names_the_rank_cutoff(tmp_path, context):
     assert run_cli("glue-check", str(path)).returncode == 0
 
 
+def test_a_gluing_sequence_is_exact_at_any_cutoff():
+    # The gluing sequence's maps are coordinate maps (every sigma is 1), so
+    # its exactness does not depend on the cutoff: at 1 the glued circle's
+    # sigma = 2 is kept, and at 2 the long sequence fails and names the
+    # cutoff.  Cutting the maps' own sigma = 1 at either cutoff refused the
+    # input as "last map is not surjective [at degree 0]".
+    path = str(DATA / "glue_circle.json")
+    report, _ = run_json("glue-check", path, "--rank-tol", "1")
+    assert report["t_comb"] == pytest.approx(math.log(2.0), abs=1e-12)
+    assert report["passed"] is True
+    proc = run_cli("glue-check", path, "--rank-tol", "2")
+    assert proc.returncode == 2
+    assert ("long sequence is not exact at rank cutoff 2 (a cutoff above genuine "
+            "singular values") in proc.stderr
+    assert "surjective" not in proc.stderr
+
+
+@pytest.mark.parametrize("part", ["sub", "middle", "quotient"])
+def test_a_sequence_part_on_another_degree_window_is_named(tmp_path, part):
+    data = json.loads((DATA / "ses_split.json").read_text())
+    data[part]["offset"] = 1
+    message = _refused_at(tmp_path, "ses-check", data, part)
+    assert ("complexes must cover the same degree window (got offset 1 and 2 modules, "
+            "expected offset 0 and 2 modules)") in message
+
+
+def test_a_sequence_from_a_file_is_validated_though_its_maps_are_coordinate_maps(tmp_path):
+    # ses_split.json holds the arrays of an extension's inclusion and
+    # projection, but only maps built as an extension are exact by
+    # construction: a file's maps are checked, so a zero inclusion is refused
+    data = json.loads((DATA / "ses_split.json").read_text())
+    assert not formats.parse_ses(data).by_construction
+    data["include"] = [[[[0, 0]], [[0, 0]]]] * 2
+    path = tmp_path / "ses.json"
+    path.write_text(json.dumps(data))
+    proc = run_cli("ses-check", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr == "validation error: first map is not injective [at degree 0]\n"
+
+
 def _regular_circle(tmp_path, m):
     rep = {"type": "regular", "context": {"type": "cyclic", "order": m}}
     circle = {"kind": "cw", "representation": rep, "top_degree": 1,

@@ -9,6 +9,8 @@ from numpy.testing import assert_allclose
 from torsionlab.complexes import (
     CochainComplex,
     ComplexMorphism,
+    extension,
+    extension_maps,
     hodge,
     induced_harmonic_map,
     mapping_cone,
@@ -38,6 +40,7 @@ from torsionlab.vn import (
     Morphism,
     complex_field,
     cyclic_group,
+    spectral_stage,
 )
 
 MILNOR_TOL = 1e-7
@@ -361,13 +364,21 @@ def test_milnor_check_decomposes_every_complex_once(case, eigvalsh, eigh, monkey
     milnor_check(ses)
     # Each differential of C1, C2, C3 and the long sequence gets one
     # eigvalsh (torsion, exactness, the snap norm) and, where a harmonic
-    # basis is read, one eigh; a padded or suspended complex reuses those
-    # of the complex it wraps, a stage complex gets no bases, and a
-    # connecting map no eigensolve.
+    # basis is read, one eigh; a padded or suspended complex takes its Hodge
+    # data from the complex it wraps, the maps of a sequence get no bases,
+    # and a connecting map no eigensolve.
     assert solves == {"eigvalsh": eigvalsh, "eigh": eigh}
     stage_maps = {id(m) for i in ses.degrees() for m in (ses.f.component(i), ses.g.component(i))}
     assert not stage_maps & {id(d) for d in bases}
-    assert len(bases) == sum(len(c.differentials) for c in (ses.first, ses.middle, ses.last))
+    decomposed = [_unwrapped(c) for c in (ses.first, ses.middle, ses.last)]
+    assert len(bases) == sum(len(c.differentials) for c in decomposed)
+
+
+def _unwrapped(c):
+    """The complex whose decomposition a shifted, padded or suspended c reads."""
+    while c._wraps is not None:
+        c = c._wraps[0]
+    return c
 
 
 @pytest.mark.parametrize("case", ["C", "Z/3", "cone"])
@@ -391,6 +402,64 @@ def test_a_sequence_is_validated_without_stage_complexes(case, monkeypatch):
 
 
 @pytest.mark.parametrize("case", ["C", "Z/3", "cone"])
+def test_an_extension_is_exact_by_construction(case, monkeypatch):
+    # The inclusion and projection of an extension are coordinate maps:
+    # g o f is an array of exact zeros, rank f_i and rank g_i are the block
+    # dimensions of C1_i and C3_i, and every kept singular value is 1 (at
+    # any cutoff below it).  Building the sequence again checks none of it:
+    # no product and no spectrum.
+    ses = _sequence(case)
+    assert ses.by_construction
+    for i in ses.degrees():
+        f, g = ses.f.component(i), ses.g.component(i)
+        assert not (g.array @ f.array).any()
+        for m, dims in ((f, f.domain.block_dims), (g, g.codomain.block_dims)):
+            s, rank, log_volume = spectral_stage(m, ses.rank_tol)
+            assert np.array_equal(rank, dims) and log_volume == 0.0
+            assert (s.sigma[s.keep] == 1.0).all()
+    import torsionlab.exact as exact
+    calls = []
+    for module, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigh"),
+                         (exact, "vanishes"), (exact, "spectral_stage")):
+        def spy(*args, _name=name, _original=getattr(module, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, spy)
+    for tol in (None, 1e-9, 2.0):
+        assert ComplexSES(ses.f, ses.g, rank_tol=tol).by_construction
+    assert calls == []
+    # the maps of two extension_maps calls are not one split: checked, and exact
+    include, _ = extension_maps(ses.first, ses.middle, ses.last)
+    again = ComplexSES(include, ses.g)
+    assert not again.by_construction and calls
+
+
+@pytest.mark.parametrize("ctx", [CF, cyclic_group(3)], ids=["C", "Z/3"])
+def test_an_assembled_extension_checks_d_squared_but_not_its_maps(ctx, monkeypatch):
+    # E's differential holds the arrays of sub and quot as they are, so the
+    # chain rule of (id, 0) and (0, id) holds bit for bit and is not checked;
+    # d o d of a cone (coupled by f) is, and still refuses a wrong coupling
+    rng = np.random.default_rng(46)
+    c, shape = random_cochain_complex(rng, ctx, length=3, max_rank=2)
+    f, _, _ = random_chain_morphism(rng, c, shape, invertible=False)
+    checked = []
+    original = ComplexMorphism.validate
+    monkeypatch.setattr(ComplexMorphism, "validate",
+                        lambda self: checked.append(self) or original(self))
+    cone, include, project = mapping_cone(f)
+    for m in (include, project):
+        for i in range(len(cone.differentials)):
+            defect = (m.target.differentials[i].array @ m.components[i].array
+                      - m.components[i + 1].array @ m.source.differentials[i].array)
+            assert not defect.any()
+    assert checked == [] and cone_ses(f).by_construction
+    lo, hi = c.offset - 1, c.top_degree
+    ones = [np.ones_like(f.component(i + 1).array) for i in range(lo, hi)]
+    with pytest.raises(DataValidationError, match="d o d"):
+        extension(pad_complex(f.target, lo, hi), pad_complex(suspension(c), lo, hi), ones)
+
+
+@pytest.mark.parametrize("case", ["C", "Z/3", "cone"])
 def test_degreewise_torsions_are_those_of_the_stage_complexes(case):
     # log Vol f_i - log Vol g_i, bit for bit the torsion of the three-term
     # complex 0 -> C1_i -> C2_i -> C3_i -> 0 that earlier versions built
@@ -406,10 +475,10 @@ def test_degreewise_torsions_are_those_of_the_stage_complexes(case):
 @pytest.mark.parametrize("ctx", [CF, cyclic_group(3)], ids=["C", "Z/3"])
 def test_cone_sequence_reads_the_harmonic_bases_of_its_factors(ctx, monkeypatch):
     # The outer complexes of the cone sequence are C2 padded and SC1 padded.
-    # After hodge(C1) and hodge(C2) they read the spectra and range bases
-    # kept with those differentials, and project their own harmonic
-    # modules: 4 eigh from complexes, as the cone is acyclic here.  Their
-    # harmonic bases are those of hodge(C2) and hodge(C1), bit for bit.
+    # After hodge(C1) and hodge(C2) their Hodge data are built from those:
+    # no spectrum, no range and no harmonic projection is computed again,
+    # and the cone is acyclic here, so no eigh runs in complexes.  Their
+    # harmonic bases are those of hodge(C2) and hodge(C1).
     import torsionlab.complexes as complexes
     rng = np.random.default_rng(46)
     c, shape = random_cochain_complex(rng, ctx, length=3, max_rank=2)
@@ -432,13 +501,13 @@ def test_cone_sequence_reads_the_harmonic_bases_of_its_factors(ctx, monkeypatch)
     monkeypatch.setattr(complexes, "gram_spectrum", spy_gram)
     ses = cone_ses(f)
     report = milnor_check(ses)
-    assert len(projections) == 4
+    assert len(projections) == 0
     wrapped = [d.array for d in ses.first.differentials + ses.last.differentials]
     assert not [a for a in wrapped for m in measured if a is m]  # no eigvalsh, no range eigh
     for got, want in ((hodge(ses.first).harmonic_bases[1:], want2),
                       (hodge(ses.last).harmonic_bases[:-1], want1)):
         assert len(got) == len(want)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert all(a is b for a, b in zip(got, want))
     assert ses.hodge(2).is_acyclic() and not ses.hodge(1).is_acyclic()
     assert report.residual < MILNOR_TOL * (1.0 + abs(report.t2))
 

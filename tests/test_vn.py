@@ -581,6 +581,21 @@ def test_norm_lower_bound_is_a_lower_bound_and_sharp_on_columns():
     assert norm_lower_bound(np.zeros((0, 4))) == 0.0
 
 
+def test_a_zero_map_carries_its_norm_bound(monkeypatch):
+    # Morphism.zero knows its bound, 0.0, which is norm_lower_bound of its
+    # array bit for bit, so no check reads the array to find it
+    import torsionlab.vn as vn
+    calls = []
+    original = vn.norm_lower_bound
+    monkeypatch.setattr(vn, "norm_lower_bound", lambda a: calls.append(a) or original(a))
+    ctx = cyclic_group(3)
+    for dims in ((2, 3), (0, 3), (2, 0)):
+        zero = Morphism.zero(*(HilbertModule(ctx, 3 * d, blocks=3) for d in dims))
+        assert zero.norm_bound == 0.0 == original(zero.array)
+        assert np.copysign(1.0, zero.norm_bound) == 1.0
+    assert calls == []
+
+
 def test_vanishes_conventions():
     assert vanishes(np.zeros((0, 3)), 0.0)
     assert vanishes(np.zeros((2, 2)), 0.0)
