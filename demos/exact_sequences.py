@@ -49,13 +49,13 @@ def main():
     f, _, _ = random_chain_morphism(rng, c, shape, invertible=False)
     cone_sequence = cone_ses(f)
     for i in list(cone_sequence.degrees())[:-1]:
-        delta = connecting_hom(cone_sequence, i).matrix
-        induced = induced_harmonic_map(f, i + 1).matrix
-        if delta.size == 0:
+        delta = connecting_hom(cone_sequence, i)
+        induced = induced_harmonic_map(f, i + 1)
+        if delta.array.size == 0:
             print(f"  degree {i:+d}: nothing to connect")
             continue
-        dist = min(np.linalg.norm(delta - induced, 2),
-                   np.linalg.norm(delta + induced, 2))
+        # the largest block norm of a stack, the norm of the direct sum
+        dist = min((delta - induced).norm(), (delta + induced).norm())
         print(f"  degree {i:+d}: ||connecting -+ induced|| = {dist:.2e}")
 
     print()

@@ -8,14 +8,15 @@ into the stacks of the differentials (see ``vn.HilbertModule``), and
 everything downstream (torsion, duality, gluing) is the machinery of the
 complexes/exact modules applied to the result.
 
-Over ``cyclic_group(m)`` the regular representation works by characters:
-a word is its Laurent polynomial at the m-th roots of unity, from the one
-phase kernel ``kernel.symbol_at_roots``, one block per character, and
-torsion, Hodge data, duality and gluing are computed block by block, with
-the rank decisions of the dense matrix (the cutoff is sized by m n, so
-over Z/2^16 the circle's characters j = +-1 fall under the default cutoff
-and ``hodge`` warns).  A product with a cell complex over the complex
-field keeps the blocks, the field factor's index outermost; a product of
+Over ``cyclic_group(m)`` the regular representation works by characters,
+as every module over that context does (``vn.HilbertModule``): a word is
+its Laurent polynomial at the m-th roots of unity
+(``vn.group_ring_matrix``), one block per character, and torsion, Hodge
+data, duality and gluing are computed block by block, with the rank
+decisions of the dense matrix (the cutoff is sized by m n, so over Z/2^16
+the circle's characters j = +-1 fall under the default cutoff and
+``hodge`` warns).  A product with a cell complex over the complex field
+keeps the blocks, the field factor's index outermost; a product of
 two group factors is refused.  Every other representation, including a
 regular one over a ``finite_group`` table, has one dense block.
 
@@ -41,7 +42,7 @@ from .complexes import (
     torsion_via_laplacians,
 )
 from .errors import DataValidationError
-from .kernel import laurent_terms, symbol_at_roots, word_element
+from .kernel import word_element
 from .vn import (
     HilbertModule,
     Morphism,
@@ -67,11 +68,9 @@ class RegularRepresentation:
 
     One cell contributes an l^2(Gamma) (x) C^fiber block; incidence words
     act by right-regular permutation blocks and therefore commute with the
-    left algebra action.  Over ``cyclic_group(m)``, which has no table, the
-    cells have one block per character: a word is its Laurent polynomial
-    in t at exp(2 pi i j / m) at the character j, one (fiber x fiber) block
-    per character instead of a dense m x m block.  This is where a module
-    gets its number of blocks.
+    left algebra action.  A word is its ``vn.group_ring_matrix``: over
+    ``cyclic_group(m)`` one (fiber x fiber) block per character, over a
+    table one dense block.
     """
 
     def __init__(self, context: TraceContext, fiber_dim: int = 1):
@@ -83,11 +82,9 @@ class RegularRepresentation:
         self.context = context
         self.fiber_dim = int(fiber_dim)
         self.block_dim = context.size * self.fiber_dim
-        self.blocks = 1 if context.table is not None else context.size
 
     def module(self, ncells: int) -> HilbertModule:
-        return HilbertModule(self.context, ncells * self.block_dim,
-                             fiber_dim=self.fiber_dim, blocks=self.blocks)
+        return HilbertModule(self.context, ncells * self.block_dim, fiber_dim=self.fiber_dim)
 
     def element(self, spec) -> int:
         """The group index of a word element (an unknown label raises)."""
@@ -96,15 +93,9 @@ class RegularRepresentation:
         return ctx.power(ctx.element_index(label), power)
 
     def word_blocks(self, word: Word) -> np.ndarray:
-        """The stack of a word: over a table, its one dense right-regular
-        block; over Z/m, its (fiber x fiber) blocks at the m characters, the
-        Laurent polynomial at the m-th roots of unity."""
-        if self.context.table is not None:
-            resolved = [(self.element(e), complex(c)) for e, c in word]
-            return group_ring_matrix(resolved, self.context, self.fiber_dim).array
-        m = self.blocks
-        poly = laurent_terms((self.element(e), c) for e, c in word)
-        return symbol_at_roots([[poly]], np.arange(m), m) * np.eye(self.fiber_dim)
+        """The stack of a word (``vn.group_ring_matrix``)."""
+        resolved = [(self.element(e), complex(c)) for e, c in word]
+        return group_ring_matrix(resolved, self.context, self.fiber_dim).array
 
 
 class UnitaryRepresentation:

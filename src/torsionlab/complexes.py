@@ -35,26 +35,27 @@ reads each differential's ``vn.spectral_stage`` (one eigvalsh, kept on the
 morphism, as ``vn.log_vol`` and ``vn.singular_values`` read it): ranks,
 harmonic dimensions, rank warnings and route one read only that.  Its bases
 (one eigh per differential and one per module with harmonic part) are
-computed together on the first read of any of them.  Spectra and range
-bases live on the differential (``Morphism.derived``, which a negation
-shares), as does its norm bound (``Morphism.norm_bound``, read by every
-structural check; ``Morphism.zero`` is built with its 0.0); harmonic bases
-and their carriers are kept per complex, with its ``HodgeData``.  A
-shifted, padded or suspended complex builds its ``HodgeData`` from that of
-the complex it wraps: the same spectra, bases and carriers, empty entries
-at padded degrees, and a suspension's reduced maps for its negated
-differentials, with no eigensolve.
+computed together on the first read of any of them, and its reduced maps
+on their own first read.  Spectra and range bases live on the differential
+(``Morphism.derived``, which a negation shares), as does its norm bound
+(``Morphism.norm_bound``, read by every structural check; ``Morphism.zero``
+is built with its 0.0); harmonic bases and their carriers are kept per
+complex, with its ``HodgeData``.  A shifted, padded or suspended complex
+builds its ``HodgeData`` from that of the complex it wraps: the same
+spectra, bases and carriers, with empty entries at padded degrees and no
+eigensolve.
 
 Every step below runs block by block on the (blocks, rows, cols) stacks of
-the differentials (see ``vn.HilbertModule``), in batched eigensolves: one
-block in the standard basis, or the m character blocks of a cell complex
-over the regular representation of ``cyclic_group(m)``.  Rank decisions
+the differentials (see ``vn.HilbertModule``), in batched eigensolves.  The
+context decides the blocks: the m characters of any complex over
+``cyclic_group(m)``, however it was built, and one block in the standard
+basis over the complex field or a ``finite_group`` table.  Rank decisions
 are those of the dense direct sum, since ``kernel.spectrum`` sizes the
 floor and the cutoff by the full dimension m n; over Z/2^16 the circle's
 characters j = +-1 (sigma ~ 9.6e-5) fall under the default cutoff
 (~1.2e-4), and ``hodge`` warns.  Bases keep their columns by the one rule
 of ``vn.kept_columns``.  Direct sums, mapping cones and tensor products
-with a complex-field factor keep the blocks of their inputs
+with a complex-field factor assemble the blocks of their inputs
 (``vn.assemble_blocks``), and in a tensor product the field factor's index
 is outermost.
 """
@@ -116,8 +117,8 @@ class CochainComplex:
     differentials: tuple[Morphism, ...]
     offset: int = 0
     _hodge: dict = field(default_factory=dict, repr=False)
-    # (source, before, negated) of a complex made of another's data by
-    # ``_wrapping``: ``hodge`` builds its Hodge data from the source's
+    # (source, before) of a complex made of another's data by ``_wrapping``:
+    # ``hodge`` builds its Hodge data from the source's
     _wraps: tuple | None = field(default=None, repr=False)
 
     def __init__(self, modules: Sequence[HilbertModule], differentials: Sequence[Morphism],
@@ -178,8 +179,7 @@ class CochainComplex:
     def module(self, q: int) -> HilbertModule:
         """Module at true degree q (zero module outside the stored window)."""
         i = q - self.offset
-        return (self.modules[i] if 0 <= i < len(self.modules) else
-                HilbertModule(self.context, 0, blocks=self.modules[0].blocks))
+        return self.modules[i] if 0 <= i < len(self.modules) else HilbertModule(self.context, 0)
 
     def differential(self, q: int) -> Morphism:
         """d_q : C_q -> C_{q+1} at true degree q (zero outside the window)."""
@@ -197,14 +197,13 @@ class CochainComplex:
 
 
 def _wrapping(source: CochainComplex, modules: Sequence[HilbertModule],
-              differentials: Sequence[Morphism], offset: int, before: int = 0,
-              negated: bool = False) -> CochainComplex:
-    """A complex holding the modules and differentials of ``source`` from
-    stored index ``before`` on, between zero modules, its differentials
-    negated if ``negated``; ``hodge`` builds its Hodge data from the
-    source's."""
+              differentials: Sequence[Morphism], offset: int,
+              before: int = 0) -> CochainComplex:
+    """A complex holding the modules and differentials of ``source`` (or
+    their negations) from stored index ``before`` on, between zero modules;
+    ``hodge`` builds its Hodge data from the source's."""
     c = CochainComplex(modules, differentials, offset, validate=False)
-    object.__setattr__(c, "_wraps", (source, before, negated))
+    object.__setattr__(c, "_wraps", (source, before))
     return c
 
 
@@ -249,10 +248,11 @@ class HodgeData:
     * ``plus_bases[i]``  -- orthonormal columns spanning image(d_{i-1}),
     * ``minus_bases[i]`` -- orthonormal columns spanning image(d_i^*),
     * ``harmonic_bases[i]`` -- orthonormal columns spanning the complement,
-    * ``reduced[i]``     -- the invertible matrix of d_i from the minus
-                            subspace at i to the plus subspace at i+1, in
-                            those bases,
-    * ``harmonic_modules[i]`` -- the carrier module of the harmonic space.
+    * ``harmonic_modules[i]`` -- the carrier module of the harmonic space;
+
+    and, on its own first read, ``reduced[i]``: the invertible matrix of d_i
+    from the minus subspace at i to the plus subspace at i+1, in those
+    bases, u* d_i v for this complex's own d_i.
 
     Bases are deterministic: eigensolver order (ascending) plus fixed-phase
     normalization, so repeated runs agree bitwise.  Besides the ``offset``,
@@ -263,9 +263,9 @@ class HodgeData:
     The Hodge data of a shifted, padded or suspended complex are those of
     the complex it wraps, bit for bit what a fresh decomposition gives:
     ``wraps`` is (the wrapped complex's data, the number of zero modules
-    before it, whether the differentials are negated), and its bases and
-    carriers are the wrapped ones, with the empty entries of a zero module
-    at padded degrees.
+    before it), and its bases and carriers are the wrapped ones, with the
+    empty entries of a zero module at padded degrees.  Its reduced maps are
+    read off its own differentials, so a suspension's are u* (-d) v.
     """
 
     offset: int
@@ -308,11 +308,11 @@ class HodgeData:
                              "at or below the floor counts as zero")
         return tuple(lines)
 
-    def _wrapped(self, c: "CochainComplex", before: int, negated: bool) -> "HodgeData":
+    def _wrapped(self, c: "CochainComplex", before: int) -> "HodgeData":
         """The Hodge data of a complex c holding this one's modules and
-        differentials (negated if ``negated``) from stored index ``before``
-        on, between zero modules: these spectra and dimensions, with the
-        empty stages of c's own maps at its padded degrees."""
+        differentials (or their negations) from stored index ``before`` on,
+        between zero modules: these spectra and dimensions, with the empty
+        stages of c's own maps at its padded degrees."""
         after = len(c.modules) - before - len(self.modules)
         head, tail = ([spectral_stage(d, self.rank_tol) for d in part] for part in (
             c.differentials[:before], c.differentials[len(c.differentials) - after:]))
@@ -323,11 +323,11 @@ class HodgeData:
             c.offset, c.modules, c.differentials, self.rank_tol,
             tuple(s[0] for s in head) + self.spectra + tuple(s[0] for s in tail),
             tuple(s[2] for s in head) + self.log_vols + tuple(s[2] for s in tail),
-            (0,) * before + self.harmonic_dims + (0,) * after, dims, (self, before, negated))
+            (0,) * before + self.harmonic_dims + (0,) * after, dims, (self, before))
 
     @cached_property
     def _decomposition(self) -> tuple:
-        """(harmonic_bases, plus_bases, minus_bases, reduced, harmonic_modules).
+        """(harmonic_bases, plus_bases, minus_bases, harmonic_modules).
 
         The range bases are those kept with each differential
         (``_range_basis``).  The degree-i harmonic space is the kernel of
@@ -361,29 +361,32 @@ class HodgeData:
             harmonic.append(_phase_normalize(harm))
         bases = _frozen(harmonic)
         return (bases, _frozen(plus_bases), _frozen(minus_bases),
-                _frozen(_reduced(self.differentials, minus_bases, plus_bases)),
                 tuple(_carrier(self.context, b) for b in bases))
 
     def _wrapped_decomposition(self) -> tuple:
-        """The wrapped data's fields, with an empty basis, reduced map and
-        carrier at each padded degree.  A negation's range bases are those of
-        the map it negates, and its reduced maps u* (-d) v are computed as a
-        fresh decomposition computes them."""
-        source, before, negated = self.wraps
+        """The wrapped data's fields, with an empty basis and carrier at each
+        padded degree (a negation's range bases are those of the map it
+        negates)."""
+        source, before = self.wraps
         after = len(self.modules) - before - len(source.modules)
-        harmonic, plus, minus, reduced, carriers = source._decomposition
-        if negated:
-            reduced = _frozen(_reduced(self.differentials, minus, plus))
-        empty = _frozen([np.zeros((self.modules[0].blocks, 0, 0), np.complex128)])
-        padded = [empty * before + f + empty * after for f in (harmonic, plus, minus, reduced)]
+        *bases, carriers = source._decomposition
+        empty = _frozen([np.zeros((self.context.blocks, 0, 0), np.complex128)])
         carrier = (_carrier(self.context, empty[0]),)
-        return (*padded, carrier * before + carriers + carrier * after)
+        return (*(empty * before + f + empty * after for f in bases),
+                carrier * before + carriers + carrier * after)
 
     harmonic_bases = property(lambda self: self._decomposition[0])
     plus_bases = property(lambda self: self._decomposition[1])
     minus_bases = property(lambda self: self._decomposition[2])
-    reduced = property(lambda self: self._decomposition[3])
-    harmonic_modules = property(lambda self: self._decomposition[4])
+    harmonic_modules = property(lambda self: self._decomposition[3])
+
+    @cached_property
+    def reduced(self) -> tuple[np.ndarray, ...]:
+        """u* d v for each differential d, on its coimage basis v (the minus
+        basis at its domain) and its range basis u (the plus basis at its
+        codomain)."""
+        return _frozen([u.conj().swapaxes(-1, -2) @ d.array @ v for d, v, u in zip(
+            self.differentials, self.minus_bases, self.plus_bases[1:])])
 
     def harmonic_basis(self, q: int) -> np.ndarray:
         """Orthonormal columns spanning the harmonic space, a stack of
@@ -403,7 +406,7 @@ class HodgeData:
         """Reduced differential at true degree q as a morphism of carriers."""
         i = q - self.offset
         if not 0 <= i < len(self.reduced):
-            zero = HilbertModule(self.context, 0, free=False, blocks=self.modules[0].blocks)
+            zero = HilbertModule(self.context, 0, free=False)
             return Morphism.zero(zero, zero)
         return Morphism(_carrier(self.context, self.minus_bases[i]),
                         _carrier(self.context, self.plus_bases[i + 1]), self.reduced[i])
@@ -415,16 +418,8 @@ def _carrier(context: TraceContext, basis: np.ndarray) -> HilbertModule:
     was dropped."""
     kept = basis.any(axis=-2)
     dim = np.count_nonzero(kept)
-    return HilbertModule(context, dim, free=False, blocks=len(basis),
+    return HilbertModule(context, dim, free=False,
                          block_mask=None if dim == kept.size else kept)
-
-
-def _reduced(differentials: Sequence[Morphism], minus_bases: Sequence[np.ndarray],
-             plus_bases: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """u* d v for each d, on its coimage basis v (the minus basis at its
-    domain) and its range basis u (the plus basis at its codomain)."""
-    return [u.conj().swapaxes(-1, -2) @ d.array @ v
-            for d, v, u in zip(differentials, minus_bases, plus_bases[1:])]
 
 
 def _frozen(arrays: list[np.ndarray]) -> tuple[np.ndarray, ...]:
@@ -477,8 +472,8 @@ def hodge(c: CochainComplex, rank_tol: float | None = None) -> HodgeData:
     if hd is not None:
         return hd
     if c._wraps is not None:
-        source, before, negated = c._wraps
-        hd = c._hodge[rank_tol] = hodge(source, rank_tol)._wrapped(c, before, negated)
+        source, before = c._wraps
+        hd = c._hodge[rank_tol] = hodge(source, rank_tol)._wrapped(c, before)
         return hd
     stages = [spectral_stage(d, rank_tol) for d in c.differentials]
     none = np.zeros(c.modules[0].blocks, int)
@@ -563,10 +558,10 @@ def torsion_via_laplacians(c: CochainComplex, rank_tol: float | None = None) -> 
 
 def _tensor_modules(a: HilbertModule, b: HilbertModule) -> HilbertModule:
     """C^n (x) M with the field index outermost keeps the group factor M's
-    context, fiber and blocks."""
+    context and fiber."""
     group = b if b.context.is_group else a
     return HilbertModule(group.context, a.ambient_dim * b.ambient_dim, free=a.free and b.free,
-                         fiber_dim=group.fiber_dim, blocks=group.blocks)
+                         fiber_dim=group.fiber_dim)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -626,8 +621,7 @@ def tensor_product(c1: CochainComplex, c2: CochainComplex) -> CochainComplex:
 def suspension(c: CochainComplex) -> CochainComplex:
     """(SC)_i = C_{i+1} with differentials negated; a negation shares the
     spectra and range bases of the differential it negates."""
-    return _wrapping(c, c.modules, [-d for d in c.differentials], c.offset - 1,
-                     negated=True)
+    return _wrapping(c, c.modules, [-d for d in c.differentials], c.offset - 1)
 
 
 class ComplexMorphism:
@@ -638,9 +632,9 @@ class ComplexMorphism:
     numerically.
     """
 
-    # (record, "include" or "project") on the maps of ``extension_maps``
-    # whose modules have no block mask: the record marks the two maps of
-    # one call, which ``exact.ComplexSES`` knows to be exact
+    # (record, "include" or "project") on the maps of ``extension_maps``:
+    # the record marks the two maps of one call, which ``exact.ComplexSES``
+    # knows to be exact
     _split: tuple | None = None
 
     def __init__(self, source: CochainComplex, target: CochainComplex,
@@ -688,9 +682,10 @@ class ComplexMorphism:
 
 class _Split:
     """What the inclusion and the projection of one ``extension_maps`` call
-    share: with no block mask, (id, 0) and (0, id) are exact at every
-    degree, g o f is zero bit for bit, and every singular value of either
-    is 1.  It refers to neither map, so the two make no reference cycle."""
+    share: (id, 0) and (0, id), each identity masked to its carrier's
+    coordinates, are exact at every degree, g o f is zero bit for bit, and
+    every singular value of either is 1.  It refers to neither map, so the
+    two make no reference cycle."""
 
     __slots__ = ()
 
@@ -710,8 +705,9 @@ def _extension_maps(sub: CochainComplex, middle: CochainComplex, quot: CochainCo
     not checked again."""
     include, project = [], []
     for a, m, b in zip(sub.modules, middle.modules, quot.modules):
-        include.append(Morphism(a, m, assemble_blocks({(0, 0): np.eye(a.width)}, [a, b], [a])))
-        project.append(Morphism(m, b, assemble_blocks({(0, 1): np.eye(b.width)}, [b], [a, b])))
+        eye_a, eye_b = Morphism.identity(a).array, Morphism.identity(b).array
+        include.append(Morphism(a, m, assemble_blocks({(0, 0): eye_a}, [a, b], [a])))
+        project.append(Morphism(m, b, assemble_blocks({(0, 1): eye_b}, [b], [a, b])))
     maps = []
     for source, target, components in ((sub, middle, include), (middle, quot, project)):
         if assembled:
@@ -720,9 +716,8 @@ def _extension_maps(sub: CochainComplex, middle: CochainComplex, quot: CochainCo
         else:
             f = ComplexMorphism(source, target, components)
         maps.append(f)
-    if all(x.block_mask is None for c in (sub, middle, quot) for x in c.modules):
-        split = _Split()
-        maps[0]._split, maps[1]._split = (split, "include"), (split, "project")
+    split = _Split()
+    maps[0]._split, maps[1]._split = (split, "include"), (split, "project")
     return maps[0], maps[1]
 
 

@@ -179,18 +179,24 @@ def _linear_map(domain, codomain, matrix: np.ndarray, where: str):
     the algebra: its (copies, group) matrix is unchanged when both group
     axes are re-indexed by h -> g h, for the generator t of a cyclic group
     or every element g of a table.  That is |G| gathers of the matrix, not
-    the dense products of ``vn.a_linearity_residual``."""
-    from .vn import Morphism, vanishes
-    f = Morphism(domain, codomain, matrix)
-    ctx = f.context
-    if ctx.is_group and matrix.size:
+    the dense products of ``vn.a_linearity_residual``.
+
+    Over ``cyclic_group(m)`` the map is stored as its m characters: block j
+    is sum_k c_k exp(2 pi i j k / m) of the first block column c, which
+    ``Morphism.matrix`` inverts."""
+    from .vn import Morphism, norm_lower_bound, vanishes
+    ctx = domain.context
+    if ctx.is_group:
         n = ctx.size
-        a = matrix.reshape(len(matrix) // n, n, -1, n)
-        actions = [np.roll(np.arange(n), -1)] if ctx.table is None else ctx.table
+        a = matrix.reshape(codomain.ambient_dim // n, n, domain.ambient_dim // n, n)
+        actions = [np.roll(np.arange(n), -1)] if ctx.is_cyclic else ctx.table
+        scale = norm_lower_bound(matrix)
         for g in actions:
-            if not vanishes(a[:, g][..., g] - a, f.norm_bound):
+            if not vanishes(a[:, g][..., g] - a, scale):
                 raise DataValidationError("map is not linear over the group", location=where)
-    return f
+        if ctx.is_cyclic:
+            matrix = np.fft.ifft(a[..., 0].transpose(1, 0, 2), axis=0, norm="forward")
+    return Morphism(domain, codomain, matrix)
 
 
 def parse_word(value, where: str) -> tuple:

@@ -2,10 +2,13 @@
 
 Random complexes are assembled from an explicit orthogonal shape: per degree
 a harmonic rank h_i and boundary ranks r_{i-1}, r_i, glued by random unitary
-frames, so d o d = 0 holds to rounding error by construction.  Over a group
-context every block is linear over the algebra (a sum of coefficient blocks
-kron'd with right-regular permutations), so the generated complexes are
-honest Hilbert-module complexes, not merely complex-linear ones.
+frames, so d o d = 0 holds to rounding error by construction.  Every array
+is a (blocks, rows, cols) stack in the layout the context decides
+(``vn.HilbertModule``): over ``cyclic_group(m)`` independent blocks at the m
+characters, over a table one dense block that is a sum of coefficient
+blocks kron'd with right-regular permutations.  Either way every map is
+linear over the algebra, so the generated complexes are honest
+Hilbert-module complexes, not merely complex-linear ones.
 
 Random short exact sequences are ``complexes.extension``s of two random
 complexes coupled by a coboundary twist: the off-diagonal block
@@ -21,7 +24,6 @@ import numpy as np
 from .complexes import CochainComplex, ComplexMorphism, extension
 from .errors import DataValidationError
 from .exact import ComplexSES
-from .kernel import gram_spectrum
 from .vn import (
     HilbertModule,
     Morphism,
@@ -31,49 +33,50 @@ from .vn import (
 )
 
 
-def _random_coeff(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2)
+def _random_coeff(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
 
 
 def random_alinear(rng: np.random.Generator, ctx: TraceContext,
                    rows_rank: int, cols_rank: int) -> np.ndarray:
-    """Random algebra-linear matrix between free modules of the given ranks.
+    """Random algebra-linear map between free modules of the given ranks, as
+    its (blocks, rows, cols) stack.
 
-    Layout is copy-major with the group index inner, matching the package
-    convention; over the complex field this is just a Gaussian matrix.
+    Over the complex field one Gaussian block, and over ``cyclic_group(m)``
+    m independent ones, one per character: the unitary DFT of iid complex
+    Gaussian group coefficients is iid Gaussian again.  Over a table, the
+    one dense block of the sum of coefficient blocks kron'd with
+    right-regular permutations, copy-major with the group index inner.
     """
-    if not ctx.is_group:
-        return _random_coeff(rng, rows_rank, cols_rank)
+    if ctx.table is None:
+        return _random_coeff(rng, (ctx.blocks, rows_rank, cols_rank))
     n = ctx.size
-    total = np.zeros((rows_rank * n, cols_rank * n), np.complex128)
+    total = np.zeros((1, rows_rank * n, cols_rank * n), np.complex128)
     for g in range(n):
-        total += np.kron(_random_coeff(rng, rows_rank, cols_rank) / np.sqrt(n),
+        total += np.kron(_random_coeff(rng, (rows_rank, cols_rank)) / np.sqrt(n),
                          right_regular(ctx, g))
     return total
 
 
 def random_alinear_invertible(rng: np.random.Generator, ctx: TraceContext,
                               rank: int, max_cond: float = 50.0) -> np.ndarray:
-    """Invertible algebra-linear endomorphism with a bounded condition number."""
-    if rank == 0:
-        return np.zeros((0, 0), np.complex128)
+    """Invertible algebra-linear endomorphism with a bounded condition number
+    (of the direct sum of its blocks)."""
     for _ in range(100):
         m = random_alinear(rng, ctx, rank, rank)
         sv = np.linalg.svd(m, compute_uv=False)
-        if sv[-1] > 0 and sv[0] / sv[-1] <= max_cond:
+        if rank == 0 or (sv.min() > 0 and sv.max() / sv.min() <= max_cond):
             return m
     raise DataValidationError("failed to sample a well-conditioned invertible block")
 
 
 def random_alinear_unitary(rng: np.random.Generator, ctx: TraceContext,
                            rank: int) -> np.ndarray:
-    """Unitary algebra-linear frame: the isometric polar factor of a random map."""
-    if rank == 0:
-        return np.zeros((0, 0), np.complex128)
-    m = random_alinear_invertible(rng, ctx, rank, max_cond=1e6)
-    s = gram_spectrum(m[None], vectors=True)
-    v = s.vectors[0]
-    return m @ ((v / s.sigma[0]) @ v.conj().T)
+    """Unitary algebra-linear frame: the isometric polar factor W V* of a
+    random map W S V*, unitary to rounding whatever the map's conditioning
+    (over C and the characters, Haar and independent of S)."""
+    w, _, vh = np.linalg.svd(random_alinear(rng, ctx, rank, rank))
+    return w @ vh
 
 
 @dataclass(eq=False)
@@ -126,12 +129,11 @@ def random_cochain_complex(rng: np.random.Generator, ctx: TraceContext,
         harmonic, boundary = random_shape(rng, length, max_rank, acyclic)
     else:
         harmonic, boundary = [list(x) for x in shape]
-    unit = ctx.size
     data = ComplexShape(harmonic, boundary, [], [])
     modules = []
     for i in range(length):
         rank = data.ambient_rank(i)
-        modules.append(HilbertModule(ctx, rank * unit))
+        modules.append(HilbertModule(ctx, rank * ctx.size))
         data.frames.append(random_alinear_unitary(rng, ctx, rank))
     diffs = []
     for i in range(length - 1):
@@ -142,7 +144,7 @@ def random_cochain_complex(rng: np.random.Generator, ctx: TraceContext,
         prev = boundary[i - 1] if i >= 1 else 0
         cols = (harmonic[i], prev, r)
         embedded = assemble_blocks({(1, 2): block}, _grid(ctx, rows), _grid(ctx, cols))
-        mat = data.frames[i + 1] @ embedded @ data.frames[i].conj().T
+        mat = data.frames[i + 1] @ embedded @ data.frames[i].conj().swapaxes(-1, -2)
         diffs.append(Morphism(modules[i], modules[i + 1], mat))
     return CochainComplex(modules, diffs, offset), data
 
@@ -169,7 +171,6 @@ def random_chain_morphism(rng: np.random.Generator, source: CochainComplex,
     target, tshape = random_cochain_complex(
         rng, ctx, len(source.modules), offset=source.offset,
         shape=(source_shape.harmonic, source_shape.boundary))
-    unit = ctx.size
     h, r = source_shape.harmonic, source_shape.boundary
     length = len(source.modules)
 
@@ -180,19 +181,12 @@ def random_chain_morphism(rng: np.random.Generator, source: CochainComplex,
         return (random_alinear_invertible(rng, ctx, rank) if invertible
                 else rand(rank, rank))
 
-    f22: list[np.ndarray] = []
-    f33: list[np.ndarray] = []
-    for i in range(length):
-        prev = r[i - 1] if i >= 1 else 0
-        f22.append(np.zeros((prev * unit, prev * unit), np.complex128))
-        curr = r[i] if i < len(r) else 0
-        f33.append(rand_square(curr))
-    for i in range(length - 1):
-        # reduced differentials in the shape frames are exactly the blocks
-        b_s = source_shape.blocks[i]
-        b_t = tshape.blocks[i]
-        if r[i]:
-            f22[i + 1] = b_t @ f33[i] @ np.linalg.inv(b_s)
+    f33 = [rand_square(r[i] if i < len(r) else 0) for i in range(length)]
+    # reduced differentials in the shape frames are exactly the blocks; the
+    # plus slice at degree 0 is empty
+    f22 = [np.zeros((0, 0))] + [
+        b_t @ f @ np.linalg.inv(b_s)
+        for b_s, b_t, f in zip(source_shape.blocks, tshape.blocks, f33)]
 
     components = []
     for i in range(length):
@@ -202,7 +196,7 @@ def random_chain_morphism(rng: np.random.Generator, source: CochainComplex,
         mat = assemble_blocks({(0, 0): rand_square(h[i]), (1, 1): f22[i], (2, 2): f33[i],
                                (1, 0): rand(prev, h[i]), (0, 2): rand(h[i], curr),
                                (1, 2): rand(prev, curr)}, grid, grid)
-        ambient = tshape.frames[i] @ mat @ source_shape.frames[i].conj().T
+        ambient = tshape.frames[i] @ mat @ source_shape.frames[i].conj().swapaxes(-1, -2)
         components.append(Morphism(source.modules[i], target.modules[i], ambient))
     return ComplexMorphism(source, target, components), target, tshape
 
@@ -213,15 +207,10 @@ def coboundary_twist(rng: np.random.Generator, c1: CochainComplex,
     if c1.offset != c3.offset or len(c1.modules) != len(c3.modules):
         raise DataValidationError("twist needs complexes on one degree window")
     ctx = c1.context
-    unit = ctx.size
-    u = [random_alinear(rng, ctx, c1.modules[i].ambient_dim // unit,
-                        c3.modules[i].ambient_dim // unit)
-         for i in range(len(c1.modules))]
-    thetas = []
-    for i in range(len(c1.modules) - 1):
-        theta = c1.differentials[i].array @ u[i] - u[i + 1] @ c3.differentials[i].array
-        thetas.append(theta)
-    return thetas
+    u = [random_alinear(rng, ctx, a.ambient_dim // ctx.size, b.ambient_dim // ctx.size)
+         for a, b in zip(c1.modules, c3.modules)]
+    return [d1.array @ u[i] - u[i + 1] @ d3.array
+            for i, (d1, d3) in enumerate(zip(c1.differentials, c3.differentials))]
 
 
 def random_ses(rng: np.random.Generator, ctx: TraceContext, length: int = 3,

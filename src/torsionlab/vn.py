@@ -30,7 +30,14 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DataValidationError, NumericalError
-from .kernel import SpectralDistribution, Spectrum, gram_spectrum, rank_cutoff
+from .kernel import (
+    SpectralDistribution,
+    Spectrum,
+    gram_spectrum,
+    laurent_terms,
+    rank_cutoff,
+    symbol_at_roots,
+)
 
 #: Tolerance of ``vanishes``, relative to the scale of the check.
 COMPOSITION_TOL = 1e-10
@@ -73,6 +80,12 @@ class TraceContext:
         if self.is_cyclic:
             return self.cyclic
         return 1 if self.table is None else self.table.shape[0]
+
+    @property
+    def blocks(self) -> int:
+        """The number of blocks of every module over this context: the m
+        characters of ``cyclic_group(m)``, one otherwise."""
+        return self.cyclic if self.is_cyclic else 1
 
     @property
     def identity(self) -> int:
@@ -206,8 +219,8 @@ def cyclic_group(m: int) -> TraceContext:
 
     Products, powers, inverses and labels are arithmetic mod m, so the
     context holds no table and any order is affordable.  Its regular
-    representation is the sum of its m characters: a module over it may
-    have m blocks, one per character (see ``HilbertModule``), where a table
+    representation is the sum of its m characters: every module over it has
+    m blocks, one per character (see ``HilbertModule``), where a table
     group's modules have one dense block.
     """
     if m < 1:
@@ -230,16 +243,18 @@ class HilbertModule:
     (harmonic spaces, coimages of reduced differentials) are genuinely
     non-free submodules and are created with ``free=False``.
 
-    Most modules have one block: the standard basis, with coordinates
-    ordered (copy index, group index, fiber index), the fiber innermost, so
-    the algebra acts by I_copies (x) lambda(g) (x) I_fiber; ``fiber_dim``
-    is that layout hint (it has no meaning over the complex field or for
-    non-free carriers).  A module over ``cyclic_group(m)`` may instead have
-    m blocks, one per character: Z/m is abelian, so l^2(Z/m) is the
-    orthogonal sum of its m characters, and the module is the sum over them
-    of C^width (width = ambient_dim / m, ordered copy index then fiber
-    index).  Either way a morphism commutes with the algebra and is stored
-    as the (blocks, rows, cols) stack of its blocks.
+    The context decides the blocks (``TraceContext.blocks``), whatever
+    built the module.  Over the complex field or a ``finite_group`` table
+    there is one block: the standard basis, with coordinates ordered (copy
+    index, group index, fiber index), the fiber innermost, so the algebra
+    acts by I_copies (x) lambda(g) (x) I_fiber; ``fiber_dim`` is that
+    layout hint (it has no meaning over the complex field or for non-free
+    carriers).  Over ``cyclic_group(m)`` there are m blocks, one per
+    character: Z/m is abelian, so l^2(Z/m) is the orthogonal sum of its m
+    characters, and the module is the sum over them of C^width (width =
+    ambient_dim / m, ordered copy index then fiber index).  Either way a
+    morphism commutes with the algebra and is stored as the (blocks, rows,
+    cols) stack of its blocks.
 
     A non-free carrier may have a different dimension in each block:
     ``block_mask`` (blocks, width) marks the coordinates each block has, and
@@ -250,7 +265,6 @@ class HilbertModule:
     ambient_dim: int
     free: bool = True
     fiber_dim: int = 1
-    blocks: int = 1
     block_mask: np.ndarray | None = field(default=None, repr=False)
     #: Size of one block (ambient_dim for a single block) and the number of
     #: coordinates in each block (read-only), set from the above.
@@ -268,16 +282,12 @@ class HilbertModule:
                 f"free module over a group of order {self.context.size} with fiber "
                 f"{self.fiber_dim} needs ambient dimension divisible by "
                 f"{self.context.size * self.fiber_dim}, got {self.ambient_dim}")
-        if self.blocks != 1 and (self.blocks != self.context.size
-                                 or self.context.table is not None):
-            raise DataValidationError("a module has one block, or one per character "
-                                      "of a cyclic group")
         mask = self.block_mask
         if mask is None:
             if self.ambient_dim % self.blocks:
                 raise DataValidationError(
                     "a module without a block mask needs ambient dimension divisible "
-                    "by its number of blocks")
+                    f"by its number of blocks, {self.blocks}")
             object.__setattr__(self, "width", self.ambient_dim // self.blocks)
         elif not (not self.free and np.shape(mask)[:-1] == (self.blocks,)
                   and mask.sum() == self.ambient_dim):
@@ -290,6 +300,8 @@ class HilbertModule:
         dims.setflags(write=False)
         object.__setattr__(self, "block_dims", dims)
 
+    blocks = property(lambda self: self.context.blocks)
+
     @property
     def vn_dim(self) -> float:
         return self.context.kappa * self.ambient_dim
@@ -298,8 +310,7 @@ class HilbertModule:
         if other is self:
             return True
         a, b = self.block_mask, other.block_mask
-        return (self.ambient_dim == other.ambient_dim and self.blocks == other.blocks
-                and self.context.matches(other.context)
+        return (self.ambient_dim == other.ambient_dim and self.context.matches(other.context)
                 and (a is b or (a is not None and b is not None and np.array_equal(a, b))))
 
 
@@ -339,16 +350,14 @@ def direct_sum_modules(modules: Sequence[HilbertModule]) -> HilbertModule:
     refuses it."""
     if not modules:
         raise DataValidationError("direct sum needs at least one module")
-    first = modules[0]
-    ctx, blocks = first.context, first.blocks
+    ctx = modules[0].context
     for m in modules[1:]:
-        if not m.context.matches(ctx) or m.blocks != blocks:
-            raise DataValidationError("direct sum of modules over different contexts "
-                                      "or with different blocks")
+        if not m.context.matches(ctx):
+            raise DataValidationError("direct sum of modules over different contexts")
     ambient = sum(m.ambient_dim for m in modules)
     free = all(m.free for m in modules)
     fibers = {m.fiber_dim for m in modules if m.ambient_dim > 0}
-    if len(fibers) > 1 and blocks < ctx.size:
+    if len(fibers) > 1 and ctx.blocks < ctx.size:
         free = False
     fiber = fibers.pop() if len(fibers) == 1 else 1
     if free and ctx.is_group and ambient % (ctx.size * fiber):
@@ -357,10 +366,9 @@ def direct_sum_modules(modules: Sequence[HilbertModule]) -> HilbertModule:
         free = False
     mask = None
     if any(m.block_mask is not None for m in modules):
-        mask = np.concatenate([np.ones((blocks, m.width), bool) if m.block_mask is None
+        mask = np.concatenate([np.ones((ctx.blocks, m.width), bool) if m.block_mask is None
                                else m.block_mask for m in modules], axis=1)
-    return HilbertModule(ctx, ambient, free=free, fiber_dim=fiber, blocks=blocks,
-                         block_mask=mask)
+    return HilbertModule(ctx, ambient, free=free, fiber_dim=fiber, block_mask=mask)
 
 
 def assemble_blocks(blocks: Mapping[tuple[int, int], np.ndarray],
@@ -400,8 +408,8 @@ class Morphism:
     array: np.ndarray
 
     def __post_init__(self):
-        if self.domain.blocks != self.codomain.blocks:
-            raise DataValidationError("domain and codomain have different blocks")
+        if not self.domain.context.matches(self.codomain.context):
+            raise DataValidationError("domain and codomain live over different contexts")
         want = array_shape(self.codomain, self.domain)
         a = np.asarray(self.array, dtype=np.complex128)
         if a.shape != want:
@@ -409,8 +417,6 @@ class Morphism:
                 raise DataValidationError(f"array shape {a.shape} is neither the stack "
                                           f"{want} nor its block {want[1:]}")
             a = np.broadcast_to(a, want)
-        if not self.domain.context.matches(self.codomain.context):
-            raise DataValidationError("domain and codomain live over different contexts")
         a = a.copy()
         a.setflags(write=False)
         object.__setattr__(self, "array", a)
@@ -727,20 +733,27 @@ def group_ring_matrix(word: Iterable[tuple[object, complex]], context: TraceCont
     ``word`` is an iterable of (element, coefficient) pairs; elements may be
     indices or labels.  The result is an endomorphism of l^2(Gamma) (x) C^fiber
     and commutes with the (left-regular) algebra action by construction.
+    This is where a word becomes its stack: over ``cyclic_group(m)`` the
+    (fiber x fiber) blocks at the m characters, the Laurent polynomial sum
+    of coeff t^g at the m-th roots of unity (``kernel.symbol_at_roots``);
+    over a table its one dense block.
     """
     if not context.is_group:
         raise DataValidationError("group-ring matrices need a finite-group context")
     if fiber_dim < 1:
         raise DataValidationError("fiber dimension must be >= 1")
+    module = regular_module(context, 1, fiber_dim)
     n = context.size
+    pairs = [(context.element_index(element), coeff) for element, coeff in word]
+    if context.is_cyclic:
+        symbol = symbol_at_roots([[laurent_terms(pairs)]], np.arange(n), n)
+        return Morphism(module, module, symbol * np.eye(fiber_dim))
     total = np.zeros((n * fiber_dim, n * fiber_dim), np.complex128)
-    for element, coeff in word:
-        g = context.element_index(element)
+    for g, coeff in pairs:
         # delta_h (x) f_a -> delta_{h g} (x) f_a, set in place: no dense blocks
         hg = np.array([context.multiply(h, g) for h in range(n)])
         total[(hg[:, None] * fiber_dim + np.arange(fiber_dim)).ravel(),
               np.arange(n * fiber_dim)] += complex(coeff)
-    module = regular_module(context, 1, fiber_dim)
     return Morphism(module, module, total)
 
 

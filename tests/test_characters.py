@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torsionlab import cli, vn
+from torsionlab import cli, formats, vn
 from torsionlab.cells import (
     RegularRepresentation,
     TwistedCellComplex,
@@ -40,7 +40,7 @@ from torsionlab.complexes import (
 )
 from torsionlab.errors import DataValidationError
 from torsionlab.exact import ComplexSES, cone_ses, milnor_check
-from torsionlab.generators import random_cochain_complex
+from torsionlab.generators import random_cochain_complex, random_ses
 from torsionlab.vn import Morphism
 
 ORDERS = (1, 2, 3, 8, 64)
@@ -392,3 +392,54 @@ def test_cyclic_group_holds_no_table():
             ctx.element_index(bad)
     assert vn.cyclic_group(4).matches(vn.cyclic_group(4))
     assert not vn.cyclic_group(4).matches(_contexts(4)[1])
+
+
+def test_the_context_decides_the_blocks():
+    # every module over Z/m has its m characters, whatever built it; one
+    # block over the complex field and over a table
+    m = 3
+    fast, dense = _contexts(m)
+    with pytest.raises(TypeError):
+        vn.HilbertModule(fast, m, blocks=1)
+    cw = _on(_circle(m), fast)
+    ses = random_ses(np.random.default_rng(3), fast)
+    file = formats.parse_complex({"context": {"type": "cyclic", "order": m},
+                                  "modules": [m, 0], "differentials": [[]]})
+    modules = [
+        *file.modules, *ses.middle.modules, vn.regular_module(fast, 2),
+        vn.group_ring_matrix([("t", 1.0)], fast, fiber_dim=2).domain,
+        *build_complex(cw).modules, hodge(build_complex(cw)).harmonic_module(0),
+    ]
+    assert all(module.blocks == m for module in modules)
+    for ctx in (dense, vn.complex_field()):
+        c, _ = random_cochain_complex(np.random.default_rng(3), ctx)
+        assert all(module.blocks == 1 for module in c.modules)
+
+
+def _json_matrix(a):
+    return [[[z.real, z.imag] for z in row] for row in a]
+
+
+@pytest.mark.parametrize("m", (1, 2, 3, 8))
+def test_a_complex_file_over_a_cyclic_group_is_stored_by_characters(m):
+    # the dense maps of a random complex over the table of the same group:
+    # the file's complex has m blocks, and its matrix is the file's to rounding
+    fast, dense = _contexts(m)
+    oracle, _ = random_cochain_complex(np.random.default_rng(m), dense,
+                                       shape=([1, 0, 1], [1, 2]))
+    dense_maps = [d.matrix for d in oracle.differentials]
+    c = formats.parse_complex({
+        "context": {"type": "cyclic", "order": m},
+        "modules": [module.ambient_dim for module in oracle.modules],
+        "differentials": [_json_matrix(a) for a in dense_maps]})
+    for d, want in zip(c.differentials, dense_maps, strict=True):
+        assert d.domain.blocks == m and d.array.shape == (m,) + tuple(n // m for n in want.shape)
+        np.testing.assert_allclose(d.matrix, want, rtol=0, atol=AGREE)
+    assert torsion(c) == pytest.approx(torsion(oracle), abs=AGREE)
+    # a word's characters, read from its dense matrix
+    word = [("t", 2.0), ("e", -0.5j)] if m > 1 else [("e", 1.5)]
+    f = vn.group_ring_matrix(word, dense)
+    got = formats.parse_complex({"context": {"type": "cyclic", "order": m},
+                                 "modules": [m, m], "differentials": [_json_matrix(f.matrix)]})
+    np.testing.assert_allclose(got.differentials[0].array,
+                               vn.group_ring_matrix(word, fast).array, rtol=0, atol=AGREE)

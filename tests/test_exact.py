@@ -128,17 +128,17 @@ def test_split_sequence_has_zero_connecting_maps():
 
 
 def _pinv_zig_zag(ses, i, rng):
-    """The connecting map at degree i by numpy's pinv, with the lift along g
-    shifted by a random element of ker g = im f, which the harmonic
-    projection at the end must kill."""
-    hbasis = ses.hodge(3).harmonic_basis(i)[0]
-    u = np.linalg.pinv(ses.g.component(i).matrix) @ hbasis
-    kernel_shift = ses.f.component(i).matrix @ (
-        rng.standard_normal((ses.first.module(i).ambient_dim, hbasis.shape[1]))
-        + 1j * rng.standard_normal((ses.first.module(i).ambient_dim, hbasis.shape[1])))
-    v = ses.middle.differential(i).matrix @ (u + kernel_shift)
-    w = np.linalg.pinv(ses.f.component(i + 1).matrix) @ v
-    return ses.hodge(1).harmonic_basis(i + 1)[0].conj().T @ w
+    """The connecting map at degree i by numpy's pinv, block by block, with
+    the lift along g shifted by a random element of ker g = im f, which the
+    harmonic projection at the end must kill."""
+    hbasis = ses.hodge(3).harmonic_basis(i)
+    f_i = ses.f.component(i).array
+    u = np.linalg.pinv(ses.g.component(i).array) @ hbasis
+    shape = f_i.shape[:-2] + (f_i.shape[-1], hbasis.shape[-1])
+    kernel_shift = f_i @ (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    v = ses.middle.differential(i).array @ (u + kernel_shift)
+    w = np.linalg.pinv(ses.f.component(i + 1).array) @ v
+    return ses.hodge(1).harmonic_basis(i + 1).conj().swapaxes(-1, -2) @ w
 
 
 def test_connecting_is_independent_of_the_lift():
@@ -148,7 +148,7 @@ def test_connecting_is_independent_of_the_lift():
     for i in list(ses.degrees())[:-1]:
         if h3.harmonic_dim(i) == 0 or h1.harmonic_dim(i + 1) == 0:
             continue
-        assert_allclose(_pinv_zig_zag(ses, i, rng), connecting_hom(ses, i).matrix, atol=1e-9)
+        assert_allclose(_pinv_zig_zag(ses, i, rng), connecting_hom(ses, i).array, atol=1e-9)
 
 
 def _conjugated_cone(rng, ctx, frame, inverse):
@@ -175,7 +175,7 @@ def _conjugated_cone(rng, ctx, frame, inverse):
 
 
 def _adjoint(u):
-    return u.conj().T
+    return u.conj().swapaxes(-1, -2)
 
 
 def _ill_conditioned(rng, ctx, rank):
@@ -200,7 +200,7 @@ def test_connecting_matches_a_pinv_zig_zag_on_conjugated_cones(ctx, frame, inver
     ses = _conjugated_cone(rng, ctx, frame, inverse)
     largest = 0.0
     for i in list(ses.degrees())[:-1]:
-        delta = connecting_hom(ses, i).matrix
+        delta = connecting_hom(ses, i).array
         if delta.size:
             assert_allclose(_pinv_zig_zag(ses, i, rng), delta, atol=1e-9)
             largest = max(largest, np.abs(delta).max())
@@ -233,8 +233,8 @@ def test_connecting_on_carriers_with_block_masks():
     # the coordinates a block lacks, where the solves must return zeros.
     ctx = cyclic_group(3)
     mask = np.array([[True, True], [False, True], [False, False]])
-    m = HilbertModule(ctx, int(mask.sum()), free=False, blocks=3, block_mask=mask)
-    zero = HilbertModule(ctx, 0, free=False, blocks=3)
+    m = HilbertModule(ctx, int(mask.sum()), free=False, block_mask=mask)
+    zero = HilbertModule(ctx, 0, free=False)
     d = np.zeros((3, 2, 2), np.complex128)
     d[0] = [[2.0, 1.0], [0.0, 3.0]]
     d[1, 1, 1] = 0.5
@@ -247,6 +247,25 @@ def test_connecting_on_carriers_with_block_masks():
     b1, b3 = ses.hodge(1).harmonic_basis(1), ses.hodge(3).harmonic_basis(0)
     want = b1.conj().swapaxes(-1, -2) @ d @ b3
     assert_allclose(connecting_hom(ses, 0).array, want, atol=1e-12)
+    assert milnor_check(ses).residual < MILNOR_TOL
+
+
+def test_an_extension_of_carriers_with_block_masks_is_exact():
+    # extension(c, c) of one module, a carrier of Z/3 with 2, 1 and 0
+    # coordinates in its three blocks: (id, 0) and (0, id) are masked to the
+    # coordinates each block has, as Morphism.identity is, so the sequence is
+    # exact by construction and passes the full check too (an unmasked
+    # identity counted coordinates a block lacks: "not exact in the middle")
+    ctx = cyclic_group(3)
+    mask = np.array([[True, True], [True, False], [False, False]])
+    c = CochainComplex([HilbertModule(ctx, 3, free=False, block_mask=mask)], [])
+    _, include, project = extension(c, c)
+    ses = ComplexSES(include, project)
+    assert ses.by_construction
+    ses.by_construction = False
+    ses.validate()
+    for f in (include, project):
+        assert spectral_stage(f.components[0])[1].tolist() == [2, 1, 0]
     assert milnor_check(ses).residual < MILNOR_TOL
 
 
@@ -607,13 +626,13 @@ def test_cone_sequence_connecting_is_induced_map_up_to_sign():
             f, _, _ = random_chain_morphism(rng, c, shape, invertible=False)
             ses = cone_ses(f)
             for i in list(ses.degrees())[:-1]:
-                delta = connecting_hom(ses, i).matrix
-                induced = induced_harmonic_map(f, i + 1).matrix
-                if delta.size == 0:
-                    assert induced.size == 0
+                delta = connecting_hom(ses, i)
+                induced = induced_harmonic_map(f, i + 1)
+                if delta.array.size == 0:
+                    assert induced.array.size == 0
                     continue
-                dist = min(np.linalg.norm(delta - induced, 2),
-                           np.linalg.norm(delta + induced, 2))
+                # the largest block norm of a stack, the norm of the direct sum
+                dist = min((delta - induced).norm(), (delta + induced).norm())
                 assert dist < CONNECTING_TOL
 
 
