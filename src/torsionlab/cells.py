@@ -17,8 +17,10 @@ decisions of the dense matrix (the cutoff is sized by m n, so over Z/2^16
 the circle's characters j = +-1 fall under the default cutoff and
 ``hodge`` warns).  A product with a cell complex over the complex field
 keeps the blocks, the field factor's index outermost; a product of
-two group factors is refused.  Every other representation, including a
-regular one over a ``finite_group`` table, has one dense block.
+two group factors is refused.  Every other representation has one dense
+block; a regular one over a ``finite_group`` table orders it (cell, fiber,
+group), the group index innermost, as the characters' width is ordered
+(cell, fiber).
 
 Words are lists of (element, coefficient) pairs.  Every representation
 reads an element as (label, power) (``kernel.word_element``): a label
@@ -66,11 +68,11 @@ Word = Sequence[tuple[object, complex]]
 class RegularRepresentation:
     """Finite group acting on itself, optionally tensored with a trivial fiber.
 
-    One cell contributes an l^2(Gamma) (x) C^fiber block; incidence words
-    act by right-regular permutation blocks and therefore commute with the
-    left algebra action.  A word is its ``vn.group_ring_matrix``: over
+    One cell contributes l^2(Gamma)^fiber; incidence words act by
+    right-regular permutation blocks and therefore commute with the left
+    algebra action.  A word is its ``vn.group_ring_matrix``: over
     ``cyclic_group(m)`` one (fiber x fiber) block per character, over a
-    table one dense block.
+    table one dense block, I_fiber (x) its right-regular matrix.
     """
 
     def __init__(self, context: TraceContext, fiber_dim: int = 1):
@@ -84,7 +86,7 @@ class RegularRepresentation:
         self.block_dim = context.size * self.fiber_dim
 
     def module(self, ncells: int) -> HilbertModule:
-        return HilbertModule(self.context, ncells * self.block_dim, fiber_dim=self.fiber_dim)
+        return HilbertModule(self.context, ncells * self.block_dim)
 
     def element(self, spec) -> int:
         """The group index of a word element (an unknown label raises)."""
@@ -161,9 +163,6 @@ class InfiniteCyclic:
     the Laurent-operator world and are handled by the tower module
     (cw_to_laurent).  build_complex refuses these with a pointer there.
     """
-
-    fiber_dim = 1
-    block_dim = 1
 
 
 def adjoint_word(word: Word) -> list[tuple[object, complex]]:

@@ -36,11 +36,11 @@ morphism, as ``vn.log_vol`` and ``vn.singular_values`` read it): ranks,
 harmonic dimensions, rank warnings and route one read only that.  Its bases
 (one eigh per differential and one per module with harmonic part) are
 computed together on the first read of any of them, and its reduced maps
-on their own first read.  Spectra and range bases live on the differential
-(``Morphism.derived``, which a negation shares), as does its norm bound
-(``Morphism.norm_bound``, read by every structural check; ``Morphism.zero``
-is built with its 0.0); harmonic bases and their carriers are kept per
-complex, with its ``HodgeData``.  A shifted, padded or suspended complex
+on their own first read.  Spectra live on the differential
+(``Morphism.derived``), as does its norm bound (``Morphism.norm_bound``,
+read by every structural check; ``Morphism.zero`` is built with its 0.0);
+range bases, harmonic bases and their carriers are kept per complex, with
+its ``HodgeData``.  A shifted, padded or suspended complex
 builds its ``HodgeData`` from that of the complex it wraps: the same
 spectra, bases and carriers, with empty entries at padded degrees and no
 eigensolve.
@@ -220,12 +220,11 @@ def pad_complex(c: CochainComplex, lo: int, hi: int) -> CochainComplex:
 # Hodge decomposition
 
 
-# What the Hodge data derive from a differential lives on it, in its
-# ``derived`` store, by (kind, cutoff): its spectral stage and its range
-# bases.  A complex made of another's differentials (``shifted``,
-# ``pad_complex``) reads them as they are, and ``suspension``'s negated
-# differentials share the store of the ones they negate.  Such a wrapper's
-# Hodge data are those of the complex it wraps (``HodgeData._wrapped``).
+# The spectral stage of a differential lives on it, in its ``derived``
+# store, by cutoff; its range bases live in the Hodge data that read them.
+# A complex made of another's differentials (``shifted``, ``pad_complex``,
+# ``suspension``) builds its Hodge data from those of the complex it wraps
+# (``HodgeData._wrapped``), with no eigensolve.
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,12 +328,12 @@ class HodgeData:
     def _decomposition(self) -> tuple:
         """(harmonic_bases, plus_bases, minus_bases, harmonic_modules).
 
-        The range bases are those kept with each differential
-        (``_range_basis``).  The degree-i harmonic space is the kernel of
-        d_i intersected with the kernel of d_{i-1}^*, realized as the
-        orthogonal complement of range(d_{i-1}) + range(d_i^*): one
-        batched eigh of its projector per module with harmonic part, whose
-        top eigenvectors in each block (``vn.kept_columns``) span it.
+        The range bases are each differential's ``_range_basis``.  The
+        degree-i harmonic space is the kernel of d_i intersected with the
+        kernel of d_{i-1}^*, realized as the orthogonal complement of
+        range(d_{i-1}) + range(d_i^*): one batched eigh of its projector per
+        module with harmonic part, whose top eigenvectors in each block
+        (``vn.kept_columns``) span it.
         Wrapped data take every field from the data they wrap instead.
         """
         if self.wraps is not None:
@@ -406,7 +405,7 @@ class HodgeData:
         """Reduced differential at true degree q as a morphism of carriers."""
         i = q - self.offset
         if not 0 <= i < len(self.reduced):
-            zero = HilbertModule(self.context, 0, free=False)
+            zero = HilbertModule(self.context, 0)
             return Morphism.zero(zero, zero)
         return Morphism(_carrier(self.context, self.minus_bases[i]),
                         _carrier(self.context, self.plus_bases[i + 1]), self.reduced[i])
@@ -418,8 +417,7 @@ def _carrier(context: TraceContext, basis: np.ndarray) -> HilbertModule:
     was dropped."""
     kept = basis.any(axis=-2)
     dim = np.count_nonzero(kept)
-    return HilbertModule(context, dim, free=False,
-                         block_mask=None if dim == kept.size else kept)
+    return HilbertModule(context, dim, block_mask=None if dim == kept.size else kept)
 
 
 def _frozen(arrays: list[np.ndarray]) -> tuple[np.ndarray, ...]:
@@ -429,8 +427,7 @@ def _frozen(arrays: list[np.ndarray]) -> tuple[np.ndarray, ...]:
 
 
 def _range_basis(d: Morphism, rank_tol: float | None) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases (V of the coimage, U of the range) of d, computed
-    once per cutoff and kept in d's ``derived`` store.
+    """Orthonormal bases (V of the coimage, U of the range) of d.
 
     Both come from one Hermitian eigendecomposition of d* d: V is its top
     eigenvectors, as many per block as the rank of d's spectral stage, so
@@ -438,10 +435,6 @@ def _range_basis(d: Morphism, rank_tol: float | None) -> tuple[np.ndarray, np.nd
     kept by ``vn.kept_columns``: by descending singular value for a single
     block, every one, the dropped ones zero, for more.
     """
-    data = d.derived
-    bases = data.get(("bases", rank_tol))
-    if bases is not None:
-        return bases
     matrix = d.array
     blocks, rows, cols = matrix.shape
     if rows == 0 or cols == 0:
@@ -455,8 +448,7 @@ def _range_basis(d: Morphism, rank_tol: float | None) -> tuple[np.ndarray, np.nd
         # a dropped column of a stack is zero: it stays zero
         u /= np.maximum(np.linalg.norm(u, axis=-2, keepdims=True), np.finfo(float).tiny)
         u = _phase_normalize(u)
-    bases = data["bases", rank_tol] = _frozen([v_kept, u])
-    return bases
+    return v_kept, u
 
 
 def hodge(c: CochainComplex, rank_tol: float | None = None) -> HodgeData:
@@ -558,10 +550,9 @@ def torsion_via_laplacians(c: CochainComplex, rank_tol: float | None = None) -> 
 
 def _tensor_modules(a: HilbertModule, b: HilbertModule) -> HilbertModule:
     """C^n (x) M with the field index outermost keeps the group factor M's
-    context and fiber."""
+    context."""
     group = b if b.context.is_group else a
-    return HilbertModule(group.context, a.ambient_dim * b.ambient_dim, free=a.free and b.free,
-                         fiber_dim=group.fiber_dim)
+    return HilbertModule(group.context, a.ambient_dim * b.ambient_dim)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -583,7 +574,7 @@ def tensor_product(c1: CochainComplex, c2: CochainComplex) -> CochainComplex:
     complex field; the product inherits the group context of the other.
     The field factor's index is outermost on every summand, in both factor
     orders (the first factor's when both are over the field), so each
-    summand keeps the group factor's (copies, group, fiber) layout and its
+    summand keeps the group factor's (copy, group) layout and its
     blocks: kron(B, A_j) per block j.
     """
     if c1.context.is_group and c2.context.is_group:

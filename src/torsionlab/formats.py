@@ -154,6 +154,10 @@ def parse_complex(obj, where: str = "complex") -> CochainComplex:
         if d < 0:
             raise DataValidationError("ambient dimension must be >= 0",
                                       location=f"{where}.modules[{i}]")
+        if d % ctx.size:
+            raise DataValidationError(
+                f"ambient dimension {d} is not a multiple of the group order {ctx.size}",
+                location=f"{where}.modules[{i}]")
     offset = obj.get("offset", 0)
     if not is_integer(offset):
         raise DataValidationError("'offset' must be an integer", location=where)
@@ -175,8 +179,8 @@ def parse_complex(obj, where: str = "complex") -> CochainComplex:
 
 
 def _linear_map(domain, codomain, matrix: np.ndarray, where: str):
-    """The dense map ``matrix`` between free modules, which must commute with
-    the algebra: its (copies, group) matrix is unchanged when both group
+    """The dense map ``matrix`` between modules l^2(G)^n, which must commute
+    with the algebra: its (copies, group) matrix is unchanged when both group
     axes are re-indexed by h -> g h, for the generator t of a cyclic group
     or every element g of a table.  That is |G| gathers of the matrix, not
     the dense products of ``vn.a_linearity_residual``.

@@ -235,36 +235,27 @@ def cyclic_group(m: int) -> TraceContext:
 @dataclass(frozen=True, eq=False)
 class HilbertModule:
     """A finitely generated Hilbert module over a trace context, stored as
-    ``blocks`` blocks of ``width`` coordinates.
-
-    ``vn_dim`` is kappa * ambient_dim.  Over a group context a free module
-    l^2(Gamma)^k (x) C^fiber has ambient dimension a multiple of |Gamma|;
-    public constructions keep that invariant.  Internal subspace carriers
-    (harmonic spaces, coimages of reduced differentials) are genuinely
-    non-free submodules and are created with ``free=False``.
+    ``blocks`` blocks of ``width`` coordinates; ``vn_dim`` is kappa *
+    ambient_dim.
 
     The context decides the blocks (``TraceContext.blocks``), whatever
     built the module.  Over the complex field or a ``finite_group`` table
-    there is one block: the standard basis, with coordinates ordered (copy
-    index, group index, fiber index), the fiber innermost, so the algebra
-    acts by I_copies (x) lambda(g) (x) I_fiber; ``fiber_dim`` is that
-    layout hint (it has no meaning over the complex field or for non-free
-    carriers).  Over ``cyclic_group(m)`` there are m blocks, one per
-    character: Z/m is abelian, so l^2(Z/m) is the orthogonal sum of its m
-    characters, and the module is the sum over them of C^width (width =
-    ambient_dim / m, ordered copy index then fiber index).  Either way a
-    morphism commutes with the algebra and is stored as the (blocks, rows,
-    cols) stack of its blocks.
+    there is one block: the standard basis, a module l^2(Gamma)^n ordered
+    (copy, group index), the group index innermost, so the algebra acts by
+    I_n (x) lambda(g).  Over ``cyclic_group(m)`` there are m blocks, one
+    per character: Z/m is abelian, so l^2(Z/m) is the orthogonal sum of its
+    m characters, and the module is the sum over them of C^width (width =
+    ambient_dim / m).  Either way a morphism commutes with the algebra and
+    is stored as the (blocks, rows, cols) stack of its blocks.
 
-    A non-free carrier may have a different dimension in each block:
+    A subspace carrier (a harmonic space, the coimage of a reduced
+    differential) may have a different dimension in each block:
     ``block_mask`` (blocks, width) marks the coordinates each block has, and
     ambient_dim is their number.  Without a mask every block has them all.
     """
 
     context: TraceContext
     ambient_dim: int
-    free: bool = True
-    fiber_dim: int = 1
     block_mask: np.ndarray | None = field(default=None, repr=False)
     #: Size of one block (ambient_dim for a single block) and the number of
     #: coordinates in each block (read-only), set from the above.
@@ -274,14 +265,6 @@ class HilbertModule:
     def __post_init__(self):
         if self.ambient_dim < 0:
             raise DataValidationError("ambient dimension must be >= 0")
-        if self.fiber_dim < 1:
-            raise DataValidationError("fiber dimension must be >= 1")
-        if self.free and self.context.is_group and \
-                self.ambient_dim % (self.context.size * self.fiber_dim):
-            raise DataValidationError(
-                f"free module over a group of order {self.context.size} with fiber "
-                f"{self.fiber_dim} needs ambient dimension divisible by "
-                f"{self.context.size * self.fiber_dim}, got {self.ambient_dim}")
         mask = self.block_mask
         if mask is None:
             if self.ambient_dim % self.blocks:
@@ -289,11 +272,10 @@ class HilbertModule:
                     "a module without a block mask needs ambient dimension divisible "
                     f"by its number of blocks, {self.blocks}")
             object.__setattr__(self, "width", self.ambient_dim // self.blocks)
-        elif not (not self.free and np.shape(mask)[:-1] == (self.blocks,)
-                  and mask.sum() == self.ambient_dim):
+        elif not (np.shape(mask)[:-1] == (self.blocks,) and mask.sum() == self.ambient_dim):
             raise DataValidationError(
-                "a block mask marks the coordinates of a non-free carrier, one row "
-                "per block, as many as the ambient dimension")
+                "a block mask marks the coordinates of a carrier, one row per block, "
+                "as many as the ambient dimension")
         else:
             object.__setattr__(self, "width", mask.shape[1])
         dims = np.full(self.blocks, self.width) if mask is None else mask.sum(1)
@@ -334,41 +316,27 @@ def kept_columns(stack: np.ndarray, counts: np.ndarray,
     return stack * mask
 
 
-def regular_module(context: TraceContext, rank: int = 1, fiber_dim: int = 1) -> HilbertModule:
-    """l^2(Gamma)^rank (x) C^fiber (or C^(rank*fiber) over the complex field)."""
-    if rank < 0 or fiber_dim < 1:
-        raise DataValidationError("rank must be >= 0 and fiber dimension >= 1")
-    return HilbertModule(context, context.size * rank * fiber_dim, fiber_dim=fiber_dim)
+def regular_module(context: TraceContext, rank: int = 1) -> HilbertModule:
+    """l^2(Gamma)^rank (C^rank over the complex field)."""
+    if rank < 0:
+        raise DataValidationError("rank must be >= 0")
+    return HilbertModule(context, context.size * rank)
 
 
 def direct_sum_modules(modules: Sequence[HilbertModule]) -> HilbertModule:
-    """Orthogonal direct sum, block by block: keeps a common fiber layout
-    when there is one, and the coordinates (with the block masks side by
-    side) of the summands.  Where a block holds a group index (one block
-    over a group), summands with different fibers have no one (copies,
-    group, fiber) layout: their sum is not free, so ``a_linearity_residual``
-    refuses it."""
+    """Orthogonal direct sum, block by block: the coordinates of the
+    summands side by side, with their block masks."""
     if not modules:
         raise DataValidationError("direct sum needs at least one module")
     ctx = modules[0].context
     for m in modules[1:]:
         if not m.context.matches(ctx):
             raise DataValidationError("direct sum of modules over different contexts")
-    ambient = sum(m.ambient_dim for m in modules)
-    free = all(m.free for m in modules)
-    fibers = {m.fiber_dim for m in modules if m.ambient_dim > 0}
-    if len(fibers) > 1 and ctx.blocks < ctx.size:
-        free = False
-    fiber = fibers.pop() if len(fibers) == 1 else 1
-    if free and ctx.is_group and ambient % (ctx.size * fiber):
-        fiber = 1
-    if free and ctx.is_group and ambient % ctx.size:
-        free = False
     mask = None
     if any(m.block_mask is not None for m in modules):
         mask = np.concatenate([np.ones((ctx.blocks, m.width), bool) if m.block_mask is None
                                else m.block_mask for m in modules], axis=1)
-    return HilbertModule(ctx, ambient, free=free, fiber_dim=fiber, block_mask=mask)
+    return HilbertModule(ctx, sum(m.ambient_dim for m in modules), block_mask=mask)
 
 
 def assemble_blocks(blocks: Mapping[tuple[int, int], np.ndarray],
@@ -399,8 +367,7 @@ class Morphism:
 
     The array is a read-only copy, so what it determines is kept with the
     morphism, each computed on first use: ``norm_bound``, and in the
-    ``derived`` store the spectral stage (``spectral_stage``) and the range
-    bases of the Hodge stages.  A negation shares that store.
+    ``derived`` store the spectral stage (``spectral_stage``).
     """
 
     domain: HilbertModule
@@ -436,10 +403,8 @@ class Morphism:
 
     @cached_property
     def derived(self) -> dict:
-        """What is computed from the Gram matrix of the array, by key and
-        cutoff: ``spectral_stage`` keeps the spectrum, rank and log-volume
-        here, and the Hodge stages the phase-normalized range bases.  Each is
-        the same for f and -f, which share the store."""
+        """What is computed from the Gram matrix of the array, by cutoff:
+        ``spectral_stage`` keeps the spectrum, rank and log-volume here."""
         return {}
 
     @property
@@ -450,14 +415,11 @@ class Morphism:
                                       "matrix")
         # Block j is the value at the character h -> exp(2 pi i j h / m), so
         # entry (g, h) of the dense matrix is (1/m) sum_j B_j exp(-2 pi i j (g - h) / m),
-        # and one block is that matrix, bit for bit.
+        # the group index innermost, and one block is that matrix, bit for bit.
         m = self.domain.blocks
-        fr, fc = self.codomain.fiber_dim, self.domain.fiber_dim
-        rows, cols = self.codomain.width // fr, self.domain.width // fc
-        c = np.fft.fft(self.array, axis=0, norm="forward").reshape(m, rows, fr, cols, fc)
+        c = np.fft.fft(self.array, axis=0, norm="forward")
         g = np.arange(m)
-        dense = c[(g[:, None] - g[None, :]) % m].transpose(2, 0, 3, 4, 1, 5)
-        return dense.reshape(self.shape)
+        return c[(g[:, None] - g[None, :]) % m].transpose(2, 0, 3, 1).reshape(self.shape)
 
     def adjoint(self) -> "Morphism":
         return Morphism(self.codomain, self.domain, self.array.conj().swapaxes(-1, -2))
@@ -488,11 +450,7 @@ class Morphism:
         return Morphism(self.domain, self.codomain, self.array - other.array)
 
     def __neg__(self) -> "Morphism":
-        """-f, handed the ``derived`` store of f: (-a)* (-a) is a* a bit for
-        bit, so the two have the same spectra and range bases."""
-        neg = Morphism(self.domain, self.codomain, -self.array)
-        vars(neg)["derived"] = self.derived
-        return neg
+        return Morphism(self.domain, self.codomain, -self.array)
 
     def __mul__(self, scalar) -> "Morphism":
         return Morphism(self.domain, self.codomain, self.array * complex(scalar))
@@ -728,51 +686,47 @@ def left_regular(context: TraceContext, element) -> np.ndarray:
 
 def group_ring_matrix(word: Iterable[tuple[object, complex]], context: TraceContext,
                       fiber_dim: int = 1) -> Morphism:
-    """Sum of coeff x (right-regular block of g) (x) identity on the fiber.
+    """Identity on the fiber (x) sum of coeff x (right-regular block of g).
 
     ``word`` is an iterable of (element, coefficient) pairs; elements may be
-    indices or labels.  The result is an endomorphism of l^2(Gamma) (x) C^fiber
+    indices or labels.  The result is an endomorphism of l^2(Gamma)^fiber
     and commutes with the (left-regular) algebra action by construction.
     This is where a word becomes its stack: over ``cyclic_group(m)`` the
     (fiber x fiber) blocks at the m characters, the Laurent polynomial sum
     of coeff t^g at the m-th roots of unity (``kernel.symbol_at_roots``);
-    over a table its one dense block.
+    over a table its one dense block, I_fiber (x) sum_g coeff R_g.
     """
     if not context.is_group:
         raise DataValidationError("group-ring matrices need a finite-group context")
     if fiber_dim < 1:
         raise DataValidationError("fiber dimension must be >= 1")
-    module = regular_module(context, 1, fiber_dim)
+    module = regular_module(context, fiber_dim)
     n = context.size
     pairs = [(context.element_index(element), coeff) for element, coeff in word]
     if context.is_cyclic:
         symbol = symbol_at_roots([[laurent_terms(pairs)]], np.arange(n), n)
         return Morphism(module, module, symbol * np.eye(fiber_dim))
-    total = np.zeros((n * fiber_dim, n * fiber_dim), np.complex128)
+    total = np.zeros((n, n), np.complex128)
     for g, coeff in pairs:
-        # delta_h (x) f_a -> delta_{h g} (x) f_a, set in place: no dense blocks
-        hg = np.array([context.multiply(h, g) for h in range(n)])
-        total[(hg[:, None] * fiber_dim + np.arange(fiber_dim)).ravel(),
-              np.arange(n * fiber_dim)] += complex(coeff)
-    return Morphism(module, module, total)
+        # delta_h -> delta_{h g}, set in place: no dense blocks
+        total[[context.multiply(h, g) for h in range(n)], np.arange(n)] += complex(coeff)
+    return Morphism(module, module, np.kron(np.eye(fiber_dim), total))
 
 
 def _algebra_action(module: HilbertModule, g: int) -> np.ndarray:
+    """I_n (x) lambda(g) on l^2(Gamma)^n in the standard basis."""
     ctx = module.context
-    n = ctx.size
-    block = n * module.fiber_dim
-    if not module.free or module.ambient_dim % block:
-        raise DataValidationError("algebra action needs a free module with known layout")
-    copies = module.ambient_dim // block
-    act = np.kron(left_regular(ctx, g), np.eye(module.fiber_dim))
-    return np.kron(np.eye(copies), act)
+    if module.block_mask is not None or module.ambient_dim % ctx.size:
+        raise DataValidationError("the algebra acts on l^2(Gamma)^n in the standard basis")
+    return np.kron(np.eye(module.ambient_dim // ctx.size), left_regular(ctx, g))
 
 
 def a_linearity_residual(f: Morphism) -> float:
     """Worst commutator norm of f against the blockwise algebra action.
 
-    Both modules must be free (layout: copies-major, fiber innermost); over
-    the complex field the residual is 0 by convention.  The algebra acts by
+    Both modules must be l^2(Gamma)^n with no block mask, the group index
+    innermost in the dense layout (``Morphism.matrix``); over the complex
+    field the residual is 0 by convention.  The algebra acts by
     left-regular permutation blocks on each l^2(Gamma) summand, which is the
     action every right-regular generator block commutes with.
     """

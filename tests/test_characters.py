@@ -176,17 +176,18 @@ def test_products_stay_blockwise_and_match_dense_oracle(m, fiber_dim, group_firs
     _assert_same(_complex_report(got), _complex_report(want))
 
 
-def test_sums_of_different_fibers_have_no_dense_layout():
-    # circles with fibers 1 and 2: their sum has no one (copies, group,
-    # fiber) layout in the standard basis, so the dense linearity check is
-    # refused there (it read 2.0 with a fiber-1 label); by characters the
-    # sum is blockwise and its differential is algebra-linear
+def test_sums_of_different_fibers_have_one_dense_layout():
+    # circles with fibers 1 and 2: over the table the standard basis of
+    # their sum is (copy x fiber, group), the group index innermost, as the
+    # characters' width is (copy, fiber), so the two sums are one dense
+    # matrix, algebra-linear on both routes, with one torsion
     fast, dense = _contexts(3)
     sums = [direct_sum(*(build_complex(_on(_circle(3), ctx, fiber)) for fiber in (1, 2)))
             for ctx in (fast, dense)]
-    assert vn.a_linearity_residual(sums[0].differentials[0]) == 0.0
-    with pytest.raises(DataValidationError, match="layout"):
-        vn.a_linearity_residual(sums[1].differentials[0])
+    d_fast, d_dense = (c.differentials[0] for c in sums)
+    np.testing.assert_allclose(d_fast.matrix, d_dense.matrix, rtol=0, atol=AGREE)
+    assert vn.a_linearity_residual(d_fast) == 0.0
+    assert vn.a_linearity_residual(d_dense) == 0.0
     assert torsion(sums[0]) == pytest.approx(torsion(sums[1]), abs=AGREE)
 
 
@@ -399,8 +400,12 @@ def test_the_context_decides_the_blocks():
     # block over the complex field and over a table
     m = 3
     fast, dense = _contexts(m)
+    # a module is its context, its dimension and its block mask
+    for extra in ({"blocks": 1}, {"free": False}, {"fiber_dim": 1}):
+        with pytest.raises(TypeError):
+            vn.HilbertModule(fast, m, **extra)
     with pytest.raises(TypeError):
-        vn.HilbertModule(fast, m, blocks=1)
+        vn.regular_module(fast, 1, 2)
     cw = _on(_circle(m), fast)
     ses = random_ses(np.random.default_rng(3), fast)
     file = formats.parse_complex({"context": {"type": "cyclic", "order": m},

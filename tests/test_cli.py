@@ -681,6 +681,24 @@ def test_a_dense_map_that_is_not_linear_over_the_group_is_refused(tmp_path, cont
     assert run_cli("torsion", str(path)).returncode == 0
 
 
+@pytest.mark.parametrize("context", [{"type": "cyclic", "order": 3},
+                                     {"type": "finite_group", "table": [[0, 1], [1, 0]]}],
+                         ids=["cyclic", "table"])
+def test_a_module_dimension_off_the_group_order_is_refused_at_the_module(tmp_path, context):
+    # a module over a group is l2(G)^n: a dimension of order + 1 is no such
+    # module, in a complex file or in a sequence part
+    order = 3 if context["type"] == "cyclic" else 2
+    zeros = [[[0, 0]] * (order + 1)] * order
+    complex_ = {"kind": "complex", "context": context, "modules": [order + 1, order],
+                "differentials": [zeros]}
+    message = _refused_at(tmp_path, "torsion", complex_, "modules[0]")
+    assert f"not a multiple of the group order {order}" in message
+    part = {"context": context, "modules": [order], "differentials": []}
+    ses = {"kind": "ses", "sub": {**part, "modules": [order + 1]}, "middle": part,
+           "quotient": {**part, "modules": [0]}, "include": [zeros], "project": [[]]}
+    _refused_at(tmp_path, "ses-check", ses, "sub.modules[0]")
+
+
 def _grouped(c, context):
     return {**_complex_json(c), "context": context}
 

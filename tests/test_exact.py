@@ -233,8 +233,8 @@ def test_connecting_on_carriers_with_block_masks():
     # the coordinates a block lacks, where the solves must return zeros.
     ctx = cyclic_group(3)
     mask = np.array([[True, True], [False, True], [False, False]])
-    m = HilbertModule(ctx, int(mask.sum()), free=False, block_mask=mask)
-    zero = HilbertModule(ctx, 0, free=False)
+    m = HilbertModule(ctx, int(mask.sum()), block_mask=mask)
+    zero = HilbertModule(ctx, 0)
     d = np.zeros((3, 2, 2), np.complex128)
     d[0] = [[2.0, 1.0], [0.0, 3.0]]
     d[1, 1, 1] = 0.5
@@ -258,7 +258,7 @@ def test_an_extension_of_carriers_with_block_masks_is_exact():
     # identity counted coordinates a block lacks: "not exact in the middle")
     ctx = cyclic_group(3)
     mask = np.array([[True, True], [True, False], [False, False]])
-    c = CochainComplex([HilbertModule(ctx, 3, free=False, block_mask=mask)], [])
+    c = CochainComplex([HilbertModule(ctx, 3, block_mask=mask)], [])
     _, include, project = extension(c, c)
     ses = ComplexSES(include, project)
     assert ses.by_construction

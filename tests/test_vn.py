@@ -66,8 +66,7 @@ def _module(n, ctx=None):
 def _morphism(matrix, ctx=None):
     m = np.asarray(matrix, dtype=complex)
     ctx = ctx or complex_field()
-    return Morphism(HilbertModule(ctx, m.shape[1], free=not ctx.is_group),
-                    HilbertModule(ctx, m.shape[0], free=not ctx.is_group), m)
+    return Morphism(HilbertModule(ctx, m.shape[1]), HilbertModule(ctx, m.shape[0]), m)
 
 
 def _random_morphism(rng, rows, cols):
@@ -156,14 +155,12 @@ def test_powers_over_a_table_take_logarithmic_steps(monkeypatch):
 
 def test_free_module_dimension_rule():
     ctx = cyclic_group(3)
+    # three character blocks cannot share 4 coordinates evenly
     with pytest.raises(DataValidationError):
         HilbertModule(ctx, 4)
-    # a subspace carrier is allowed, with a block mask: its three character
-    # blocks cannot share 4 coordinates evenly
-    with pytest.raises(DataValidationError):
-        HilbertModule(ctx, 4, free=False)
+    # a subspace carrier is allowed, with a block mask
     mask = np.array([[True, True], [True, False], [True, False]])
-    mod = HilbertModule(ctx, 4, free=False, block_mask=mask)
+    mod = HilbertModule(ctx, 4, block_mask=mask)
     assert mod.vn_dim == pytest.approx(4 / 3)
     assert regular_module(ctx, 2).ambient_dim == 6
 
@@ -403,11 +400,10 @@ def test_eigensolver_calls_stay_in_the_kernel(monkeypatch):
 #: The only code allowed to touch each memo layer, by qualified name (a class
 #: covers its methods): the per-complex Hodge memo ``_hodge``, which
 #: ``CochainComplex`` creates and ``hodge`` fills, and the per-morphism store
-#: ``derived`` of spectral stages and range bases, which a negation shares.
+#: ``derived`` of spectral stages.
 MEMO_OWNERS = {
     "_hodge": {("complexes", "CochainComplex"), ("complexes", "hodge")},
-    "derived": {("vn", "spectral_stage"), ("vn", "Morphism.__neg__"),
-                ("complexes", "_range_basis")},
+    "derived": {("vn", "spectral_stage")},
 }
 
 
@@ -799,6 +795,10 @@ def test_group_ring_matrices_commute_with_algebra_action():
                     for g in rng.integers(0, ctx.size, size=4)]
             f = group_ring_matrix(word, ctx, fiber_dim=2)
             assert a_linearity_residual(f) < ABS_TOL
+            if not ctx.is_cyclic:
+                # over a table the fiber is outermost: I_2 (x) the word's matrix
+                assert np.array_equal(f.array[0], np.kron(
+                    np.eye(2), group_ring_matrix(word, ctx).array[0]))
 
 
 def test_group_ring_products_stay_a_linear():
