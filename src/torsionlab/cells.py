@@ -26,7 +26,8 @@ Words are lists of (element, coefficient) pairs.  Every representation
 reads an element as (label, power) (``kernel.word_element``): a label
 ("t", or "t^k" over ``cyclic_group``) is its first power, an integer n is
 ("t", n), and a pair is itself; "e" is the identity.  The adjoint of a
-word negates every power and conjugates every coefficient.
+word negates every power and conjugates every coefficient.  A
+differential keeps its words' magnitude as its scale (``build_complex``).
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .vn import (
     assemble_blocks,
     complex_field,
     group_ring_matrix,
+    norm_lower_bound,
     vanishes,
 )
 
@@ -227,6 +229,8 @@ def build_complex(cw: TwistedCellComplex) -> CochainComplex:
     Each differential is the stack of the representation's word blocks:
     (m, rows x fiber, cols x fiber) over the regular representation of
     ``cyclic_group(m)``, one dense block for every other representation.
+    Its scale is ``norm_lower_bound`` of the words' sums |c| per cell pair,
+    which bound every evaluated entry, as every representation is unitary.
 
     Raises DataValidationError naming the offending ((q+2)-cell, q-cell)
     pair if the incidence words do not compose to zero.
@@ -244,10 +248,15 @@ def build_complex(cw: TwistedCellComplex) -> CochainComplex:
     diffs = []
     for q in range(cw.top_degree):
         cols, rows = layers[q], layers[q + 1]
-        blocks = {(rows.index(y), cols.index(x)): rep.word_blocks(word)
-                  for (y, x), word in cw.incidences.items() if x in cols and y in rows}
+        blocks, magnitude = {}, np.zeros((len(rows), len(cols)))
+        for (y, x), word in cw.incidences.items():
+            if x in cols and y in rows:
+                at = rows.index(y), cols.index(x)
+                blocks[at] = rep.word_blocks(word)
+                magnitude[at] = sum(abs(complex(c)) for _, c in word)
         diffs.append(Morphism(modules[q], modules[q + 1],
-                              assemble_blocks(blocks, parts[q + 1], parts[q])))
+                              assemble_blocks(blocks, parts[q + 1], parts[q]),
+                              norm_lower_bound(magnitude)))
     c = CochainComplex(modules, diffs, 0, validate=False)
     q = c.first_nonzero_square()
     if q is not None:

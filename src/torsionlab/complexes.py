@@ -37,8 +37,9 @@ harmonic dimensions, rank warnings and route one read only that.  Its bases
 (one eigh per differential and one per module with harmonic part) are
 computed together on the first read of any of them, and its reduced maps
 on their own first read.  Spectra live on the differential
-(``Morphism.derived``), as does its norm bound (``Morphism.norm_bound``,
-read by every structural check; ``Morphism.zero`` is built with its 0.0);
+(``Morphism.derived``), as does its scale (``Morphism.norm_bound``, the
+magnitude of its cell words or else of its array): each structural zero
+test reads its factors' scales, and the spectral floor their rounding;
 range bases, harmonic bases and their carriers are kept per complex, with
 its ``HodgeData``.  A shifted, padded or suspended complex
 builds its ``HodgeData`` from that of the complex it wraps: the same
@@ -502,7 +503,7 @@ def torsion(c: CochainComplex, rank_tol: float | None = None) -> float:
 
 
 def laplacian(c: CochainComplex, q: int) -> Morphism:
-    """delta_q^* delta_q + delta_{q-1} delta_{q-1}^* on the degree-q module."""
+    """delta_q^* delta_q + delta_{q-1} delta_{q-1}^* on the degree-q module (scale |d|^2)."""
     d_q = c.differential(q)
     d_prev = c.differential(q - 1)
     mod = c.module(q)
@@ -512,7 +513,7 @@ def laplacian(c: CochainComplex, q: int) -> Morphism:
     if d_prev.shape[0] and d_prev.shape[1]:
         acc += d_prev.array @ d_prev.array.conj().swapaxes(-1, -2)
     acc = 0.5 * (acc + acc.conj().swapaxes(-1, -2))
-    return Morphism(mod, mod, acc)
+    return Morphism(mod, mod, acc, max(d_q.norm_bound, d_prev.norm_bound) ** 2)
 
 
 def log_det_prime(op: Morphism, rank_tol: float | None = None) -> float:
@@ -530,7 +531,7 @@ def log_det_prime(op: Morphism, rank_tol: float | None = None) -> float:
         return 0.0
     if not vanishes(m - m.conj().swapaxes(-1, -2), float(np.abs(m).max())):
         raise DataValidationError("operator is not self-adjoint")
-    s = spectrum(m, rank_tol, dim=op.shape[0])
+    s = spectrum(m, rank_tol, dim=op.shape[0], scale=op.scale or 0.0)
     return float(op.context.kappa * np.log(s.lam[s.keep]).sum())
 
 
@@ -575,7 +576,8 @@ def tensor_product(c1: CochainComplex, c2: CochainComplex) -> CochainComplex:
     The field factor's index is outermost on every summand, in both factor
     orders (the first factor's when both are over the field), so each
     summand keeps the group factor's (copy, group) layout and its
-    blocks: kron(B, A_j) per block j.
+    blocks: kron(B, A_j) per block j.  A differential's scale is the largest
+    of the factors' differentials it is built from (an identity's is 1).
     """
     if c1.context.is_group and c2.context.is_group:
         raise DataValidationError("tensor products need at least one factor over the complex field")
@@ -592,20 +594,23 @@ def tensor_product(c1: CochainComplex, c2: CochainComplex) -> CochainComplex:
     diffs: list[Morphism] = []
     for i, (src_ks, dst_ks) in enumerate(zip(summands, summands[1:])):
         j = lo + i
-        blocks = {}
+        blocks, scale = {}, 0.0
         for s, k in enumerate(src_ks):
             w1, w2 = c1.module(k).width, c2.module(j - k).width
             if not (w1 and w2):
                 continue  # empty blocks stay out
             # d1 (x) id : summand (k, j-k) -> (k+1, j-k)
             if k + 1 in dst_ks and c1.module(k + 1).width:
-                blocks[dst_ks.index(k + 1), s] = kron(c1.differential(k).array, np.eye(w2))
+                d = c1.differential(k)
+                blocks[dst_ks.index(k + 1), s] = kron(d.array, np.eye(w2))
+                scale = max(scale, d.norm_bound)
             # (-1)^k id (x) d2 : summand (k, j-k) -> (k, j-k+1)
             if k in dst_ks and c2.module(j - k + 1).width:
-                blocks[dst_ks.index(k), s] = (-1) ** k * kron(
-                    np.eye(w1), c2.differential(j - k).array)
+                d = c2.differential(j - k)
+                blocks[dst_ks.index(k), s] = (-1) ** k * kron(np.eye(w1), d.array)
+                scale = max(scale, d.norm_bound)
         diffs.append(Morphism(modules[i], modules[i + 1],
-                              assemble_blocks(blocks, parts[i + 1], parts[i])))
+                              assemble_blocks(blocks, parts[i + 1], parts[i]), scale))
     return CochainComplex(modules, diffs, lo)
 
 
@@ -654,8 +659,7 @@ class ComplexMorphism:
             d_t = self.target.differentials[i]
             defect = (d_t.array @ self.components[i].array
                       - self.components[i + 1].array @ d_s.array)
-            scale = (max(d_t.norm_bound, d_s.norm_bound)
-                     * max(bounds[i], bounds[i + 1], 1.0))
+            scale = d_t.norm_bound * bounds[i] + bounds[i + 1] * d_s.norm_bound
             if not vanishes(defect, scale):
                 raise DataValidationError(
                     "components do not commute with the differentials",

@@ -81,7 +81,7 @@ class ComplexSES:
             return
         for i in self.degrees():
             fm, gm = self.f.component(i), self.g.component(i)
-            if not vanishes(gm.array @ fm.array, max(fm.norm_bound * gm.norm_bound, 1.0)):
+            if not vanishes(gm.array @ fm.array, fm.norm_bound * gm.norm_bound):
                 raise DataValidationError("composition g o f is not zero",
                                           location=f"degree {i}")
             rank_f, rank_g = (spectral_stage(m, self.rank_tol)[1] for m in (fm, gm))

@@ -40,6 +40,10 @@ _EPS = float(np.finfo(float).eps)
 #: before the operator counts as indefinite.
 SEMIDEFINITE_TOL = 1e-10
 
+#: Tolerance of every structural zero test (``vn.vanishes``, a Laurent
+#: operator's selfadjointness), relative to the magnitude of its data.
+COMPOSITION_TOL = 1e-10
+
 #: Factor-of-ten window around the rank tolerance that flags an ambiguous rank call.
 RANK_AMBIGUITY_FACTOR = 10.0
 
@@ -60,8 +64,8 @@ class Spectrum(NamedTuple):
     when the matrix is a Gram matrix f*f), ``tol`` the cutoff on ``sigma``,
     ``keep`` the mask sigma > tol of values that count as nonzero,
     ``vectors`` the matching orthonormal eigenvectors (or None) and
-    ``noise_floor`` the floor applied to the eigenvalues (0.0 when no
-    eigensolve ran).
+    ``noise_floor`` the larger floor applied, the solver's or the data's
+    (0.0 when no eigensolve ran).
     """
 
     lam: np.ndarray
@@ -98,18 +102,20 @@ def rank_cutoff(top_sigma: float, dim: int, rank_tol: float | None = None) -> fl
 
 
 def spectrum(a: np.ndarray, rank_tol: float | None = None, vectors: bool = False,
-             dim: int | None = None) -> Spectrum:
+             dim: int | None = None, scale: float = 0.0) -> Spectrum:
     """Spectrum and rank decision of a nonnegative Hermitian matrix.
 
     The one place where eigenvalues are computed for a rank decision:
-    values at or below ``noise_floor`` are exactly zero, and a value counts
+    values at or below the floor are exactly zero, and a value counts
     as nonzero when sigma = sqrt(lambda) exceeds ``rank_cutoff``, so
     ``rank_tol`` cuts singular values for Gram matrices and Laplacians
     alike.  ``a`` is a stack (b, n, n), read as the direct sum of its
     blocks, in one batched eigensolve: the top eigenvalue is the largest of
     all blocks, and ``dim`` (default: the size b n of the sum) sizes floor
-    and cutoff, so every decision is the one the dense direct sum gets.  A
-    zero matrix needs no eigensolve unless eigenvectors are asked
+    and cutoff, so every decision is the one the dense direct sum gets.  The
+    floor also covers the rounding of the data ``a`` came from, of magnitude
+    ``scale`` in ``a``'s units (s^2 for the Gram matrix of a map of scale
+    s).  A zero matrix needs no eigensolve unless eigenvectors are asked
     for.  A clearly negative eigenvalue raises ``DataValidationError``, a
     non-finite entry (an overflow, say in f* f) ``NumericalError``.
     """
@@ -125,7 +131,7 @@ def spectrum(a: np.ndarray, rank_tol: float | None = None, vectors: bool = False
     top, bottom = max(max(w[:, -1].tolist()), 0.0), min(w[:, 0].tolist())
     if bottom < -SEMIDEFINITE_TOL * top:
         raise DataValidationError("operator is not nonnegative")
-    floor = noise_floor(top, dim)
+    floor = max(noise_floor(top, dim), noise_floor(math.sqrt(scale), dim) ** 2)
     w[~(w > floor)] = 0.0  # w is the solver's own array
     sigma = np.sqrt(w)
     tol = rank_cutoff(math.sqrt(top), dim, rank_tol)
@@ -133,13 +139,13 @@ def spectrum(a: np.ndarray, rank_tol: float | None = None, vectors: bool = False
 
 
 def gram_spectrum(matrix: np.ndarray, rank_tol: float | None = None,
-                  vectors: bool = False, dim: int | None = None) -> Spectrum:
+                  vectors: bool = False, dim: int | None = None, scale: float = 0.0) -> Spectrum:
     """``spectrum`` of m* m for a stack m: the singular values of m, sized by
     ``dim`` (default: the larger side of a block, times the number of
-    blocks)."""
+    blocks), with the data magnitude ``scale`` (s^2 for m of magnitude s)."""
     if dim is None:
         dim = len(matrix) * max(matrix.shape[-2:] + (1,))
-    return spectrum(matrix.conj().swapaxes(-1, -2) @ matrix, rank_tol, vectors, dim)
+    return spectrum(matrix.conj().swapaxes(-1, -2) @ matrix, rank_tol, vectors, dim, scale)
 
 
 @dataclass(frozen=True, eq=False)

@@ -40,6 +40,7 @@ import numpy as np
 
 from .errors import DataValidationError, NumericalError, QuadratureError
 from .kernel import (
+    COMPOSITION_TOL,
     MAX_ROOT_ORDER,
     SEMIDEFINITE_TOL,
     is_integer,
@@ -57,7 +58,6 @@ MAX_REFINEMENT = 22
 MAX_GRID_DEPTH = 30
 #: The quadrature budget of ``lueck``'s second route: 2^16 points.
 LUECK_MAX_REFINEMENT = 16
-SELFADJOINT_TOL = 1e-10
 INTEGER_DET_CAP = 2.0 ** 26
 #: The largest determinant polynomial degree that ``jensen_log_det``
 #: factors exactly (about 0.1 s; the cost grows like degree^4).
@@ -290,7 +290,7 @@ def _as_laurent_matrix(op) -> LaurentMatrix:
 def _checked(op) -> LaurentMatrix:
     """The operator as a Laurent matrix, which must be selfadjoint."""
     mat = _as_laurent_matrix(op)
-    if mat.selfadjointness_defect() > SELFADJOINT_TOL * mat.norm_bound():
+    if mat.selfadjointness_defect() > COMPOSITION_TOL * mat.norm_bound():
         raise DataValidationError("operator is not selfadjoint")
     return mat
 
@@ -445,7 +445,7 @@ def _symbol_eigenvalues(op: LaurentMatrix, k: np.ndarray, n: int) -> np.ndarray:
 
     The one evaluation path for tower levels and the circle oracles.  The
     operator has passed ``_checked``: its coefficients are selfadjoint up
-    to SELFADJOINT_TOL * norm_bound, which bounds the symbol's Hermitian
+    to COMPOSITION_TOL * norm_bound, which bounds the symbol's Hermitian
     defect at every point of the circle.  A scalar symbol is its own
     eigenvalue, so only matrix symbols reach the eigensolver.
     """

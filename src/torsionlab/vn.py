@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import DataValidationError, NumericalError
 from .kernel import (
+    COMPOSITION_TOL,
     SpectralDistribution,
     Spectrum,
     gram_spectrum,
@@ -38,10 +39,6 @@ from .kernel import (
     rank_cutoff,
     symbol_at_roots,
 )
-
-#: Tolerance of ``vanishes``, relative to the scale of the check.
-COMPOSITION_TOL = 1e-10
-
 
 # ---------------------------------------------------------------------------
 # trace contexts
@@ -367,12 +364,15 @@ class Morphism:
 
     The array is a read-only copy, so what it determines is kept with the
     morphism, each computed on first use: ``norm_bound``, and in the
-    ``derived`` store the spectral stage (``spectral_stage``).
+    ``derived`` store the spectral stage (``spectral_stage``).  ``scale``,
+    if given, is the magnitude of the data the array was evaluated from
+    (cell words, which may cancel), read by zero tests and spectral floors.
     """
 
     domain: HilbertModule
     codomain: HilbertModule
     array: np.ndarray
+    scale: float | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if not self.domain.context.matches(self.codomain.context):
@@ -398,8 +398,9 @@ class Morphism:
 
     @cached_property
     def norm_bound(self) -> float:
-        """``norm_lower_bound`` of the array, computed once."""
-        return norm_lower_bound(self.array)
+        """The scale of every zero test of the map: ``scale`` if given, else
+        ``norm_lower_bound`` of the array, computed once."""
+        return norm_lower_bound(self.array) if self.scale is None else self.scale
 
     @cached_property
     def derived(self) -> dict:
@@ -450,7 +451,7 @@ class Morphism:
         return Morphism(self.domain, self.codomain, self.array - other.array)
 
     def __neg__(self) -> "Morphism":
-        return Morphism(self.domain, self.codomain, -self.array)
+        return Morphism(self.domain, self.codomain, -self.array, self.scale)
 
     def __mul__(self, scalar) -> "Morphism":
         return Morphism(self.domain, self.codomain, self.array * complex(scalar))
@@ -467,10 +468,9 @@ class Morphism:
 
     @staticmethod
     def zero(domain: HilbertModule, codomain: HilbertModule) -> "Morphism":
-        """The zero map, whose norm bound 0.0 is known without reading its array."""
-        zero = Morphism(domain, codomain, np.zeros(array_shape(codomain, domain), np.complex128))
-        vars(zero)["norm_bound"] = 0.0
-        return zero
+        """The zero map, of scale 0.0."""
+        return Morphism(domain, codomain, np.zeros(array_shape(codomain, domain), np.complex128),
+                        0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -495,11 +495,11 @@ def vanishes(x: np.ndarray, scale: float) -> bool:
     """Whether ``x`` is numerically zero: ||x||_F <= COMPOSITION_TOL x scale,
     the one zero-test of every structural check.
 
-    ||x||_F >= ||x||_2 and callers build ``scale`` from lower bounds of the
-    factors' spectral norms (``norm_lower_bound``), so this never accepts
-    what ||x||_2 <= COMPOSITION_TOL x (spectral scale) rejects, and never
-    runs an SVD.  A non-finite norm or scale (overflow) raises
-    ``NumericalError``.
+    Callers build ``scale`` from the factors' ``Morphism.norm_bound``.  For
+    arrays' own bounds, as ||x||_F >= ||x||_2, this never accepts what
+    ||x||_2 <= COMPOSITION_TOL x (spectral scale) rejects, and runs no SVD;
+    cell words' magnitude loosens it by at most that over sigma_max.  A
+    non-finite norm or scale (overflow) raises ``NumericalError``.
     """
     norm = math.sqrt(np.vdot(x, x).real)
     if not (math.isfinite(norm) and math.isfinite(scale)):
@@ -521,7 +521,7 @@ def spectral_stage(f: Morphism, rank_tol: float | None = None) -> tuple:
     if stage is None:
         dim = max(f.shape + (1,))
         if f.array.size:
-            s = gram_spectrum(f.array, rank_tol, dim=dim)
+            s = gram_spectrum(f.array, rank_tol, dim=dim, scale=(f.scale or 0.0) ** 2)
             stage = (s, s.keep.sum(-1), float(f.context.kappa * np.log(s.sigma[s.keep]).sum()))
         else:
             empty = np.zeros(f.array.shape[:-2] + (0,))
@@ -576,7 +576,8 @@ def polar_decompose(f: Morphism, rank_tol: float | None = None) -> tuple[Morphis
     partial isometry, isometric on the closure of the range of f_wiso.  Both
     come from one Hermitian eigendecomposition of f*f.
     """
-    s = gram_spectrum(f.array, rank_tol, vectors=True, dim=max(f.shape + (1,)))
+    s = gram_spectrum(f.array, rank_tol, vectors=True, dim=max(f.shape + (1,)),
+                      scale=(f.scale or 0.0) ** 2)
     v, sv, keep = s.vectors, s.sigma, s.keep
     vh = v.conj().swapaxes(-1, -2)
     wiso = (v * sv[..., None, :]) @ vh

@@ -456,3 +456,20 @@ class TestAdjointWords:
             word = [(1, 0.5 - 0.25j), (("t", -1), 1.5j), ("e", 2.0)]
             np.testing.assert_allclose(_word_matrix(rep, adjoint_word(word)),
                                        _word_matrix(rep, word).conj().T, atol=1e-12)
+
+
+def test_a_differential_whose_words_cancel_has_rank_zero_in_every_reading():
+    # the trefoil's d_1 at t = exp(2 pi i / 6): 1 - t + t^2 evaluates to
+    # rounding (~1e-16) of its magnitude 3, so it is zero for the spectral
+    # stage and the polar decomposition alike, and its scale is the words'
+    z = np.exp(2j * np.pi / 6)
+    delta = [("e", 1), ("t", -1), (("t", 2), 1)]
+    cw = TwistedCellComplex(
+        UnitaryRepresentation({"t": [[z]]}), {0: ["v"], 1: ["x", "y"], 2: ["r"]},
+        {("x", "v"): [("t", 1), ("e", -1)], ("y", "v"): [("t", 1), ("e", -1)],
+         ("r", "x"): delta, ("r", "y"): [(e, -c) for e, c in delta]}, 2)
+    d1 = build_complex(cw).differentials[1]
+    assert d1.norm_bound == pytest.approx(np.sqrt(18.0)) and d1.norm() < 1e-15
+    assert vn.spectral_stage(d1)[1].tolist() == [0]
+    iso, wiso = vn.polar_decompose(d1)
+    assert iso.norm() == 0.0 and wiso.norm() == 0.0

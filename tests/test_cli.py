@@ -740,3 +740,86 @@ def test_ses_parts_over_different_contexts_name_the_part(tmp_path, part):
     data[part] = {**data[part], "context": {"type": "complex_field"}}
     message = _refused_at(tmp_path, "ses-check", data, f"{part}.context")
     assert "different contexts" in message
+
+
+def _character_cw(tmp_path, name, angle, cells, incidences):
+    """A ``cw`` file with the 1 x 1 unitary representation t -> exp(2 pi i angle)."""
+    z = complex(math.cos(2 * math.pi * angle), math.sin(2 * math.pi * angle))
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({
+        "kind": "cw", "representation": {"type": "unitary",
+                                         "generators": {"t": [[[z.real, z.imag]]]}},
+        "top_degree": len(cells) - 1, "cells": {str(q): c for q, c in enumerate(cells)},
+        "incidences": [{"from": a, "to": b, "word": w} for a, b, w in incidences]}))
+    return str(path)
+
+
+def _trefoil(tmp_path, angle):
+    """The presentation 2-complex of <x, y | xyx = yxy>, abelianized: its
+    Alexander polynomial 1 - t + t^2 vanishes at exp(2 pi i / 6)."""
+    minus, delta = [["t", 1], ["e", -1]], [["e", 1], ["t", -1], [["t", 2], 1]]
+    return _character_cw(tmp_path, "trefoil", angle, [["v"], ["x", "y"], ["r"]], [
+        ("v", "x", minus), ("v", "y", minus),
+        ("x", "r", delta), ("y", "r", [[e, -c] for e, c in delta])])
+
+
+def _lens(tmp_path, p, r):
+    """L(p, r) at the character t -> exp(2 pi i / p)."""
+    return _character_cw(tmp_path, f"lens_{p}_{r}", 1 / p, [["e0"], ["e1"], ["e2"], ["e3"]], [
+        ("e0", "e1", [["t", 1], ["e", -1]]),
+        ("e1", "e2", [[["t", k], 1] for k in range(p)]),
+        ("e2", "e3", [[["t", r], 1], ["e", -1]])])
+
+
+def _main_json(capsys, *argv):
+    code = cli.main([*argv, "--json"])
+    out = capsys.readouterr()
+    assert code == 0, out.err
+    return json.loads(out.out)
+
+
+def test_the_trefoil_at_a_root_of_its_alexander_polynomial(tmp_path, capsys):
+    # d_1's words cancel to rounding (|1 - z + z^2| ~ 2.5e-16 at z = exp(2 pi
+    # i / 6)); read against the words' magnitude, d_1 = 0, H^1 and H^2 are
+    # one-dimensional, and the torsion is log sqrt 2 on both routes
+    path = _trefoil(tmp_path, 1 / 6)
+    report = _main_json(capsys, "torsion", path)
+    for route in ("torsion", "torsion_via_laplacians"):
+        assert abs(report[route] - 0.5 * math.log(2.0)) < 1e-12
+    assert report["passed"] is True
+    assert [w.split(":")[0] for w in report["warnings"]] == ["d at degree 1"]
+    report = _main_json(capsys, "hodge", path)
+    assert [row["harmonic_vn_dim"] for row in report["degrees"]] == [0, 1, 1]
+    assert report["is_acyclic"] is False
+    assert _main_json(capsys, "duality-check", path)["passed"] is True
+    report = _main_json(capsys, "product", path, str(DATA / "interval_tau2.json"))
+    assert report["passed"] is True
+    assert abs(report["torsion_product"] - 0.5 * math.log(2.0)) < 1e-12
+
+
+def test_the_trefoil_near_that_root_keeps_its_resolved_value(tmp_path, capsys):
+    # at 2 pi (1/6 + 1e-9) d_1 is about 1e-8 of its words' magnitude: far
+    # above the rounding floor, so the floor removes nothing
+    report = _main_json(capsys, "torsion", _trefoil(tmp_path, 1 / 6 + 1e-9))
+    assert abs(report["torsion"] - 18.3360826450063) < 1e-9
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_lens_spaces_at_a_primitive_character(tmp_path, capsys, p):
+    # the norm element sum t^k vanishes at z = exp(2 pi i / p), and Milnor's
+    # value is log|z - 1| + log|z^2 - 1|
+    z = complex(math.cos(2 * math.pi / p), math.sin(2 * math.pi / p))
+    report = _main_json(capsys, "torsion", _lens(tmp_path, p, 2))
+    want = math.log(abs(z - 1)) + math.log(abs(z * z - 1))
+    for route in ("torsion", "torsion_via_laplacians"):
+        assert abs(report[route] - want) < 1e-12
+
+
+@pytest.mark.parametrize("coefficient, code", [("1.00000001", 2), ("1.00000000001", 0)])
+def test_lueck_refuses_an_operator_that_is_not_selfadjoint_to_composition_tol(
+        capsys, coefficient, code):
+    # 2 - t - c t^-1 has the selfadjointness defect |c - 1| against its
+    # coefficient magnitude 4 + |c - 1|: 2.5e-9 is refused, 2.5e-12 is not
+    argv = ["lueck", "--op", f"2 - t - {coefficient}*t^-1", "--levels", "2..8"]
+    assert cli.main(argv) == code
+    assert ("operator is not selfadjoint" in capsys.readouterr().err) == bool(code)

@@ -1,5 +1,6 @@
 """Tests for short exact sequences, connecting maps and torsion additivity."""
 
+import json
 import sys
 
 import numpy as np
@@ -90,13 +91,43 @@ def test_validation_catches_middle_rank_gap():
 
 
 def test_ranks_that_overcount_the_middle_are_not_exact_there():
-    # g o f = 1e-11 vanishes, yet both maps have rank one in a
-    # one-dimensional middle: the stage's rank bookkeeping fails
-    c1, c2, c3 = (CochainComplex([HilbertModule(CF, 1)], [], 0) for _ in range(3))
-    f = ComplexMorphism(c1, c2, [Morphism(c1.modules[0], c2.modules[0], [[1.0]])])
-    g = ComplexMorphism(c2, c3, [Morphism(c2.modules[0], c3.modules[0], [[1e-11]])])
-    with pytest.raises(DataValidationError, match="not exact in the middle"):
-        ComplexSES(f, g, rank_tol=1e-12)
+    # g o f = 1e-12 vanishes against ||f|| ||g|| = 1, yet both maps have
+    # rank two in a three-dimensional middle (sigma = 1e-6 is above the
+    # default cutoff): the ranks' bookkeeping fails, at every scale
+    f = np.array([[1.0, 0.0], [0.0, 1e-6], [0.0, 0.0]])
+    g = np.array([[0.0, 1e-6, 0.0], [0.0, 0.0, 1.0]])
+    for factor in (1.0, 1e-6, 1e6):
+        with pytest.raises(DataValidationError, match="not exact in the middle"):
+            _one_degree_ses(factor * f, factor * g)
+    # g o f = 1e-11 against ||f|| ||g|| = 1e-11 does not vanish
+    with pytest.raises(DataValidationError, match="composition g o f is not zero"):
+        _one_degree_ses([[1.0]], [[1e-11]])
+
+
+def _matrices(*ms):
+    return [[[[x, 0] for x in row] for row in m] for m in ms]
+
+
+@pytest.mark.parametrize("case, scales", [("ses", (1e-6, 1.0)), ("chain map", (1e-11, 1.0))])
+def test_structural_checks_give_one_verdict_at_every_scale(tmp_path, capsys, case, scales):
+    # each zero test reads the scale of its factors, with no absolute floor
+    # below which everything vanishes
+    from torsionlab import cli
+    d = {"modules": [1, 1], "differentials": _matrices([[1.0]])}
+    for s in scales:
+        if case == "ses":  # g f = s^2 != 0, so ker g != im f
+            data = {"sub": {"modules": [1]}, "middle": {"modules": [2]},
+                    "quotient": {"modules": [1]},
+                    "include": _matrices([[s], [0.0]]), "project": _matrices([[s, s]])}
+            message = "composition g o f is not zero"
+        else:  # d f_0 = s != 2 s = f_1 d
+            data = {"sub": d, "middle": d, "quotient": {"modules": [0, 0], "differentials": [[]]},
+                    "include": _matrices([[s]], [[2 * s]]), "project": [[], []]}
+            message = "components do not commute with the differentials"
+        path = tmp_path / "ses.json"
+        path.write_text(json.dumps({"kind": "ses", **data}))
+        assert cli.main(["ses-check", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_three_stage_torsion_hand_examples():
