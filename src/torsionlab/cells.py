@@ -108,6 +108,7 @@ class UnitaryRepresentation:
     Useful for holonomy twists: circle(holonomy lambda) uses the 1x1
     representation {"t": [[lambda]]}.  Each supplied matrix U must be unitary
     (U* U - I ``vanishes``); inverses are adjoints, so negative powers are fine.
+    No generator may be named "e", the identity of every word.
     """
 
     def __init__(self, generators: Mapping[str, object]):
@@ -115,6 +116,8 @@ class UnitaryRepresentation:
         self.generators: dict[str, np.ndarray] = {}
         dim = None
         for label, raw in generators.items():
+            if label == "e":
+                raise DataValidationError('"e" is reserved for the identity, not a generator')
             mat = np.asarray(raw, dtype=np.complex128)
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
                 raise DataValidationError(f"generator {label!r} is not square")

@@ -87,7 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--tol", type=float, default=None,
-                       help="decision tolerance for the pass/fail verdict")
+                       help="tolerance of the pass/fail verdict (lueck: the quadrature's "
+                       "target; hodge: echoed only)")
         p.add_argument("--rank-tol", type=float, default=None,
                        help="rank cutoff forwarded to the linear algebra")
         p.add_argument("--json", action="store_true",

@@ -31,19 +31,22 @@ complex comes from cell assembly and keeps its check).
 
 The Hodge decomposition of a complex at a cutoff is one ``HodgeData``,
 which ``hodge`` builds once and returns as that object on every call.  It
-reads each differential's ``vn.spectral_stage`` (one eigvalsh, kept on the
-morphism, as ``vn.log_vol`` and ``vn.singular_values`` read it): ranks,
-harmonic dimensions, rank warnings and route one read only that.  Its bases
-(one eigh per differential and one per module with harmonic part) are
-computed together on the first read of any of them, and its reduced maps
-on their own first read.  Spectra live on the differential
-(``Morphism.derived``), as does its scale (``Morphism.norm_bound``, the
+reads each differential's ``kernel.Spectrum`` (``vn.spectral_stage``: one
+eigvalsh, kept on the morphism, as ``vn.log_vol`` and
+``vn.singular_values`` read it): ranks, log-volumes, harmonic dimensions,
+rank warnings and route one read only that record, by one path for every
+complex.  Its bases (one eigh per differential and one per module with
+harmonic part, all through ``kernel.spectrum``) are computed together on
+the first read of any of them, and its reduced maps on their own first
+read.  Spectra live on the differential (``Morphism.derived``, which a
+negation shares), as does its scale (``Morphism.norm_bound``, the
 magnitude of its cell words or else of its array): each structural zero
 test reads its factors' scales, and the spectral floor their rounding;
 range bases, harmonic bases and their carriers are kept per complex, with
-its ``HodgeData``.  A shifted, padded or suspended complex
-builds its ``HodgeData`` from that of the complex it wraps: the same
-spectra, bases and carriers, with empty entries at padded degrees and no
+its ``HodgeData``.  A shifted, padded or suspended complex holds the maps
+of the complex it wraps (or their negations) and empty maps, so its
+spectra are that complex's records; it takes its bases and carriers from
+the wrapped ``HodgeData``, with empty entries at padded degrees and no
 eigensolve.
 
 Every step below runs block by block on the (blocks, rows, cols) stacks of
@@ -119,7 +122,7 @@ class CochainComplex:
     offset: int = 0
     _hodge: dict = field(default_factory=dict, repr=False)
     # (source, before) of a complex made of another's data by ``_wrapping``:
-    # ``hodge`` builds its Hodge data from the source's
+    # its Hodge data take their bases from the source's
     _wraps: tuple | None = field(default=None, repr=False)
 
     def __init__(self, modules: Sequence[HilbertModule], differentials: Sequence[Morphism],
@@ -202,7 +205,7 @@ def _wrapping(source: CochainComplex, modules: Sequence[HilbertModule],
               before: int = 0) -> CochainComplex:
     """A complex holding the modules and differentials of ``source`` (or
     their negations) from stored index ``before`` on, between zero modules;
-    ``hodge`` builds its Hodge data from the source's."""
+    its Hodge data take their bases from the source's."""
     c = CochainComplex(modules, differentials, offset, validate=False)
     object.__setattr__(c, "_wraps", (source, before))
     return c
@@ -221,27 +224,28 @@ def pad_complex(c: CochainComplex, lo: int, hi: int) -> CochainComplex:
 # Hodge decomposition
 
 
-# The spectral stage of a differential lives on it, in its ``derived``
-# store, by cutoff; its range bases live in the Hodge data that read them.
-# A complex made of another's differentials (``shifted``, ``pad_complex``,
-# ``suspension``) builds its Hodge data from those of the complex it wraps
-# (``HodgeData._wrapped``), with no eigensolve.
+# The spectrum of a differential lives on it, in its ``derived`` store, by
+# cutoff; its range bases live in the Hodge data that read them.  A complex
+# made of another's differentials (``shifted``, ``pad_complex``,
+# ``suspension``) reads its spectra off those maps like any complex, and
+# takes its bases from the Hodge data of the complex it wraps
+# (``HodgeData._wrapped_decomposition``), with no eigensolve.
 
 
 @dataclass(frozen=True, eq=False)
 class HodgeData:
     """Orthogonal decomposition C_i = harmonic + image(d_{i-1}) + image(d_i^*).
 
-    Per stored index i (true degree offset + i), from the spectral stage of
-    each differential (``vn.spectral_stage``):
+    Per stored index i (true degree offset + i), from the spectrum of each
+    differential (``vn.spectral_stage``):
 
     * ``spectra[i]``       -- the spectrum of d_i, whose kept singular values
                               are those of the reduced differential at i, and
                               ``log_vols[i]`` its log-volume (kappa times
-                              their summed logs),
-    * ``harmonic_dims[i]`` -- dim C_i - rank d_{i-1} - rank d_i, the
-                              dimension of the harmonic space,
-    * ``block_dims[i]``    -- the same per block;
+                              their log-sum),
+    * ``block_dims[i]``    -- dim C_i - rank d_{i-1} - rank d_i per block,
+                              the dimensions of the harmonic space, and
+                              ``harmonic_dims[i]`` their sum;
 
     and, computed together on the first read of any of them and kept:
 
@@ -260,12 +264,14 @@ class HodgeData:
     keeps it), the cutoff and ``wraps``, every field is a read-only array or
     a tuple of them (or of spectra, floats, ints, modules).
 
-    The Hodge data of a shifted, padded or suspended complex are those of
-    the complex it wraps, bit for bit what a fresh decomposition gives:
-    ``wraps`` is (the wrapped complex's data, the number of zero modules
-    before it), and its bases and carriers are the wrapped ones, with the
-    empty entries of a zero module at padded degrees.  Its reduced maps are
-    read off its own differentials, so a suspension's are u* (-d) v.
+    A shifted, padded or suspended complex reads its spectra off its own
+    maps, which are those of the complex it wraps (a negation shares the
+    spectrum of the map it negates) or empty at padded degrees.  Its bases
+    and carriers are the wrapped ones, bit for bit what a fresh
+    decomposition gives: ``wraps`` is (the wrapped complex's data, the
+    number of zero modules before it), and a zero module has empty entries.
+    Its reduced maps are read off its own differentials, so a suspension's
+    are u* (-d) v.
     """
 
     offset: int
@@ -273,14 +279,21 @@ class HodgeData:
     differentials: tuple[Morphism, ...]
     rank_tol: float | None
     spectra: tuple[Spectrum, ...]
-    log_vols: tuple[float, ...]
-    harmonic_dims: tuple[int, ...]
     block_dims: np.ndarray
     wraps: tuple | None = None
 
     @property
     def context(self) -> TraceContext:
         return self.modules[0].context
+
+    @cached_property
+    def log_vols(self) -> tuple[float, ...]:
+        kappa = self.context.kappa
+        return tuple(kappa * s.log_sum for s in self.spectra)
+
+    @cached_property
+    def harmonic_dims(self) -> tuple[int, ...]:
+        return tuple(self.block_dims.sum(1).tolist())
 
     def harmonic_dim(self, q: int) -> int:
         i = q - self.offset
@@ -308,23 +321,6 @@ class HodgeData:
                              "at or below the floor counts as zero")
         return tuple(lines)
 
-    def _wrapped(self, c: "CochainComplex", before: int) -> "HodgeData":
-        """The Hodge data of a complex c holding this one's modules and
-        differentials (or their negations) from stored index ``before`` on,
-        between zero modules: these spectra and dimensions, with the empty
-        stages of c's own maps at its padded degrees."""
-        after = len(c.modules) - before - len(self.modules)
-        head, tail = ([spectral_stage(d, self.rank_tol) for d in part] for part in (
-            c.differentials[:before], c.differentials[len(c.differentials) - after:]))
-        dims = np.zeros((len(c.modules), self.block_dims.shape[1]), self.block_dims.dtype)
-        dims[before:before + len(self.modules)] = self.block_dims
-        dims.setflags(write=False)
-        return HodgeData(
-            c.offset, c.modules, c.differentials, self.rank_tol,
-            tuple(s[0] for s in head) + self.spectra + tuple(s[0] for s in tail),
-            tuple(s[2] for s in head) + self.log_vols + tuple(s[2] for s in tail),
-            (0,) * before + self.harmonic_dims + (0,) * after, dims, (self, before))
-
     @cached_property
     def _decomposition(self) -> tuple:
         """(harmonic_bases, plus_bases, minus_bases, harmonic_modules).
@@ -333,9 +329,9 @@ class HodgeData:
         degree-i harmonic space is the kernel of d_i intersected with the
         kernel of d_{i-1}^*, realized as the orthogonal complement of
         range(d_{i-1}) + range(d_i^*): one batched eigh of its projector per
-        module with harmonic part, whose top eigenvectors in each block
-        (``vn.kept_columns``) span it.
-        Wrapped data take every field from the data they wrap instead.
+        module with harmonic part (``kernel.spectrum``), whose top
+        eigenvectors in each block (``vn.kept_columns``) span it.
+        Wrapped data take all four from the data they wrap instead.
         """
         if self.wraps is not None:
             return self._wrapped_decomposition()
@@ -354,11 +350,8 @@ class HodgeData:
             ident = np.eye(dim, dtype=np.complex128)
             if module.block_mask is not None:
                 ident = ident * module.block_mask[:, None, :]
-            proj = ident - span @ span.conj().swapaxes(-1, -2)
-            proj = 0.5 * (proj + proj.conj().swapaxes(-1, -2))
-            w, vecs = np.linalg.eigh(proj)
-            harm = kept_columns(vecs, h_dim)
-            harmonic.append(_phase_normalize(harm))
+            proj = spectrum(ident - span @ span.conj().swapaxes(-1, -2), vectors=True)
+            harmonic.append(_phase_normalize(kept_columns(proj.vectors, h_dim)))
         bases = _frozen(harmonic)
         return (bases, _frozen(plus_bases), _frozen(minus_bases),
                 tuple(_carrier(self.context, b) for b in bases))
@@ -442,8 +435,9 @@ def _range_basis(d: Morphism, rank_tol: float | None) -> tuple[np.ndarray, np.nd
         v_kept = np.zeros((blocks, cols, 0), np.complex128)
         u = np.zeros((blocks, rows, 0), np.complex128)
     else:
-        e = gram_spectrum(matrix, rank_tol, vectors=True, dim=max(d.shape + (1,)))
-        rank = spectral_stage(d, rank_tol)[1]
+        e = gram_spectrum(matrix, rank_tol, vectors=True, dim=max(d.shape + (1,)),
+                          scale=(d.scale or 0.0) ** 2)
+        rank = spectral_stage(d, rank_tol).rank
         v_kept = _phase_normalize(kept_columns(e.vectors, rank, sigma=e.sigma))
         u = matrix @ v_kept
         # a dropped column of a stack is zero: it stays zero
@@ -464,13 +458,9 @@ def hodge(c: CochainComplex, rank_tol: float | None = None) -> HodgeData:
     hd = c._hodge.get(rank_tol)
     if hd is not None:
         return hd
-    if c._wraps is not None:
-        source, before = c._wraps
-        hd = c._hodge[rank_tol] = hodge(source, rank_tol)._wrapped(c, before)
-        return hd
-    stages = [spectral_stage(d, rank_tol) for d in c.differentials]
+    spectra = tuple(spectral_stage(d, rank_tol) for d in c.differentials)
     none = np.zeros(c.modules[0].blocks, int)
-    ranks = np.array([none, *(rank for _, rank, _ in stages), none])  # of d_{i-1} at i
+    ranks = np.array([none, *(s.rank for s in spectra), none])  # of d_{i-1} at i
     dims = np.array([m.block_dims for m in c.modules]) - ranks[:-1] - ranks[1:]
     if (dims < 0).any():
         short = np.flatnonzero((dims < 0).any(1))
@@ -478,9 +468,9 @@ def hodge(c: CochainComplex, rank_tol: float | None = None) -> HodgeData:
             "rank bookkeeping failed (image + coimage exceed the module)",
             location=f"degree {c.offset + short[0]}")
     dims.setflags(write=False)
-    hd = c._hodge[rank_tol] = HodgeData(
-        c.offset, c.modules, c.differentials, rank_tol, tuple(s[0] for s in stages),
-        tuple(s[2] for s in stages), tuple(dims.sum(1).tolist()), dims)
+    wraps = None if c._wraps is None else (hodge(c._wraps[0], rank_tol), c._wraps[1])
+    hd = c._hodge[rank_tol] = HodgeData(c.offset, c.modules, c.differentials, rank_tol,
+                                        spectra, dims, wraps)
     return hd
 
 

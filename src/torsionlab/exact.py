@@ -14,10 +14,11 @@ two lifts are the exact inverses g* (g g*)^-1 and (f* f)^-1 f* of maps that
 validation showed surjective and injective at the sequence's cutoff: one
 solve each, with no eigensolve and no rank decision of their own.
 
-Exactness and torsion of each degree read the ranks and log-volumes kept
-on f_i and g_i (``vn.spectral_stage``), the long sequence's acyclicity
-ranks and singular values only (``hodge`` computes no basis until one is
-read); harmonic bases are computed for the three complexes alone.  The
+Exactness and torsion of each degree read the ranks and log-sums of the
+spectra kept on f_i and g_i (``vn.spectral_stage``, one ``kernel.Spectrum``
+per map and cutoff), the long sequence's acyclicity ranks and singular
+values only (``hodge`` computes no basis until one is read); harmonic bases
+are computed for the three complexes alone.  The
 inclusion and projection of an extension (``complexes.extension_maps``)
 are exact by construction, with every singular value 1: their sequence
 is not validated, and its degreewise torsions are 0.0.  Sequences read
@@ -84,7 +85,7 @@ class ComplexSES:
             if not vanishes(gm.array @ fm.array, fm.norm_bound * gm.norm_bound):
                 raise DataValidationError("composition g o f is not zero",
                                           location=f"degree {i}")
-            rank_f, rank_g = (spectral_stage(m, self.rank_tol)[1] for m in (fm, gm))
+            rank_f, rank_g = (spectral_stage(m, self.rank_tol).rank for m in (fm, gm))
             # per block, the dimensions of ker f, ker g / im f and coker g
             dims = (fm.domain.block_dims - rank_f, gm.domain.block_dims - rank_f - rank_g,
                     gm.codomain.block_dims - rank_g)
@@ -174,9 +175,9 @@ def long_sequence(ses: ComplexSES) -> CochainComplex:
     # map has norm 0.0 and stays as it is; a zero map with entries is
     # re-wrapped all the same, so that its signed zeros become the +0 of
     # ``Morphism.zero``.
-    norms = [spectral_stage(d, ses.rank_tol)[0].sigma.max(initial=0.0)
+    norms = [spectral_stage(d, ses.rank_tol).sigma.max(initial=0.0)
              if d.array.size else 0.0 for d in diffs]
-    scale = max(norms + [1.0])
+    scale = max(norms, default=0.0)
     dim = max(m.ambient_dim for m in modules) if modules else 1
     snap = rank_cutoff(scale, max(dim, 2), ses.rank_tol)
     diffs = [d if n > snap or not d.array.size else Morphism.zero(d.domain, d.codomain)

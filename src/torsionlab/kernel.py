@@ -57,15 +57,19 @@ MAX_ROOT_ORDER = 1 << 31
 
 
 class Spectrum(NamedTuple):
-    """Eigenvalues of a nonnegative Hermitian matrix with its rank decision.
+    """Eigenvalues of a nonnegative Hermitian matrix with its rank decision:
+    the one record of a map's spectrum, made once, where it is computed
+    (``spectrum``, or ``gram_spectrum`` for an empty stack).
 
     ``lam`` are the ascending eigenvalues with everything at or below the
     noise floor set to 0, ``sigma`` their square roots (the singular values
     when the matrix is a Gram matrix f*f), ``tol`` the cutoff on ``sigma``,
     ``keep`` the mask sigma > tol of values that count as nonzero,
-    ``vectors`` the matching orthonormal eigenvectors (or None) and
+    ``vectors`` the matching orthonormal eigenvectors (or None),
     ``noise_floor`` the larger floor applied, the solver's or the data's
-    (0.0 when no eigensolve ran).
+    (0.0 when no eigensolve ran), ``rank`` the number of kept values per
+    block and ``log_sum`` the sum of the logs of the kept ``sigma`` (a
+    log-volume is kappa times it).
     """
 
     lam: np.ndarray
@@ -74,6 +78,8 @@ class Spectrum(NamedTuple):
     keep: np.ndarray
     vectors: np.ndarray | None
     noise_floor: float
+    rank: np.ndarray
+    log_sum: float
 
     @property
     def ambiguous(self) -> bool:
@@ -101,6 +107,16 @@ def rank_cutoff(top_sigma: float, dim: int, rank_tol: float | None = None) -> fl
     return top_sigma * math.sqrt(dim) * RANK_TOL_SCALE
 
 
+def _zero_spectrum(blocks: int, n: int, dim: int, rank_tol: float | None,
+                   vectors: bool) -> Spectrum:
+    """The spectrum of the zero (blocks, n, n) stack, with no eigensolve:
+    every value 0 and, if asked for, the standard basis as eigenvectors."""
+    zero = np.zeros((blocks, n))
+    return Spectrum(zero, zero, rank_cutoff(0.0, dim, rank_tol), zero > 0,
+                    np.tile(np.eye(n, dtype=np.complex128), (blocks, 1, 1)) if vectors
+                    else None, 0.0, np.zeros(blocks, np.intp), 0.0)
+
+
 def spectrum(a: np.ndarray, rank_tol: float | None = None, vectors: bool = False,
              dim: int | None = None, scale: float = 0.0) -> Spectrum:
     """Spectrum and rank decision of a nonnegative Hermitian matrix.
@@ -123,9 +139,7 @@ def spectrum(a: np.ndarray, rank_tol: float | None = None, vectors: bool = False
         raise NumericalError("non-finite matrix entries in the spectral kernel (overflow)")
     dim = math.prod(a.shape[:-1]) if dim is None else dim
     if a.shape[-1] == 0 or not (vectors or np.logical_or.reduce(a, None)):
-        empty = np.zeros(a.shape[:-1])
-        return Spectrum(empty, empty, rank_cutoff(0.0, dim, rank_tol), empty > 0,
-                        np.zeros(a.shape, np.complex128) if vectors else None, 0.0)
+        return _zero_spectrum(len(a), a.shape[-1], dim, rank_tol, vectors)
     a = 0.5 * (a + a.conj().swapaxes(-1, -2))
     w, v = np.linalg.eigh(a) if vectors else (np.linalg.eigvalsh(a), None)
     top, bottom = max(max(w[:, -1].tolist()), 0.0), min(w[:, 0].tolist())
@@ -135,16 +149,21 @@ def spectrum(a: np.ndarray, rank_tol: float | None = None, vectors: bool = False
     w[~(w > floor)] = 0.0  # w is the solver's own array
     sigma = np.sqrt(w)
     tol = rank_cutoff(math.sqrt(top), dim, rank_tol)
-    return Spectrum(w, sigma, tol, sigma > tol, v, floor)
+    keep = sigma > tol
+    return Spectrum(w, sigma, tol, keep, v, floor, keep.sum(-1, dtype=np.intp),
+                    float(np.add.reduce(np.log(sigma[keep]))))
 
 
 def gram_spectrum(matrix: np.ndarray, rank_tol: float | None = None,
                   vectors: bool = False, dim: int | None = None, scale: float = 0.0) -> Spectrum:
     """``spectrum`` of m* m for a stack m: the singular values of m, sized by
     ``dim`` (default: the larger side of a block, times the number of
-    blocks), with the data magnitude ``scale`` (s^2 for m of magnitude s)."""
+    blocks), with the data magnitude ``scale`` (s^2 for m of magnitude s).
+    An empty stack has one zero value per column, and m* m is not formed."""
     if dim is None:
         dim = len(matrix) * max(matrix.shape[-2:] + (1,))
+    if not matrix.size:
+        return _zero_spectrum(len(matrix), matrix.shape[-1], dim, rank_tol, vectors)
     return spectrum(matrix.conj().swapaxes(-1, -2) @ matrix, rank_tol, vectors, dim, scale)
 
 

@@ -16,7 +16,9 @@ trace-normalized:
 All volumes live on the log scale; a zero morphism has ``log_vol`` 0 by the
 empty-product convention, and rank truncation means the value is always
 finite.  Singular values are always obtained from a Hermitian eigensolver
-applied to f*f, never from a nonsymmetric solver.
+applied to f*f, never from a nonsymmetric solver.  A map's spectrum is one
+``kernel.Spectrum`` per cutoff (``spectral_stage``), kept on the map: its
+singular values, rank per block and log-sum, which every reader here uses.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .kernel import (
     Spectrum,
     gram_spectrum,
     laurent_terms,
-    rank_cutoff,
     symbol_at_roots,
 )
 
@@ -404,8 +405,8 @@ class Morphism:
 
     @cached_property
     def derived(self) -> dict:
-        """What is computed from the Gram matrix of the array, by cutoff:
-        ``spectral_stage`` keeps the spectrum, rank and log-volume here."""
+        """What is computed from the Gram matrix of the array: the
+        ``kernel.Spectrum`` that ``spectral_stage`` keeps per cutoff."""
         return {}
 
     @property
@@ -451,7 +452,10 @@ class Morphism:
         return Morphism(self.domain, self.codomain, self.array - other.array)
 
     def __neg__(self) -> "Morphism":
-        return Morphism(self.domain, self.codomain, -self.array, self.scale)
+        """-f, which shares f's ``derived`` store: its Gram matrix is f's bit for bit."""
+        neg = Morphism(self.domain, self.codomain, -self.array, self.scale)
+        object.__setattr__(neg, "derived", self.derived)
+        return neg
 
     def __mul__(self, scalar) -> "Morphism":
         return Morphism(self.domain, self.codomain, self.array * complex(scalar))
@@ -507,38 +511,28 @@ def vanishes(x: np.ndarray, scale: float) -> bool:
     return norm <= COMPOSITION_TOL * scale
 
 
-def spectral_stage(f: Morphism, rank_tol: float | None = None) -> tuple:
-    """(spectrum, rank per block, log-volume) of f, computed once per cutoff
-    and kept in f's ``derived`` store.
-
-    The spectrum is ``gram_spectrum`` of the stored array sized by its
-    larger side, one eigvalsh: its singular values and rank decision.  An
-    empty map has no values, rank 0 and log-volume 0.0, and needs no
-    eigensolve.
+def spectral_stage(f: Morphism, rank_tol: float | None = None) -> Spectrum:
+    """The spectrum of f at a cutoff, computed once and kept in f's
+    ``derived`` store: ``gram_spectrum`` of the stored array, sized by its
+    larger side and with f's scale, one eigvalsh.  It holds f's singular
+    values, rank per block and log-sum; an empty map's is the zero record,
+    with no eigensolve.
     """
     data = f.derived
-    stage = data.get(("spectrum", rank_tol))
-    if stage is None:
-        dim = max(f.shape + (1,))
-        if f.array.size:
-            s = gram_spectrum(f.array, rank_tol, dim=dim, scale=(f.scale or 0.0) ** 2)
-            stage = (s, s.keep.sum(-1), float(f.context.kappa * np.log(s.sigma[s.keep]).sum()))
-        else:
-            empty = np.zeros(f.array.shape[:-2] + (0,))
-            s = Spectrum(empty, empty, rank_cutoff(0.0, dim, rank_tol), empty > 0, None, 0.0)
-            stage = (s, np.zeros(len(empty), int), 0.0)
-        data["spectrum", rank_tol] = stage
-    return stage
+    s = data.get(rank_tol)
+    if s is None:
+        s = data[rank_tol] = gram_spectrum(f.array, rank_tol, dim=max(f.shape + (1,)),
+                                           scale=(f.scale or 0.0) ** 2)
+    return s
 
 
 def _domain_spectrum(f: Morphism, rank_tol: float | None = None
                      ) -> tuple[Spectrum, np.ndarray]:
-    """The kept spectrum of f (``spectral_stage``; an empty map's domain-many
-    zeros) and the mask of the values that belong to coordinates of the
-    domain: all of them, except that a block with fewer coordinates than its
-    width (``block_dims``) adds an exact zero per absent one, sorted first."""
-    s = (spectral_stage(f, rank_tol)[0] if f.array.size else
-         gram_spectrum(f.array, rank_tol, dim=max(f.shape + (1,))))
+    """The kept spectrum of f (``spectral_stage``) and the mask of the values
+    that belong to coordinates of the domain: all of them, except that a
+    block with fewer coordinates than its width (``block_dims``) adds an
+    exact zero per absent one, sorted first."""
+    s = spectral_stage(f, rank_tol)
     width = f.domain.width
     return s, np.arange(width) >= width - f.domain.block_dims[:, None]
 
@@ -565,7 +559,7 @@ def log_vol(f: Morphism, rank_tol: float | None = None) -> float:
     Zero morphisms (and empty matrices) give 0.0 by the empty-product
     convention; rank truncation keeps the value finite always.
     """
-    return spectral_stage(f, rank_tol)[2]
+    return f.context.kappa * spectral_stage(f, rank_tol).log_sum
 
 
 def polar_decompose(f: Morphism, rank_tol: float | None = None) -> tuple[Morphism, Morphism]:

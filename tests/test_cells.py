@@ -470,6 +470,6 @@ def test_a_differential_whose_words_cancel_has_rank_zero_in_every_reading():
          ("r", "x"): delta, ("r", "y"): [(e, -c) for e, c in delta]}, 2)
     d1 = build_complex(cw).differentials[1]
     assert d1.norm_bound == pytest.approx(np.sqrt(18.0)) and d1.norm() < 1e-15
-    assert vn.spectral_stage(d1)[1].tolist() == [0]
+    assert vn.spectral_stage(d1).rank.tolist() == [0]
     iso, wiso = vn.polar_decompose(d1)
     assert iso.norm() == 0.0 and wiso.norm() == 0.0

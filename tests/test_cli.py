@@ -21,6 +21,9 @@ DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
 #: A one-generator unitary representation: t acts as -1.
 _UNITARY = {"type": "unitary", "generators": {"t": [[[-1, 0]]]}}
 
+#: A representation that names a generator "e", the label of the identity.
+_GENERATOR_E = {"type": "unitary", "generators": {"e": [[[-1, 0]]]}}
+
 
 def run_cli(*args, env_extra=None, cwd=None):
     env = dict(os.environ)
@@ -406,10 +409,20 @@ class TestFailureModes:
         ("glue-check", {"upper": {"representation": _UNITARY, "top_degree": 2,
                                   "cells": {"1": ["up"]}}},
          "cw.json]", "gluing factors must share a degree window"),
+        # "e" is the identity of every word: a generator of that name was read
+        # as the identity, so e + e^0 with e = -1 (d = 0) gave the torsion of d = 2
+        ("torsion", {"representation": _GENERATOR_E,
+                     "incidences": [{"from": "a", "to": "b",
+                                     "word": [["e", 1], [["e", 0], 1]]}]},
+         "cw.json.representation.generators]", '"e" is reserved for the identity'),
+        ("glue-check", {"lower": {"representation": _GENERATOR_E, "top_degree": 1,
+                                  "cells": {"0": ["lo"]}}},
+         "cw.json.lower.representation.generators]", '"e" is reserved for the identity'),
     ], ids=["unknown-cell", "duplicate-label", "outside-window", "negative-top-degree",
             "non-unitary-generator", "unknown-generator", "unknown-group-element",
             "coupling-not-a-list", "unknown-coupling-generator", "coupling-unknown-target",
-            "coupling-unknown-source", "coupling-degree", "gluing-windows"])
+            "coupling-unknown-source", "coupling-degree", "gluing-windows",
+            "generator-named-e", "gluing-generator-named-e"])
     def test_cell_structure_errors_name_their_location(self, tmp_path, command, changes,
                                                        where, message):
         if command == "glue-check":
@@ -823,3 +836,108 @@ def test_lueck_refuses_an_operator_that_is_not_selfadjoint_to_composition_tol(
     argv = ["lueck", "--op", f"2 - t - {coefficient}*t^-1", "--levels", "2..8"]
     assert cli.main(argv) == code
     assert ("operator is not selfadjoint" in capsys.readouterr().err) == bool(code)
+
+
+@pytest.mark.parametrize("c", [1e3, 1.0, 1e-3, 1e-6, 1e-8])
+def test_the_long_sequence_is_exact_in_any_units(tmp_path, capsys, c):
+    # 0 -> C -> C^2 -> C -> 0 with no differentials, include (c, 0) and
+    # project (0, c): H(f) and H(g) have norm c, the sequence's scale, and a
+    # floor of 1 under that scale would snap them to zero below about 1e-7
+    part = {"modules": [1], "differentials": []}
+    ses = {"kind": "ses", "sub": part, "middle": {**part, "modules": [2]}, "quotient": part,
+           "include": [[[c], [0]]], "project": [[[0, c]]]}
+    path = tmp_path / "scaled_ses.json"
+    path.write_text(json.dumps(ses))
+    report = _main_json(capsys, "ses-check", str(path))
+    assert report["passed"] is True
+    assert report["torsion_long_sequence"] == pytest.approx(0.0, abs=1e-12)
+
+
+
+_CW_BODY = {"representation": _UNITARY, "top_degree": 1, "cells": {"0": ["v"], "1": ["x"]},
+            "incidences": [{"from": "v", "to": "x", "word": [["t", 1], ["e", -1]]}]}
+_CW_FILE = {"kind": "cw", **_CW_BODY}
+_INCIDENCE = _CW_BODY["incidences"][0]
+_POINT = {"modules": [1], "differentials": []}
+_SES_FILE = {"kind": "ses", "sub": _POINT, "middle": {**_POINT, "modules": [2]},
+             "quotient": _POINT, "include": [[[1], [0]]], "project": [[[0, 1]]]}
+
+
+@pytest.mark.parametrize("command, data, where, message", [
+    ("torsion", [1, 2], "", "input must be a JSON object"),
+    ("torsion", {"kind": "graph"}, "", "unknown kind 'graph'"),
+    ("torsion", {"kind": "complex", "modules": [2, 2], "differentials": [[[1, 0], [1]]]},
+     ".differentials[0]", "matrix rows have unequal lengths"),
+    ("torsion", {"kind": "complex", "modules": [1, 1], "differentials": [[]]},
+     ".differentials[0]", "matrix has no rows"),
+    ("torsion", {"kind": "complex", "context": {"order": 2}, "modules": [2]},
+     ".context", "context needs a 'type' field"),
+    ("torsion", {"kind": "complex", "context": {"type": "torus"}, "modules": [1]},
+     ".context", "unknown context type 'torus'"),
+    ("torsion", {"kind": "complex", "modules": [1], "offset": 0.5}, "",
+     "'offset' must be an integer"),
+    ("torsion", {"kind": "complex", "modules": [1, 1], "differentials": []}, "",
+     "2 modules need 1 differentials, got 0"),
+    ("torsion", {**_CW_FILE, "incidences": [{**_INCIDENCE, "word": "t"}]},
+     ".incidences[0].word", "word must be a list"),
+    ("torsion", {**_CW_FILE, "incidences": [{**_INCIDENCE, "word": [["t"]]}]},
+     ".incidences[0].word[0]", "word entries are [element, coeff] pairs"),
+    ("torsion", {**_CW_FILE, "incidences": [{"from": "v", "word": []}]},
+     ".incidences[0]", "incidence records need 'from', 'to' and 'word'"),
+    ("torsion", {**_CW_FILE, "incidences": [_INCIDENCE, _INCIDENCE]},
+     ".incidences[1]", "duplicate incidence 'v' -> 'x'"),
+    ("torsion", {**_CW_FILE, "representation": {}}, ".representation",
+     "representation needs a 'type' field"),
+    ("torsion", {**_CW_FILE, "representation": {"type": "unitary"}}, ".representation",
+     "unitary representation needs 'generators'"),
+    ("torsion", {**_CW_FILE, "representation": {"type": "orthogonal"}}, ".representation",
+     "unknown representation type 'orthogonal'"),
+    ("torsion", {**_CW_FILE, "top_degree": "1"}, "", "'top_degree' must be an integer"),
+    ("torsion", {**_CW_FILE, "cells": [["v"]]}, "", "'cells' must map degree to label list"),
+    ("torsion", {**_CW_FILE, "cells": {"zero": ["v"]}}, ".cells",
+     "cell degree 'zero' is not an integer"),
+    ("torsion", {**_CW_FILE, "cells": {"0": [0]}}, ".cells[0]",
+     "cells are lists of string labels"),
+    ("glue-check", {"kind": "gluing", "lower": _CW_BODY}, "",
+     "gluing needs an embedded 'upper' complex"),
+    ("ses-check", {"kind": "ses", "sub": _POINT}, "", "ses needs an embedded 'middle' complex"),
+    ("ses-check", {**_SES_FILE, "include": [[[1], [0]]] * 2}, "",
+     "'include' must list one matrix per degree (1 expected)"),
+    ("lueck", {"kind": "laurent", "rows": []}, "", "'rows' must be a non-empty list"),
+    ("lueck", {"kind": "laurent", "rows": [1]}, ".rows[0]", "each row is a list of entries"),
+    ("lueck", {"kind": "laurent", "rows": [[1]]}, ".rows[0][0]",
+     "each entry is a list of [exponent, re, im] triples"),
+], ids=["not-an-object", "unknown-kind", "ragged-matrix", "empty-matrix",
+        "context-without-type", "unknown-context-type", "offset", "differential-count",
+        "word-not-a-list", "word-entry", "incidence-record", "duplicate-incidence",
+        "representation-without-type", "unitary-without-generators",
+        "unknown-representation-type", "top-degree", "cells-not-a-map", "cell-degree",
+        "cell-labels", "gluing-part", "ses-part", "map-count", "laurent-rows",
+        "laurent-row", "laurent-entry"])
+def test_malformed_inputs_are_refused_at_their_location(tmp_path, capsys, command, data,
+                                                        where, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    assert cli.main([command, str(path), "--json"]) == 2
+    err = capsys.readouterr().err
+    assert message in err and f"[at {path}{where}]" in err
+
+
+@pytest.mark.parametrize("levels", ["0..4", "4..2", "0,2"])
+def test_levels_below_one_or_out_of_order_are_refused(capsys, levels):
+    assert cli.main(["lueck", "--op", "2 - t - t^-1", "--levels", levels]) == 2
+    assert "[at --levels]" in capsys.readouterr().err
+
+
+def test_an_infinite_cyclic_cw_is_read_and_left_to_the_tower_bridge(tmp_path, capsys):
+    # cells twisted over Z parse; their differentials are Laurent matrices
+    # (towers.cw_to_laurent), and no finite-matrix command accepts them
+    from torsionlab.towers import cw_to_laurent
+    data = {**_CW_FILE, "representation": {"type": "infinite_cyclic"}}
+    cw = formats.parse_cw(data)
+    (d,) = cw_to_laurent(cw)
+    assert np.allclose(d.symbol(np.array([1, 2]), 4)[..., 0, 0], [1j - 1, -2])
+    path = tmp_path / "over_z.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["torsion", str(path)]) == 2
+    assert "cw_to_laurent" in capsys.readouterr().err

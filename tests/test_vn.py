@@ -270,12 +270,10 @@ def test_log_vol_conventions():
 
 
 #: The only functions allowed to call a Hermitian eigensolver: the spectral
-#: kernel, the tower symbol kernel and the harmonic projector (which makes no
-#: rank decision).
+#: kernel and the tower symbol kernel.
 EIGENSOLVER_CALLERS = {
     ("kernel", "spectrum"),
     ("towers", "_symbol_eigenvalues"),
-    ("complexes", "_decomposition"),
 }
 
 
@@ -337,6 +335,14 @@ def _name(node):
             node.name if isinstance(node, ast.alias) else None)
 
 
+def test_spectra_are_made_only_in_the_kernel():
+    # kernel.Spectrum is the one record of a map's spectrum: every module
+    # reads the records the kernel makes and builds none of its own
+    makers = {stem for stem, tree, _ in _package_sources() for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and _name(node.func) == "Spectrum"}
+    assert makers == {"kernel"}
+
+
 def test_eigensolver_calls_stay_in_the_kernel(monkeypatch):
     callers, svd_callers, root_callers = set(), set(), set()
     for stem, tree, owner in _package_sources():
@@ -361,7 +367,7 @@ def test_eigensolver_calls_stay_in_the_kernel(monkeypatch):
 
     # At run time, every eigensolve of the commands' work on a cyclic cell
     # complex is one batched call on its m character blocks, from the
-    # spectral kernel (or the harmonic projector), and nothing runs an SVD.
+    # spectral kernel, and nothing runs an SVD.
     calls = []
     spied = [(np.linalg, name) for name in ("eigh", "eigvalsh", "svd", "eigvals", "eig")]
     for owner, name in spied + [(np, "roots")]:
@@ -380,7 +386,7 @@ def test_eigensolver_calls_stay_in_the_kernel(monkeypatch):
     milnor_check(glue(circle_from_arcs(rep))[1])
     sites = {(module, function) for _, module, function, _ in calls}
     assert ("kernel", "spectrum") in sites
-    assert sites <= {("kernel", "spectrum"), ("complexes", "_decomposition")}
+    assert sites == {("kernel", "spectrum")}
     assert all(name in ("eigh", "eigvalsh") for name, *_ in calls)
     assert all(len(shape) == 3 and shape[0] == m and shape[-1] <= 2
                for *_, shape in calls)
@@ -400,10 +406,11 @@ def test_eigensolver_calls_stay_in_the_kernel(monkeypatch):
 #: The only code allowed to touch each memo layer, by qualified name (a class
 #: covers its methods): the per-complex Hodge memo ``_hodge``, which
 #: ``CochainComplex`` creates and ``hodge`` fills, and the per-morphism store
-#: ``derived`` of spectral stages.
+#: ``derived`` of spectra, which ``spectral_stage`` fills and a negation
+#: shares.
 MEMO_OWNERS = {
     "_hodge": {("complexes", "CochainComplex"), ("complexes", "hodge")},
-    "derived": {("vn", "spectral_stage")},
+    "derived": {("vn", "spectral_stage"), ("vn", "Morphism.__neg__")},
 }
 
 
